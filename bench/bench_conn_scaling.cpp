@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -117,6 +118,8 @@ int main(int argc, char** argv) {
                 static_cast<double>(mpi::Device::endpoint_state_bytes()));
   json.add_meta("index_bytes_per_rank",
                 static_cast<double>(mpi::Device::kIndexBytesPerRank));
+  json.add_meta("hardware_concurrency",
+                static_cast<double>(std::thread::hardware_concurrency()));
 
   std::puts("# Connection-count scaling: events/s vs world size");
   util::Table table({"shape", "ranks", "conns", "events", "wall_ms",
@@ -148,7 +151,7 @@ int main(int argc, char** argv) {
     std::uint64_t slope16 = 0;
     bool slope_invariant = true;
     // The wall-clock slope needs enough traffic to dominate scheduler and
-    // thread-spawn noise, so hotspot cells run ~50x the allpairs rounds
+    // process-creation noise, so hotspot cells run ~50x the allpairs rounds
     // (the active set is 8 connections — each round is cheap).
     const int hot_rounds = 50 * rounds;
     for (const int ranks : {16, 64, 256, 1024}) {

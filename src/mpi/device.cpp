@@ -174,12 +174,7 @@ ib::MemoryRegionHandle Device::pin(std::byte* addr, std::size_t len) {
     }
   }
   ++stats_.reg_cache_misses;
-  const auto pages = (len + dcfg.page_size - 1) / dcfg.page_size;
-  charge(dcfg.reg_base + dcfg.reg_per_page * static_cast<std::int64_t>(pages));
-  const auto mr = hca_->register_memory(
-      std::span<std::byte>(addr, len),
-      ib::Access::local_read | ib::Access::local_write | ib::Access::remote_read |
-          ib::Access::remote_write);
+  const auto mr = register_region(addr, len);
   if (!dcfg.reg_cache) return mr;
   reg_cache_.push_front(CacheEntry{addr, len, mr});
   if (reg_cache_.size() > dcfg.reg_cache_capacity) {
@@ -187,6 +182,24 @@ ib::MemoryRegionHandle Device::pin(std::byte* addr, std::size_t len) {
     reg_cache_.pop_back();
   }
   return mr;
+}
+
+ib::MemoryRegionHandle Device::register_region(std::byte* addr,
+                                               std::size_t len) {
+  const auto& dcfg = world_.config().device;
+  const auto pages = (len + dcfg.page_size - 1) / dcfg.page_size;
+  charge(dcfg.reg_base + dcfg.reg_per_page * static_cast<std::int64_t>(pages));
+  return hca_->register_memory(
+      std::span<std::byte>(addr, len),
+      ib::Access::local_read | ib::Access::local_write | ib::Access::remote_read |
+          ib::Access::remote_write);
+}
+
+Device::SendRndvMap::iterator Device::erase_send_rndv(
+    SendRndvMap::iterator it) {
+  if (!it->second.owned_payload.empty())
+    hca_->deregister_memory(it->second.mr);
+  return send_rndv_.erase(it);
 }
 
 void Device::charge(sim::Duration d) {
@@ -375,8 +388,12 @@ void Device::dispatch_famine_head(Endpoint& ep) {
   }
   auto& stored = send_rndv_.emplace(id, std::move(ctx)).first->second;
   stored.data = std::span<const std::byte>(stored.owned_payload);
+  // The copy is fresh heap memory, so it bypasses the address-keyed pin
+  // cache: a hit there would depend on how malloc reuses addresses. Every
+  // conversion pays a full registration, undone where the entry is erased.
   if (!stored.data.empty())
-    stored.mr = pin(stored.owned_payload.data(), stored.owned_payload.size());
+    stored.mr =
+        register_region(stored.owned_payload.data(), stored.owned_payload.size());
   rts.sreq = id;
   post_wire(ep, rts, {});
 }
@@ -589,7 +606,7 @@ void Device::handle_completion(const ib::Completion& wc) {
   fin.rreq = sctx.rreq;
   post_wire(ep_at(sctx.dst), fin, {});
   if (sctx.req) sctx.req->mark_complete();
-  send_rndv_.erase(sit);
+  erase_send_rndv(sit);
 }
 
 // -------------------------------------------------------- fault handling --
@@ -616,7 +633,7 @@ void Device::handle_error_completion(Endpoint& ep, const ib::Completion& wc) {
       } else if (auto sit = send_rndv_.find(ctx.rndv_id);
                  sit != send_rndv_.end()) {
         fail_request(sit->second.req);
-        send_rndv_.erase(sit);
+        erase_send_rndv(sit);
       }
     }
   }
@@ -640,7 +657,7 @@ void Device::fail_endpoint(Endpoint& ep) {
   for (auto it = send_rndv_.begin(); it != send_rndv_.end();) {
     if (it->second.dst == ep.peer) {
       fail_request(it->second.req);
-      it = send_rndv_.erase(it);
+      it = erase_send_rndv(it);
     } else {
       ++it;
     }
@@ -897,7 +914,7 @@ void Device::handle_cts(Endpoint& ep, const WireHeader& hdr) {
     fin.rreq = hdr.rreq;
     post_wire(ep, fin, {});
     if (ctx.req) ctx.req->mark_complete();
-    send_rndv_.erase(it);
+    erase_send_rndv(it);
     return;
   }
   const std::uint64_t txid = next_tx_id_++;

@@ -262,8 +262,10 @@ class Device {
     std::uint64_t rreq = 0;  // receiver's op id, learned from the CTS
     /// For famine-converted eager messages: the payload copy the span
     /// points into (the user's send already "completed" into the backlog).
+    /// Registered outside the pin cache; erase_send_rndv deregisters it.
     std::vector<std::byte> owned_payload;
   };
+  using SendRndvMap = std::map<std::uint64_t, SendRndv>;
   struct RecvRndv {
     Rank src = -1;
     Tag tag = 0;
@@ -353,6 +355,11 @@ class Device {
 
   /// Pin-down cache: returns a registration covering [addr, addr+len).
   ib::MemoryRegionHandle pin(std::byte* addr, std::size_t len);
+  /// Register [addr, addr+len) uncached, charging reg_base + reg_per_page
+  /// per page.
+  ib::MemoryRegionHandle register_region(std::byte* addr, std::size_t len);
+  /// Drop a rendezvous send, deregistering its device-owned copy if any.
+  SendRndvMap::iterator erase_send_rndv(SendRndvMap::iterator it);
   void charge(sim::Duration d);
   void charge_copy(std::size_t bytes);
 
@@ -395,7 +402,7 @@ class Device {
 
   std::map<std::uint64_t, TxCtx> tx_;
   std::uint64_t next_tx_id_ = 1;
-  std::map<std::uint64_t, SendRndv> send_rndv_;
+  SendRndvMap send_rndv_;
   std::map<std::uint64_t, RecvRndv> recv_rndv_;
   std::uint64_t next_rndv_id_ = 1;
 

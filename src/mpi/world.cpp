@@ -75,10 +75,12 @@ World::World(WorldConfig cfg) : cfg_(cfg) {
         static_cast<std::size_t>(cfg_.engine_threads), cfg_.scheduler);
     fabric_ = std::make_unique<ib::Fabric>(*sharded_, cfg_.fabric,
                                            cfg_.num_ranks);
-    // Rank processes and shard windows record concurrently, so each shard
-    // gets its own ring; the shard hooks point whichever worker thread runs
-    // a window at that shard's recorder. Content per shard is a function of
-    // that shard's (deterministic) event sequence — worker count invisible.
+    // Shard windows record concurrently, so each shard gets its own ring;
+    // the shard hooks point whichever worker thread runs a window at that
+    // shard's recorder, profiler and logger clock — rank fibers run inside
+    // their shard's window, so the binding covers their bodies too. Content
+    // per shard is a function of that shard's (deterministic) event
+    // sequence — worker count invisible.
     shard_recorders_.reserve(static_cast<std::size_t>(cfg_.num_ranks));
     shard_profilers_.reserve(static_cast<std::size_t>(cfg_.num_ranks));
     for (int s = 0; s < cfg_.num_ranks; ++s) {
@@ -99,8 +101,11 @@ World::World(WorldConfig cfg) : cfg_(cfg) {
               obs::bind_recorder(shard_recorders_[s].get());
           shard_prev_profilers_[s] =
               obs::bind_profiler(shard_profilers_[s].get());
+          util::Logger::push_time_source(&sim::Engine::log_clock,
+                                         &sharded_->shard(s));
         },
         [this](std::size_t s) {
+          util::Logger::pop_time_source(&sharded_->shard(s));
           obs::bind_recorder(shard_prev_bindings_[s]);
           obs::bind_profiler(shard_prev_profilers_[s]);
         });
@@ -271,7 +276,9 @@ sim::Duration World::run(const std::vector<RankBody>& bodies) {
 
   // The engine dispatches on whichever thread called run(), which on a
   // sweep pool need not be the constructing thread — rebind for the
-  // duration so engine-context instrumentation lands in this world's ring.
+  // duration so instrumentation lands in this world's ring. Rank bodies
+  // run as fibers on the dispatching thread (in a sharded world, inside
+  // the shard hooks' binding), so this binding covers them as well.
   obs::RecorderBinding engine_thread_binding(&recorder_);
   obs::ProfilerBinding engine_thread_prof_binding(&prof_);
 
@@ -283,19 +290,6 @@ sim::Duration World::run(const std::vector<RankBody>& bodies) {
     procs.push_back(std::make_unique<sim::Process>(
         engine_for(r), "rank" + std::to_string(r),
         [this, r, &body, &finish](sim::Process& p) {
-          // Rank bodies run on their own OS thread; point that thread's
-          // recorder binding at this world — in a sharded world at the
-          // rank's shard recorder, since rank threads of different shards
-          // record concurrently (the thread is born and dies inside this
-          // run, so nothing needs restoring).
-          obs::bind_recorder(sharded_ != nullptr
-                                 ? shard_recorders_[static_cast<std::size_t>(r)]
-                                       .get()
-                                 : &recorder_);
-          obs::bind_profiler(sharded_ != nullptr
-                                 ? shard_profilers_[static_cast<std::size_t>(r)]
-                                       .get()
-                                 : &prof_);
           Device& dev = device(r);
           dev.bind_process(p);
           Communicator comm(*this, dev, p);
@@ -356,7 +350,7 @@ sim::Duration World::run(const std::vector<RankBody>& bodies) {
       serial_->run_until(sim::TimePoint(cfg_.max_sim_time));
     }
   } catch (...) {
-    procs.clear();  // kill + join the rank threads before touching exports
+    procs.clear();  // unwind the rank fibers before touching exports
     flush_exports();
     throw;
   }
@@ -391,7 +385,7 @@ sim::Duration World::run(const std::vector<RankBody>& bodies) {
     }
   }
   if (!blocked.empty()) {
-    procs.clear();  // kill + join the stuck ranks before throwing
+    procs.clear();  // unwind the stuck ranks before throwing
     flush_exports();
     throw DeadlockError("simulation drained with blocked ranks: " + blocked);
   }

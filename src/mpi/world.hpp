@@ -234,12 +234,12 @@ class World {
 
   /// This world's flight recorder (DESIGN.md §11-12). World-owned so
   /// concurrent worlds trace independently; the constructor binds it as the
-  /// current thread's recorder and run() rebinds it on the running thread
-  /// and every rank's process thread. Armed automatically when the run
+  /// current thread's recorder and run() rebinds it on the running thread,
+  /// where the rank fibers run too. Armed automatically when the run
   /// config requests a trace export; tests may enable() it directly.
-  /// Sharded worlds additionally keep one recorder per shard (rank threads
-  /// and shard windows record concurrently) — this one then holds only
-  /// coordinator-context events, and merged_trace() presents the union.
+  /// Sharded worlds additionally keep one recorder per shard (shard windows
+  /// record concurrently) — this one then holds only coordinator-context
+  /// events, and merged_trace() presents the union.
   obs::FlightRecorder& recorder() noexcept { return recorder_; }
   /// Shard s's recorder (sharded worlds only).
   obs::FlightRecorder& shard_recorder(std::size_t s) {
@@ -260,9 +260,9 @@ class World {
     return cfg_.profile || cfg_.run.prof_enabled();
   }
   /// This world's profiler (DESIGN.md §16), bound exactly like the
-  /// recorder: on the constructing thread, the run() thread, every rank's
-  /// process thread, and — in sharded worlds — per shard via the shard
-  /// hooks (shard_profiler(s) collects that shard's records).
+  /// recorder: on the constructing thread, the run() thread, and — in
+  /// sharded worlds — per shard via the shard hooks (shard_profiler(s)
+  /// collects that shard's records).
   obs::Profiler& profiler() noexcept { return prof_; }
   obs::Profiler& shard_profiler(std::size_t s) { return *shard_profilers_.at(s); }
   /// Union of the world and shard record buffers (a plain copy of
@@ -296,7 +296,7 @@ class World {
   obs::MetricsRegistry metrics_;
   obs::FlightRecorder recorder_;
   /// Sharded worlds: recorder_[s] for shard s, bound by the shard hooks on
-  /// whichever worker thread runs a window and by rank s's process thread.
+  /// whichever worker thread runs the shard's window (and its rank fiber).
   std::vector<std::unique_ptr<obs::FlightRecorder>> shard_recorders_;
   /// Per-shard saved previous binding for the enter/exit hooks (only the
   /// worker currently running shard s touches slot s).

@@ -20,9 +20,10 @@
 // recorder *bound to the current thread* (a thread-local pointer, so
 // independent Worlds on a thread pool record into their own rings with no
 // shared mutable state). World binds its recorder on the constructing
-// thread and on each rank's process thread; a thread with no binding sees a
-// shared, permanently-disabled fallback, which keeps the instrumentation
-// fast path a single branch with no null check. Tests may instantiate and
+// thread and on the thread running the engine, where its rank fibers also
+// run; a thread with no binding sees a shared, permanently-disabled
+// fallback, which keeps the instrumentation fast path a single branch with
+// no null check. Tests may instantiate and
 // bind private FlightRecorders freely (RecorderBinding below).
 #pragma once
 
@@ -244,8 +245,8 @@ bool recorder_is_fallback() noexcept;
 
 /// RAII binding for the current thread; restores the previous recorder on
 /// destruction. Used by tests and by World on the thread that runs the
-/// engine. (Rank process threads bind without restoring — each such thread
-/// is born and dies inside one simulation.)
+/// engine. Rank bodies need no binding of their own: they run as fibers on
+/// that thread (or, sharded, on a worker bound by the shard hooks).
 class RecorderBinding {
  public:
   explicit RecorderBinding(FlightRecorder* r) noexcept

@@ -19,29 +19,26 @@ struct WaiterGuard {
 
 }  // namespace
 
-std::shared_ptr<Condition::Waiter> Condition::enqueue(Process& p) {
-  auto w = std::make_shared<Waiter>();
-  w->wake = p.make_waker();
+std::shared_ptr<Condition::Waiter> Condition::enqueue(Process::Waker wake) {
+  auto w = std::make_shared<Waiter>(Waiter{wake});
   waiters_.push_back(w);
   return w;
 }
 
 void Condition::wait(Process& p) {
-  ++p.sleep_epoch_;
-  auto w = enqueue(p);
+  auto w = enqueue(p.begin_sleep());
   WaiterGuard guard{w, &w->notified, &w->abandoned};
   p.suspend();
   util::check(w->notified, "condition wait woke without notification");
 }
 
 bool Condition::wait_for(Process& p, Duration timeout) {
-  ++p.sleep_epoch_;
-  auto w = enqueue(p);
-  auto timer_wake = p.make_waker();
-  auto handle = engine_.schedule_after(timeout, [w, timer_wake] {
+  const Process::Waker wake = p.begin_sleep();
+  auto w = enqueue(wake);
+  auto handle = engine_.schedule_after(timeout, [w, wake] {
     if (w->notified || w->abandoned) return;
     w->abandoned = true;
-    timer_wake();
+    wake();
   });
   WaiterGuard guard{w, &w->notified, &w->abandoned};
   p.suspend();

@@ -41,11 +41,11 @@ class Condition {
 
  private:
   struct Waiter {
-    std::function<void()> wake;
+    Process::Waker wake;
     bool notified = false;
     bool abandoned = false;  // waiter timed out / unwound; skip on notify
   };
-  std::shared_ptr<Waiter> enqueue(Process& p);
+  std::shared_ptr<Waiter> enqueue(Process::Waker wake);
   void notify_all_slow();
   void notify_one_slow();
 

@@ -57,14 +57,16 @@ Engine::Engine(SchedKind kind) : pq_(kind) {
   }
   // Give the logger simulated time while this engine exists, so MVFLOW_LOG
   // lines correlate with trace/metrics timestamps. (The time-source stack
-  // is thread-local: this registers on the constructing thread, and each
-  // Process re-registers on its own rank thread.)
-  util::Logger::push_time_source(
-      [](const void* ctx) {
-        return static_cast<long long>(
-            static_cast<const Engine*>(ctx)->now().count());
-      },
-      this);
+  // is thread-local: this registers on the constructing thread. Rank
+  // fibers run on the thread dispatching their engine and share its
+  // stack; a sharded world pushes each shard's clock on the thread running
+  // that shard's window.)
+  util::Logger::push_time_source(&Engine::log_clock, this);
+}
+
+long long Engine::log_clock(const void* engine) noexcept {
+  return static_cast<long long>(
+      static_cast<const Engine*>(engine)->now().count());
 }
 
 Engine::~Engine() {

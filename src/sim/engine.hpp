@@ -120,6 +120,10 @@ class Engine {
 
   TimePoint now() const noexcept { return now_; }
 
+  /// util::Logger time source: the simulated clock, in ns, of `engine` (a
+  /// const Engine*).
+  static long long log_clock(const void* engine) noexcept;
+
   /// Causal-parent token (the profiler's chain id, DESIGN.md §16). Every
   /// scheduled event inherits the token current at its schedule_at call,
   /// and dispatch re-establishes it for the callback's duration — so a

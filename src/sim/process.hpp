@@ -1,11 +1,12 @@
 // Cooperative simulated processes.
 //
-// Each Process runs user code (an MPI rank body, a traffic generator) on its
-// own OS thread, but *exactly one* thread — the engine thread or one process
-// thread — executes at any moment. Control passes via a pair of binary
-// semaphores (the "token"). All blocking goes through the engine's event
-// queue, so execution order is fully determined by (time, sequence) and the
-// simulation is reproducible even though real threads are involved.
+// Each Process runs user code (an MPI rank body, a traffic generator) as a
+// stackful fiber: its own mmap'd stack, entered and left by a context switch
+// on whichever OS thread is dispatching its engine at the time. Exactly one
+// context — the engine's or one process's — executes on that thread at any
+// moment, and all blocking goes through the engine's event queue, so
+// execution order is fully determined by (time, sequence) and the
+// simulation is reproducible. No kernel call sits on the switch path.
 //
 // Lifecycle: the constructor schedules the first resume at engine.now();
 // the body runs until it returns, throws, or is kill()ed (which unwinds the
@@ -13,12 +14,8 @@
 #pragma once
 
 #include <cstdint>
-#include <exception>
 #include <functional>
-#include <memory>
-#include <semaphore>
 #include <string>
-#include <thread>
 
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
@@ -60,25 +57,37 @@ class Process {
  private:
   friend class Engine;
   friend class Condition;
+  struct Fiber;
 
-  /// A one-shot wake callback bound to the process's current sleep epoch;
-  /// invoking a stale waker (the process already woke for another reason)
-  /// is a harmless no-op. Wakes are delivered through the event queue.
-  std::function<void()> make_waker();
+  /// A one-shot wake bound to one sleep epoch: invoking it after the
+  /// process already woke for another reason is a harmless no-op. Two
+  /// words, so it rides inline in an engine event. Wakes are delivered
+  /// through the event queue.
+  struct Waker {
+    Process* p;
+    std::uint64_t epoch;
+    void operator()() const {
+      if (!p->finished_ && epoch == p->sleep_epoch_) p->resume();
+    }
+  };
 
-  void suspend();            // release token, wait for next resume
-  void resume_from_engine(); // engine context: hand token over, wait for it back
-  void thread_main(Body body);
+  /// Start a new sleep, invalidating the wakers of earlier ones, and return
+  /// its waker. Checks that the caller is this process's own body.
+  Waker begin_sleep();
+  void suspend();   // body side: switch back to whoever resumed us
+  void resume();    // resumer side: run the body until it suspends or ends
+  void run_body() noexcept;  // the fiber's whole life
 
   Engine& engine_;
   std::string name_;
-  std::binary_semaphore go_{0};
-  std::binary_semaphore done_{0};
+  Body body_;
+  /// Stack mapping and saved switch contexts; lives at the top of the
+  /// process's own stack mapping (process.cpp).
+  Fiber* fiber_ = nullptr;
   std::uint64_t sleep_epoch_ = 0;
   bool started_ = false;
   bool finished_ = false;
   bool kill_requested_ = false;
-  std::thread thread_;
 };
 
 }  // namespace mvflow::sim

@@ -44,11 +44,12 @@ struct TimeSource {
   const void* ctx = nullptr;
 };
 
-// Thread-local: each experiment thread (and each simulated rank's process
-// thread) sees only the time sources pushed on that thread, so concurrent
-// engines never observe each other's clocks. A sim::Engine registers on its
-// constructing thread and sim::Process re-registers its engine on the
-// process thread it spawns.
+// Thread-local: each experiment thread (and each sharded-engine worker)
+// sees only the time sources pushed on that thread, so concurrent engines
+// never observe each other's clocks. A sim::Engine registers on its
+// constructing thread, a sharded world re-registers each shard's engine on
+// the thread running that shard's window, and rank fibers log through
+// whichever thread is running them.
 std::vector<TimeSource>& time_sources() {
   thread_local std::vector<TimeSource> sources;
   return sources;

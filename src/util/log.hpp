@@ -31,9 +31,10 @@ class Logger {
   /// the most recently pushed one wins, and pop removes by ctx so nested
   /// engine lifetimes unwind in any order. The stack is thread-local —
   /// concurrent simulations each see their own engine's clock, and a push
-  /// is visible only on the pushing thread (sim::Process re-pushes its
-  /// engine on each rank thread). Kept as a plain function pointer to
-  /// avoid std::function overhead on a layer below everything else.
+  /// is visible only on the pushing thread (rank fibers run on the thread
+  /// dispatching their engine; a sharded world pushes each shard's engine
+  /// on the thread running its window). Kept as a plain function pointer
+  /// to avoid std::function overhead on a layer below everything else.
   using TimeSourceFn = long long (*)(const void* ctx);
   static void push_time_source(TimeSourceFn fn, const void* ctx);
   static void pop_time_source(const void* ctx);

@@ -112,8 +112,13 @@ TEST(CheckpointContainer, InspectablePerSectionNames) {
 class CheckpointCorruption : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = write_checkpoint(small_world(), pingpong_spec(), 300,
-                             "corrupt.ck");
+    // One source snapshot per test: ctest -j runs these tests at the same
+    // time, each in its own process, so a shared file would race.
+    const std::string leaf =
+        std::string("corrupt_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".ck";
+    path_ = write_checkpoint(small_world(), pingpong_spec(), 300, leaf);
     blob_ = read_bytes(path_);
     ASSERT_GT(blob_.size(), 64u);
   }

@@ -97,6 +97,62 @@ TEST(FamineConversion, CountsSmallSendsTurnedRendezvous) {
   EXPECT_GT(optimistic, 0u);
 }
 
+TEST(FamineConversion, IndependentOfHeapAddresses) {
+  // Fig 5's converting cell: static scheme, prepost 10, windows of 100
+  // blocking sends at the largest eager size. The device copies each
+  // converted payload, so the addresses those copies get depend on every
+  // other allocation in the process; a second run that holds extra blocks
+  // of the copy's size must still simulate exactly the same.
+  struct Outcome {
+    std::int64_t elapsed_ns = 0;
+    std::uint64_t events = 0;
+    std::uint64_t converted = 0;
+    std::uint64_t reg_cache_hits = 0;
+    std::uint64_t reg_cache_misses = 0;
+  };
+  const auto run_cell = [](int held_per_send) {
+    World world(two_ranks(flowctl::Scheme::user_static, 10));
+    const std::size_t bytes = world.config().device.eager_max_payload();
+    std::vector<std::vector<std::byte>> held;
+    Outcome o;
+    o.elapsed_ns = world
+                       .run([&](Communicator& comm) {
+                         std::vector<std::byte> buf(bytes);
+                         std::vector<std::byte> ack(1);
+                         for (int rep = 0; rep < 4; ++rep) {
+                           if (comm.rank() == 0) {
+                             for (int i = 0; i < 100; ++i) {
+                               for (int h = 0; h < held_per_send; ++h)
+                                 held.emplace_back(bytes);
+                               comm.send(buf, 1, 0);
+                             }
+                             comm.recv(ack, 1, 1);
+                           } else {
+                             for (int i = 0; i < 100; ++i) comm.recv(buf, 0, 0);
+                             comm.send(ack, 0, 1);
+                           }
+                         }
+                       })
+                       .count();
+    o.events = world.executed_events();
+    for (int r = 0; r < 2; ++r) {
+      const DeviceStats& s = world.device(r).stats();
+      o.converted += s.small_converted_to_rndv;
+      o.reg_cache_hits += s.reg_cache_hits;
+      o.reg_cache_misses += s.reg_cache_misses;
+    }
+    return o;
+  };
+  const Outcome plain = run_cell(0);
+  const Outcome churned = run_cell(1);
+  ASSERT_GT(plain.converted, 0u);
+  EXPECT_EQ(churned.converted, plain.converted);
+  EXPECT_EQ(churned.elapsed_ns, plain.elapsed_ns);
+  EXPECT_EQ(churned.events, plain.events);
+  EXPECT_EQ(churned.reg_cache_hits, plain.reg_cache_hits);
+  EXPECT_EQ(churned.reg_cache_misses, plain.reg_cache_misses);
+}
+
 TEST(UnexpectedQueue, CensusTracksDepth) {
   World world(two_ranks(flowctl::Scheme::hardware, 64));
   world.run([&](Communicator& comm) {
