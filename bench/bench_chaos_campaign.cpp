@@ -3,9 +3,9 @@
 //   bench_chaos_campaign [--seeds=N] [--base-seed=S] [--jobs=N]
 //   bench_chaos_campaign --inject-bug [--base-seed=S]
 //
-// Default mode sweeps the full (scheme × fault profile × scheduler ×
-// serial-vs-sharded) grid with the invariant auditor and the progress
-// watchdog armed, once per seed. The whole campaign runs twice — -j1 and
+// Default mode sweeps the full (scheme × fault profile × scheduler) grid
+// with the invariant auditor and the progress watchdog armed, once per
+// seed. The whole campaign runs twice — -j1 and
 // -jN — and the two assembled RESULT-line transcripts must match byte for
 // byte; any cell violation or transcript divergence is a non-zero exit.
 //
@@ -32,7 +32,7 @@ namespace {
 /// Host-time cost of the auditor-disabled vs auditor-armed hot path on a
 /// fault-free bandwidth run: the perf gate asserts the disabled path stays
 /// within the existing throughput envelope, and this ratio documents what
-/// arming it costs (serial worlds audit inline per delivered message).
+/// arming it costs (worlds audit inline per delivered message).
 double audit_wall_seconds(bool audit) {
   mpi::WorldConfig cfg = bench::base_config(flowctl::Scheme::user_static, 64);
   cfg.run = exp::RunConfig{};
@@ -49,7 +49,6 @@ int run_inject_bug(std::uint64_t base_seed) {
   spec.profile.loss = 0.35;
   spec.profile.transport_retry_limit = 1;  // drops escalate to QP errors
   spec.profile.auto_reconnect = true;
-  spec.profile.serial_only = true;
   spec.seed = base_seed;
   spec.ranks = 2;
   spec.workload.name = "pingpong";

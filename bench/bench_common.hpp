@@ -120,16 +120,14 @@ inline mpi::WorldConfig base_config(flowctl::Scheme scheme, int prepost,
 
 /// Optional engine-configuration override for a sweep (DESIGN.md §14):
 /// -1 leaves the world's env-derived default untouched, so existing
-/// call sites keep honouring $MVFLOW_ENGINE_THREADS / $MVFLOW_SCHEDULER.
-/// The golden-determinism test drives the fig tables through every
-/// combination to pin the "engine mode never changes results" claim.
+/// call sites keep honouring $MVFLOW_SCHEDULER. The golden-determinism
+/// test drives the fig tables through every scheduler to pin the "engine
+/// mode never changes results" claim.
 struct EngineMode {
-  int engine_threads = -1;
   int scheduler = -1;  ///< static_cast<int>(sim::SchedKind), or -1
   int audit = -1;      ///< 0/1 forces the invariant auditor off/on, or -1
 
   void apply(mpi::WorldConfig& cfg) const {
-    if (engine_threads >= 0) cfg.engine_threads = engine_threads;
     if (scheduler >= 0) cfg.scheduler = static_cast<sim::SchedKind>(scheduler);
     if (audit >= 0) cfg.run.audit = audit != 0;
   }

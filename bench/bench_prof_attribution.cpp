@@ -5,8 +5,8 @@
 // profiler *explain* it. The verdicts this bench gates:
 //
 //   exact      — every message's six segments sum exactly to its e2e latency
-//   identical  — the profile document is byte-identical across the serial
-//                engine and the sharded engine at 1, 2 and 4 workers
+//   identical  — two runs of each cell give byte-identical profile
+//                documents
 //   audit_ok   — the profiler's raw sums equal the flight recorder's
 //                LatencyBreakdown accumulators (independent subsystems,
 //                same call sites)
@@ -44,22 +44,15 @@ struct Cell {
   bool audit_ok = false;
 };
 
-Cell run_cell(int prepost, int engine_threads, const std::string& label) {
+Cell run_cell(int prepost, const std::string& label) {
   mpi::WorldConfig cfg =
       bench::base_config(flowctl::Scheme::user_static, prepost);
   cfg.run = exp::RunConfig{};  // no env-driven exports from bench cells
-  cfg.engine_threads = engine_threads;
   cfg.profile = true;
   mpi::World world(cfg);
   // Arm the recorder's latency accumulators too: the cross-subsystem audit
   // compares the profiler's raw sums against them.
   world.recorder().enable(obs::FlightRecorder::kDefaultCapacity);
-  if (world.is_sharded()) {
-    for (int s = 0; s < world.num_ranks(); ++s) {
-      world.shard_recorder(static_cast<std::size_t>(s))
-          .enable(obs::FlightRecorder::kDefaultCapacity);
-    }
-  }
 
   // The paper's blocking bandwidth pattern (§6.2.2), adapted so the two
   // prepost configurations differ *only* in credit availability: the
@@ -95,7 +88,8 @@ Cell run_cell(int prepost, int engine_threads, const std::string& label) {
   Cell cell;
   cell.analysis = world.prof_analysis();
   cell.profile_json = obs::profile_to_json(cell.analysis, label);
-  cell.audit_ok = obs::audit_against(cell.analysis, world.merged_latency());
+  cell.audit_ok =
+      obs::audit_against(cell.analysis, world.recorder().latency());
   return cell;
 }
 
@@ -108,9 +102,6 @@ int main(int argc, char** argv) {
   bench::WallTimer timer;
   bench::BenchJson json("prof_attribution");
 
-  // Worker counts exercised for the bit-identity verdict; 0 is the serial
-  // reference the others must match byte for byte.
-  const int kEngineModes[] = {0, 1, 2, 4};
   const int kPreposts[] = {100, 2};
 
   std::printf(
@@ -125,20 +116,14 @@ int main(int argc, char** argv) {
   for (std::size_t pi = 0; pi < 2; ++pi) {
     const int prepost = kPreposts[pi];
     const std::string label = "prepost=" + std::to_string(prepost);
-    Cell serial;
-    bool identical = true;
-    bool audit_ok = true;
-    for (int threads : kEngineModes) {
-      Cell cell = run_cell(prepost, threads, label);
-      audit_ok = audit_ok && cell.audit_ok;
-      if (threads == 0) {
-        serial = std::move(cell);
-      } else {
-        identical = identical && cell.profile_json == serial.profile_json;
-      }
-    }
-    payload[pi] = serial.analysis.payload;
-    const obs::SegmentTotals& t = serial.analysis.payload;
+    // Each cell runs twice; the repeat must reproduce the profile document
+    // byte for byte.
+    const Cell cell = run_cell(prepost, label);
+    const Cell repeat = run_cell(prepost, label);
+    const bool identical = repeat.profile_json == cell.profile_json;
+    const bool audit_ok = cell.audit_ok && repeat.audit_ok;
+    payload[pi] = cell.analysis.payload;
+    const obs::SegmentTotals& t = cell.analysis.payload;
     std::printf("  %s: %llu payload msgs, e2e %lld ns (", label.c_str(),
                 static_cast<unsigned long long>(t.messages),
                 static_cast<long long>(t.e2e_ns));
@@ -149,12 +134,12 @@ int main(int argc, char** argv) {
                   static_cast<long long>(t.seg[i]));
     }
     std::printf(")  exact=%d identical=%d audit=%d\n",
-                serial.analysis.exact ? 1 : 0, identical ? 1 : 0,
+                cell.analysis.exact ? 1 : 0, identical ? 1 : 0,
                 audit_ok ? 1 : 0);
     obs::write_profile("PROF_attribution_pre" + std::to_string(prepost) +
                            ".json",
-                       serial.analysis, label);
-    all_exact = all_exact && serial.analysis.exact;
+                       cell.analysis, label);
+    all_exact = all_exact && cell.analysis.exact;
     all_identical = all_identical && identical;
     all_audit = all_audit && audit_ok;
 
@@ -167,7 +152,7 @@ int main(int argc, char** argv) {
                     {"retransmit_ns", static_cast<double>(t.seg[3])},
                     {"wire_ns", static_cast<double>(t.seg[4])},
                     {"match_wait_ns", static_cast<double>(t.seg[5])},
-                    {"exact", serial.analysis.exact ? 1.0 : 0.0},
+                    {"exact", cell.analysis.exact ? 1.0 : 0.0},
                     {"identical", identical ? 1.0 : 0.0},
                     {"audit_ok", audit_ok ? 1.0 : 0.0}});
   }

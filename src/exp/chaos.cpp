@@ -34,7 +34,7 @@ std::string CellSpec::label() const {
   s += profile.name;
   s += '/';
   s += std::string(sim::to_string(scheduler));
-  s += engine_threads > 0 ? "/sharded/s" : "/serial/s";
+  s += "/s";
   s += std::to_string(seed);
   return s;
 }
@@ -60,7 +60,6 @@ CellResult run_cell(const CellSpec& spec, bool record_faults) {
   cfg.num_ranks = spec.ranks;
   cfg.flow.scheme = spec.scheme;
   cfg.flow.prepost = 8;  // small pool: constant credit pressure
-  cfg.engine_threads = spec.engine_threads;
   cfg.scheduler = spec.scheduler;
   // Faults need the recovery protocol: a zero transport timeout disables
   // sequence NAKs and retransmits entirely (config.hpp), which would turn
@@ -148,7 +147,6 @@ std::vector<FaultProfile> default_profiles() {
     p.loss = 0.05;
     p.transport_retry_limit = 2;  // drops escalate to QP errors
     p.auto_reconnect = true;
-    p.serial_only = true;  // recover_pair is cross-shard (World enforces)
     out.push_back(std::move(p));
   }
   return out;
@@ -160,26 +158,20 @@ std::vector<CellSpec> default_campaign(std::uint64_t base_seed) {
                                      flowctl::Scheme::user_dynamic};
   const sim::SchedKind scheds[] = {sim::SchedKind::heap4,
                                    sim::SchedKind::calendar};
-  const int engines[] = {0, 2};  // serial reference, sharded ×2 workers
   std::vector<CellSpec> cells;
   std::uint64_t pos = 0;
   for (const flowctl::Scheme scheme : schemes) {
     for (const FaultProfile& profile : default_profiles()) {
       for (const sim::SchedKind sched : scheds) {
-        for (const int threads : engines) {
-          ++pos;
-          if (threads > 0 && profile.serial_only) continue;
-          CellSpec c;
-          c.scheme = scheme;
-          c.profile = profile;
-          c.scheduler = sched;
-          c.engine_threads = threads;
-          // Distinct per-cell streams, stable under grid reordering of the
-          // runner (seed depends only on base_seed and grid position).
-          c.seed = base_seed + 0x9e3779b97f4a7c15ULL * pos;
-          c.workload = default_workload();
-          cells.push_back(std::move(c));
-        }
+        CellSpec c;
+        c.scheme = scheme;
+        c.profile = profile;
+        c.scheduler = sched;
+        // Distinct per-cell streams, stable under grid reordering of the
+        // runner (seed depends only on base_seed and grid position).
+        c.seed = base_seed + 0x9e3779b97f4a7c15ULL * ++pos;
+        c.workload = default_workload();
+        cells.push_back(std::move(c));
       }
     }
   }

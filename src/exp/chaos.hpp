@@ -1,10 +1,10 @@
 // Deterministic chaos campaigns (DESIGN.md §15).
 //
-// A campaign is a grid of *cells*: (scheme × fault profile × scheduler ×
-// serial-vs-sharded engine), each one an independent seeded World run with
-// the invariant auditor and the progress watchdog armed. Cells execute on
-// the exp::SweepRunner, so the assembled RESULT lines are byte-identical
-// at every --jobs count — the campaign binary asserts exactly that.
+// A campaign is a grid of *cells*: (scheme × fault profile × scheduler),
+// each one an independent seeded World run with the invariant auditor and
+// the progress watchdog armed. Cells execute on the exp::SweepRunner, so
+// the assembled RESULT lines are byte-identical at every --jobs count —
+// the campaign binary asserts exactly that.
 //
 // When a cell trips (AuditError / WatchdogError / deadlock), the campaign
 // re-runs it with fault recording enabled and hands the fired-fault log to
@@ -26,10 +26,7 @@
 
 namespace mvflow::exp::chaos {
 
-/// One named fault regime. Profiles that error QPs on purpose (finite
-/// transport retries + auto-reconnect) are serial-only: recover_pair
-/// mutates both endpoints' shards, which the sharded engine forbids under
-/// fault injection (World enforces it).
+/// One named fault regime.
 struct FaultProfile {
   std::string name;
   double loss = 0.0;     ///< Per-packet silent-drop probability.
@@ -39,7 +36,6 @@ struct FaultProfile {
   /// set a finite limit must also set auto_reconnect.
   int transport_retry_limit = -1;
   bool auto_reconnect = false;
-  bool serial_only = false;
 };
 
 /// One campaign cell: everything needed to build the World, fully
@@ -48,7 +44,6 @@ struct CellSpec {
   flowctl::Scheme scheme = flowctl::Scheme::user_static;
   FaultProfile profile;
   sim::SchedKind scheduler = sim::SchedKind::heap4;
-  int engine_threads = 0;  ///< 0 = serial reference, > 0 = sharded.
   std::uint64_t seed = 1;
   int ranks = 3;
   mpi::WorkloadSpec workload;
@@ -60,7 +55,7 @@ struct CellSpec {
   /// *only* fault source.
   std::vector<ib::ScriptedFault> script;
 
-  /// "scheme/profile/sched/engine/s<seed>" — stable cell identity.
+  /// "scheme/profile/sched/s<seed>" — stable cell identity.
   std::string label() const;
 };
 
@@ -89,13 +84,12 @@ struct CellResult {
 CellResult run_cell(const CellSpec& spec, bool record_faults = false);
 
 /// The standard profile set: loss, corrupt, storm (both), flap, and the
-/// serial-only reconnect regime (finite retries + auto_reconnect).
+/// reconnect regime (finite retries + auto_reconnect).
 std::vector<FaultProfile> default_profiles();
 
-/// Full default grid: 3 schemes × default_profiles × {heap4, calendar} ×
-/// {serial, sharded}, with serial_only profiles skipped on the sharded
-/// engine. Seeds are derived deterministically from `base_seed` and the
-/// cell's grid position.
+/// Full default grid: 3 schemes × default_profiles × {heap4, calendar}.
+/// Seeds are derived deterministically from `base_seed` and the cell's
+/// grid position.
 std::vector<CellSpec> default_campaign(std::uint64_t base_seed);
 
 /// Execute cells on a SweepRunner with `jobs` workers; results in cell

@@ -61,9 +61,9 @@ struct RunConfig {
 
   /// Invariant auditor ($MVFLOW_AUDIT = 1): run the credit-conservation /
   /// buffer-accounting / delivery checks (obs/audit.hpp, DESIGN.md §15)
-  /// inline after every delivered message (serial engine) or at every
-  /// shard barrier (sharded engine). Off by default — the ledgers feeding
-  /// the checks are always maintained, only the checks themselves cost.
+  /// inline after every delivered message. Off by default — the ledgers
+  /// feeding the checks are always maintained, only the checks themselves
+  /// cost.
   bool audit = false;
 
   /// Progress watchdog ($MVFLOW_WATCHDOG_US, sim-time horizon in

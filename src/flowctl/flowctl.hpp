@@ -263,7 +263,7 @@ class ConnectionFlow {
   /// and anything already accumulated is folded in now, so the sink always
   /// equals the sum over installed connections without re-summing them.
   /// max_posted is a peak, so it folds as a max, not a sum. The sink is
-  /// owned by the device (per-shard single writer). Pass nullptr to detach.
+  /// owned by the device. Pass nullptr to detach.
   void set_counters_sink(Counters* agg) noexcept {
     agg_ = agg;
     if (agg == nullptr) return;

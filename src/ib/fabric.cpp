@@ -1,66 +1,26 @@
 #include "ib/fabric.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/check.hpp"
 #include "util/serial.hpp"
 
 namespace mvflow::ib {
 
-Fabric::Fabric(sim::Engine* serial, sim::ShardedEngine* sharded,
-               FabricConfig config, int num_nodes)
-    : serial_engine_(serial),
-      sharded_(sharded),
-      config_(config),
+Fabric::Fabric(sim::Engine& engine, FabricConfig config, int num_nodes)
+    : engine_(engine),
+      config_(std::move(config)),
       up_(num_nodes),
       down_(num_nodes),
-      node_stats_(num_nodes),
-      fault_rng_(config.fault.seed),
-      scripted_(config.fault.scripted.size()) {
+      fault_rng_(config_.fault.seed),
+      scripted_(config_.fault.scripted.size()) {
   util::require(num_nodes > 0, "fabric needs at least one node");
   util::require(config_.mtu >= 256, "MTU too small");
   nodes_.reserve(num_nodes);
   for (int i = 0; i < num_nodes; ++i) {
     nodes_.push_back(std::make_unique<Hca>(*this, i));
   }
-}
-
-Fabric::Fabric(sim::Engine& engine, FabricConfig config, int num_nodes)
-    : Fabric(&engine, nullptr, std::move(config), num_nodes) {}
-
-Fabric::Fabric(sim::ShardedEngine& engine, FabricConfig config, int num_nodes)
-    : Fabric(nullptr, &engine, std::move(config), num_nodes) {
-  util::require(engine.shard_count() == static_cast<std::size_t>(num_nodes),
-                "sharded fabric needs exactly one engine shard per node");
-  // Random faults draw from per-source-node streams (single-writer per
-  // shard); scripted state is likewise owned by the source shard, so a
-  // sharded script must pin its source.
-  for (const ScriptedFault& f : config_.fault.scripted) {
-    util::require(f.src_node >= 0,
-                  "sharded fault scripts must pin src_node: the scripted "
-                  "fire/skip state is owned by the source node's shard");
-  }
-  if (config_.fault.active()) {
-    node_fault_rng_.reserve(static_cast<std::size_t>(num_nodes));
-    for (int n = 0; n < num_nodes; ++n) {
-      node_fault_rng_.emplace_back(config_.fault.seed +
-                                   0x9e3779b97f4a7c15ULL *
-                                       static_cast<std::uint64_t>(n + 1));
-    }
-  }
-  engine.set_lookahead(min_lookahead());
-}
-
-sim::Duration Fabric::min_lookahead() const {
-  // The smallest packet either direction of a conversation can put on the
-  // wire: a zero-payload data packet is just its header, and that is
-  // smaller than an ACK here (48 vs 64 bytes by default).
-  const std::uint32_t min_wire =
-      std::min(config_.data_header_bytes, config_.ack_bytes);
-  const sim::Duration ser_min =
-      config_.per_packet_tx + sim::transfer_time(min_wire, config_.bandwidth_bps);
-  return ser_min + ser_min + config_.wire_latency + config_.wire_latency +
-         config_.switch_latency + config_.rx_process;
 }
 
 Hca& Fabric::hca(int node) {
@@ -102,67 +62,42 @@ bool Fabric::link_down(int node, sim::TimePoint t) const {
 
 void Fabric::enable_fault_recording() {
   record_faults_ = true;
-  fault_log_.clear();
-  fault_log_.resize(nodes_.size());
+  fired_.clear();
+  passed_.clear();
 }
-
-namespace {
-std::uint64_t fault_key(int dst_node, PacketKind kind) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst_node))
-          << 32) |
-         static_cast<std::uint32_t>(kind);
-}
-}  // namespace
 
 void Fabric::record_fault(int src_node, int dst_node, const Packet& pkt,
                           sim::TimePoint when, bool corrupt) {
   if (!record_faults_) return;
-  NodeFaultLog& log = fault_log_[static_cast<std::size_t>(src_node)];
   RecordedFault rf;
   rf.at = when;
   rf.fault.src_node = src_node;
   rf.fault.dst_node = dst_node;
   rf.fault.kind = static_cast<int>(pkt.kind);
-  rf.fault.skip = log.passed[fault_key(dst_node, pkt.kind)];
+  rf.fault.skip = passed_[{src_node, dst_node, pkt.kind}];
   rf.fault.corrupt = corrupt;
-  log.fired.push_back(rf);
+  fired_.push_back(rf);
 }
 
 std::vector<Fabric::RecordedFault> Fabric::recorded_faults() const {
-  // Chronological merge keeping each node's fire order (entries of one
-  // (src, dst, kind) filter all come from one node, so any order-preserving
-  // merge yields a valid replay script).
-  struct Item {
-    RecordedFault rf;
-    int src;
-    std::size_t idx;
-  };
-  std::vector<Item> items;
-  for (std::size_t n = 0; n < fault_log_.size(); ++n) {
-    const NodeFaultLog& log = fault_log_[n];
-    for (std::size_t i = 0; i < log.fired.size(); ++i) {
-      items.push_back(Item{log.fired[i], static_cast<int>(n), i});
-    }
-  }
-  std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
-    if (a.rf.at != b.rf.at) return a.rf.at < b.rf.at;
-    if (a.src != b.src) return a.src < b.src;
-    return a.idx < b.idx;
-  });
-  std::vector<RecordedFault> out;
-  out.reserve(items.size());
-  for (Item& it : items) out.push_back(it.rf);
+  // Chronological by `at`, then source node. The sort is stable, so the
+  // entries of one (src, dst, kind) filter keep their fire order — which
+  // is all a replayed script needs.
+  std::vector<RecordedFault> out = fired_;
+  std::stable_sort(out.begin(), out.end(),
+                   [](const RecordedFault& a, const RecordedFault& b) {
+                     if (a.at != b.at) return a.at < b.at;
+                     return a.fault.src_node < b.fault.src_node;
+                   });
   return out;
 }
 
 bool Fabric::apply_faults(int src_node, int dst_node, Packet& pkt,
-                          util::Xoshiro256& rng, sim::TimePoint when) {
+                          sim::TimePoint when) {
   const FaultConfig& fc = config_.fault;
   const bool was_corrupted = pkt.corrupted;
-  // Scripted one-shots first: deterministic targeting for tests. The
-  // src/dst/kind filters run before any state is touched, so a script
-  // pinned to src_node is single-writer in sharded mode (serial behavior
-  // unchanged: `seen` still counts exactly the filter-matching packets).
+  // Scripted one-shots first: deterministic targeting for tests. `seen`
+  // counts exactly the packets that match a script's src/dst/kind filter.
   for (std::size_t i = 0; i < fc.scripted.size(); ++i) {
     const ScriptedFault& f = fc.scripted[i];
     if (f.src_node >= 0 && f.src_node != src_node) continue;
@@ -172,34 +107,33 @@ bool Fabric::apply_faults(int src_node, int dst_node, Packet& pkt,
     if (st.fired) continue;
     if (st.seen++ < f.skip) continue;
     st.fired = true;
-    ++node_stats_[src_node].scripted_faults_fired;
+    ++stats_.scripted_faults_fired;
     if (!f.corrupt) {
       record_fault(src_node, dst_node, pkt, when, false);
       return false;
     }
     pkt.corrupted = true;
-    ++node_stats_[src_node].corrupted_packets;
+    ++stats_.corrupted_packets;
     record_fault(src_node, dst_node, pkt, when, true);
     break;
   }
-  if (fc.loss_prob > 0.0 && rng.uniform() < fc.loss_prob) {
-    ++node_stats_[src_node].lost_packets;
+  if (fc.loss_prob > 0.0 && fault_rng_.uniform() < fc.loss_prob) {
+    ++stats_.lost_packets;
     record_fault(src_node, dst_node, pkt, when, false);
     return false;
   }
   if (!pkt.corrupted && fc.corrupt_prob > 0.0 &&
-      rng.uniform() < fc.corrupt_prob) {
+      fault_rng_.uniform() < fc.corrupt_prob) {
     pkt.corrupted = true;
-    ++node_stats_[src_node].corrupted_packets;
+    ++stats_.corrupted_packets;
     record_fault(src_node, dst_node, pkt, when, true);
   }
   if (record_faults_ && pkt.corrupted == was_corrupted) {
     // Un-faulted survivor: advances the skip a future recorded fault on
-    // this (dst, kind) filter will need. Faulted packets deliberately do
-    // not count — a replayed drop/corrupt stops the scripted loop, so the
-    // replay's `seen` never counts them either.
-    ++fault_log_[static_cast<std::size_t>(src_node)]
-          .passed[fault_key(dst_node, pkt.kind)];
+    // this (src, dst, kind) filter will need. Faulted packets deliberately
+    // do not count — a replayed drop/corrupt stops the scripted loop, so
+    // the replay's `seen` never counts them either.
+    ++passed_[{src_node, dst_node, pkt.kind}];
   }
   return true;
 }
@@ -212,109 +146,45 @@ void Fabric::transmit(int src_node, int dst_node, Packet pkt,
   const sim::Duration ser =
       config_.per_packet_tx + sim::transfer_time(wire, config_.bandwidth_bps);
 
-  // Always charged to the *source* node's stats block: transmit runs on
-  // the source shard in sharded mode, so the block is never contended.
-  NodeStats& st = node_stats_[src_node];
-  ++st.packets;
-  st.wire_bytes += wire;
+  ++stats_.packets;
+  stats_.wire_bytes += wire;
   if (pkt.kind == PacketKind::ack || pkt.kind == PacketKind::rnr_nak ||
       pkt.kind == PacketKind::access_nak ||
       pkt.kind == PacketKind::seq_nak) {
-    ++st.control_packets;
+    ++stats_.control_packets;
   } else {
-    ++st.data_packets;
+    ++stats_.data_packets;
   }
 
   const bool faults = config_.fault.active();
 
   if (src_node == dst_node) {
-    // HCA loopback: through the adapter only, no switch hop. Entirely
-    // node-local, so it stays on the source engine in both modes.
+    // HCA loopback: through the adapter only, no switch hop.
     const sim::TimePoint start = up_[src_node].reserve(earliest, ser);
     if (faults && link_down(src_node, start)) {
-      ++st.flap_dropped_packets;
+      ++stats_.flap_dropped_packets;
       return;
     }
     const sim::TimePoint arrive = start + ser + config_.rx_process;
-    if (faults && !apply_faults(src_node, dst_node, pkt,
-                                fault_rng_for(src_node), start)) {
-      return;
-    }
+    if (faults && !apply_faults(src_node, dst_node, pkt, start)) return;
     auto delivery =
         [this, dst_node, p = std::move(pkt)] { deliver(dst_node, p); };
     static_assert(sizeof(delivery) <= sim::Engine::kEventInlineBytes,
                   "packet-delivery closure no longer fits the engine's inline "
                   "event storage");
-    engine_for(src_node).schedule_at(arrive, std::move(delivery));
+    engine_.schedule_at(arrive, std::move(delivery));
     return;
   }
 
   const sim::TimePoint up_start = up_[src_node].reserve(earliest, ser);
   const sim::TimePoint at_switch = up_start + ser + config_.wire_latency;
 
-  if (sharded_ != nullptr) {
-    // Cross-shard hop. The source side owns its uplink reservation; the
-    // switch output port and the delivery schedule belong to the
-    // destination, so they move to the barrier as a cross post keyed by
-    // switch-arrival time — the canonical drain order then reserves
-    // down_[dst] in at_switch order, a deterministic function of window
-    // content. The key (and everything downstream of it) is >= the window
-    // horizon by the lookahead argument, which is what makes running the
-    // shards concurrently safe.
-    //
-    // Faults are decided entirely at the source (its own RNG stream, its
-    // own stats block), mirroring the serial sequencing: a dark link eats
-    // the packet before the switch (no downlink reservation), while a
-    // randomly lost packet still occupies the switch output port — the
-    // serial path reserves down_[dst] before rolling the dice.
-    bool lost = false;
-    if (faults) {
-      if (link_down(src_node, up_start) ||
-          link_down(dst_node, at_switch + config_.switch_latency)) {
-        ++st.flap_dropped_packets;
-        return;
-      }
-      lost = !apply_faults(src_node, dst_node, pkt, fault_rng_for(src_node),
-                           up_start);
-    }
-    // The profiler's causal token does not cross the shard boundary by
-    // itself (the post drains in coordinator context at the barrier), so
-    // carry it in the closure and re-establish it around the destination
-    // scheduling — the delivery event then inherits the same cause it
-    // would have inherited on the serial path.
-    const std::uint64_t cause = engine_for(src_node).cause();
-    auto finish = [this, dst_node, at_switch, ser, lost, cause,
-                   p = std::move(pkt)]() mutable {
-      const sim::TimePoint down_start =
-          down_[dst_node].reserve(at_switch + config_.switch_latency, ser);
-      if (lost) return;  // reserved the port, never leaves the switch
-      const sim::TimePoint arrive =
-          down_start + ser + config_.wire_latency + config_.rx_process;
-      auto delivery =
-          [this, dst_node, p2 = std::move(p)] { deliver(dst_node, p2); };
-      static_assert(sizeof(delivery) <= sim::Engine::kEventInlineBytes,
-                    "packet-delivery closure no longer fits the engine's "
-                    "inline event storage");
-      sim::Engine& dst_engine = engine_for(dst_node);
-      const std::uint64_t prev = dst_engine.cause();
-      dst_engine.set_cause(cause);
-      dst_engine.schedule_at(arrive, std::move(delivery));
-      dst_engine.set_cause(prev);
-    };
-    static_assert(sizeof(finish) <= sim::ShardedEngine::kPostInlineBytes,
-                  "cross-shard packet closure no longer fits the sharded "
-                  "engine's inline post storage");
-    sharded_->post(static_cast<std::size_t>(src_node), at_switch,
-                   std::move(finish));
-    return;
-  }
-
   // A dark link eats the packet: the sender still serialized it onto its
   // uplink (it cannot know the link state), but nothing reaches the
   // switch's output port, so the downlink is not reserved.
   if (faults && (link_down(src_node, up_start) ||
                  link_down(dst_node, at_switch + config_.switch_latency))) {
-    ++st.flap_dropped_packets;
+    ++stats_.flap_dropped_packets;
     return;
   }
   // Store-and-forward: the switch starts forwarding after the packet is
@@ -325,10 +195,7 @@ void Fabric::transmit(int src_node, int dst_node, Packet pkt,
   const sim::TimePoint arrive =
       down_start + ser + config_.wire_latency + config_.rx_process;
 
-  if (faults && !apply_faults(src_node, dst_node, pkt,
-                              fault_rng_for(src_node), up_start)) {
-    return;
-  }
+  if (faults && !apply_faults(src_node, dst_node, pkt, up_start)) return;
 
   // The packet (and its pooled-message reference) moves into the event's
   // inline storage: no payload copy, no refcount churn, no allocation per
@@ -338,22 +205,7 @@ void Fabric::transmit(int src_node, int dst_node, Packet pkt,
   static_assert(sizeof(delivery) <= sim::Engine::kEventInlineBytes,
                 "packet-delivery closure no longer fits the engine's inline "
                 "event storage");
-  serial_engine_->schedule_at(arrive, std::move(delivery));
-}
-
-FabricStats Fabric::stats() const noexcept {
-  FabricStats total;
-  for (const NodeStats& ns : node_stats_) {
-    total.packets += ns.packets;
-    total.wire_bytes += ns.wire_bytes;
-    total.data_packets += ns.data_packets;
-    total.control_packets += ns.control_packets;
-    total.lost_packets += ns.lost_packets;
-    total.corrupted_packets += ns.corrupted_packets;
-    total.flap_dropped_packets += ns.flap_dropped_packets;
-    total.scripted_faults_fired += ns.scripted_faults_fired;
-  }
-  return total;
+  engine_.schedule_at(arrive, std::move(delivery));
 }
 
 MessageDataPool::Stats Fabric::msg_pool_stats() const {
@@ -369,21 +221,11 @@ MessageDataPool::Stats Fabric::msg_pool_stats() const {
 
 void Fabric::serialize_state(util::serial::BufWriter& w) const {
   w.u32(next_qpn_);
-  // The aggregate, not the per-node blocks: the sum is the canonical form
-  // (identical between serial and sharded runs of the same world).
-  stats().visit([&w](std::string_view, double v) { w.f64(v); });
+  stats_.visit([&w](std::string_view, double v) { w.f64(v); });
   // The fault injector's RNG stream: its position is the whole point — two
   // runs that consumed a different number of draws have diverged even if
   // every counter happens to match.
   for (std::uint64_t word : fault_rng_.state()) w.u64(word);
-  // Sharded fault injection: the per-source-node streams are the ones
-  // actually drawn from. Gated so serial snapshots (and fault-free sharded
-  // ones) keep their exact historical bytes.
-  if (sharded_ != nullptr && config_.fault.active()) {
-    for (const util::Xoshiro256& rng : node_fault_rng_) {
-      for (std::uint64_t word : rng.state()) w.u64(word);
-    }
-  }
   w.u64(scripted_.size());
   for (const ScriptedState& s : scripted_) {
     w.u64(s.seen);

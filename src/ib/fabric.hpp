@@ -3,20 +3,14 @@
 // 8 nodes on one InfiniScale). Links are FIFO-serialized in each direction
 // and the switch is store-and-forward plus a fixed forwarding delay, so
 // bandwidth contention, head-of-line effects, and NAK/retransmit waste are
-// all visible in simulated time.
-//
-// The fabric runs on either a single serial Engine (the golden reference)
-// or a ShardedEngine with one shard per node (DESIGN.md §14). In sharded
-// mode every node-local structure — the HCA, its QPs, the node's uplink
-// Resource, its stats block — is touched only by that node's shard, and
-// the one genuinely shared structure (the switch's per-destination output
-// port, down_[dst]) is reserved exclusively inside barrier-drained cross
-// posts keyed by switch-arrival time.
+// all visible in simulated time. Every node schedules on the one engine
+// the fabric was built with (DESIGN.md §14).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "ib/config.hpp"
@@ -24,7 +18,6 @@
 #include "ib/packet.hpp"
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
-#include "sim/sharded.hpp"
 #include "util/rng.hpp"
 
 namespace mvflow::util::serial {
@@ -66,39 +59,14 @@ struct FabricStats {
 class Fabric {
  public:
   Fabric(sim::Engine& engine, FabricConfig config, int num_nodes);
-  /// Sharded fabric: `engine` must have exactly one shard per node. Fault
-  /// injection runs one dedicated RNG stream *per source node* (each drawn
-  /// only from that node's shard), so random faults stay deterministic at
-  /// every worker count — at the cost of a different drop pattern than the
-  /// serial engine's shared stream. Scripted faults must pin src_node, for
-  /// the same single-writer reason.
-  Fabric(sim::ShardedEngine& engine, FabricConfig config, int num_nodes);
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
   Hca& hca(int node);
   int num_nodes() const noexcept { return static_cast<int>(nodes_.size()); }
-  /// The engine node-local work runs on: node's shard when sharded, the
-  /// one serial engine otherwise. Everything a QP/HCA schedules must go
-  /// through its own node's engine.
-  sim::Engine& engine_for(int node) noexcept {
-    return sharded_ != nullptr ? sharded_->shard(static_cast<std::size_t>(node))
-                               : *serial_engine_;
-  }
-  /// Shard-0 / serial engine; callers that act for a specific node use
-  /// engine_for.
-  sim::Engine& engine() noexcept { return engine_for(0); }
-  /// Non-null in sharded mode.
-  sim::ShardedEngine* sharded_engine() noexcept { return sharded_; }
+  /// The engine every node's HCA, QPs and CQs schedule on.
+  sim::Engine& engine() noexcept { return engine_; }
   const FabricConfig& config() const noexcept { return config_; }
-
-  /// Smallest possible cross-node interaction latency: two minimum packet
-  /// serializations (a zero-payload data packet's header, or an ACK,
-  /// whichever is smaller on the wire) plus both wire hops, the switch
-  /// forwarding delay, and receive processing. This is the sharded
-  /// engine's lookahead — any event a shard executes at time T can first
-  /// be observed by another shard at T + min_lookahead().
-  sim::Duration min_lookahead() const;
 
   /// Connect two QPs into an RC pair (both transition to ready).
   static void connect(QueuePair& a, QueuePair& b);
@@ -106,11 +74,8 @@ class Fabric {
   /// Connect a QP to itself (same-process loopback endpoint).
   static void connect_loopback(QueuePair& q);
 
-  /// Wire/fault counters summed over every node's block. Counters are kept
-  /// per source node (cache-line padded) so concurrent shard windows never
-  /// write a shared line; the sum is deterministic regardless of worker
-  /// count.
-  FabricStats stats() const noexcept;
+  /// Wire/fault counters for the whole fabric.
+  FabricStats stats() const noexcept { return stats_; }
 
   /// Message-pool counters aggregated over every HCA (hit rate ≈ 1.0 after
   /// warmup is the zero-alloc steady-state invariant).
@@ -128,10 +93,9 @@ class Fabric {
   // so one flat vector maps any QPN to its owning node, its dense slot in
   // that node's HCA, and an owner-set cookie (the MPI device stores its
   // endpoint slot there, collapsing the per-completion qpn→peer→endpoint
-  // chain to one array read). Mutation is safe without locks because QP
-  // creation/destruction is setup-time or serial-mode-runtime only: the
-  // sharded world require()s off on-demand connect and reconnect-under-
-  // faults, the two paths that create or destroy QPs mid-run.
+  // chain to one array read). On-demand connect and reconnect create and
+  // destroy QPs mid-run, so entries are bound and unbound from engine
+  // context as well as at setup.
   static constexpr QpNumber kFirstQpn = 100;
   static constexpr std::uint32_t kNoCookie = 0xffffffffu;
   struct QpnEntry {
@@ -178,7 +142,7 @@ class Fabric {
   };
   /// Arm recording (off by default: the log costs a map lookup per packet).
   void enable_fault_recording();
-  /// Every fired fault, merged chronologically across source nodes.
+  /// Every fired fault, in chronological order of its `at` time.
   std::vector<RecordedFault> recorded_faults() const;
 
   /// Serialize the fabric's complete state for the snapshot restore audit:
@@ -195,18 +159,10 @@ class Fabric {
 
   /// Applies the fault plan to a packet about to be scheduled for delivery.
   /// Returns false when the packet is consumed by a fault (drop); may set
-  /// pkt.corrupted. Only called when config_.fault.active(). `rng` is the
-  /// stream owned by the calling context (the shared stream on the serial
-  /// engine, the source node's stream when sharded); `when` timestamps the
-  /// fault log entry for the chronological merge.
+  /// pkt.corrupted. Only called when config_.fault.active(). `when`
+  /// timestamps the fault log entry for the chronological sort.
   bool apply_faults(int src_node, int dst_node, Packet& pkt,
-                    util::Xoshiro256& rng, sim::TimePoint when);
-  /// The fault RNG the source node's context must draw from.
-  util::Xoshiro256& fault_rng_for(int src_node) noexcept {
-    return sharded_ != nullptr
-               ? node_fault_rng_[static_cast<std::size_t>(src_node)]
-               : fault_rng_;
-  }
+                    sim::TimePoint when);
   void record_fault(int src_node, int dst_node, const Packet& pkt,
                     sim::TimePoint when, bool corrupt);
 
@@ -215,37 +171,23 @@ class Fabric {
     bool fired = false;
   };
 
-  /// One stats block per source node, padded so two shards bumping their
-  /// own counters never share a cache line.
-  struct alignas(64) NodeStats : FabricStats {};
-
-  Fabric(sim::Engine* serial, sim::ShardedEngine* sharded, FabricConfig config,
-         int num_nodes);
-
-  sim::Engine* serial_engine_ = nullptr;   // exactly one of these two
-  sim::ShardedEngine* sharded_ = nullptr;  // is non-null
+  sim::Engine& engine_;
   FabricConfig config_;
   std::vector<std::unique_ptr<Hca>> nodes_;
   std::vector<sim::Resource> up_;    // node -> switch
   std::vector<sim::Resource> down_;  // switch -> node
-  QpNumber next_qpn_ = kFirstQpn;  // QP creation is setup-time (pre-run) only
+  QpNumber next_qpn_ = kFirstQpn;  // fabric-global, never reused
   std::vector<QpnEntry> qpn_index_;  // (qpn - kFirstQpn) -> owner; see above
-  std::vector<NodeStats> node_stats_;  // indexed by source node
+  FabricStats stats_;
   util::Xoshiro256 fault_rng_;
-  /// Sharded mode: one independent stream per source node, each touched
-  /// only by its own shard (seeded from fault.seed with per-node offsets).
-  std::vector<util::Xoshiro256> node_fault_rng_;
   std::vector<ScriptedState> scripted_;
 
-  /// Fault log, one block per source node (single-writer in sharded mode,
-  /// like the stats blocks). `passed` counts the *un-faulted* survivors per
-  /// (dst, kind) — exactly the skip a replayed scripted fault needs.
-  struct alignas(64) NodeFaultLog {
-    std::vector<RecordedFault> fired;
-    std::map<std::uint64_t, std::uint64_t> passed;  // (dst << 32) | kind
-  };
+  /// Fault log in fire order. `passed_` counts the *un-faulted* survivors
+  /// per (src, dst, kind) — exactly the skip a replayed scripted fault
+  /// needs.
   bool record_faults_ = false;
-  std::vector<NodeFaultLog> fault_log_;
+  std::vector<RecordedFault> fired_;
+  std::map<std::tuple<int, int, PacketKind>, std::uint64_t> passed_;
 };
 
 }  // namespace mvflow::ib

@@ -7,7 +7,7 @@ namespace mvflow::ib {
 
 Hca::Hca(Fabric& fabric, int node_id) : fabric_(fabric), node_id_(node_id) {}
 
-sim::Engine& Hca::engine() noexcept { return fabric_.engine_for(node_id_); }
+sim::Engine& Hca::engine() noexcept { return fabric_.engine(); }
 
 MemoryRegionHandle Hca::register_memory(std::span<std::byte> region,
                                         Access access) {

@@ -41,9 +41,7 @@ class Hca {
 
   int node_id() const noexcept { return node_id_; }
   Fabric& fabric() noexcept { return fabric_; }
-  /// This node's engine (its shard in a sharded fabric). Every event a
-  /// QP or CQ on this HCA schedules must go through this accessor, never
-  /// another node's engine — that is the shard-locality invariant.
+  /// The fabric's engine, on which every QP and CQ of this HCA schedules.
   sim::Engine& engine() noexcept;
   MemoryRegistry& memory() noexcept { return memory_; }
   const MemoryRegistry& memory() const noexcept { return memory_; }

@@ -91,8 +91,8 @@ class QueuePair {
   /// the two counters world-level stat totals need — rnr_naks_received and
   /// retransmitted_messages/bytes — into `agg` at the point of change, so
   /// metric snapshots stop re-summing every connection. The sink is owned
-  /// by the device (per-shard single writer); reconnect installs it on the
-  /// replacement QP. Pass nullptr to detach.
+  /// by the device; reconnect installs it on the replacement QP. Pass
+  /// nullptr to detach.
   void set_stats_sink(QpStats* agg) noexcept { agg_ = agg; }
 
   /// Serialize the QP's complete protocol state for the snapshot restore

@@ -35,12 +35,6 @@ void encode_config(serial::BufWriter& w, const WorldConfig& cfg,
   w.i64(cfg.max_sim_time.count());
   w.b(trace_armed);
   w.u64(trace_capacity);
-  // Engine mode travels with the snapshot: a sharded world's engine/trace
-  // sections only audit cleanly against a sharded replay (any worker count)
-  // and a serial one against serial, so the restore must come back up in
-  // the mode that captured. mvflow_ckpt --threads can override within a
-  // mode (e.g. restore a t8 capture with t2).
-  w.i32(cfg.engine_threads);
   w.u8(static_cast<std::uint8_t>(cfg.scheduler));
 
   const flowctl::Config& f = cfg.flow;
@@ -117,7 +111,6 @@ void decode_config(serial::BufReader& r, WorldConfig& cfg, bool& trace_armed,
   cfg.max_sim_time = sim::Duration(r.i64("max_sim_time"));
   trace_armed = r.b("trace_armed");
   trace_capacity = r.u64("trace_capacity");
-  cfg.engine_threads = r.i32("engine_threads");
   cfg.scheduler = static_cast<sim::SchedKind>(r.u8("scheduler"));
 
   flowctl::Config& f = cfg.flow;
@@ -210,7 +203,7 @@ std::vector<serial::Section> capture_state_sections(World& world) {
   std::vector<serial::Section> out;
 
   serial::BufWriter eng;
-  world.serialize_engine_state(eng);
+  world.engine().serialize_state(eng);
   out.push_back(make_section(kSecEngine, std::move(eng)));
 
   serial::BufWriter fab;
@@ -234,7 +227,7 @@ std::vector<serial::Section> capture_state_sections(World& world) {
   out.push_back(make_section(kSecMetrics, std::move(met)));
 
   serial::BufWriter trc;
-  world.serialize_trace_state(trc);
+  world.recorder().serialize_state(trc);
   out.push_back(make_section(kSecTrace, std::move(trc)));
 
   return out;
@@ -374,7 +367,7 @@ void arm_checkpoints(World& world, const std::string& path,
   const bool multiple = events.size() > 1;
   for (const std::uint64_t k : events) {
     const std::string file = checkpoint_file_path(path, k, multiple);
-    world.set_event_watchpoint(k, [&world, file] {
+    world.engine().set_watchpoint(k, [&world, file] {
       write_snapshot(capture(world), file);
     });
   }
@@ -388,8 +381,8 @@ RunResult run_world(World& world, const WorkloadSpec& spec,
   world.set_workload(spec);
   bool audited = false;
   if (audit_against != nullptr) {
-    world.set_event_watchpoint(audit_against->barrier,
-                               [&world, audit_against, &opts, &audited] {
+    world.engine().set_watchpoint(audit_against->barrier,
+                                  [&world, audit_against, &opts, &audited] {
       audit(world, *audit_against);
       audited = true;
       if (opts.tune.any()) {
@@ -405,7 +398,8 @@ RunResult run_world(World& world, const WorkloadSpec& spec,
     arm_checkpoints(world, opts.checkpoint_path, opts.checkpoint_events);
   }
   if (opts.kill_at > 0) {
-    world.set_event_watchpoint(opts.kill_at, [&world] { world.abort_run(); });
+    world.engine().set_watchpoint(opts.kill_at,
+                                  [&world] { world.abort_run(); });
   }
 
   RunResult out;

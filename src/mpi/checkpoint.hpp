@@ -7,7 +7,7 @@
 // flow control and QPs, metrics, flight recorder).
 //
 // Restore is *deterministic replay plus a byte-exact audit*: rank bodies
-// run on OS-thread stacks, which no snapshot can serialize, so a restore
+// run on fiber stacks, which no snapshot can serialize, so a restore
 // rebuilds the world from the config, replays the registered workload to
 // the barrier, and then byte-compares every captured section against the
 // freshly serialized live state. A single differing byte — a scheduler

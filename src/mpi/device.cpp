@@ -16,8 +16,7 @@ constexpr std::size_t kBounceChunk = 64;  // bounce slots added per arena
 
 /// Deterministic chain id of one wire message: the same value the offline
 /// analysis derives from (src, dst, seq), so the engine's causal token can
-/// be checked against the profile without any shared counter (counters
-/// would diverge between serial and sharded execution orders).
+/// be checked against the profile without any shared counter.
 std::uint64_t prof_chain_id(Rank src, Rank dst, std::uint64_t seq) {
   return (static_cast<std::uint64_t>(static_cast<std::uint16_t>(src)) << 48) |
          (static_cast<std::uint64_t>(static_cast<std::uint16_t>(dst)) << 32) |
@@ -26,7 +25,7 @@ std::uint64_t prof_chain_id(Rank src, Rank dst, std::uint64_t seq) {
 }
 
 Device::Device(World& world, Rank me) : world_(world), me_(me) {
-  audit_inline_ = world_.audit_inline();
+  audit_inline_ = world_.audit_enabled();
   peer_index_.assign(static_cast<std::size_t>(world_.num_ranks()), -1);
   hca_ = &world_.fabric().hca(me);
   cq_ = hca_->create_cq();
@@ -39,7 +38,7 @@ Device::~Device() = default;
 
 int Device::world_size() const { return world_.num_ranks(); }
 
-sim::Engine& Device::engine() const noexcept { return world_.engine_for(me_); }
+sim::Engine& Device::engine() const noexcept { return world_.engine(); }
 
 // ---------------------------------------------------------------- setup --
 
@@ -844,9 +843,9 @@ void Device::handle_inbound(Endpoint& ep, std::uint64_t slot_idx,
   }
   stats_.max_unexpected = std::max(stats_.max_unexpected, match_.unexpected_count());
   drain_backlog(ep);
-  // Serial inline audit (MVFLOW_AUDIT=1): check both directions of this
-  // pair after every delivered message — violations surface at the exact
-  // event that introduced them. Sharded worlds sweep at barriers instead.
+  // Inline audit (MVFLOW_AUDIT=1): check both directions of this pair
+  // after every delivered message — violations surface at the exact event
+  // that introduced them.
   if (audit_inline_) world_.audit_pair(me_, ep.peer);
 }
 

@@ -81,9 +81,7 @@ class Device {
   Rank rank() const noexcept { return me_; }
   int world_size() const;
 
-  /// This rank's engine (its shard in a sharded world) — the only engine a
-  /// device may read time from or schedule on (shard-locality invariant,
-  /// DESIGN.md §14).
+  /// The world's engine: the clock a device reads and schedules on.
   sim::Engine& engine() const noexcept;
 
   /// Bind the rank's simulated process (set by World when the body starts).
@@ -169,7 +167,6 @@ class Device {
   /// (DESIGN.md §17): flow-control counters and QP reliability counters
   /// (live + retired-by-reconnect), mirrored at the point of change, so
   /// world-level stat totals are O(ranks) instead of O(connections).
-  /// Single-writer per device — each shard touches only its own block.
   const flowctl::Counters& flow_totals() const noexcept { return flow_agg_; }
   const ib::QpStats& qp_totals() const noexcept { return qp_agg_; }
 
@@ -366,7 +363,7 @@ class Device {
   World& world_;
   Rank me_;
   /// Cached at construction: run the auditor inline after every delivered
-  /// message (serial engine only — sharded worlds sweep at barriers).
+  /// message.
   bool audit_inline_ = false;
   sim::Process* proc_ = nullptr;
   /// Recovery runs in engine-event context where Process::delay is illegal;

@@ -10,7 +10,6 @@
 #include "sim/process.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
-#include "util/serial.hpp"
 
 namespace mvflow::mpi {
 
@@ -34,7 +33,7 @@ std::uint64_t WorldStats::total_retransmitted_messages() const {
 
 int WorldStats::max_posted_buffers() const { return flow_totals.max_posted; }
 
-World::World(WorldConfig cfg) : cfg_(cfg) {
+World::World(WorldConfig cfg) : cfg_(cfg), engine_(cfg_.scheduler) {
   util::require(cfg_.num_ranks >= 1, "need at least one rank");
 
   // This world's recorder becomes the constructing thread's current one —
@@ -56,72 +55,10 @@ World::World(WorldConfig cfg) : cfg_(cfg) {
   }
   if (prof_enabled()) prof_.enable();
 
-  if (cfg_.engine_threads > 0) {
-    // Sharded world: one engine shard per rank. Connections must exist
-    // before the windows open — on-demand setup creates QPs (a fabric-wide
-    // allocator) from inside a rank's window, racing other shards.
-    util::require(!cfg_.on_demand_connections,
-                  "sharded worlds wire connections eagerly: on-demand setup "
-                  "mutates fabric-wide state from inside a shard's window");
-    // Reconnect rebuilds *both* sides' QPs from one callback — inherently
-    // cross-shard work no window may do. With faults armed a QP error is
-    // reachable, so the combination is rejected up front; sharded chaos
-    // cells run with infinite retry limits instead (exp/chaos.cpp).
-    util::require(!(cfg_.device.auto_reconnect && cfg_.fabric.fault.active()),
-                  "sharded worlds cannot auto-reconnect under fault "
-                  "injection: recovery mutates both shards' state");
-    sharded_ = std::make_unique<sim::ShardedEngine>(
-        static_cast<std::size_t>(cfg_.num_ranks),
-        static_cast<std::size_t>(cfg_.engine_threads), cfg_.scheduler);
-    fabric_ = std::make_unique<ib::Fabric>(*sharded_, cfg_.fabric,
-                                           cfg_.num_ranks);
-    // Shard windows record concurrently, so each shard gets its own ring;
-    // the shard hooks point whichever worker thread runs a window at that
-    // shard's recorder, profiler and logger clock — rank fibers run inside
-    // their shard's window, so the binding covers their bodies too. Content
-    // per shard is a function of that shard's (deterministic) event
-    // sequence — worker count invisible.
-    shard_recorders_.reserve(static_cast<std::size_t>(cfg_.num_ranks));
-    shard_profilers_.reserve(static_cast<std::size_t>(cfg_.num_ranks));
-    for (int s = 0; s < cfg_.num_ranks; ++s) {
-      auto rec = std::make_unique<obs::FlightRecorder>();
-      if (cfg_.run.trace_enabled()) rec->enable(trace_capacity);
-      shard_recorders_.push_back(std::move(rec));
-      auto prof = std::make_unique<obs::Profiler>();
-      if (prof_enabled()) prof->enable();
-      shard_profilers_.push_back(std::move(prof));
-    }
-    shard_prev_bindings_.assign(static_cast<std::size_t>(cfg_.num_ranks),
-                                nullptr);
-    shard_prev_profilers_.assign(static_cast<std::size_t>(cfg_.num_ranks),
-                                 nullptr);
-    sharded_->set_shard_hooks(
-        [this](std::size_t s) {
-          shard_prev_bindings_[s] =
-              obs::bind_recorder(shard_recorders_[s].get());
-          shard_prev_profilers_[s] =
-              obs::bind_profiler(shard_profilers_[s].get());
-          util::Logger::push_time_source(&sim::Engine::log_clock,
-                                         &sharded_->shard(s));
-        },
-        [this](std::size_t s) {
-          util::Logger::pop_time_source(&sharded_->shard(s));
-          obs::bind_recorder(shard_prev_bindings_[s]);
-          obs::bind_profiler(shard_prev_profilers_[s]);
-        });
-  } else {
-    serial_ = std::make_unique<sim::Engine>(cfg_.scheduler);
-    fabric_ = std::make_unique<ib::Fabric>(*serial_, cfg_.fabric,
-                                           cfg_.num_ranks);
-  }
+  fabric_ = std::make_unique<ib::Fabric>(engine_, cfg_.fabric, cfg_.num_ranks);
 
   metrics_.add_source("engine.", [this](const obs::MetricsRegistry::EmitFn& e) {
-    if (sharded_ != nullptr) {
-      sharded_->aggregate_perf().visit(e);
-      sharded_->stats().visit(e);
-    } else {
-      serial_->perf_stats().visit(e);
-    }
+    engine_.perf_stats().visit(e);
   });
   metrics_.add_source("fabric.", [this](const obs::MetricsRegistry::EmitFn& e) {
     fabric_->stats().visit(e);
@@ -130,7 +67,7 @@ World::World(WorldConfig cfg) : cfg_(cfg) {
     fabric_->msg_pool_stats().visit(e);
   });
   metrics_.add_source("latency.", [this](const obs::MetricsRegistry::EmitFn& e) {
-    merged_latency().visit(e);
+    recorder_.latency().visit(e);
   });
   if (prof_enabled()) {
     // Run-level blame (per segment, per connection direction, per link).
@@ -161,67 +98,8 @@ World::~World() {
   obs::bind_profiler(prev_profiler_);
 }
 
-std::uint64_t World::executed_events() const noexcept {
-  return sharded_ != nullptr ? sharded_->total_executed()
-                             : serial_->executed_events();
-}
-
-std::size_t World::pending_events() const noexcept {
-  if (sharded_ == nullptr) return serial_->pending_events();
-  std::size_t n = 0;
-  for (std::size_t s = 0; s < sharded_->shard_count(); ++s) {
-    n += sharded_->shard(s).pending_events();
-  }
-  return n;
-}
-
-void World::set_event_watchpoint(std::uint64_t executed,
-                                 std::function<void()> fn) {
-  if (sharded_ != nullptr) {
-    sharded_->set_watchpoint(executed, std::move(fn));
-  } else {
-    serial_->set_watchpoint(executed, std::move(fn));
-  }
-}
-
-void World::serialize_engine_state(util::serial::BufWriter& w) const {
-  if (sharded_ != nullptr) {
-    w.u32(static_cast<std::uint32_t>(sharded_->shard_count()));
-    for (std::size_t s = 0; s < sharded_->shard_count(); ++s) {
-      sharded_->shard(s).serialize_state(w);
-    }
-  } else {
-    w.u32(1);
-    serial_->serialize_state(w);
-  }
-}
-
-void World::serialize_trace_state(util::serial::BufWriter& w) const {
-  w.u32(static_cast<std::uint32_t>(1 + shard_recorders_.size()));
-  recorder_.serialize_state(w);
-  for (const auto& rec : shard_recorders_) rec->serialize_state(w);
-}
-
-obs::FlightRecorder World::merged_trace() const {
-  obs::FlightRecorder out = recorder_;
-  for (const auto& rec : shard_recorders_) out.absorb(*rec);
-  return out;
-}
-
-obs::LatencyBreakdown World::merged_latency() const {
-  obs::LatencyBreakdown out = recorder_.latency();
-  for (const auto& rec : shard_recorders_) out.merge(rec->latency());
-  return out;
-}
-
-obs::Profiler World::merged_prof() const {
-  obs::Profiler out = prof_;
-  for (const auto& p : shard_profilers_) out.absorb(*p);
-  return out;
-}
-
 obs::ProfileAnalysis World::prof_analysis() const {
-  return obs::analyze(merged_prof().records());
+  return obs::analyze(prof_.records());
 }
 
 void World::wire_pair(Rank a, Rank b) {
@@ -277,8 +155,8 @@ sim::Duration World::run(const std::vector<RankBody>& bodies) {
   // The engine dispatches on whichever thread called run(), which on a
   // sweep pool need not be the constructing thread — rebind for the
   // duration so instrumentation lands in this world's ring. Rank bodies
-  // run as fibers on the dispatching thread (in a sharded world, inside
-  // the shard hooks' binding), so this binding covers them as well.
+  // run as fibers on the dispatching thread, so this binding covers them
+  // as well.
   obs::RecorderBinding engine_thread_binding(&recorder_);
   obs::ProfilerBinding engine_thread_prof_binding(&prof_);
 
@@ -288,13 +166,13 @@ sim::Duration World::run(const std::vector<RankBody>& bodies) {
   for (Rank r = 0; r < cfg_.num_ranks; ++r) {
     const auto& body = bodies[static_cast<std::size_t>(r)];
     procs.push_back(std::make_unique<sim::Process>(
-        engine_for(r), "rank" + std::to_string(r),
+        engine_, "rank" + std::to_string(r),
         [this, r, &body, &finish](sim::Process& p) {
           Device& dev = device(r);
           dev.bind_process(p);
           Communicator comm(*this, dev, p);
           body(comm);
-          finish[static_cast<std::size_t>(r)] = engine_for(r).now();
+          finish[static_cast<std::size_t>(r)] = engine_.now();
           // Finalize barrier (as MPI_Finalize implies): keeps every rank
           // progressing until all are done, so trailing control messages
           // (e.g. a last ECM) still find buffers and get consumed instead
@@ -311,31 +189,13 @@ sim::Duration World::run(const std::vector<RankBody>& bodies) {
                           cfg_.run.checkpoint_events);
   }
 
-  // Progress watchdog (DESIGN.md §15): on the serial engine a
-  // self-rescheduling poll event; in sharded worlds a tick at every window
-  // barrier (combined below with the auditor's barrier sweep).
+  // Progress watchdog (DESIGN.md §15): a self-rescheduling poll event.
   if (cfg_.run.watchdog_enabled()) {
     const sim::Duration horizon =
         sim::microseconds(cfg_.run.watchdog_horizon_us);
     watchdog_ = std::make_unique<sim::Watchdog>(horizon);
-    if (sharded_ == nullptr) {
-      const sim::Duration period =
-          std::max(horizon / 4, sim::microseconds(1));
-      serial_->schedule_after(period,
-                              [this, period] { watchdog_poll_serial(period); });
-    }
-  }
-  if (sharded_ != nullptr && (cfg_.run.audit || watchdog_ != nullptr)) {
-    // Coordinator thread, every shard quiescent: the one instant a
-    // parallel run can read cross-shard state consistently.
-    sharded_->set_barrier_hook([this](sim::TimePoint now) {
-      if (cfg_.run.audit) audit_sweep();
-      if (watchdog_ != nullptr) {
-        if (auto stall = watchdog_->observe(now, watchdog_samples())) {
-          handle_stall(*stall);
-        }
-      }
-    });
+    const sim::Duration period = std::max(horizon / 4, sim::microseconds(1));
+    engine_.schedule_after(period, [this, period] { watchdog_poll(period); });
   }
 
   // Safety net against modeled livelocks (e.g. infinite RNR retry against
@@ -344,11 +204,7 @@ sim::Duration World::run(const std::vector<RankBody>& bodies) {
   // configured exports before propagating — the evidence of a failing run
   // is worth more than a clean one's.
   try {
-    if (sharded_ != nullptr) {
-      sharded_->run_until(sim::TimePoint(cfg_.max_sim_time));
-    } else {
-      serial_->run_until(sim::TimePoint(cfg_.max_sim_time));
-    }
+    engine_.run_until(sim::TimePoint(cfg_.max_sim_time));
   } catch (...) {
     procs.clear();  // unwind the rank fibers before touching exports
     flush_exports();
@@ -360,19 +216,13 @@ sim::Duration World::run(const std::vector<RankBody>& bodies) {
     // they stand and report the time reached — exactly what a process
     // death mid-flight leaves behind. No deadlock diagnosis, but the
     // configured exports still flush: the crash investigator needs them.
-    // A sharded abort lands at a window barrier, so shard clocks agree to
-    // within a lookahead; report the furthest one.
     procs.clear();
-    sim::TimePoint reached{0};
-    for (Rank r = 0; r < cfg_.num_ranks; ++r) {
-      reached = std::max(reached, engine_for(r).now());
-    }
-    elapsed_ = reached;
+    elapsed_ = engine_.now();
     flush_exports();
     return elapsed_;
   }
 
-  if (pending_events() > 0) {
+  if (engine_.pending_events() > 0) {
     flush_exports();
     throw DeadlockError("simulation exceeded max_sim_time (livelock?)");
   }
@@ -422,28 +272,23 @@ void World::flush_exports() {
     util::Logger::write(util::LogLevel::error, "obs",
                         "cannot write profile " + cfg_.run.prof_path);
   }
-  if (!cfg_.run.trace_path.empty() || !cfg_.run.trace_csv_path.empty()) {
-    // Exports read the world-ordered union of rings (== recorder_ itself in
-    // a serial world; the copy is once per run, not per event).
-    const obs::FlightRecorder merged = merged_trace();
-    if (!cfg_.run.trace_path.empty()) {
-      // With the profiler armed the trace gains sender→receiver flow arrows
-      // (ph:"s"/"f"), one per joined wire message.
-      const bool ok =
-          prof_enabled()
-              ? merged.export_chrome_trace(cfg_.run.trace_path,
-                                           obs::flow_events(analysis))
-              : merged.export_chrome_trace(cfg_.run.trace_path);
-      if (!ok) {
-        util::Logger::write(util::LogLevel::error, "obs",
-                            "cannot write trace file " + cfg_.run.trace_path);
-      }
-    }
-    if (!cfg_.run.trace_csv_path.empty() &&
-        !merged.export_credit_csv(cfg_.run.trace_csv_path)) {
+  if (!cfg_.run.trace_path.empty()) {
+    // With the profiler armed the trace gains sender→receiver flow arrows
+    // (ph:"s"/"f"), one per joined wire message.
+    const bool ok =
+        prof_enabled()
+            ? recorder_.export_chrome_trace(cfg_.run.trace_path,
+                                            obs::flow_events(analysis))
+            : recorder_.export_chrome_trace(cfg_.run.trace_path);
+    if (!ok) {
       util::Logger::write(util::LogLevel::error, "obs",
-                          "cannot write credit CSV " + cfg_.run.trace_csv_path);
+                          "cannot write trace file " + cfg_.run.trace_path);
     }
+  }
+  if (!cfg_.run.trace_csv_path.empty() &&
+      !recorder_.export_credit_csv(cfg_.run.trace_csv_path)) {
+    util::Logger::write(util::LogLevel::error, "obs",
+                        "cannot write credit CSV " + cfg_.run.trace_csv_path);
   }
 }
 
@@ -572,16 +417,15 @@ std::vector<sim::WatchdogSample> World::watchdog_samples() const {
   return out;
 }
 
-void World::watchdog_poll_serial(sim::Duration period) {
-  if (auto stall = watchdog_->observe(serial_->now(), watchdog_samples())) {
+void World::watchdog_poll(sim::Duration period) {
+  if (auto stall = watchdog_->observe(engine_.now(), watchdog_samples())) {
     handle_stall(*stall);
   }
   // Stop polling once the queue is otherwise empty: a drained run must
   // still terminate, and the blocked-ranks DeadlockError diagnosis stays
   // the authority on true deadlocks.
-  if (serial_->pending_events() > 0) {
-    serial_->schedule_after(period,
-                            [this, period] { watchdog_poll_serial(period); });
+  if (engine_.pending_events() > 0) {
+    engine_.schedule_after(period, [this, period] { watchdog_poll(period); });
   }
 }
 
@@ -619,9 +463,9 @@ void World::handle_stall(const sim::WatchdogStall& stall) {
 
   // Stall artifacts: a full metrics snapshot, and (when configured and the
   // workload is registered) a best-effort world checkpoint. The capture
-  // runs mid-event / mid-window rather than at an armed watchpoint, so it
-  // is a diagnostic artifact — the restore audit's bit-exactness guarantee
-  // applies only to barrier-aligned checkpoints (DESIGN.md §13).
+  // runs mid-event rather than at an armed watchpoint, so it is a
+  // diagnostic artifact — the restore audit's bit-exactness guarantee
+  // applies only to checkpoints taken at a watchpoint (DESIGN.md §13).
   if (!cfg_.run.watchdog_dump_path.empty()) {
     metrics_.snapshot().write_json(cfg_.run.watchdog_dump_path);
   }

@@ -20,11 +20,6 @@ void Profiler::enable() {
 
 void Profiler::record(const ProfRecord& r) { records_.push_back(r); }
 
-void Profiler::absorb(const Profiler& other) {
-  records_.insert(records_.end(), other.records_.begin(),
-                  other.records_.end());
-}
-
 std::string_view to_string(Segment s) {
   switch (s) {
     case Segment::credit_stall: return "credit_stall";

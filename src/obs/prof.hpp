@@ -15,10 +15,10 @@
 //
 // Records join *offline* by deterministic keys — the per-connection wire
 // sequence number across ranks, the device tx id between device and QP — so
-// attribution is a pure function of the record multiset. Serial and sharded
-// engines produce the identical multiset (each record is a function of one
-// message's protocol history, which the engines agree on bit for bit), which
-// is what makes the analysis bit-identical at every worker count.
+// attribution is a pure function of the record multiset: each record is a
+// function of one message's protocol history, so a deterministic run
+// produces the identical multiset — and the identical analysis — every
+// time.
 //
 // Each completed message's end-to-end latency decomposes exactly into six
 // disjoint segments (differences of consecutive timeline checkpoints, so
@@ -91,11 +91,11 @@ struct ProfRecord {
   sim::TimePoint t3{-1};
 };
 
-/// Append-only record buffer, one per world (plus one per shard in sharded
-/// worlds), reached through the thread-local binding below. Unlike the
-/// recorder's bounded ring, attribution needs every record of every
-/// completed message, so the buffer grows geometrically; a profiled run
-/// trades memory for exactness by design.
+/// Append-only record buffer, one per world, reached through the
+/// thread-local binding below. Unlike the recorder's bounded ring,
+/// attribution needs every record of every completed message, so the
+/// buffer grows geometrically; a profiled run trades memory for exactness
+/// by design.
 class Profiler {
  public:
   /// The one branch instrumentation sites take when profiling is off.
@@ -110,10 +110,6 @@ class Profiler {
   void record(const ProfRecord& r);
 
   const std::vector<ProfRecord>& records() const noexcept { return records_; }
-
-  /// Append another profiler's records (shard merge; callers absorb shards
-  /// in shard order, and the analysis re-sorts canonically anyway).
-  void absorb(const Profiler& other);
 
  private:
   bool enabled_ = false;
@@ -197,7 +193,8 @@ struct CriticalStep {
 
 struct ProfileAnalysis {
   /// Fully-joined messages in canonical (src, dst, seq) order — the form
-  /// whose byte-for-byte identity the serial-vs-sharded tests assert.
+  /// whose byte-for-byte identity across repeated runs the attribution
+  /// bench asserts.
   std::vector<MessageProfile> messages;
   SegmentTotals payload;  ///< credited kinds (eager data, rendezvous RTS)
   SegmentTotals control;  ///< CTS / FIN / ECM

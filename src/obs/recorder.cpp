@@ -1,10 +1,8 @@
 #include "obs/recorder.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <iterator>
 #include <map>
 #include <ostream>
 #include <set>
@@ -115,30 +113,6 @@ std::vector<TraceEvent> FlightRecorder::events() const {
     out.push_back(ring_[(start + i) % ring_.size()]);
   }
   return out;
-}
-
-void FlightRecorder::absorb(const FlightRecorder& other) {
-  const std::vector<TraceEvent> mine = events();
-  const std::vector<TraceEvent> theirs = other.events();
-  if (!theirs.empty() || !mine.empty()) {
-    std::vector<TraceEvent> merged;
-    merged.reserve(mine.size() + theirs.size());
-    // std::merge is stable and prefers the first range at ties: absorbing
-    // recorders in a fixed order yields one canonical interleaving.
-    std::merge(mine.begin(), mine.end(), theirs.begin(), theirs.end(),
-               std::back_inserter(merged),
-               [](const TraceEvent& a, const TraceEvent& b) { return a.t < b.t; });
-    // The rebuilt ring holds exactly the merged retained set: head_ = 0 with
-    // recorded_ >= capacity makes events() read it back in order, and
-    // dropped() keeps reporting the sum of both sides' evictions.
-    ring_ = std::move(merged);
-    head_ = 0;
-  }
-  recorded_ += other.recorded_;
-  for (std::size_t k = 0; k < kEvKinds; ++k) {
-    kind_counts_[k] += other.kind_counts_[k];
-  }
-  latency_.merge(other.latency_);
 }
 
 namespace {

@@ -82,16 +82,6 @@ struct LatencyBreakdown {
   util::Histogram wire_to_ack_hist{0.0, 200'000.0, 50};        // ns
   util::Histogram backlog_residency_hist{0.0, 2'000'000.0, 50};  // ns
 
-  /// Combine another breakdown (e.g. a shard recorder's) into this one.
-  void merge(const LatencyBreakdown& other) {
-    post_to_wire.merge(other.post_to_wire);
-    wire_to_ack.merge(other.wire_to_ack);
-    backlog_residency.merge(other.backlog_residency);
-    post_to_wire_hist.merge(other.post_to_wire_hist);
-    wire_to_ack_hist.merge(other.wire_to_ack_hist);
-    backlog_residency_hist.merge(other.backlog_residency_hist);
-  }
-
   template <typename Fn>
   void visit(Fn&& f) const {
     emit_visit("post_to_wire", post_to_wire, post_to_wire_hist, f);
@@ -168,15 +158,6 @@ class FlightRecorder {
   /// Copy of the retained events, oldest first.
   std::vector<TraceEvent> events() const;
 
-  /// Fold another recorder into this one: retained events are interleaved
-  /// by timestamp (stable — at equal times this recorder's events keep
-  /// preceding the absorbed ones, so absorbing shard recorders in shard
-  /// order is deterministic), per-kind counts, totals, and latency
-  /// accumulators are summed. The ring grows to hold every retained event
-  /// of both sides; already-dropped events stay dropped. Sharded worlds use
-  /// this to present one world-ordered trace from per-shard rings.
-  void absorb(const FlightRecorder& other);
-
   /// Chrome trace_event JSON ({"traceEvents": [...]}) with rank process
   /// tracks, QP thread tracks, instant events for every kind, and counter
   /// tracks for credits / backlog depth per connection. The overload taking
@@ -246,7 +227,7 @@ bool recorder_is_fallback() noexcept;
 /// RAII binding for the current thread; restores the previous recorder on
 /// destruction. Used by tests and by World on the thread that runs the
 /// engine. Rank bodies need no binding of their own: they run as fibers on
-/// that thread (or, sharded, on a worker bound by the shard hooks).
+/// that thread.
 class RecorderBinding {
  public:
   explicit RecorderBinding(FlightRecorder* r) noexcept

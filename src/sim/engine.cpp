@@ -59,8 +59,7 @@ Engine::Engine(SchedKind kind) : pq_(kind) {
   // lines correlate with trace/metrics timestamps. (The time-source stack
   // is thread-local: this registers on the constructing thread. Rank
   // fibers run on the thread dispatching their engine and share its
-  // stack; a sharded world pushes each shard's clock on the thread running
-  // that shard's window.)
+  // stack.)
   util::Logger::push_time_source(&Engine::log_clock, this);
 }
 
@@ -100,7 +99,8 @@ void Engine::release_slot(std::uint32_t slot) noexcept {
 }
 
 void Engine::past_schedule_fail() const {
-  util::require(false, "cannot schedule event in the past");
+  util::fail("require", "cannot schedule event in the past",
+             std::source_location::current());
 }
 
 bool Engine::cancel(std::uint32_t slot, std::uint32_t gen) {
@@ -141,11 +141,6 @@ bool Engine::dispatch_one() {
   if (!peek_live(top)) return false;
   fire_entry(top);
   return true;
-}
-
-TimePoint Engine::next_event_time() {
-  SchedEntry top;
-  return peek_live(top) ? top.t : TimePoint::max();
 }
 
 void Engine::set_watchpoint(std::uint64_t executed, std::function<void()> fn) {

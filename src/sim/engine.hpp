@@ -182,11 +182,6 @@ class Engine {
   /// Request that run() return at the next event boundary.
   void stop() noexcept { stopped_ = true; }
 
-  /// Time of the earliest live pending event, or TimePoint::max() when the
-  /// queue is empty. Reaps zombies from the front as a side effect. This is
-  /// what the sharded coordinator polls to pick the next window start.
-  TimePoint next_event_time();
-
   std::size_t executed_events() const noexcept {
     return static_cast<std::size_t>(perf_.executed);
   }

@@ -4,11 +4,11 @@
 //
 // The watchdog itself is engine-agnostic bookkeeping: callers feed it
 // (connection, backlog depth, progress counter) samples at whatever cadence
-// suits the engine (a self-rescheduling poll event on the serial engine, a
-// barrier hook on the sharded one) and it answers "has any connection been
-// stuck a full horizon?". Diagnosis — the wait-for dump, the flight-
-// recorder flush, the optional checkpoint capture — is the caller's job
-// (World), because only the caller can see the protocol state.
+// suits them (World uses a self-rescheduling poll event) and it answers
+// "has any connection been stuck a full horizon?". Diagnosis — the
+// wait-for dump, the flight-recorder flush, the optional checkpoint
+// capture — is the caller's job (World), because only the caller can see
+// the protocol state.
 #pragma once
 
 #include <cstddef>

@@ -160,7 +160,9 @@ inline constexpr char kMagic[8] = {'M', 'V', 'F', 'L', 'O', 'W', 'C', 'K'};
 // v2: engine section switched to the canonical scheduler-agnostic encoding
 // (sorted live pending set, no zombie/layout leakage) and the config
 // section gained the engine-mode fields (threads, scheduler).
-inline constexpr std::uint32_t kVersion = 2;
+// v3: one engine per world — the config section drops the thread count,
+// and the engine and trace sections drop their shard counts.
+inline constexpr std::uint32_t kVersion = 3;
 inline constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 8 + 4;
 
 struct Section {

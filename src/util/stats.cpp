@@ -67,16 +67,6 @@ void Histogram::add(double x) noexcept {
   ++counts_[idx];
 }
 
-void Histogram::merge(const Histogram& other) {
-  require(lo_ == other.lo_ && hi_ == other.hi_ &&
-              counts_.size() == other.counts_.size(),
-          "Histogram::merge requires identically-shaped histograms");
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  underflow_ += other.underflow_;
-  overflow_ += other.overflow_;
-  total_ += other.total_;
-}
-
 double Histogram::bucket_lo(std::size_t i) const noexcept {
   return lo_ + width_ * static_cast<double>(i);
 }

@@ -52,10 +52,6 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t buckets);
 
   void add(double x) noexcept;
-  /// Combine another histogram's counts into this one. Both must have the
-  /// same [lo, hi) range and bucket count — merging across shard-local
-  /// accumulators of one logical metric, not reshaping distributions.
-  void merge(const Histogram& other);
   std::size_t total() const noexcept { return total_; }
   std::size_t bucket_count() const noexcept { return counts_.size(); }
   std::size_t bucket(std::size_t i) const { return counts_.at(i); }

@@ -3,11 +3,11 @@
 // Four claims under test:
 //   1. Arming the auditor changes *when* checks run, never what the
 //      protocol computes: the fig2/fig3 golden hashes reproduce bit-for-bit
-//      with MVFLOW_AUDIT on, at every engine mode.
+//      with MVFLOW_AUDIT on.
 //   2. A deliberately corrupted credit counter is caught, and the
 //      AuditError names the right connection and section.
 //   3. A genuine silent stall (nonzero backlog, zero progress) trips the
-//      watchdog with the stuck connection identified, on both engines.
+//      watchdog with the stuck connection identified.
 //   4. The chaos campaign is violation-free and byte-identical across
 //      runner widths, and the minimizer shrinks a planted credit bug to a
 //      <= 10-event scripted reproducer.
@@ -55,26 +55,14 @@ constexpr int kCalendar = static_cast<int>(sim::SchedKind::calendar);
 // ---- 1. differential: audit-on is bit-identical to audit-off ----------
 
 TEST(AuditDifferential, Fig2GoldenWithAuditorArmed) {
-  const bench::EngineMode serial{
-      .engine_threads = 0, .scheduler = kHeap4, .audit = 1};
-  EXPECT_EQ(fnv1a(bench::build_fig2_table(200, nullptr, 1, serial).to_string()),
+  const bench::EngineMode mode{.scheduler = kHeap4, .audit = 1};
+  EXPECT_EQ(fnv1a(bench::build_fig2_table(200, nullptr, 1, mode).to_string()),
             kFig2GoldenHash);
-  const bench::EngineMode sharded{
-      .engine_threads = 2, .scheduler = kCalendar, .audit = 1};
-  EXPECT_EQ(
-      fnv1a(bench::build_fig2_table(200, nullptr, 1, sharded).to_string()),
-      kFig2GoldenHash);
 }
 
 TEST(AuditDifferential, Fig3GoldenWithAuditorArmed) {
-  const bench::EngineMode serial{
-      .engine_threads = 0, .scheduler = kCalendar, .audit = 1};
-  EXPECT_EQ(fnv1a(bench::build_bw_table(4, 100, true, nullptr, 1, serial)
-                      .to_string()),
-            kFig3GoldenHash);
-  const bench::EngineMode sharded{
-      .engine_threads = 2, .scheduler = kHeap4, .audit = 1};
-  EXPECT_EQ(fnv1a(bench::build_bw_table(4, 100, true, nullptr, 4, sharded)
+  const bench::EngineMode mode{.scheduler = kCalendar, .audit = 1};
+  EXPECT_EQ(fnv1a(bench::build_bw_table(4, 100, true, nullptr, 1, mode)
                       .to_string()),
             kFig3GoldenHash);
 }
@@ -209,12 +197,11 @@ namespace {
 /// Rank 2 keeps the engine busy (pure compute) so the event queue never
 /// drains — without the watchdog this runs until the 30 s deadlock
 /// ceiling; with it, the stall is diagnosed within the horizon.
-WorldConfig stalled_world_config(int engine_threads) {
+WorldConfig stalled_world_config() {
   WorldConfig cfg;
   cfg.num_ranks = 3;
   cfg.flow.scheme = flowctl::Scheme::user_static;
   cfg.flow.prepost = 4;
-  cfg.engine_threads = engine_threads;
   // transport_timeout stays 0: no retransmission, the drop is permanent.
   ib::ScriptedFault drop;
   drop.src_node = 0;
@@ -249,7 +236,7 @@ std::vector<World::RankBody> stalled_bodies() {
 }  // namespace
 
 TEST(Watchdog, DiagnosesSilentStallSerial) {
-  WorldConfig cfg = stalled_world_config(0);
+  WorldConfig cfg = stalled_world_config();
   const std::string dump = ::testing::TempDir() + "/watchdog_serial.json";
   std::remove(dump.c_str());
   cfg.run.watchdog_dump_path = dump;
@@ -268,35 +255,22 @@ TEST(Watchdog, DiagnosesSilentStallSerial) {
   if (f) std::fclose(f);
 }
 
-TEST(Watchdog, DiagnosesSilentStallSharded) {
-  WorldConfig cfg = stalled_world_config(2);
-  World world(cfg);
-  try {
-    world.run(stalled_bodies());
-    FAIL() << "stalled run must trip the watchdog";
-  } catch (const sim::WatchdogError& e) {
-    EXPECT_EQ(e.src(), 0);
-    EXPECT_EQ(e.dst(), 1);
-  }
-}
-
 // ---- 4. chaos campaign + minimization ----------------------------------
 
 TEST(ChaosCampaign, SmallGridZeroViolationsAndRunnerIdentity) {
-  // A trimmed grid (loss + corrupt profiles, both engines, both schedulers,
-  // two schemes) — the full sweep is the bench binary's job.
+  // A trimmed grid (loss + corrupt profiles, both schedulers, two schemes)
+  // — the full sweep is the bench binary's job.
   std::vector<exp::chaos::CellSpec> cells;
   const auto profiles = exp::chaos::default_profiles();
   for (const auto scheme :
        {flowctl::Scheme::user_static, flowctl::Scheme::user_dynamic}) {
     for (std::size_t p = 0; p < 2; ++p) {  // loss, corrupt
-      for (const int threads : {0, 2}) {
+      for (const auto sched :
+           {sim::SchedKind::heap4, sim::SchedKind::calendar}) {
         exp::chaos::CellSpec c;
         c.scheme = scheme;
         c.profile = profiles[p];
-        c.scheduler =
-            threads == 0 ? sim::SchedKind::heap4 : sim::SchedKind::calendar;
-        c.engine_threads = threads;
+        c.scheduler = sched;
         c.seed = 40 + p;
         c.workload.name = "allpairs";
         c.workload.params["bytes"] = 512;
@@ -322,7 +296,6 @@ TEST(ChaosCampaign, PlantedCreditBugIsCaughtAndMinimized) {
   spec.profile.loss = 0.35;
   spec.profile.transport_retry_limit = 1;
   spec.profile.auto_reconnect = true;
-  spec.profile.serial_only = true;
   spec.seed = 3;
   spec.ranks = 2;
   spec.workload.name = "pingpong";

@@ -414,23 +414,12 @@ TEST(CheckpointEnv, WorkloadRegistry) {
                SnapshotError);
 }
 
-// ---- sharded worlds (DESIGN.md §14) ------------------------------------
+// ---- scheduler seam (DESIGN.md §14) -------------------------------------
 //
-// Parallel worlds checkpoint at window barriers — the only instants where
-// every shard is quiescent and cross-shard state is fully applied. The
-// snapshot carries the engine mode (engine_threads / scheduler travel in
-// the config section), the engine section holds one sub-state per shard,
-// and — the worker-count-invariance property — a snapshot captured under
-// one worker count must restore bit-identically under any other, because
-// the worker count never influences the event order.
-
-mpi::WorldConfig sharded_small_world(int threads,
-                                     int scheduler = -1) {
-  mpi::WorldConfig cfg = small_world(/*ranks=*/4);
-  cfg.engine_threads = threads;
-  if (scheduler >= 0) cfg.scheduler = static_cast<sim::SchedKind>(scheduler);
-  return cfg;
-}
+// The scheduler is a wall-clock knob, not simulation state: the engine
+// section encodes the live pending set in canonical (t, seq) order, so a
+// snapshot captured under one scheduler must audit cleanly against a
+// replay under another.
 
 mpi::WorkloadSpec allpairs_spec() {
   mpi::WorkloadSpec spec;
@@ -440,76 +429,24 @@ mpi::WorkloadSpec allpairs_spec() {
   return spec;
 }
 
-TEST(CheckpointSharded, RoundTripCarriesEngineMode) {
-  const std::string path = write_checkpoint(
-      sharded_small_world(2), allpairs_spec(), 250, "sharded_mode.ck");
-  const ckpt::WorldSnapshot snap = ckpt::read_snapshot(path);
-  EXPECT_EQ(snap.config.engine_threads, 2);
-  EXPECT_EQ(snap.config.num_ranks, 4);
-  // Barrier-aligned capture: at least the requested count, not exactly it.
-  EXPECT_GE(snap.barrier, 250u);
+mpi::WorldConfig allpairs_world(sim::SchedKind scheduler) {
+  mpi::WorldConfig cfg = small_world(/*ranks=*/4);
+  cfg.scheduler = scheduler;
+  return cfg;
 }
 
-TEST(CheckpointSharded, RestoreAuditPasses) {
-  const std::string path = write_checkpoint(
-      sharded_small_world(2), allpairs_spec(), 250, "sharded_restore.ck");
-  const ckpt::WorldSnapshot snap = ckpt::read_snapshot(path);
-  const ckpt::RunResult restored = ckpt::restore_run(snap);
-  const ckpt::RunResult reference =
-      ckpt::run_reference(sharded_small_world(2), allpairs_spec());
-  expect_identical(restored, reference);
-}
-
-TEST(CheckpointSharded, RestoreAtDifferentWorkerCountIsBitIdentical) {
-  // Captured at 2 workers, restored at 1, 4 and 8: the audit replays the
-  // workload under the new worker count and byte-compares every section
-  // against the snapshot — passing proves the snapshot bytes are a pure
-  // function of the world, not of the thread schedule that produced them.
-  const std::string path = write_checkpoint(
-      sharded_small_world(2), allpairs_spec(), 250, "sharded_workers.ck");
-  const ckpt::RunResult reference =
-      ckpt::run_reference(sharded_small_world(2), allpairs_spec());
-  for (const int workers : {1, 4, 8}) {
-    ckpt::WorldSnapshot snap = ckpt::read_snapshot(path);
-    snap.config.engine_threads = workers;
-    const ckpt::RunResult restored = ckpt::restore_run(snap);
-    expect_identical(restored, reference);
-  }
-}
-
-TEST(CheckpointSharded, SchedulerAgnosticAcrossRestore) {
-  // Snapshot under heap4, audit the replay under the calendar queue: the
-  // engine encoding is scheduler-agnostic by design, so this must pass.
-  const std::string path = write_checkpoint(
-      sharded_small_world(2, static_cast<int>(sim::SchedKind::heap4)),
-      allpairs_spec(), 250, "sharded_sched.ck");
+TEST(CheckpointDeterminism, SchedulerAgnosticAcrossRestore) {
+  // Snapshot under heap4, audit the replay under the calendar queue.
+  const std::string path =
+      write_checkpoint(allpairs_world(sim::SchedKind::heap4), allpairs_spec(),
+                       250, "sched.ck");
   ckpt::WorldSnapshot snap = ckpt::read_snapshot(path);
+  EXPECT_EQ(snap.config.scheduler, sim::SchedKind::heap4);
   snap.config.scheduler = sim::SchedKind::calendar;
   const ckpt::RunResult restored = ckpt::restore_run(snap);
   const ckpt::RunResult reference = ckpt::run_reference(
-      sharded_small_world(2, static_cast<int>(sim::SchedKind::calendar)),
-      allpairs_spec());
+      allpairs_world(sim::SchedKind::calendar), allpairs_spec());
   expect_identical(restored, reference);
-}
-
-TEST(CheckpointSharded, ChurnKillRestoreResumes) {
-  // The churn shape in a parallel world: seed run killed mid-flight at a
-  // barrier past its checkpoint, then restored and run to completion —
-  // matching the uninterrupted sharded run bit for bit.
-  const std::string path = tmp_path("sharded_churn.ck");
-  ckpt::RestoreOptions seed;
-  seed.checkpoint_path = path;
-  seed.checkpoint_events = {250};
-  seed.kill_at = 450;
-  const ckpt::RunResult killed =
-      ckpt::run_reference(sharded_small_world(2), allpairs_spec(), seed);
-  EXPECT_TRUE(killed.aborted);
-
-  const ckpt::RunResult resumed =
-      ckpt::restore_run(ckpt::read_snapshot(path));
-  const ckpt::RunResult reference =
-      ckpt::run_reference(sharded_small_world(2), allpairs_spec());
-  expect_identical(resumed, reference);
 }
 
 // ---- fresh process ----------------------------------------------------
@@ -574,6 +511,29 @@ TEST(CheckpointProcess, CliRejectsCorruptSnapshotWithExit3) {
   }
   EXPECT_EQ(run_cli("restore " + ck, out), 3);
   EXPECT_NE(slurp(out).find("SNAPSHOT_ERROR"), std::string::npos);
+}
+
+// An option the command never reads must stop the CLI before it runs
+// anything: exit 1 with the key named, rather than silently running a
+// different experiment than the one asked for.
+TEST(CheckpointProcess, CliRejectsUnreadOptionWithExit1) {
+  const std::string out = tmp_path("proc_unread.txt");
+  const std::string ck = tmp_path("proc_unread.ck");
+  std::remove(ck.c_str());
+  EXPECT_EQ(run_cli("run --workload=allpairs --ranks=4 --threads=2 "
+                    "--checkpoint=" + ck + "@250",
+                    out), 1);
+  EXPECT_NE(slurp(out).find("--threads"), std::string::npos) << slurp(out);
+  EXPECT_EQ(slurp(out).find("RESULT"), std::string::npos) << slurp(out);
+  EXPECT_FALSE(std::ifstream(ck).good()) << "no snapshot may be written";
+
+  EXPECT_EQ(run_cli("run --workload=pingpong --schedular=wheel", out), 1);
+  EXPECT_NE(slurp(out).find("--schedular"), std::string::npos) << slurp(out);
+
+  // A bad value for a known option names every accepted choice.
+  EXPECT_EQ(run_cli("run --workload=pingpong --scheduler=fifo", out), 1);
+  EXPECT_NE(slurp(out).find("heap4|calendar|wheel"), std::string::npos)
+      << slurp(out);
 }
 
 #endif  // MVFLOW_CKPT_BIN

@@ -3,9 +3,7 @@
 // cost, the dense QP slot table must survive reconnect churn without
 // fragmenting, the incremental world aggregates must agree with a full
 // per-connection re-sum, and the on-demand × checkpoint/restore ×
-// auto-reconnect combination must stay bit-exact on the serial path at
-// N >= 256 ranks (the sharded engine require()s on-demand off, so the
-// serial path is the only one that ever sees this combination).
+// auto-reconnect combination must stay bit-exact at N >= 256 ranks.
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -1,9 +1,9 @@
 // exp::SweepRunner: the thread-pool sweep executor and the de-globalized
 // state it depends on. Covers the runner's ordering/exception contract, the
-// -j1 inline path, concurrent Worlds exercising the sharded live-engine
-// registry and world-owned flight recorders, and the headline determinism
-// claim: reduced figure sweeps and seeded fault-injection sweeps are
-// byte/count-identical at every thread count.
+// -j1 inline path, concurrent Worlds exercising the hash-bucketed
+// live-engine registry and world-owned flight recorders, and the headline
+// determinism claim: reduced figure sweeps and seeded fault-injection
+// sweeps are byte/count-identical at every thread count.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -90,7 +90,7 @@ TEST(SweepRunner, ResultsComeBackInJobOrder) {
     jobs.push_back([i] {
       // Uneven per-job work so a racy implementation would interleave.
       volatile int sink = 0;
-      for (int k = 0; k < (i * 7919) % 5000; ++k) sink += k;
+      for (int k = 0; k < (i * 7919) % 5000; ++k) sink = sink + k;
       return i;
     });
   }
@@ -162,9 +162,9 @@ TEST(SweepRunner, ParallelRethrowsLowestIndexedException) {
 TEST(SweepRunner, ConcurrentEnginesShareTheLiveRegistrySafely) {
   // Two engines on two pool threads concurrently register, schedule,
   // cancel, and die; stale handles are cancelled after their engine is
-  // gone. This is the regression test for the sharded live-engine
-  // registry (a single unsynchronized registry corrupts under exactly
-  // this pattern).
+  // gone. This is the regression test for the live-engine registry's
+  // per-bucket locking (a single unsynchronized registry corrupts under
+  // exactly this pattern).
   std::atomic<int> arrived{0};
   std::vector<std::function<sim::EventHandle()>> jobs;
   for (int j = 0; j < 2; ++j) {

@@ -1,16 +1,10 @@
 // Causal critical-path profiler tests (DESIGN.md §16): exactness of the
 // six-way latency split, the cross-subsystem audit against the flight
-// recorder, serial-vs-sharded bit-identity of the profile document, the
-// zero-record disarmed contract, the deterministic chain-id join key, and
-// the export surfaces (profile JSON, flow arrows, "prof." metrics).
-//
-// Also home to the shard-merge identity tests: the merged LatencyBreakdown
-// and the merged event ring from a sharded run must match a serial run of
-// the same workload exactly, for both paper workload shapes (Figure 2
-// ping-pong, Figure 3 blocking bandwidth).
+// recorder, the zero-record disarmed contract, the deterministic chain-id
+// join key, and the export surfaces (profile JSON, flow arrows, "prof."
+// metrics).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -20,7 +14,6 @@
 #include <span>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -38,25 +31,14 @@ namespace {
 constexpr std::size_t kMsgBytes = 4;
 constexpr int kFloodCount = 40;
 
-mpi::WorldConfig prof_config(int ranks, int prepost, int engine_threads = 0) {
+mpi::WorldConfig prof_config(int ranks, int prepost) {
   mpi::WorldConfig cfg;
   cfg.num_ranks = ranks;
   cfg.flow.scheme = flowctl::Scheme::user_static;
   cfg.flow.prepost = prepost;
-  cfg.engine_threads = engine_threads;
   cfg.run = exp::RunConfig{};  // tests must ignore ambient MVFLOW_* exports
   cfg.profile = true;
   return cfg;
-}
-
-void enable_all_recorders(mpi::World& world) {
-  world.recorder().enable(obs::FlightRecorder::kDefaultCapacity);
-  if (world.is_sharded()) {
-    for (int s = 0; s < world.num_ranks(); ++s) {
-      world.shard_recorder(static_cast<std::size_t>(s))
-          .enable(obs::FlightRecorder::kDefaultCapacity);
-    }
-  }
 }
 
 /// Credit-starved one-way flood: with a tiny prepost every send after the
@@ -75,11 +57,10 @@ void starved_flood(mpi::Communicator& comm) {
   }
 }
 
-obs::ProfileAnalysis starved_analysis(int engine_threads,
-                                      std::unique_ptr<mpi::World>* out_world =
-                                          nullptr) {
-  auto world = std::make_unique<mpi::World>(prof_config(2, 2, engine_threads));
-  enable_all_recorders(*world);
+obs::ProfileAnalysis starved_analysis(
+    std::unique_ptr<mpi::World>* out_world = nullptr) {
+  auto world = std::make_unique<mpi::World>(prof_config(2, 2));
+  world->recorder().enable(obs::FlightRecorder::kDefaultCapacity);
   world->run(starved_flood);
   obs::ProfileAnalysis a = world->prof_analysis();
   if (out_world != nullptr) *out_world = std::move(world);
@@ -102,7 +83,7 @@ std::uint64_t chain_id(std::int16_t src, std::int16_t dst,
 
 TEST(ProfAttribution, SegmentsSumExactlyToE2e) {
   std::unique_ptr<mpi::World> world;
-  obs::ProfileAnalysis a = starved_analysis(0, &world);
+  obs::ProfileAnalysis a = starved_analysis(&world);
   ASSERT_NE(world, nullptr);
   EXPECT_TRUE(a.exact);
   ASSERT_GT(a.messages.size(), 0u);
@@ -119,11 +100,11 @@ TEST(ProfAttribution, SegmentsSumExactlyToE2e) {
                 a.payload.seg[static_cast<int>(obs::Segment::ecm_rtt)],
             0);
   // Cross-subsystem audit: raw sums equal the recorder's accumulators.
-  EXPECT_TRUE(obs::audit_against(a, world->merged_latency()));
+  EXPECT_TRUE(obs::audit_against(a, world->recorder().latency()));
 }
 
 TEST(ProfAttribution, CriticalPathAndConnectionsPopulated) {
-  obs::ProfileAnalysis a = starved_analysis(0);
+  obs::ProfileAnalysis a = starved_analysis();
   ASSERT_FALSE(a.critical_path.empty());
   for (const obs::CriticalStep& s : a.critical_path) {
     EXPECT_GE(s.ns, 0);
@@ -142,32 +123,21 @@ TEST(ProfAttribution, CriticalPathAndConnectionsPopulated) {
   EXPECT_GT(forward, a.payload.e2e_ns / 2);
 }
 
-TEST(ProfAttribution, ProfileBitIdenticalAcrossEngines) {
-  const std::string serial =
-      obs::profile_to_json(starved_analysis(0), "starved");
-  for (int threads : {1, 2, 4}) {
-    const std::string sharded =
-        obs::profile_to_json(starved_analysis(threads), "starved");
-    EXPECT_EQ(sharded, serial) << "engine_threads=" << threads;
-  }
-}
-
 TEST(ProfAttribution, DisarmedProfilerRecordsNothing) {
   mpi::WorldConfig cfg = prof_config(2, 2);
   cfg.profile = false;
   mpi::World world(cfg);
   world.run(starved_flood);
   EXPECT_FALSE(world.profiler().enabled());
-  EXPECT_TRUE(world.merged_prof().records().empty());
+  EXPECT_TRUE(world.profiler().records().empty());
   EXPECT_TRUE(world.prof_analysis().messages.empty());
 }
 
 TEST(ProfAttribution, DevRecvCarriesDeterministicChainId) {
   mpi::World world(prof_config(2, 2));
   world.run(starved_flood);
-  const obs::Profiler merged = world.merged_prof();
   std::size_t checked = 0;
-  for (const obs::ProfRecord& r : merged.records()) {
+  for (const obs::ProfRecord& r : world.profiler().records()) {
     if (r.family != obs::ProfFamily::dev_recv) continue;
     if (r.msg_kind != static_cast<std::uint8_t>(mpi::MsgKind::eager_data))
       continue;
@@ -184,7 +154,7 @@ TEST(ProfAttribution, DevRecvCarriesDeterministicChainId) {
 // ----------------------------------------------------------------- exports --
 
 TEST(ProfExport, ProfileDocumentRoundTrips) {
-  obs::ProfileAnalysis a = starved_analysis(0);
+  obs::ProfileAnalysis a = starved_analysis();
   const std::string path = "prof_test_export.json";
   ASSERT_TRUE(obs::write_profile(path, a, "unit"));
   std::ifstream in(path);
@@ -202,7 +172,7 @@ TEST(ProfExport, ProfileDocumentRoundTrips) {
 }
 
 TEST(ProfExport, FlowArrowsPairUpAcrossRanks) {
-  obs::ProfileAnalysis a = starved_analysis(0);
+  obs::ProfileAnalysis a = starved_analysis();
   const std::vector<obs::FlowArrowEvent> flows = obs::flow_events(a);
   ASSERT_FALSE(flows.empty());
   for (std::size_t i = 1; i < flows.size(); ++i) {
@@ -226,7 +196,7 @@ TEST(ProfExport, FlowArrowsPairUpAcrossRanks) {
 
 TEST(ProfExport, MetricsRegistryExposesBlameAndQuantiles) {
   std::unique_ptr<mpi::World> world;
-  (void)starved_analysis(0, &world);
+  (void)starved_analysis(&world);
   ASSERT_NE(world, nullptr);
   const obs::Snapshot snap = world->metrics().snapshot();
   EXPECT_EQ(snap.get("prof.exact", -1.0), 1.0);
@@ -249,119 +219,4 @@ TEST(ProfExport, CsvEscapeQuotesSeparatorsAndQuotes) {
   EXPECT_EQ(obs::csv_escape("a,b"), "\"a,b\"");
   EXPECT_EQ(obs::csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
   EXPECT_EQ(obs::csv_escape("line\nbreak"), "\"line\nbreak\"");
-}
-
-// ------------------------------------------------------------ shard merge --
-
-namespace {
-
-using EventKey = std::tuple<std::int64_t, int, std::int16_t, std::int16_t,
-                            std::uint32_t, std::uint64_t, std::int64_t>;
-
-std::vector<EventKey> canonical_events(const mpi::World& world) {
-  const std::vector<obs::TraceEvent> evs = world.merged_trace().events();
-  std::vector<EventKey> keys;
-  keys.reserve(evs.size());
-  for (const obs::TraceEvent& e : evs) {
-    keys.emplace_back(e.t.count(), static_cast<int>(e.kind), e.rank, e.peer,
-                      e.qpn, e.a, e.b);
-  }
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
-
-std::vector<std::pair<std::string, double>> latency_values(
-    const mpi::World& world) {
-  std::vector<std::pair<std::string, double>> out;
-  world.merged_latency().visit([&out](std::string_view name, double v) {
-    out.emplace_back(std::string(name), v);
-  });
-  return out;
-}
-
-/// Run `workload` serially and with one shard per rank, both recorders
-/// armed, and require the merged latency accumulators and the canonically
-/// sorted event multisets to match exactly (satellite of DESIGN.md §16:
-/// shard-merged observability equals serial observability).
-template <typename Fn>
-void expect_shard_merge_identical(int ranks, int prepost, Fn&& workload) {
-  std::vector<EventKey> serial_events;
-  std::vector<std::pair<std::string, double>> serial_latency;
-  for (int threads : {0, ranks}) {
-    mpi::WorldConfig cfg;
-    cfg.num_ranks = ranks;
-    cfg.flow.scheme = flowctl::Scheme::user_static;
-    cfg.flow.prepost = prepost;
-    cfg.engine_threads = threads;
-    cfg.run = exp::RunConfig{};
-    mpi::World world(cfg);
-    enable_all_recorders(world);
-    world.run(workload);
-    if (threads == 0) {
-      serial_events = canonical_events(world);
-      serial_latency = latency_values(world);
-      ASSERT_FALSE(serial_events.empty());
-      continue;
-    }
-    ASSERT_TRUE(world.is_sharded());
-    EXPECT_EQ(canonical_events(world), serial_events)
-        << "event multiset diverged at engine_threads=" << threads;
-    const auto sharded_latency = latency_values(world);
-    ASSERT_EQ(sharded_latency.size(), serial_latency.size());
-    for (std::size_t i = 0; i < serial_latency.size(); ++i) {
-      const auto& [name, serial_v] = serial_latency[i];
-      EXPECT_EQ(sharded_latency[i].first, name);
-      if (name.ends_with(".mean_ns")) {
-        // Means divide double sums whose addition order differs between a
-        // serial accumulator and per-shard partials merged afterwards;
-        // everything else (counts, min/max, bucket-derived quantiles) is
-        // exact, and the event-multiset check above already proved the
-        // underlying samples identical.
-        EXPECT_DOUBLE_EQ(sharded_latency[i].second, serial_v) << name;
-      } else {
-        EXPECT_EQ(sharded_latency[i].second, serial_v) << name;
-      }
-    }
-  }
-}
-
-}  // namespace
-
-TEST(ShardMerge, Fig2PingPongObservabilityIdentical) {
-  // Figure 2's shape: 1 KiB ping-pong, run on two independent pairs so the
-  // 4-shard engine actually exercises cross-shard delivery both ways.
-  expect_shard_merge_identical(4, 100, [](mpi::Communicator& comm) {
-    std::vector<std::byte> buf(1024);
-    const int partner = comm.rank() ^ 1;
-    for (int i = 0; i < 30; ++i) {
-      if ((comm.rank() & 1) == 0) {
-        comm.send(std::span<const std::byte>(buf.data(), buf.size()), partner,
-                  0);
-        comm.recv(std::span<std::byte>(buf.data(), buf.size()), partner, 0);
-      } else {
-        comm.recv(std::span<std::byte>(buf.data(), buf.size()), partner, 0);
-        comm.send(std::span<const std::byte>(buf.data(), buf.size()), partner,
-                  0);
-      }
-    }
-  });
-}
-
-TEST(ShardMerge, Fig3BlockingBwObservabilityIdentical) {
-  // Figure 3's shape: credit-limited one-way blocking streams, which drive
-  // the backlog and ECM event kinds through the merge path as well.
-  expect_shard_merge_identical(4, 8, [](mpi::Communicator& comm) {
-    std::vector<std::byte> buf(kMsgBytes);
-    const int partner = comm.rank() ^ 1;
-    if ((comm.rank() & 1) == 0) {
-      for (int i = 0; i < kFloodCount; ++i) {
-        comm.send(std::span<const std::byte>(buf.data(), kMsgBytes), partner,
-                  0);
-      }
-    } else {
-      for (int i = 0; i < kFloodCount; ++i) {
-        comm.recv(std::span<std::byte>(buf.data(), kMsgBytes), partner, 0);
-      }
-    }
-  });
 }

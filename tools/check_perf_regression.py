@@ -15,8 +15,8 @@ Each bench name carries its own comparison spec: which point fields
 identify a configuration, which metrics are gated, and in which
 direction ("higher" is throughput-like, "lower" is latency-like,
 "exact" is a correctness flag that must match the baseline bit for
-bit — used for the parallel-engine identity verdicts, which must never
-be waved through as "within tolerance"). A gated metric may be slower
+bit — used for identity and invariant verdicts, which must never be
+waved through as "within tolerance"). A gated metric may be slower
 than baseline by at most --tolerance (default 15%); faster is always
 fine. Exits 1 on any regression so CI can fail the step; stdlib only.
 """
@@ -44,22 +44,14 @@ SPECS = {
                     ("wheel_ns_per_op", "lower")],
         "meta": [],
     },
-    "parallel_world": {
-        "key": ("engine_threads",),
-        # Wall-clock scaling depends on the host's core count, which CI
-        # cannot pin; the invariant worth gating everywhere is that every
-        # engine configuration stayed bit-identical.
-        "metrics": [("identical", "exact")],
-        "meta": [],
-    },
     "prof_attribution": {
         # Causal-profiler correctness verdicts (DESIGN.md §16). All are
-        # exact: Σ segments == e2e is an invariant, serial-vs-sharded
-        # bit-identity must never drift, the LatencyBreakdown cross-audit
-        # is equality of integer sums, and the fig3 gap attribution is a
-        # deterministic function of the simulated runs. The per-point
-        # segment totals are exact for the same reason — any change here
-        # is a protocol/timing change, not noise.
+        # exact: Σ segments == e2e is an invariant, a repeated run must
+        # reproduce the profile byte for byte, the LatencyBreakdown
+        # cross-audit is equality of integer sums, and the fig3 gap
+        # attribution is a deterministic function of the simulated runs.
+        # The per-point segment totals are exact for the same reason — any
+        # change here is a protocol/timing change, not noise.
         "key": ("prepost",),
         "metrics": [("exact", "exact"), ("identical", "exact"),
                     ("audit_ok", "exact"), ("e2e_ns", "exact"),

@@ -17,10 +17,12 @@
 // A restore that is bit-identical to the uninterrupted run prints exactly
 // the same RESULT line — that equality is what the golden checkpoint test
 // asserts across processes. Exit codes: 0 success, 3 snapshot/audit error
-// (diagnostic on stderr), 1 anything else.
+// (diagnostic on stderr), 1 anything else — including an option the
+// command does not read, which is named on stderr before anything runs.
 #include <cinttypes>
 #include <cstdio>
 #include <exception>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,6 +35,33 @@
 namespace {
 
 using namespace mvflow;
+
+/// --scheduler picks the engine's pending-set structure: a wall-clock knob
+/// that never changes results (DESIGN.md §14).
+std::optional<sim::SchedKind> scheduler_from_options(const util::Options& opt) {
+  const auto name = opt.get("scheduler");
+  if (!name) return std::nullopt;
+  sim::SchedKind kind{};
+  if (!sim::parse_sched_kind(*name, kind)) {
+    throw std::runtime_error("unknown --scheduler=" + *name +
+                             " (heap4|calendar|wheel)");
+  }
+  return kind;
+}
+
+/// Call once a command has read every option it understands: anything
+/// left was never read — a typo, or a flag this command does not take —
+/// and running anyway would silently run something else.
+void reject_unused(const util::Options& opt) {
+  const std::vector<std::string> unused = opt.unused();
+  if (unused.empty()) return;
+  std::string keys;
+  for (const std::string& k : unused) {
+    keys += (keys.empty() ? "--" : ", --") + k;
+  }
+  throw std::runtime_error(
+      (unused.size() == 1 ? "unknown option " : "unknown options ") + keys);
+}
 
 mpi::WorldConfig config_from_options(const util::Options& opt) {
   mpi::WorldConfig cfg;
@@ -64,18 +93,7 @@ mpi::WorldConfig config_from_options(const util::Options& opt) {
     cfg.fabric.transport_timeout = sim::microseconds(transport_us);
   }
   cfg.device.auto_reconnect = opt.get_bool("reconnect", false);
-  // Engine mode (DESIGN.md §14): --threads=N runs the sharded engine with
-  // N workers (0 = serial reference), --scheduler picks the pending-set
-  // structure. Both default to the MVFLOW_* env snapshots like everywhere
-  // else; neither changes results, only wall-clock.
-  cfg.engine_threads =
-      static_cast<int>(opt.get_int("threads", cfg.engine_threads));
-  if (const auto sched = opt.get("scheduler")) {
-    if (!sim::parse_sched_kind(*sched, cfg.scheduler)) {
-      throw std::runtime_error("unknown --scheduler=" + *sched +
-                               " (heap4|calendar)");
-    }
-  }
+  if (const auto kind = scheduler_from_options(opt)) cfg.scheduler = *kind;
   return cfg;
 }
 
@@ -133,32 +151,31 @@ void print_result(const mpi::ckpt::RunResult& rr) {
 }
 
 int cmd_run(const util::Options& opt) {
-  const mpi::WorldConfig cfg = config_from_options(opt);
+  mpi::WorldConfig cfg = config_from_options(opt);
   const mpi::WorkloadSpec spec = workload_from_options(opt);
   mpi::ckpt::RestoreOptions ro;
   parse_checkpoint_arg(opt, ro);
-  mpi::WorldConfig run_cfg = cfg;
   if (opt.get_bool("trace", false)) {
     // Arm the recorder through the config path so capture records it.
-    run_cfg.run.trace_path = "/dev/null";
+    cfg.run.trace_path = "/dev/null";
   }
-  mpi::World world(run_cfg);
+  const auto metrics_path = opt.get("metrics");
+  reject_unused(opt);
+
+  mpi::World world(cfg);
   world.set_workload(spec);
-  mpi::ckpt::RunResult rr;
-  {
-    if (!ro.checkpoint_path.empty()) {
-      mpi::ckpt::arm_checkpoints(world, ro.checkpoint_path,
-                                 ro.checkpoint_events);
-    }
-    if (ro.kill_at > 0) {
-      world.set_event_watchpoint(ro.kill_at,
-                                 [&world] { world.abort_run(); });
-    }
-    rr.elapsed = world.run_workload();
-    rr.aborted = world.aborted();
-    rr.metrics = world.metrics().snapshot();
+  if (!ro.checkpoint_path.empty()) {
+    mpi::ckpt::arm_checkpoints(world, ro.checkpoint_path,
+                               ro.checkpoint_events);
   }
-  if (const auto mp = opt.get("metrics")) rr.metrics.write_json(*mp);
+  if (ro.kill_at > 0) {
+    world.engine().set_watchpoint(ro.kill_at, [&world] { world.abort_run(); });
+  }
+  mpi::ckpt::RunResult rr;
+  rr.elapsed = world.run_workload();
+  rr.aborted = world.aborted();
+  rr.metrics = world.metrics().snapshot();
+  if (metrics_path) rr.metrics.write_json(*metrics_path);
   print_result(rr);
   return 0;
 }
@@ -168,26 +185,21 @@ int cmd_restore(const util::Options& opt) {
     std::fprintf(stderr, "usage: mvflow_ckpt restore SNAPSHOT [options]\n");
     return 1;
   }
-  mpi::ckpt::WorldSnapshot snap =
-      mpi::ckpt::read_snapshot(opt.positional()[1]);
-  // Worker count and scheduler are wall-clock knobs, not simulation state,
-  // so a restore may override what the snapshot recorded: the audit still
-  // passes because neither influences the event order. A snapshot written
-  // by an 8-worker run restores bit-identically on a serial-only box.
-  if (const auto th = opt.get("threads")) {
-    snap.config.engine_threads = static_cast<int>(opt.get_int("threads", 0));
-  }
-  if (const auto sched = opt.get("scheduler")) {
-    if (!sim::parse_sched_kind(*sched, snap.config.scheduler)) {
-      throw std::runtime_error("unknown --scheduler=" + *sched +
-                               " (heap4|calendar)");
-    }
-  }
+  // The scheduler is a wall-clock knob, not simulation state, so a restore
+  // may override what the snapshot recorded: the audit still passes
+  // because it does not influence the event order.
+  const auto scheduler = scheduler_from_options(opt);
   mpi::ckpt::RestoreOptions ro;
   parse_checkpoint_arg(opt, ro);
   ro.tune = tune_from_options(opt);
+  const auto metrics_path = opt.get("metrics");
+  reject_unused(opt);
+
+  mpi::ckpt::WorldSnapshot snap =
+      mpi::ckpt::read_snapshot(opt.positional()[1]);
+  if (scheduler) snap.config.scheduler = *scheduler;
   const mpi::ckpt::RunResult rr = mpi::ckpt::restore_run(snap, ro);
-  if (const auto mp = opt.get("metrics")) rr.metrics.write_json(*mp);
+  if (metrics_path) rr.metrics.write_json(*metrics_path);
   print_result(rr);
   return 0;
 }
@@ -197,6 +209,7 @@ int cmd_inspect(const util::Options& opt) {
     std::fprintf(stderr, "usage: mvflow_ckpt inspect SNAPSHOT\n");
     return 1;
   }
+  reject_unused(opt);
   const std::string path = opt.positional()[1];
   const std::vector<std::byte> file = util::serial::read_file(path);
   const auto sections = util::serial::parse_sections(file);
@@ -210,11 +223,7 @@ int cmd_inspect(const util::Options& opt) {
   }
   std::printf("  workload  %s\n", snap.workload.to_string().c_str());
   std::printf("  barrier   %" PRIu64 " executed events\n", snap.barrier);
-  std::printf("  engine    %s, scheduler=%s\n",
-              snap.config.engine_threads > 0
-                  ? ("sharded x" +
-                     std::to_string(snap.config.engine_threads)).c_str()
-                  : "serial",
+  std::printf("  engine    scheduler=%s\n",
               std::string(sim::to_string(snap.config.scheduler)).c_str());
   std::printf("  world     %d ranks, scheme=%s, prepost=%d%s%s\n",
               snap.config.num_ranks,
