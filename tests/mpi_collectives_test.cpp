@@ -2,6 +2,7 @@
 // and flow-control schemes.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -13,10 +14,19 @@ using namespace mvflow::mpi;
 
 namespace {
 
+// gtest has no printer for CollParam, so it prints the object's bytes, and
+// ctest makes that printout part of every test name. The struct therefore
+// has no padding: padding holds leftover memory, which made the names
+// change from one test discovery to the next. name_byte keeps, per
+// parameter, the byte that the suite's registered names show after the
+// scheme.
 struct CollParam {
   int ranks;
   flowctl::Scheme scheme;
+  std::uint8_t name_byte = 0;
+  std::uint16_t spare = 0;
 };
+static_assert(sizeof(CollParam) == 8);
 
 std::string param_name(const ::testing::TestParamInfo<CollParam>& info) {
   return std::to_string(info.param.ranks) + "ranks_" +
@@ -208,12 +218,12 @@ TEST_P(Collectives, GatherAndScatterRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(
     Schemes, Collectives,
-    ::testing::Values(CollParam{1, flowctl::Scheme::user_static},
-                      CollParam{2, flowctl::Scheme::user_static},
-                      CollParam{5, flowctl::Scheme::user_static},
-                      CollParam{8, flowctl::Scheme::user_static},
-                      CollParam{8, flowctl::Scheme::hardware},
-                      CollParam{8, flowctl::Scheme::user_dynamic},
-                      CollParam{7, flowctl::Scheme::user_dynamic},
-                      CollParam{16, flowctl::Scheme::user_static}),
+    ::testing::Values(CollParam{1, flowctl::Scheme::user_static, 0x00},
+                      CollParam{2, flowctl::Scheme::user_static, 0x55},
+                      CollParam{5, flowctl::Scheme::user_static, 0x00},
+                      CollParam{8, flowctl::Scheme::user_static, 0x55},
+                      CollParam{8, flowctl::Scheme::hardware, 0x7F},
+                      CollParam{8, flowctl::Scheme::user_dynamic, 0x7F},
+                      CollParam{7, flowctl::Scheme::user_dynamic, 0x7F},
+                      CollParam{16, flowctl::Scheme::user_static, 0x55}),
     param_name);
