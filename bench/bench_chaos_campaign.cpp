@@ -3,11 +3,11 @@
 //   bench_chaos_campaign [--seeds=N] [--base-seed=S] [--jobs=N]
 //   bench_chaos_campaign --inject-bug [--base-seed=S]
 //
-// Default mode sweeps the full (scheme × fault profile × scheduler) grid
+// Default mode sweeps the full (scheme × fault profile) grid, 15 cells,
 // with the invariant auditor and the progress watchdog armed, once per
-// seed. The whole campaign runs twice — -j1 and
-// -jN — and the two assembled RESULT-line transcripts must match byte for
-// byte; any cell violation or transcript divergence is a non-zero exit.
+// seed. The whole campaign runs twice — -j1 and -jN — and the two
+// assembled RESULT-line transcripts must match byte for byte; any cell
+// violation or transcript divergence is a non-zero exit.
 //
 //   RESULT cell=<label> events=<n> elapsed_ns=<n> metrics_crc=<hex8>
 //          metrics_n=<n> violation=<0|1> kind=<none|audit|watchdog|...>

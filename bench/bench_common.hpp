@@ -118,18 +118,15 @@ inline mpi::WorldConfig base_config(flowctl::Scheme scheme, int prepost,
   return cfg;
 }
 
-/// Optional engine-configuration override for a sweep (DESIGN.md §14):
-/// -1 leaves the world's env-derived default untouched, so existing
-/// call sites keep honouring $MVFLOW_SCHEDULER. The golden-determinism
-/// test drives the fig tables through every scheduler to pin the "engine
-/// mode never changes results" claim.
+/// Optional engine-configuration override for a sweep. `audit` arms the
+/// invariant auditor (DESIGN.md §15); false leaves the world's
+/// env-derived setting untouched. The audit test drives the fig tables
+/// with it armed to pin that auditing never changes results.
 struct EngineMode {
-  int scheduler = -1;  ///< static_cast<int>(sim::SchedKind), or -1
-  int audit = -1;      ///< 0/1 forces the invariant auditor off/on, or -1
+  bool audit = false;
 
   void apply(mpi::WorldConfig& cfg) const {
-    if (scheduler >= 0) cfg.scheduler = static_cast<sim::SchedKind>(scheduler);
-    if (audit >= 0) cfg.run.audit = audit != 0;
+    if (audit) cfg.run.audit = true;
   }
 };
 

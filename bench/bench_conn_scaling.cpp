@@ -14,15 +14,16 @@
 // at `rounds` and `2*rounds` and reports marginal events per wall second,
 // which cancels the N-dependent fixed cost of building the world and
 // spawning rank processes — exactly the per-poll cost the O(active) claim
-// is about. Two exact verdicts ride in the meta block and are gated
+// is about. Three exact verdicts ride in the meta block and are gated
 // bit-for-bit by check_perf_regression.py:
 //
 //   o_active_slope_invariant — marginal *simulated events* per round at
 //       N=1024 equals N=16 exactly (idle connections schedule nothing);
-//   wheel_dead_pops_not_worse — under a retransmit-timer-heavy cell the
-//       timer wheel reaps at least as many cancelled timers in bulk
-//       (timer_purges) as it saves in front-of-queue zombie pops, so its
-//       dead_pops never exceed the 4-ary heap's on the same traffic.
+//   hotspot_1024_vs_16_ratio_ok — marginal events/s at N=1024 within 2x
+//       of N=16;
+//   timer_accounting_ok — under a retransmit-timer-heavy cell every
+//       cancelled timer is reaped exactly once at the queue front
+//       (dead_pops == cancelled_before_fire after the drain).
 //
 // Results go to BENCH_conn_scaling.json; the committed baseline lives in
 // bench/baseline/.
@@ -64,13 +65,12 @@ CellResult run_cell(mpi::WorldConfig cfg, const mpi::WorkloadSpec& spec) {
   return out;
 }
 
-mpi::WorldConfig scaling_config(int ranks, int scheduler) {
+mpi::WorldConfig scaling_config(int ranks) {
   mpi::WorldConfig cfg;
   cfg.run = cfg.run.quiet();  // never race per-world env export files
   cfg.num_ranks = ranks;
   cfg.flow.scheme = flowctl::Scheme::user_dynamic;
   cfg.flow.prepost = 16;
-  if (scheduler >= 0) cfg.scheduler = static_cast<sim::SchedKind>(scheduler);
   return cfg;
 }
 
@@ -95,11 +95,9 @@ mpi::WorkloadSpec hotspot_spec(int rounds) {
 
 int main(int argc, char** argv) {
   util::Options opts(argc, argv);
-  // --rounds scales every cell's traffic; --scheduler picks the
-  // sim::SchedKind for the throughput cells.
+  // --rounds scales every cell's traffic.
   const int rounds =
       static_cast<int>(std::max<std::int64_t>(1, opts.get_int("rounds", 8)));
-  const int scheduler = static_cast<int>(opts.get_int("scheduler", -1));
 
   WallTimer wall;
   BenchJson json("conn_scaling");
@@ -112,25 +110,22 @@ int main(int argc, char** argv) {
 
   std::puts("# Connection-count scaling: events/s vs world size");
   util::Table table({"shape", "ranks", "conns", "events", "wall_ms",
-                     "mevents_per_s", "dead_pops", "timer_purges"});
+                     "mevents_per_s", "dead_pops"});
 
   // ---- allpairs: 16 -> 1024 live connections, all active ----------------
   for (const int ranks : {4, 8, 16, 32}) {
     const CellResult cell =
-        run_cell(scaling_config(ranks, scheduler), allpairs_spec(rounds));
+        run_cell(scaling_config(ranks), allpairs_spec(rounds));
     const double mev = static_cast<double>(cell.events) / cell.wall_s / 1e6;
     table.add("allpairs", ranks, static_cast<std::size_t>(cell.connections),
               static_cast<std::size_t>(cell.events), cell.wall_s * 1e3, mev,
-              static_cast<std::size_t>(cell.perf.dead_pops),
-              static_cast<std::size_t>(cell.perf.timer_purges));
+              static_cast<std::size_t>(cell.perf.dead_pops));
     json.add_point({{"shape", 0},
                     {"ranks", static_cast<double>(ranks)},
                     {"connections", static_cast<double>(cell.connections)},
                     {"events", static_cast<double>(cell.events)},
                     {"mevents_per_s", mev},
-                    {"dead_pops", static_cast<double>(cell.perf.dead_pops)},
-                    {"timer_purges",
-                     static_cast<double>(cell.perf.timer_purges)}});
+                    {"dead_pops", static_cast<double>(cell.perf.dead_pops)}});
   }
 
   // ---- hotspot: constant active set inside growing worlds ---------------
@@ -142,7 +137,7 @@ int main(int argc, char** argv) {
   // (the active set is 8 connections — each round is cheap).
   const int hot_rounds = 50 * rounds;
   for (const int ranks : {16, 64, 256, 1024}) {
-    mpi::WorldConfig cfg = scaling_config(ranks, scheduler);
+    mpi::WorldConfig cfg = scaling_config(ranks);
     cfg.on_demand_connections = true;
     const CellResult lo = run_cell(cfg, hotspot_spec(hot_rounds));
     const CellResult hi = run_cell(cfg, hotspot_spec(2 * hot_rounds));
@@ -159,16 +154,13 @@ int main(int argc, char** argv) {
     if (slope_events != slope16) slope_invariant = false;
     table.add("hotspot", ranks, static_cast<std::size_t>(hi.connections),
               static_cast<std::size_t>(slope_events), slope_wall * 1e3, mev,
-              static_cast<std::size_t>(hi.perf.dead_pops),
-              static_cast<std::size_t>(hi.perf.timer_purges));
+              static_cast<std::size_t>(hi.perf.dead_pops));
     json.add_point({{"shape", 1},
                     {"ranks", static_cast<double>(ranks)},
                     {"connections", static_cast<double>(hi.connections)},
                     {"events", static_cast<double>(slope_events)},
                     {"mevents_per_s", mev},
-                    {"dead_pops", static_cast<double>(hi.perf.dead_pops)},
-                    {"timer_purges",
-                     static_cast<double>(hi.perf.timer_purges)}});
+                    {"dead_pops", static_cast<double>(hi.perf.dead_pops)}});
   }
   // Exact O(active) verdict: idle ranks contribute zero events per round
   // at every world size. The wall-clock form of the same claim: marginal
@@ -179,40 +171,23 @@ int main(int argc, char** argv) {
               "1024=%.2f\n",
               slope_invariant ? 1 : 0, mev16, mev1024);
 
-  // ---- timer-heavy cell: 4-ary heap vs timer wheel -----------------------
+  // ---- timer-heavy cell: cancelled-timer accounting ---------------------
   // Arm the transport ACK timeout so every credited message schedules a
-  // retransmit timer that is almost always cancelled; the wheel should
-  // bulk-purge those tombstones during cascades (timer_purges) instead
-  // of reaping them one by one at the queue front (dead_pops).
-  sim::EnginePerfStats perf_by_kind[2];
-  for (int k = 0; k < 2; ++k) {
-    mpi::WorldConfig cfg = scaling_config(
-        64, static_cast<int>(k == 0 ? sim::SchedKind::heap4
-                                    : sim::SchedKind::wheel));
-    cfg.on_demand_connections = true;
-    cfg.fabric.transport_timeout = sim::microseconds(500);
-    perf_by_kind[k] = run_cell(cfg, hotspot_spec(4 * rounds)).perf;
-  }
-  const sim::EnginePerfStats& heap_perf = perf_by_kind[0];
-  const sim::EnginePerfStats& wheel_perf = perf_by_kind[1];
-  json.add_meta("heap_dead_pops", static_cast<double>(heap_perf.dead_pops));
-  json.add_meta("wheel_dead_pops", static_cast<double>(wheel_perf.dead_pops));
-  json.add_meta("wheel_timer_purges",
-                static_cast<double>(wheel_perf.timer_purges));
-  json.add_meta("wheel_dead_pops_not_worse",
-                wheel_perf.dead_pops <= heap_perf.dead_pops ? 1 : 0);
-  json.add_meta(
-      "timer_accounting_ok",
-      wheel_perf.dead_pops + wheel_perf.timer_purges ==
-              wheel_perf.cancelled_before_fire &&
-              heap_perf.dead_pops == heap_perf.cancelled_before_fire
-          ? 1
-          : 0);
-  std::printf("# timer-heavy: heap dead_pops=%llu wheel dead_pops=%llu "
-              "wheel purges=%llu\n",
-              static_cast<unsigned long long>(heap_perf.dead_pops),
-              static_cast<unsigned long long>(wheel_perf.dead_pops),
-              static_cast<unsigned long long>(wheel_perf.timer_purges));
+  // retransmit timer that is almost always cancelled; each cancelled
+  // entry stays in the heap until it reaches the front and is reaped there
+  // exactly once (dead_pops).
+  mpi::WorldConfig cfg = scaling_config(64);
+  cfg.on_demand_connections = true;
+  cfg.fabric.transport_timeout = sim::microseconds(500);
+  const sim::EnginePerfStats timer_perf =
+      run_cell(cfg, hotspot_spec(4 * rounds)).perf;
+  const bool timer_accounting_ok =
+      timer_perf.dead_pops == timer_perf.cancelled_before_fire;
+  json.add_meta("timer_accounting_ok", timer_accounting_ok ? 1 : 0);
+  std::printf("# timer-heavy: dead_pops=%llu cancelled_before_fire=%llu\n",
+              static_cast<unsigned long long>(timer_perf.dead_pops),
+              static_cast<unsigned long long>(
+                  timer_perf.cancelled_before_fire));
 
   table.print(std::cout);
   json.write(wall.seconds());

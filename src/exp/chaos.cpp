@@ -32,8 +32,6 @@ std::string CellSpec::label() const {
   std::string s(flowctl::to_string(scheme));
   s += '/';
   s += profile.name;
-  s += '/';
-  s += std::string(sim::to_string(scheduler));
   s += "/s";
   s += std::to_string(seed);
   return s;
@@ -60,7 +58,6 @@ CellResult run_cell(const CellSpec& spec, bool record_faults) {
   cfg.num_ranks = spec.ranks;
   cfg.flow.scheme = spec.scheme;
   cfg.flow.prepost = 8;  // small pool: constant credit pressure
-  cfg.scheduler = spec.scheduler;
   // Faults need the recovery protocol: a zero transport timeout disables
   // sequence NAKs and retransmits entirely (config.hpp), which would turn
   // every drop into a deadlock instead of a retransmit.
@@ -156,23 +153,18 @@ std::vector<CellSpec> default_campaign(std::uint64_t base_seed) {
   const flowctl::Scheme schemes[] = {flowctl::Scheme::hardware,
                                      flowctl::Scheme::user_static,
                                      flowctl::Scheme::user_dynamic};
-  const sim::SchedKind scheds[] = {sim::SchedKind::heap4,
-                                   sim::SchedKind::calendar};
   std::vector<CellSpec> cells;
   std::uint64_t pos = 0;
   for (const flowctl::Scheme scheme : schemes) {
     for (const FaultProfile& profile : default_profiles()) {
-      for (const sim::SchedKind sched : scheds) {
-        CellSpec c;
-        c.scheme = scheme;
-        c.profile = profile;
-        c.scheduler = sched;
-        // Distinct per-cell streams, stable under grid reordering of the
-        // runner (seed depends only on base_seed and grid position).
-        c.seed = base_seed + 0x9e3779b97f4a7c15ULL * ++pos;
-        c.workload = default_workload();
-        cells.push_back(std::move(c));
-      }
+      CellSpec c;
+      c.scheme = scheme;
+      c.profile = profile;
+      // Distinct per-cell streams, stable under grid reordering of the
+      // runner (seed depends only on base_seed and grid position).
+      c.seed = base_seed + 0x9e3779b97f4a7c15ULL * ++pos;
+      c.workload = default_workload();
+      cells.push_back(std::move(c));
     }
   }
   return cells;

@@ -1,8 +1,8 @@
 // Deterministic chaos campaigns (DESIGN.md §15).
 //
-// A campaign is a grid of *cells*: (scheme × fault profile × scheduler),
-// each one an independent seeded World run with the invariant auditor and
-// the progress watchdog armed. Cells execute on the exp::SweepRunner, so
+// A campaign is a grid of *cells*: (scheme × fault profile), each one an
+// independent seeded World run with the invariant auditor and the
+// progress watchdog armed. Cells execute on the exp::SweepRunner, so
 // the assembled RESULT lines are byte-identical at every --jobs count —
 // the campaign binary asserts exactly that.
 //
@@ -22,7 +22,6 @@
 #include "ib/config.hpp"
 #include "ib/fabric.hpp"
 #include "mpi/workload.hpp"
-#include "sim/scheduler.hpp"
 
 namespace mvflow::exp::chaos {
 
@@ -43,7 +42,6 @@ struct FaultProfile {
 struct CellSpec {
   flowctl::Scheme scheme = flowctl::Scheme::user_static;
   FaultProfile profile;
-  sim::SchedKind scheduler = sim::SchedKind::heap4;
   std::uint64_t seed = 1;
   int ranks = 3;
   mpi::WorkloadSpec workload;
@@ -55,7 +53,7 @@ struct CellSpec {
   /// *only* fault source.
   std::vector<ib::ScriptedFault> script;
 
-  /// "scheme/profile/sched/s<seed>" — stable cell identity.
+  /// "scheme/profile/s<seed>" — stable cell identity.
   std::string label() const;
 };
 
@@ -87,7 +85,7 @@ CellResult run_cell(const CellSpec& spec, bool record_faults = false);
 /// reconnect regime (finite retries + auto_reconnect).
 std::vector<FaultProfile> default_profiles();
 
-/// Full default grid: 3 schemes × default_profiles × {heap4, calendar}.
+/// Full default grid: 3 schemes × default_profiles.
 /// Seeds are derived deterministically from `base_seed` and the cell's
 /// grid position.
 std::vector<CellSpec> default_campaign(std::uint64_t base_seed);

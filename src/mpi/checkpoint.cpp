@@ -35,7 +35,6 @@ void encode_config(serial::BufWriter& w, const WorldConfig& cfg,
   w.i64(cfg.max_sim_time.count());
   w.b(trace_armed);
   w.u64(trace_capacity);
-  w.u8(static_cast<std::uint8_t>(cfg.scheduler));
 
   const flowctl::Config& f = cfg.flow;
   w.u8(static_cast<std::uint8_t>(f.scheme));
@@ -111,7 +110,6 @@ void decode_config(serial::BufReader& r, WorldConfig& cfg, bool& trace_armed,
   cfg.max_sim_time = sim::Duration(r.i64("max_sim_time"));
   trace_armed = r.b("trace_armed");
   trace_capacity = r.u64("trace_capacity");
-  cfg.scheduler = static_cast<sim::SchedKind>(r.u8("scheduler"));
 
   flowctl::Config& f = cfg.flow;
   f.scheme = static_cast<flowctl::Scheme>(r.u8("flow.scheme"));

@@ -33,7 +33,7 @@ std::uint64_t WorldStats::total_retransmitted_messages() const {
 
 int WorldStats::max_posted_buffers() const { return flow_totals.max_posted; }
 
-World::World(WorldConfig cfg) : cfg_(cfg), engine_(cfg_.scheduler) {
+World::World(WorldConfig cfg) : cfg_(cfg) {
   util::require(cfg_.num_ranks >= 1, "need at least one rank");
 
   // This world's recorder becomes the constructing thread's current one —

@@ -38,11 +38,6 @@ struct WorldConfig {
   /// composes with the flow-control schemes).
   bool on_demand_connections = false;
 
-  /// Pending-set scheduler of the world's engine; defaulted from the
-  /// one-time $MVFLOW_SCHEDULER snapshot. Never changes results, only
-  /// wall-clock (scheduler.hpp).
-  sim::SchedKind scheduler = sim::default_sched_kind();
-
   /// Upper bound on simulated time; exceeding it is reported as a deadlock
   /// (protects against infinite hardware retry loops in the modeled system).
   sim::Duration max_sim_time = sim::seconds(30);

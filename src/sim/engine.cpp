@@ -45,11 +45,7 @@ RegistryShard& shard_for(const Engine* e) noexcept {
 
 }  // namespace
 
-Engine::Engine(SchedKind kind) : pq_(kind) {
-  // Tombstone-aware schedulers get a probe into the slab so cancelled
-  // entries can be dropped in bulk during wheel maintenance instead of
-  // surfacing one by one at the dispatch front (see purge_probe).
-  pq_.set_purge_probe(&Engine::purge_probe, this);
+Engine::Engine() {
   {
     RegistryShard& s = shard_for(this);
     std::lock_guard<std::mutex> lock(s.mu);
@@ -121,19 +117,6 @@ bool Engine::handle_valid(std::uint32_t slot, std::uint32_t gen) const noexcept 
   // gen matches only between schedule and release, and release happens
   // exactly at fire or cancel — so a match means "still pending".
   return slot < slab_size_ && node(slot).gen == gen;
-}
-
-bool Engine::purge_probe(void* ctx, std::uint32_t slot,
-                         std::uint32_t gen) noexcept {
-  Engine* self = static_cast<Engine*>(ctx);
-  if (slot < self->slab_size_ && self->node(slot).gen == gen) {
-    return false;  // live — the scheduler must keep it
-  }
-  // Dead: the scheduler drops the entry, so it will never be reaped at the
-  // front. Account the zombie here to keep pending_events() exact.
-  --self->zombies_;
-  ++self->perf_.timer_purges;
-  return true;
 }
 
 bool Engine::dispatch_one() {
@@ -219,24 +202,21 @@ void Engine::serialize_state(util::serial::BufWriter& w) const {
   w.i64(now_.count());
   w.u64(next_seq_);
   w.u32(slab_size_);
-  // Perf counters: deterministic across identical replays *and* across
-  // schedulers (dispatch order is the same strict (t, seq) sequence under
-  // any of them), so they belong in the audit — a divergence here means
-  // the replay did different work. Counters that depend on internal
-  // scheduler behavior (peak depth, dead-pop/batch accounting) are
-  // deliberately excluded.
+  // Perf counters: deterministic across identical replays, so they belong
+  // in the audit — a divergence here means the replay did different work.
+  // Peak depth, dead pops and batch lengths describe the heap rather than
+  // the work and stay out.
   w.u64(perf_.scheduled);
   w.u64(perf_.executed);
   w.u64(perf_.cancelled_before_fire);
   w.u64(perf_.pool_reuses);
   w.u64(perf_.pool_allocs);
   // The live pending set in canonical (t, seq) order — the total dispatch
-  // order of everything that will happen next. Zombies and internal layout
-  // (heap array order vs calendar buckets) are scheduler details and never
-  // reach the bytes.
+  // order of everything that will happen next. Zombies and the heap's
+  // array order never reach the bytes.
   std::vector<SchedEntry> live;
-  live.reserve(pq_.size());
-  pq_.visit([&](const SchedEntry& e) {
+  live.reserve(pending_.size());
+  pending_.visit([&](const SchedEntry& e) {
     if (node(e.slot).gen == e.gen) live.push_back(e);
   });
   std::sort(live.begin(), live.end(),

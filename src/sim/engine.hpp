@@ -10,10 +10,8 @@
 // and handles are {slot, generation} pairs with O(1) lazy cancellation and
 // no reference counting. See DESIGN.md §10 for the invariants.
 //
-// The pending set itself sits behind the scheduler seam (scheduler.hpp):
-// a 4-ary heap or a calendar queue, chosen per engine and defaulted from
-// $MVFLOW_SCHEDULER. Both hand out the identical strict (t, seq) order, so
-// the choice is invisible to results — only to wall-clock.
+// The pending set is a 4-ary heap held by value (scheduler.hpp, DESIGN.md
+// §14); cancelled entries stay in it as zombies until they reach the top.
 #pragma once
 
 #include <cstdint>
@@ -44,12 +42,15 @@ struct EnginePerfStats {
   std::uint64_t scheduled = 0;             ///< schedule_at/after calls
   std::uint64_t executed = 0;              ///< events fired
   std::uint64_t cancelled_before_fire = 0;
-  std::size_t peak_heap_depth = 0;         ///< max simultaneous pending events
+  /// Max heap size, cancelled entries not yet reaped included.
+  std::size_t peak_heap_depth = 0;
   std::uint64_t pool_reuses = 0;   ///< event nodes recycled from the freelist
   std::uint64_t pool_allocs = 0;   ///< event nodes that grew the slab
   std::uint64_t dead_pops = 0;     ///< lazily-cancelled entries reaped at pop
-  std::uint64_t timer_purges = 0;  ///< tombstones bulk-purged by the wheel
-  std::size_t max_batch = 0;       ///< largest same-timestamp dispatch run
+  /// Always 0: cancelled entries are reaped only at the front (dead_pops).
+  /// Kept so metrics documents keep their shape.
+  std::uint64_t timer_purges = 0;
+  std::size_t max_batch = 0;       ///< longest run of events at one timestamp
   double pool_hit_rate() const {
     const double total =
         static_cast<double>(pool_reuses) + static_cast<double>(pool_allocs);
@@ -102,14 +103,10 @@ class EventHandle {
 
 class Engine {
  public:
-  /// `kind` picks the pending-set scheduler; the default is the one-time
-  /// $MVFLOW_SCHEDULER snapshot (heap4 when unset).
-  explicit Engine(SchedKind kind = default_sched_kind());
+  Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
   ~Engine();
-
-  SchedKind sched_kind() const noexcept { return pq_.kind(); }
 
   /// True while `e` is a constructed, not-yet-destroyed Engine. Backed by a
   /// process-wide registry sharded by engine address (mutex per shard), so
@@ -153,15 +150,17 @@ class Engine {
     n.fn.emplace(std::forward<F>(fn));
     n.cause = cause_;  // inherit the scheduler's causal token (one store)
     try {
-      pq_.push(SchedEntry{t, next_seq_++, slot, n.gen});
+      pending_.push(SchedEntry{t, next_seq_++, slot, n.gen});
     } catch (...) {
-      // Scheduler growth hit bad_alloc: put the slot (and its closure's
+      // Heap growth hit bad_alloc: put the slot (and its closure's
       // captured resources) back instead of leaking them.
       release_slot(slot);
       throw;
     }
     ++perf_.scheduled;
-    if (pq_.size() > perf_.peak_heap_depth) perf_.peak_heap_depth = pq_.size();
+    if (pending_.size() > perf_.peak_heap_depth) {
+      perf_.peak_heap_depth = pending_.size();
+    }
     return EventHandle(this, slot, n.gen);
   }
   /// Schedule `fn` to run `d` after the current time.
@@ -186,7 +185,7 @@ class Engine {
     return static_cast<std::size_t>(perf_.executed);
   }
   std::size_t pending_events() const noexcept {
-    return pq_.size() - zombies_;  // zombies are cancelled, not pending
+    return pending_.size() - zombies_;  // zombies are cancelled, not pending
   }
 
   const EnginePerfStats& perf_stats() const noexcept { return perf_; }
@@ -203,14 +202,12 @@ class Engine {
 
   /// Serialize the engine's dispatch state — clock, sequence counter, the
   /// live pending set in canonical (t, seq) order, per-slot generations,
-  /// the freelist chain, and the scheduler-invariant perf counters — for
-  /// the snapshot's bit-identical restore audit. The encoding is
-  /// deliberately scheduler-agnostic: internal layout (heap array order,
-  /// calendar buckets, unreaped zombies) never leaks into the bytes, so a
-  /// snapshot taken under one scheduler audits cleanly against a replay
-  /// under another. Event *callbacks* are not serialized (closures are
-  /// reconstructed by deterministic replay); this captures every byte of
-  /// state that orders them.
+  /// the freelist chain, and the perf counters that count work rather
+  /// than heap layout — for the snapshot's bit-identical restore audit.
+  /// Heap array order and unreaped zombies never reach the bytes. Event
+  /// *callbacks* are not serialized (closures are reconstructed by
+  /// deterministic replay); this captures every byte of state that orders
+  /// them.
   void serialize_state(util::serial::BufWriter& w) const;
 
   /// Processes register themselves; used to detect "simulation ended with
@@ -283,7 +280,7 @@ class Engine {
   /// Reap zombies at the front until the minimum entry is live; copies it
   /// to `out` (still queued) and returns true, or false when the queue
   /// drains. Cancellation is lazy — cancel() releases the slot (O(1)) and
-  /// leaves the scheduler entry behind as a zombie whose stamped
+  /// leaves the heap entry behind as a zombie whose stamped
   /// generation no longer matches; reaping it here counts a dead_pop.
   /// Dispatch order of live events is untouched — a cancelled event fires
   /// in neither scheme.
@@ -293,18 +290,9 @@ class Engine {
   void fire_watchpoints();
   void recompute_next_watch() noexcept;
 
-  /// PurgeProbe installed on the timer wheel (and any future
-  /// tombstone-aware scheduler): answers "is this (slot, gen) dead?" and,
-  /// when it is, does the same accounting peek_live's reap would have done
-  /// — minus the dead_pop, which by definition never happens now. Keeping
-  /// `pending_events()` = pq_.size() - zombies_ consistent is why the
-  /// scheduler cannot simply drop entries on its own.
-  static bool purge_probe(void* ctx, std::uint32_t slot,
-                          std::uint32_t gen) noexcept;
-
   std::vector<std::unique_ptr<Node[]>> chunks_;  // freelist-recycled slab
   std::uint32_t slab_size_ = 0;   // slots handed out so far (all chunks)
-  PendingQueue pq_;               // pending + zombie events, (t, seq) order
+  FourAryHeap pending_;           // pending + zombie events, (t, seq) order
   std::uint32_t free_head_ = kNone;   // freelist of released slots
   std::size_t zombies_ = 0;           // cancelled entries not yet reaped
   TimePoint now_{0};
@@ -331,13 +319,13 @@ class Engine {
 // peek → fire handoff is worth several percent of whole-sim throughput.
 inline bool Engine::peek_live(SchedEntry& out) {
   for (;;) {
-    const SchedEntry* top = pq_.peek();
+    const SchedEntry* top = pending_.peek();
     if (top == nullptr) return false;
     if (node(top->slot).gen == top->gen) {
       out = *top;
       return true;
     }
-    pq_.pop_min();  // reap a cancelled entry
+    pending_.pop_min();  // reap a cancelled entry
     --zombies_;
     ++perf_.dead_pops;
   }
@@ -361,8 +349,8 @@ inline void Engine::fire_entry(const SchedEntry& top) {
   Node& n = node(top.slot);
   util::check(top.t >= now_, "event queue went backwards");
   now_ = top.t;
-  // Same-timestamp batch accounting: dispatch runs at one t are the unit
-  // the calendar queue serves O(1) from a single bucket.
+  // max_batch records the longest run of events at one t; each of them is
+  // popped and dispatched on its own.
   if (top.t == last_fired_) {
     ++cur_batch_;
   } else {
@@ -370,7 +358,7 @@ inline void Engine::fire_entry(const SchedEntry& top) {
     cur_batch_ = 1;
   }
   if (cur_batch_ > perf_.max_batch) perf_.max_batch = cur_batch_;
-  pq_.pop_min();  // peek_live just surfaced `top`; the pop is O(1)-cached
+  pending_.pop_min();  // peek_live just surfaced `top` at the heap root
   // The callback runs in place — its chunk address is stable even if it
   // schedules events that grow the slab. The generation is bumped first so
   // the event's own handle already reads fired (cancelling yourself is a

@@ -1,49 +1,6 @@
 #include "sim/scheduler.hpp"
 
-#include <algorithm>
-#include <cstdlib>
-#include <limits>
-
 namespace mvflow::sim {
-
-std::string_view to_string(SchedKind k) noexcept {
-  switch (k) {
-    case SchedKind::heap4:
-      return "heap4";
-    case SchedKind::calendar:
-      return "calendar";
-    case SchedKind::wheel:
-      return "wheel";
-  }
-  return "heap4";
-}
-
-bool parse_sched_kind(std::string_view name, SchedKind& out) noexcept {
-  if (name == "heap4") {
-    out = SchedKind::heap4;
-    return true;
-  }
-  if (name == "calendar") {
-    out = SchedKind::calendar;
-    return true;
-  }
-  if (name == "wheel") {
-    out = SchedKind::wheel;
-    return true;
-  }
-  return false;
-}
-
-SchedKind default_sched_kind() noexcept {
-  static const SchedKind kind = [] {
-    SchedKind k = SchedKind::heap4;
-    if (const char* env = std::getenv("MVFLOW_SCHEDULER")) {
-      parse_sched_kind(env, k);
-    }
-    return k;
-  }();
-  return kind;
-}
 
 void FourAryHeap::sift_up(std::uint32_t pos) {
   const SchedEntry e = heap_[pos];
@@ -54,216 +11,6 @@ void FourAryHeap::sift_up(std::uint32_t pos) {
     pos = parent;
   }
   heap_[pos] = e;
-}
-
-void CalendarQueue::find_min() {
-  // One lap over the calendar starting at the rotor. Every entry's time is
-  // >= last_t_ (pops take the global minimum, pushes below the rotor pull
-  // it back), so the first bucket that holds an entry belonging to the
-  // current lap holds the minimum — pick the (t, seq) least among those.
-  std::size_t idx = bucket_of(TimePoint(last_t_));
-  std::int64_t lap_end = ((last_t_ >> shift_) + 1) << shift_;
-  for (std::size_t scanned = 0; scanned < nbuckets_; ++scanned) {
-    const std::vector<SchedEntry>& b = buckets_[idx];
-    bool found = false;
-    for (std::size_t i = 0; i < b.size(); ++i) {
-      if (b[i].t.count() < lap_end && (!found || sched_before(b[i], cached_))) {
-        cached_ = b[i];
-        cache_bucket_ = idx;
-        cache_pos_ = i;
-        found = true;
-      }
-    }
-    if (found) {
-      cache_valid_ = true;
-      return;
-    }
-    idx = (idx + 1) & (nbuckets_ - 1);
-    lap_end += width();
-  }
-  // Sparse far future: nothing within one lap of the rotor. Take the global
-  // minimum directly and jump the rotor to it, so a pending set that is
-  // mostly idle timers costs one O(n) scan instead of spinning laps.
-  bool found = false;
-  for (std::size_t bi = 0; bi < nbuckets_; ++bi) {
-    const std::vector<SchedEntry>& b = buckets_[bi];
-    for (std::size_t i = 0; i < b.size(); ++i) {
-      if (!found || sched_before(b[i], cached_)) {
-        cached_ = b[i];
-        cache_bucket_ = bi;
-        cache_pos_ = i;
-        found = true;
-      }
-    }
-  }
-  last_t_ = cached_.t.count();
-  cache_valid_ = true;
-}
-
-void CalendarQueue::resize(std::size_t nbuckets) {
-  const Duration w = estimate_width();
-  std::vector<std::vector<SchedEntry>> old = std::move(buckets_);
-  const std::size_t keep = size_;
-  rebuild(nbuckets, w);
-  for (const std::vector<SchedEntry>& b : old) {
-    for (const SchedEntry& e : b) {
-      buckets_[bucket_of(e.t)].push_back(e);
-    }
-  }
-  size_ = keep;
-  cache_valid_ = false;  // positions changed; next peek re-finds
-}
-
-void CalendarQueue::rebuild(std::size_t nbuckets, Duration width) {
-  buckets_.assign(nbuckets, {});
-  nbuckets_ = nbuckets;
-  // Round the width up to a power of two (bucket_of is shift+mask).
-  const std::int64_t w = std::max<std::int64_t>(width.count(), 1);
-  unsigned s = 0;
-  while (s < 62 && (std::int64_t{1} << s) < w) ++s;
-  shift_ = s;
-}
-
-Duration CalendarQueue::estimate_width() const {
-  // Aim for ~1 entry per bucket over the occupied span, with 2x slack so a
-  // mildly uneven distribution still averages under one probe per bucket.
-  if (size_ < 2) return Duration(width());
-  std::int64_t lo = std::numeric_limits<std::int64_t>::max();
-  std::int64_t hi = std::numeric_limits<std::int64_t>::min();
-  for (const std::vector<SchedEntry>& b : buckets_) {
-    for (const SchedEntry& e : b) {
-      lo = std::min(lo, e.t.count());
-      hi = std::max(hi, e.t.count());
-    }
-  }
-  const std::int64_t w =
-      2 * ((hi - lo) / static_cast<std::int64_t>(size_));
-  return Duration(std::max<std::int64_t>(w, 1));
-}
-
-void TimerWheel::find_min() {
-  // The minimum is always in the first occupied L0 bucket: L0 entries
-  // share the cursor's L0 epoch (so bucket index orders them by time), and
-  // every higher level holds strictly later times (an entry sits at level
-  // k only when its level-(k-1) epoch differs from the cursor's, i.e. past
-  // the end of everything level k-1 can hold). When L0 is empty, cascade
-  // the first occupied bucket of the lowest occupied level and retry —
-  // each cascaded entry drops exactly one level, so this terminates.
-  for (;;) {
-    if (size_ == 0) return;  // everything live was popped; rest was purged
-    if (const int b = first_set(0); b >= 0) {
-      const std::vector<SchedEntry>& bucket = buckets_[0][b];
-      bool found = false;
-      for (std::size_t i = 0; i < bucket.size(); ++i) {
-        if (!found || sched_before(bucket[i], cached_)) {
-          cached_ = bucket[i];
-          cache_loc_ = Loc{0, b, i};
-          found = true;
-        }
-      }
-      cache_valid_ = true;
-      return;
-    }
-    bool advanced = false;
-    for (int k = 1; k < kLevels; ++k) {
-      if (const int b = first_set(k); b >= 0) {
-        cascade(k, b);
-        advanced = true;
-        break;
-      }
-    }
-    if (advanced) continue;
-    if (!overflow_.empty()) {
-      migrate_overflow();
-      continue;
-    }
-    return;  // unreachable: size_ > 0 implies some storage is non-empty
-  }
-}
-
-void TimerWheel::cascade(int k, int b) {
-  std::vector<SchedEntry> moved = std::move(buckets_[k][b]);
-  buckets_[k][b].clear();
-  clear_bit(k, b);
-  // Advance the cursor to the bucket's base time. Every entry here shares
-  // the new cursor's level-(k-1) epoch by construction, so re-placement
-  // strictly descends. This is also the purge point: dead entries vanish
-  // in bulk instead of being dragged to the dispatch front one by one.
-  cur_ = ((epoch(cur_, k) << 8) | b) << shift(k);
-  for (const SchedEntry& e : moved) {
-    if (purged(e)) {
-      --size_;
-      continue;
-    }
-    const int nk = place_level(e.t.count());
-    const int nb = idx(e.t.count(), nk);
-    buckets_[nk][nb].push_back(e);
-    set_bit(nk, nb);
-  }
-}
-
-void TimerWheel::migrate_overflow() {
-  // The wheel proper is empty; jump the cursor to the overflow minimum and
-  // pull everything now within the horizon into the wheel. O(overflow),
-  // amortized by how rarely anything lands 275 s out.
-  std::vector<SchedEntry> keep;
-  keep.reserve(overflow_.size());
-  std::int64_t mn = 0;
-  bool found = false;
-  for (const SchedEntry& e : overflow_) {
-    if (purged(e)) {
-      --size_;
-      continue;
-    }
-    if (!found || e.t.count() < mn) {
-      mn = e.t.count();
-      found = true;
-    }
-    keep.push_back(e);
-  }
-  overflow_.clear();
-  if (!found) return;
-  cur_ = mn;
-  for (const SchedEntry& e : keep) {
-    if (const int k = place_level(e.t.count()); k >= 0) {
-      const int b = idx(e.t.count(), k);
-      buckets_[k][b].push_back(e);
-      set_bit(k, b);
-    } else {
-      overflow_.push_back(e);
-    }
-  }
-}
-
-void TimerWheel::rebuild_with(const SchedEntry& e) {
-  // Push below the cursor: a reaped far-future tombstone advanced the
-  // cursor past where live traffic resumed. Gather everything, reset the
-  // cursor to the true minimum, and re-place. Rare enough that O(n) here
-  // never shows up in profiles; correctness is what matters.
-  std::vector<SchedEntry> all;
-  all.reserve(size_ + 1);
-  visit([&all](const SchedEntry& x) { all.push_back(x); });
-  for (int k = 0; k < kLevels; ++k) {
-    for (std::vector<SchedEntry>& b : buckets_[k]) b.clear();
-    bitmap_[k][0] = bitmap_[k][1] = bitmap_[k][2] = bitmap_[k][3] = 0;
-  }
-  overflow_.clear();
-  size_ = 0;
-  cache_valid_ = false;
-  std::int64_t mn = e.t.count();
-  std::vector<SchedEntry> keep;
-  keep.reserve(all.size() + 1);
-  keep.push_back(e);
-  for (const SchedEntry& x : all) {
-    if (purged(x)) continue;
-    mn = std::min(mn, x.t.count());
-    keep.push_back(x);
-  }
-  cur_ = mn;
-  for (const SchedEntry& x : keep) {
-    insert(x);
-    ++size_;
-  }
 }
 
 }  // namespace mvflow::sim

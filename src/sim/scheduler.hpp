@@ -1,37 +1,14 @@
-// Swappable event schedulers (DESIGN.md §14).
+// The engine's pending set (DESIGN.md §14): an inline 4-ary min-heap of
+// (t, seq) keys, handing out the strict (t, seq) minimum on every pop.
 //
-// The engine dispatches strictly in (time, sequence) order; *how* the
-// pending set is organized to hand out that order is a pluggable choice:
-//
-//   - FourAryHeap: the inline 4-ary min-heap from the allocation-free
-//     rework — O(log n) push/pop, cache-friendly sift loops, the safe
-//     default at any pending-set size.
-//   - CalendarQueue: classic Brown calendar queue — time-bucketed open
-//     hashing with a rotating "today" pointer, amortized O(1) push/pop
-//     when the pending set is dense in time, self-resizing bucket count
-//     and width when the distribution drifts.
-//   - TimerWheel: hierarchical timing wheel (DESIGN.md §17) — four levels
-//     of 256 fixed-width buckets covering ~275 s of horizon, O(1) arm and
-//     disarm, entries cascading down a level as the cursor reaches their
-//     bucket. Built for worlds with thousands of frequently re-armed
-//     retransmit/RNR timers, where a comparison heap pays O(log n) per
-//     re-arm and drags every cancelled tombstone to the front before
-//     reaping it; the wheel purges tombstones in bulk during cascades via
-//     an engine-installed probe, so they never reach the dispatch path.
-//
-// All three produce the exact same pop order (the strict (t, seq) minimum),
-// so swapping schedulers can never change simulation results — the
-// randomized differential tests in sim_scheduler_test.cpp are the
-// executable form of that claim, and bench_scheduler records where the
-// crossover actually is instead of guessing. Selection: Engine's
-// constructor argument, defaulted from $MVFLOW_SCHEDULER
-// ("heap4" | "calendar" | "wheel").
+// It is the only pending-set structure: a calendar queue and a
+// hierarchical timer wheel won widely in a microbenchmark only at 10⁴–10⁶
+// pending events, while the paper's experiments never hold more than
+// ~2.4k, where the heap measured faster end to end (EXPERIMENTS.md,
+// "Verdict: the heap only").
 #pragma once
 
-#include <bit>
 #include <cstdint>
-#include <memory>
-#include <string_view>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -39,8 +16,8 @@
 namespace mvflow::sim {
 
 /// Ordering key plus slab reference for one pending event. The key lives
-/// here — not in the event node — so scheduler probes stay inside the
-/// scheduler's own contiguous storage (see DESIGN.md §10).
+/// here — not in the event node — so sift comparisons stay inside the
+/// heap's contiguous array (see DESIGN.md §10).
 struct SchedEntry {
   TimePoint t{0};
   std::uint64_t seq = 0;
@@ -55,30 +32,8 @@ inline bool sched_before(const SchedEntry& a, const SchedEntry& b) noexcept {
   return a.seq < b.seq;
 }
 
-enum class SchedKind : std::uint8_t { heap4 = 0, calendar = 1, wheel = 2 };
-
-std::string_view to_string(SchedKind k) noexcept;
-/// Parse "heap4" / "calendar" / "wheel" (case-sensitive); false leaves
-/// `out` alone.
-bool parse_sched_kind(std::string_view name, SchedKind& out) noexcept;
-
-/// Bulk tombstone filter the engine installs on tombstone-aware schedulers
-/// (the wheel). Returns true when the (slot, gen) pair is dead — the engine
-/// accounts for the removal (zombie counter, perf stats) before returning,
-/// so the scheduler just drops the entry. Must be called only from
-/// maintenance paths (cascade, overflow migration, rebuild), never from the
-/// push/peek hot path: the contract is that purging changes *when* a dead
-/// entry disappears, never the order of live dispatches.
-using PurgeProbe = bool (*)(void* ctx, std::uint32_t slot,
-                            std::uint32_t gen) noexcept;
-/// Process-wide default: one-time $MVFLOW_SCHEDULER snapshot; heap4 when
-/// unset or unparseable (a typo'd env var must not silently change perf
-/// characteristics mid-sweep, so the snapshot is taken exactly once).
-SchedKind default_sched_kind() noexcept;
-
-/// The engine's original scheduler: 4-ary so the pop-path sift touches
-/// half the levels of a binary heap and each node's children span ~1.5
-/// cache lines.
+/// 4-ary so the pop-path sift touches half the levels of a binary heap
+/// and each node's children span ~1.5 cache lines.
 class FourAryHeap {
  public:
   void push(const SchedEntry& e) {
@@ -135,331 +90,6 @@ class FourAryHeap {
   }
 
   std::vector<SchedEntry> heap_;
-};
-
-/// Brown's calendar queue. Buckets are unsorted vectors ("open hash on
-/// time"); a pop scans forward from the bucket holding the last popped
-/// timestamp, taking the (t, seq) minimum among entries that belong to the
-/// current one-year lap. Pops are monotone in the engine (time never goes
-/// backwards and pushes are never in the past), which is exactly the
-/// workload calendar queues are O(1) for. A full fruitless lap falls back
-/// to a direct global-minimum scan and jumps the rotor there, so sparse
-/// far-future pending sets (idle retransmit timers) degrade gracefully
-/// instead of spinning.
-class CalendarQueue {
- public:
-  CalendarQueue() { rebuild(kMinBuckets, Duration(1024)); }
-
-  void push(const SchedEntry& e) {
-    buckets_[bucket_of(e.t)].push_back(e);
-    ++size_;
-    // Keep "every entry >= last_t_" a hard invariant: pops are monotone
-    // for *live* events, but reaping a far-future zombie (a cancelled
-    // retransmit timer surfacing at the front past a run_until cap) moves
-    // the rotor forward of where real traffic resumes — pull it back so
-    // the lap scan never skips an earlier bucket.
-    if (e.t.count() < last_t_) last_t_ = e.t.count();
-    if (cache_valid_ && sched_before(e, cached_)) {
-      // The new entry is the new minimum; repoint the cache at it.
-      cache_bucket_ = bucket_of(e.t);
-      cache_pos_ = buckets_[cache_bucket_].size() - 1;
-      cached_ = e;
-    }
-    if (size_ > (nbuckets_ << 1) && nbuckets_ < kMaxBuckets) {
-      resize(nbuckets_ << 1);
-    }
-  }
-
-  /// Current minimum, or nullptr when empty. The scan result is cached so
-  /// the engine's peek-then-pop pattern pays for one search.
-  const SchedEntry* peek() {
-    if (size_ == 0) return nullptr;
-    if (!cache_valid_) find_min();
-    return &cached_;
-  }
-
-  /// Remove the minimum (peek() must have been called and returned
-  /// non-null since the last mutation).
-  void pop_min() {
-    std::vector<SchedEntry>& b = buckets_[cache_bucket_];
-    b[cache_pos_] = b.back();
-    b.pop_back();
-    --size_;
-    last_t_ = cached_.t.count();  // pops are monotone; the rotor resumes here
-    cache_valid_ = false;
-    if (size_ < (nbuckets_ >> 2) && nbuckets_ > kMinBuckets) {
-      resize(nbuckets_ >> 1);
-    }
-  }
-
-  std::size_t size() const noexcept { return size_; }
-
-  template <typename Fn>
-  void visit(Fn&& f) const {
-    for (const std::vector<SchedEntry>& b : buckets_) {
-      for (const SchedEntry& e : b) f(e);
-    }
-  }
-
- private:
-  static constexpr std::size_t kMinBuckets = 16;
-  static constexpr std::size_t kMaxBuckets = 1u << 20;
-
-  /// Bucket width is a power of two, so the time->bucket map is a shift
-  /// and mask — an integer divide here costs ~15% of calendar throughput.
-  std::size_t bucket_of(TimePoint t) const noexcept {
-    return static_cast<std::size_t>(t.count() >> shift_) & (nbuckets_ - 1);
-  }
-  std::int64_t width() const noexcept {
-    return std::int64_t{1} << shift_;
-  }
-
-  void find_min();
-  void resize(std::size_t nbuckets);
-  void rebuild(std::size_t nbuckets, Duration width);
-  Duration estimate_width() const;
-
-  std::vector<std::vector<SchedEntry>> buckets_;
-  std::size_t nbuckets_ = 0;  // power of two
-  unsigned shift_ = 0;        // log2(ns per bucket)
-  std::size_t size_ = 0;
-  std::int64_t last_t_ = 0;  // last popped timestamp (rotor anchor)
-
-  // Cached minimum located by the last find_min()/push().
-  SchedEntry cached_{};
-  std::size_t cache_bucket_ = 0;
-  std::size_t cache_pos_ = 0;
-  bool cache_valid_ = false;
-};
-
-/// Hierarchical timing wheel. Four levels of 256 buckets; level k buckets
-/// are 2^(6+8k) ns wide, so L0 resolves 64 ns and L3 spans ~275 s — wider
-/// than any configured max_sim_time, with a sorted-scan overflow vector
-/// behind it for pathological far futures.
-///
-/// Placement invariant: an entry lives at the *smallest* level k where its
-/// time shares the cursor's level-k epoch (epoch(t,k) = t >> (6+8(k+1))),
-/// or in `overflow_` when no level matches. Because pushes are never below
-/// the cursor (the engine's clock is monotone; the one exception — a
-/// far-future tombstone pop dragging the cursor forward of real traffic —
-/// triggers a full rebuild, same hazard the calendar queue's rotor
-/// pullback documents), the first occupied L0 bucket always holds the
-/// minimum, found by one bitmap probe. When L0 drains, the first occupied
-/// bucket of the lowest occupied level cascades: the cursor advances to
-/// that bucket's base time and its entries re-place, each landing exactly
-/// one level down — which is also where dead entries get purged in bulk
-/// through the engine's probe instead of surfacing one by one at the
-/// dispatch front.
-class TimerWheel {
- public:
-  TimerWheel() {
-    for (int k = 0; k < kLevels; ++k) buckets_[k].resize(kBuckets);
-  }
-
-  void set_purge_probe(PurgeProbe probe, void* ctx) noexcept {
-    purge_ = probe;
-    purge_ctx_ = ctx;
-  }
-
-  void push(const SchedEntry& e) {
-    if (e.t.count() < cur_) {
-      // Below the cursor: rebuild around the new minimum (rare — requires
-      // a reaped far-future tombstone to have advanced the cursor past
-      // where live traffic resumes).
-      rebuild_with(e);
-      return;
-    }
-    const Loc loc = insert(e);
-    ++size_;
-    if (cache_valid_ && sched_before(e, cached_)) {
-      cached_ = e;
-      cache_loc_ = loc;
-    }
-  }
-
-  /// Current minimum, or nullptr when empty. May purge dead entries (via
-  /// the probe) while cascading, so `size()` can shrink across a peek.
-  const SchedEntry* peek() {
-    if (size_ == 0) return nullptr;
-    if (!cache_valid_) find_min();
-    return size_ == 0 ? nullptr : &cached_;
-  }
-
-  /// Remove the minimum (peek() must have been called and returned
-  /// non-null since the last mutation).
-  void pop_min() {
-    std::vector<SchedEntry>& b = cache_loc_.level == kOverflowLevel
-                                     ? overflow_
-                                     : buckets_[cache_loc_.level][cache_loc_.bucket];
-    b[cache_loc_.pos] = b.back();
-    b.pop_back();
-    if (cache_loc_.level != kOverflowLevel && b.empty()) {
-      clear_bit(cache_loc_.level, cache_loc_.bucket);
-    }
-    --size_;
-    cur_ = cached_.t.count();  // pops are monotone; the cursor resumes here
-    cache_valid_ = false;
-  }
-
-  std::size_t size() const noexcept { return size_; }
-
-  template <typename Fn>
-  void visit(Fn&& f) const {
-    for (int k = 0; k < kLevels; ++k) {
-      for (const std::vector<SchedEntry>& b : buckets_[k]) {
-        for (const SchedEntry& e : b) f(e);
-      }
-    }
-    for (const SchedEntry& e : overflow_) f(e);
-  }
-
- private:
-  static constexpr int kLevels = 4;
-  static constexpr int kBuckets = 256;
-  static constexpr int kShift0 = 6;  // L0 bucket = 64 ns
-  static constexpr int kOverflowLevel = kLevels;
-
-  struct Loc {
-    int level = 0;
-    int bucket = 0;
-    std::size_t pos = 0;
-  };
-
-  static constexpr int shift(int k) noexcept { return kShift0 + 8 * k; }
-  static std::int64_t epoch(std::int64_t t, int k) noexcept {
-    return t >> (shift(k) + 8);
-  }
-  static int idx(std::int64_t t, int k) noexcept {
-    return static_cast<int>((t >> shift(k)) & (kBuckets - 1));
-  }
-
-  /// Smallest level sharing the cursor's epoch, or -1 for overflow.
-  int place_level(std::int64_t t) const noexcept {
-    for (int k = 0; k < kLevels; ++k) {
-      if (epoch(t, k) == epoch(cur_, k)) return k;
-    }
-    return -1;
-  }
-
-  Loc insert(const SchedEntry& e) {
-    const int k = place_level(e.t.count());
-    if (k < 0) {
-      overflow_.push_back(e);
-      return Loc{kOverflowLevel, 0, overflow_.size() - 1};
-    }
-    const int b = idx(e.t.count(), k);
-    buckets_[k][b].push_back(e);
-    set_bit(k, b);
-    return Loc{k, b, buckets_[k][b].size() - 1};
-  }
-
-  void set_bit(int k, int b) noexcept {
-    bitmap_[k][b >> 6] |= std::uint64_t{1} << (b & 63);
-  }
-  void clear_bit(int k, int b) noexcept {
-    bitmap_[k][b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-  }
-  int first_set(int k) const noexcept {
-    for (int w = 0; w < 4; ++w) {
-      if (bitmap_[k][w]) return w * 64 + std::countr_zero(bitmap_[k][w]);
-    }
-    return -1;
-  }
-
-  bool purged(const SchedEntry& e) {
-    return purge_ != nullptr && purge_(purge_ctx_, e.slot, e.gen);
-  }
-
-  void find_min();
-  void cascade(int k, int b);
-  void migrate_overflow();
-  void rebuild_with(const SchedEntry& e);
-
-  std::vector<std::vector<SchedEntry>> buckets_[kLevels];
-  std::uint64_t bitmap_[kLevels][4] = {};
-  std::vector<SchedEntry> overflow_;
-  std::size_t size_ = 0;
-  std::int64_t cur_ = 0;  // last popped timestamp (cursor)
-
-  PurgeProbe purge_ = nullptr;
-  void* purge_ctx_ = nullptr;
-
-  // Cached minimum located by the last find_min()/push().
-  SchedEntry cached_{};
-  Loc cache_loc_{};
-  bool cache_valid_ = false;
-};
-
-/// The scheduler seam the engine dispatches through. A tagged branch, not
-/// a virtual call: the hot path pays one perfectly-predicted compare, and
-/// every implementation stays inlineable. The heap lives by value (the
-/// default and smallest); the calendar and wheel sit behind pointers so a
-/// heap4 engine doesn't carry their bucket arrays.
-class PendingQueue {
- public:
-  explicit PendingQueue(SchedKind kind) : kind_(kind) {
-    if (kind_ == SchedKind::calendar) {
-      cal_ = std::make_unique<CalendarQueue>();
-    } else if (kind_ == SchedKind::wheel) {
-      wheel_ = std::make_unique<TimerWheel>();
-    }
-  }
-
-  SchedKind kind() const noexcept { return kind_; }
-
-  /// Forwarded to the wheel; no-op for schedulers without bulk purge.
-  void set_purge_probe(PurgeProbe probe, void* ctx) noexcept {
-    if (wheel_) wheel_->set_purge_probe(probe, ctx);
-  }
-
-  void push(const SchedEntry& e) {
-    if (kind_ == SchedKind::heap4) {
-      heap_.push(e);
-    } else if (kind_ == SchedKind::calendar) {
-      cal_->push(e);
-    } else {
-      wheel_->push(e);
-    }
-  }
-
-  const SchedEntry* peek() {
-    if (kind_ == SchedKind::heap4) return heap_.peek();
-    if (kind_ == SchedKind::calendar) return cal_->peek();
-    return wheel_->peek();
-  }
-
-  void pop_min() {
-    if (kind_ == SchedKind::heap4) {
-      heap_.pop_min();
-    } else if (kind_ == SchedKind::calendar) {
-      cal_->pop_min();
-    } else {
-      wheel_->pop_min();
-    }
-  }
-
-  std::size_t size() const noexcept {
-    if (kind_ == SchedKind::heap4) return heap_.size();
-    if (kind_ == SchedKind::calendar) return cal_->size();
-    return wheel_->size();
-  }
-
-  template <typename Fn>
-  void visit(Fn&& f) const {
-    if (kind_ == SchedKind::heap4) {
-      heap_.visit(f);
-    } else if (kind_ == SchedKind::calendar) {
-      cal_->visit(f);
-    } else {
-      wheel_->visit(f);
-    }
-  }
-
- private:
-  SchedKind kind_;
-  FourAryHeap heap_;
-  std::unique_ptr<CalendarQueue> cal_;
-  std::unique_ptr<TimerWheel> wheel_;
 };
 
 }  // namespace mvflow::sim

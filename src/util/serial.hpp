@@ -162,7 +162,9 @@ inline constexpr char kMagic[8] = {'M', 'V', 'F', 'L', 'O', 'W', 'C', 'K'};
 // section gained the engine-mode fields (threads, scheduler).
 // v3: one engine per world — the config section drops the thread count,
 // and the engine and trace sections drop their shard counts.
-inline constexpr std::uint32_t kVersion = 3;
+// v4: one pending-set structure — the config section drops the scheduler
+// byte, so a snapshot carries no engine-mode fields.
+inline constexpr std::uint32_t kVersion = 4;
 inline constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 8 + 4;
 
 struct Section {

@@ -47,21 +47,18 @@ std::uint64_t fnv1a(std::string_view s) {
 constexpr std::uint64_t kFig2GoldenHash = 9228963969060808259ull;
 constexpr std::uint64_t kFig3GoldenHash = 7566288777037796131ull;
 
-constexpr int kHeap4 = static_cast<int>(sim::SchedKind::heap4);
-constexpr int kCalendar = static_cast<int>(sim::SchedKind::calendar);
-
 }  // namespace
 
 // ---- 1. differential: audit-on is bit-identical to audit-off ----------
 
 TEST(AuditDifferential, Fig2GoldenWithAuditorArmed) {
-  const bench::EngineMode mode{.scheduler = kHeap4, .audit = 1};
+  const bench::EngineMode mode{.audit = true};
   EXPECT_EQ(fnv1a(bench::build_fig2_table(200, nullptr, 1, mode).to_string()),
             kFig2GoldenHash);
 }
 
 TEST(AuditDifferential, Fig3GoldenWithAuditorArmed) {
-  const bench::EngineMode mode{.scheduler = kCalendar, .audit = 1};
+  const bench::EngineMode mode{.audit = true};
   EXPECT_EQ(fnv1a(bench::build_bw_table(4, 100, true, nullptr, 1, mode)
                       .to_string()),
             kFig3GoldenHash);
@@ -258,25 +255,21 @@ TEST(Watchdog, DiagnosesSilentStallSerial) {
 // ---- 4. chaos campaign + minimization ----------------------------------
 
 TEST(ChaosCampaign, SmallGridZeroViolationsAndRunnerIdentity) {
-  // A trimmed grid (loss + corrupt profiles, both schedulers, two schemes)
-  // — the full sweep is the bench binary's job.
+  // A trimmed grid (loss + corrupt profiles, two schemes) — the full
+  // sweep is the bench binary's job.
   std::vector<exp::chaos::CellSpec> cells;
   const auto profiles = exp::chaos::default_profiles();
   for (const auto scheme :
        {flowctl::Scheme::user_static, flowctl::Scheme::user_dynamic}) {
     for (std::size_t p = 0; p < 2; ++p) {  // loss, corrupt
-      for (const auto sched :
-           {sim::SchedKind::heap4, sim::SchedKind::calendar}) {
-        exp::chaos::CellSpec c;
-        c.scheme = scheme;
-        c.profile = profiles[p];
-        c.scheduler = sched;
-        c.seed = 40 + p;
-        c.workload.name = "allpairs";
-        c.workload.params["bytes"] = 512;
-        c.workload.params["rounds"] = 2;
-        cells.push_back(std::move(c));
-      }
+      exp::chaos::CellSpec c;
+      c.scheme = scheme;
+      c.profile = profiles[p];
+      c.seed = 40 + p;
+      c.workload.name = "allpairs";
+      c.workload.params["bytes"] = 512;
+      c.workload.params["rounds"] = 2;
+      cells.push_back(std::move(c));
     }
   }
   const auto j1 = exp::chaos::run_campaign(cells, 1);

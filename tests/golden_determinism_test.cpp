@@ -15,7 +15,6 @@
 
 #include "bw_figure.hpp"
 #include "fig_latency.hpp"
-#include "sim/scheduler.hpp"
 
 namespace {
 
@@ -83,45 +82,4 @@ TEST(GoldenDeterminism, Fig3TableBitIdenticalAtJobs8) {
                                     /*blocking=*/true, nullptr, /*jobs=*/8)
           .to_string();
   EXPECT_EQ(fnv1a(text), kFig3GoldenHash) << "fig3 -j8 diverged:\n" << text;
-}
-
-// ---- engine configurations (DESIGN.md §14) ----------------------------
-//
-// The scheduler seam must also reproduce the golden hashes. Every
-// scheduler pops the identical (t, seq) order, so none can move a byte:
-// each one below must produce the exact same tables the seed engine
-// produced.
-
-namespace {
-constexpr int kCalendar = static_cast<int>(mvflow::sim::SchedKind::calendar);
-constexpr int kWheel = static_cast<int>(mvflow::sim::SchedKind::wheel);
-
-std::uint64_t fig2_hash(mvflow::bench::EngineMode mode) {
-  return fnv1a(
-      mvflow::bench::build_fig2_table(/*iters=*/200, nullptr, /*jobs=*/1, mode)
-          .to_string());
-}
-
-std::uint64_t fig3_hash(mvflow::bench::EngineMode mode) {
-  return fnv1a(mvflow::bench::build_bw_table(/*msg_bytes=*/4, /*prepost=*/100,
-                                             /*blocking=*/true, nullptr,
-                                             /*jobs=*/1, mode)
-                   .to_string());
-}
-}  // namespace
-
-TEST(GoldenDeterminism, Fig2CalendarSchedulerBitIdentical) {
-  EXPECT_EQ(fig2_hash({.scheduler = kCalendar}), kFig2GoldenHash);
-}
-
-TEST(GoldenDeterminism, Fig3CalendarSchedulerBitIdentical) {
-  EXPECT_EQ(fig3_hash({.scheduler = kCalendar}), kFig3GoldenHash);
-}
-
-TEST(GoldenDeterminism, Fig2TimerWheelSchedulerBitIdentical) {
-  EXPECT_EQ(fig2_hash({.scheduler = kWheel}), kFig2GoldenHash);
-}
-
-TEST(GoldenDeterminism, Fig3TimerWheelSchedulerBitIdentical) {
-  EXPECT_EQ(fig3_hash({.scheduler = kWheel}), kFig3GoldenHash);
 }

@@ -3,6 +3,8 @@
 // flow control must never change results, only timing.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "nas/kernel.hpp"
 
 using namespace mvflow;
@@ -10,11 +12,19 @@ using namespace mvflow::nas;
 
 namespace {
 
+// gtest has no printer for NasParam, so it prints the object's bytes, and
+// ctest makes that printout part of every test name. The struct therefore
+// has no padding: padding holds leftover memory, which made the names
+// change from one test discovery to the next.
 struct NasParam {
+  NasParam(App a, flowctl::Scheme s, int p) : app(a), scheme(s), prepost(p) {}
   App app;
   flowctl::Scheme scheme;
+  std::uint8_t spare8 = 0;
+  std::uint16_t spare16 = 0;
   int prepost;
 };
+static_assert(sizeof(NasParam) == 12);
 
 std::string param_name(const ::testing::TestParamInfo<NasParam>& info) {
   return std::string(to_string(info.param.app)) + "_" +

@@ -168,6 +168,26 @@ TEST(Engine, RunUntilSkipsCancelledTopWithoutOverrunning) {
   EXPECT_TRUE(late);
 }
 
+// A far-future timer is cancelled and reaped by a drain, which leaves the
+// clock where the last live event fired; traffic scheduled afterwards lies
+// far below the reaped zombie's timestamp and must still fire, in order.
+TEST(Engine, EarlierEventsAfterFarFutureZombieReaped) {
+  Engine eng;
+  std::vector<int> fired;
+  EventHandle far = eng.schedule_at(TimePoint(200'000'000'000),
+                                    [&fired] { fired.push_back(-1); });
+  far.cancel();
+  eng.run();
+  EXPECT_EQ(eng.pending_events(), 0u);
+  EXPECT_EQ(eng.perf_stats().dead_pops, 1u);
+  for (int i = 0; i < 10; ++i) {
+    eng.schedule_at(eng.now() + Duration(10 + i),
+                    [&fired, i] { fired.push_back(i); });
+  }
+  eng.run();
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+}
+
 TEST(Engine, PoolRecyclesSlotsAcrossGenerations) {
   Engine eng;
   for (int round = 0; round < 100; ++round) {

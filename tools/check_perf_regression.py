@@ -37,13 +37,6 @@ SPECS = {
         "metrics": [("mevents_per_s", "higher")],
         "meta": [("total_mevents_per_s", "higher")],
     },
-    "scheduler": {
-        "key": ("pending", "spike_percent", "far_percent"),
-        "metrics": [("heap4_ns_per_op", "lower"),
-                    ("calendar_ns_per_op", "lower"),
-                    ("wheel_ns_per_op", "lower")],
-        "meta": [],
-    },
     "prof_attribution": {
         # Causal-profiler correctness verdicts (DESIGN.md §16). All are
         # exact: Σ segments == e2e is an invariant, a repeated run must
@@ -64,15 +57,14 @@ SPECS = {
         # tolerance-gated like any other rate; the O(active) verdicts are
         # exact: the marginal-events slope must be bit-identical across
         # world sizes (idle connections schedule nothing), the 1024-rank
-        # hotspot rate must stay within 2x of 16 ranks, and the timer
-        # wheel's zombie accounting (dead_pops + timer_purges ==
-        # cancelled, never more front-of-queue reaps than the heap) is an
-        # invariant, not a measurement.
+        # hotspot rate must stay within 2x of 16 ranks, and the engine's
+        # zombie accounting on the timer-heavy cell (every cancelled timer
+        # reaped exactly once: dead_pops == cancelled) is an invariant,
+        # not a measurement.
         "key": ("shape", "ranks"),
         "metrics": [("mevents_per_s", "higher"), ("events", "exact")],
         "meta": [("o_active_slope_invariant", "exact"),
                  ("hotspot_1024_vs_16_ratio_ok", "exact"),
-                 ("wheel_dead_pops_not_worse", "exact"),
                  ("timer_accounting_ok", "exact")],
     },
     "chaos_campaign": {

@@ -22,7 +22,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <exception>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,19 +34,6 @@
 namespace {
 
 using namespace mvflow;
-
-/// --scheduler picks the engine's pending-set structure: a wall-clock knob
-/// that never changes results (DESIGN.md §14).
-std::optional<sim::SchedKind> scheduler_from_options(const util::Options& opt) {
-  const auto name = opt.get("scheduler");
-  if (!name) return std::nullopt;
-  sim::SchedKind kind{};
-  if (!sim::parse_sched_kind(*name, kind)) {
-    throw std::runtime_error("unknown --scheduler=" + *name +
-                             " (heap4|calendar|wheel)");
-  }
-  return kind;
-}
 
 /// Call once a command has read every option it understands: anything
 /// left was never read — a typo, or a flag this command does not take —
@@ -93,7 +79,6 @@ mpi::WorldConfig config_from_options(const util::Options& opt) {
     cfg.fabric.transport_timeout = sim::microseconds(transport_us);
   }
   cfg.device.auto_reconnect = opt.get_bool("reconnect", false);
-  if (const auto kind = scheduler_from_options(opt)) cfg.scheduler = *kind;
   return cfg;
 }
 
@@ -185,19 +170,14 @@ int cmd_restore(const util::Options& opt) {
     std::fprintf(stderr, "usage: mvflow_ckpt restore SNAPSHOT [options]\n");
     return 1;
   }
-  // The scheduler is a wall-clock knob, not simulation state, so a restore
-  // may override what the snapshot recorded: the audit still passes
-  // because it does not influence the event order.
-  const auto scheduler = scheduler_from_options(opt);
   mpi::ckpt::RestoreOptions ro;
   parse_checkpoint_arg(opt, ro);
   ro.tune = tune_from_options(opt);
   const auto metrics_path = opt.get("metrics");
   reject_unused(opt);
 
-  mpi::ckpt::WorldSnapshot snap =
+  const mpi::ckpt::WorldSnapshot snap =
       mpi::ckpt::read_snapshot(opt.positional()[1]);
-  if (scheduler) snap.config.scheduler = *scheduler;
   const mpi::ckpt::RunResult rr = mpi::ckpt::restore_run(snap, ro);
   if (metrics_path) rr.metrics.write_json(*metrics_path);
   print_result(rr);
@@ -223,8 +203,6 @@ int cmd_inspect(const util::Options& opt) {
   }
   std::printf("  workload  %s\n", snap.workload.to_string().c_str());
   std::printf("  barrier   %" PRIu64 " executed events\n", snap.barrier);
-  std::printf("  engine    scheduler=%s\n",
-              std::string(sim::to_string(snap.config.scheduler)).c_str());
   std::printf("  world     %d ranks, scheme=%s, prepost=%d%s%s\n",
               snap.config.num_ranks,
               std::string(flowctl::to_string(snap.config.flow.scheme)).c_str(),
