@@ -4,67 +4,75 @@
 
 namespace mvflow::sim {
 
-namespace {
+/// A blocked process's place in the FIFO. It lives in the wait call's
+/// frame, and its destructor runs on every way out of the wait
+/// (notification, timeout, ProcessKilled), so nothing refers to the frame
+/// once it is gone.
+struct Condition::Waiter {
+  Process::Waker wake;
+  Condition* cond;  // linked into cond's FIFO while non-null
+  Waiter* prev = nullptr;
+  Waiter* next = nullptr;
+  EventHandle timeout;  // wait_for's pending timeout, if any
+  bool notified = false;
 
-/// Marks a waiter abandoned if the wait unwinds (timeout or ProcessKilled)
-/// so notify_one never "spends" a wake-up on a dead waiter.
-struct WaiterGuard {
-  std::shared_ptr<void> raw;
-  bool* notified;
-  bool* abandoned;
-  ~WaiterGuard() {
-    if (!*notified) *abandoned = true;
+  Waiter(Process::Waker w, Condition& c) : wake(w), cond(&c) {
+    c.push_back(*this);
+  }
+  Waiter(const Waiter&) = delete;
+  Waiter& operator=(const Waiter&) = delete;
+  ~Waiter() {
+    timeout.cancel();
+    if (cond != nullptr) cond->unlink(*this);
   }
 };
 
-}  // namespace
-
-std::shared_ptr<Condition::Waiter> Condition::enqueue(Process::Waker wake) {
-  auto w = std::make_shared<Waiter>(Waiter{wake});
-  waiters_.push_back(w);
-  return w;
+Condition::~Condition() {
+  // Processes still blocked here stay blocked (a kill unwinds them); their
+  // frames must not unlink from a condition that no longer exists.
+  for (Waiter* w = head_; w != nullptr; w = w->next) w->cond = nullptr;
 }
 
-void Condition::wait(Process& p) {
-  auto w = enqueue(p.begin_sleep());
-  WaiterGuard guard{w, &w->notified, &w->abandoned};
-  p.suspend();
-  util::check(w->notified, "condition wait woke without notification");
+void Condition::push_back(Waiter& w) noexcept {
+  w.prev = tail_;
+  (tail_ != nullptr ? tail_->next : head_) = &w;
+  tail_ = &w;
 }
 
-bool Condition::wait_for(Process& p, Duration timeout) {
-  const Process::Waker wake = p.begin_sleep();
-  auto w = enqueue(wake);
-  auto handle = engine_.schedule_after(timeout, [w, wake] {
-    if (w->notified || w->abandoned) return;
-    w->abandoned = true;
-    wake();
-  });
-  WaiterGuard guard{w, &w->notified, &w->abandoned};
-  p.suspend();
-  handle.cancel();
-  return w->notified;
+void Condition::unlink(Waiter& w) noexcept {
+  (w.prev != nullptr ? w.prev->next : head_) = w.next;
+  (w.next != nullptr ? w.next->prev : tail_) = w.prev;
+  w.prev = w.next = nullptr;
+  w.cond = nullptr;
+}
+
+void Condition::wake_front() {
+  Waiter& w = *head_;
+  engine_.schedule_at(engine_.now(), w.wake);
+  unlink(w);
+  w.notified = true;
 }
 
 void Condition::notify_all_slow() {
-  auto pending = std::move(waiters_);
-  waiters_.clear();
-  for (auto& w : pending) {
-    if (w->abandoned || w->notified) continue;
-    w->notified = true;
-    engine_.schedule_at(engine_.now(), [w] { w->wake(); });
-  }
+  // Queuing a wake runs nothing, so no process joins the FIFO meanwhile.
+  while (head_ != nullptr) wake_front();
 }
 
-void Condition::notify_one_slow() {
-  while (!waiters_.empty()) {
-    auto w = waiters_.front();
-    waiters_.pop_front();
-    if (w->abandoned || w->notified) continue;
-    w->notified = true;
-    engine_.schedule_at(engine_.now(), [w] { w->wake(); });
-    return;
-  }
+void Condition::wait(Process& p) {
+  Waiter w(p.begin_sleep(), *this);
+  p.suspend();
+  util::check(w.notified, "condition wait woke without notification");
+}
+
+bool Condition::wait_for(Process& p, Duration timeout) {
+  Waiter w(p.begin_sleep(), *this);
+  w.timeout = engine_.schedule_after(timeout, [&w] {
+    if (w.notified) return;  // its wake is already queued
+    if (w.cond != nullptr) w.cond->unlink(w);
+    w.wake();
+  });
+  p.suspend();
+  return w.notified;
 }
 
 }  // namespace mvflow::sim

@@ -119,13 +119,6 @@ bool Engine::handle_valid(std::uint32_t slot, std::uint32_t gen) const noexcept 
   return slot < slab_size_ && node(slot).gen == gen;
 }
 
-bool Engine::dispatch_one() {
-  SchedEntry top;
-  if (!peek_live(top)) return false;
-  fire_entry(top);
-  return true;
-}
-
 void Engine::set_watchpoint(std::uint64_t executed, std::function<void()> fn) {
   watchpoints_.emplace_back(executed, std::move(fn));
   next_watch_ = std::min(next_watch_, executed);
@@ -159,11 +152,11 @@ std::size_t Engine::run() {
   util::check(!running_, "Engine::run is not reentrant");
   running_ = true;
   stopped_ = false;
-  std::size_t n = 0;
+  horizon_ = TimePoint::max();
+  const std::uint64_t start = perf_.executed;
   SchedEntry top;
   while (!stopped_ && peek_live(top)) {
     fire_entry(top);
-    ++n;
     if (perf_.executed >= next_watch_) fire_watchpoints();
   }
   running_ = false;
@@ -172,20 +165,20 @@ std::size_t Engine::run() {
     first_error_ = nullptr;
     std::rethrow_exception(e);
   }
-  return n;
+  return static_cast<std::size_t>(perf_.executed - start);
 }
 
 std::size_t Engine::run_until(TimePoint t) {
   util::check(!running_, "Engine::run is not reentrant");
   running_ = true;
   stopped_ = false;
-  std::size_t n = 0;
+  horizon_ = t;
+  const std::uint64_t start = perf_.executed;
   // peek_live() first: a zombie at the front must not gate (or satisfy)
   // the time check — only the earliest *live* event's time matters.
   SchedEntry top;
   while (!stopped_ && peek_live(top) && top.t <= t) {
     fire_entry(top);
-    ++n;
     if (perf_.executed >= next_watch_) fire_watchpoints();
   }
   if (!stopped_) now_ = std::max(now_, t);
@@ -195,7 +188,7 @@ std::size_t Engine::run_until(TimePoint t) {
     first_error_ = nullptr;
     std::rethrow_exception(e);
   }
-  return n;
+  return static_cast<std::size_t>(perf_.executed - start);
 }
 
 void Engine::serialize_state(util::serial::BufWriter& w) const {

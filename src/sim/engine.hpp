@@ -3,7 +3,10 @@
 // A single pooled min-heap of (time, sequence) ordered events drives the
 // whole simulation. Everything that happens — packet hops, timer expiry,
 // process wake-ups — is an event; ties at equal times execute in
-// scheduling order, which makes runs bit-deterministic.
+// scheduling order, which makes runs bit-deterministic. A process delay
+// whose wake is provably the next event completes in place instead: it
+// takes its sequence number and counts as an event, but never enters the
+// heap (wake_inline).
 //
 // The hot path is allocation-free in steady state: event nodes live in a
 // freelist-recycled slab, callbacks are stored inline (InplaceFunction),
@@ -38,9 +41,14 @@ class Process;
 /// how well the event-node pool avoided the allocator. `pool_hit_rate()`
 /// ≈ 1.0 after warmup is the "steady-state dispatch is allocation-free"
 /// invariant the throughput bench reports.
+///
+/// `scheduled` and `executed` include inline process wakes (events that
+/// never enter the heap, DESIGN.md §10); `pool_reuses + pool_allocs`
+/// count slab traffic only. So `scheduled - pool_reuses - pool_allocs` is
+/// the number of inline wakes.
 struct EnginePerfStats {
-  std::uint64_t scheduled = 0;             ///< schedule_at/after calls
-  std::uint64_t executed = 0;              ///< events fired
+  std::uint64_t scheduled = 0;  ///< schedule_at/after calls + inline wakes
+  std::uint64_t executed = 0;   ///< events fired, inline wakes included
   std::uint64_t cancelled_before_fire = 0;
   /// Max heap size, cancelled entries not yet reaped included.
   std::size_t peak_heap_depth = 0;
@@ -170,8 +178,9 @@ class Engine {
   }
 
   /// Run events until the queue is empty or stop() is called. Returns the
-  /// number of events executed. If a process body threw, the exception is
-  /// rethrown here after the engine stops.
+  /// number of events executed, inline process wakes included. If a
+  /// process body threw, the exception is rethrown here after the engine
+  /// stops.
   std::size_t run();
 
   /// Run events with time <= t; leaves later events queued. Advances now()
@@ -190,14 +199,17 @@ class Engine {
 
   const EnginePerfStats& perf_stats() const noexcept { return perf_; }
 
-  /// Run `fn` once executed_events() reaches `executed` (checked at the
-  /// event boundary after each dispatch, so the callback observes a
-  /// consistent "between events" world). Several watchpoints may share a
-  /// count; each fires exactly once, in registration order. The callback
-  /// runs in engine context and may capture state, register further
-  /// watchpoints, or call stop(); the inactive-path cost in the dispatch
-  /// loop is a single integer compare. This is the checkpoint hook
-  /// (DESIGN.md §13): "checkpoint at k events" arms a watchpoint at k.
+  /// Run `fn` at the first event boundary at which executed_events() is at
+  /// least `executed` (checked after each dispatch, so the callback
+  /// observes a consistent "between events" world). Inline process wakes
+  /// count as executed events but end no dispatch, so a count they cross
+  /// is seen at the next boundary, where executed_events() may already be
+  /// past it. Several watchpoints may share a count; each fires exactly
+  /// once, in registration order. The callback runs in engine context and
+  /// may capture state, register further watchpoints, or call stop(); the
+  /// inactive-path cost in the dispatch loop is a single integer compare.
+  /// This is the checkpoint hook (DESIGN.md §13): "checkpoint at k events"
+  /// arms a watchpoint at k.
   void set_watchpoint(std::uint64_t executed, std::function<void()> fn);
 
   /// Serialize the engine's dispatch state — clock, sequence counter, the
@@ -257,7 +269,41 @@ class Engine {
     return chunks_[slot >> kChunkBits][slot & (kChunkSize - 1)];
   }
 
-  bool dispatch_one();  // pop + run one event; false if queue empty
+  /// Complete a process wake at `t` in place when it is provably the next
+  /// event: the engine is dispatching and not stopped, `t` is within the
+  /// current run's horizon, and every queued entry, live or cancelled, is
+  /// strictly later (a queued entry at `t` holds a smaller sequence number
+  /// and would fire first). The clock advances to `t` and the wake counts
+  /// as one scheduled and one executed event with its own sequence number,
+  /// but it takes no slab slot, no heap entry and no fiber switch. It does
+  /// not look at watchpoints: a count it crosses is seen at the next event
+  /// boundary. Returns false, changing nothing, when the wake must queue.
+  ///
+  /// Sound only if whoever resumed the calling process does nothing after
+  /// resume() returns, so that a queued wake would have been the very next
+  /// pop; Process::delay, the one caller, ensures it (DESIGN.md §10).
+  bool wake_inline(TimePoint t) noexcept {
+    if (!running_ || stopped_ || t > horizon_) return false;
+    const SchedEntry* top = pending_.peek();
+    if (top != nullptr && top->t <= t) return false;
+    ++next_seq_;
+    ++perf_.scheduled;
+    ++perf_.executed;
+    now_ = t;
+    note_fired(t);
+    return true;
+  }
+
+  /// Track runs of events at one timestamp for perf_.max_batch.
+  void note_fired(TimePoint t) noexcept {
+    if (t == last_fired_) {
+      ++cur_batch_;
+    } else {
+      last_fired_ = t;
+      cur_batch_ = 1;
+    }
+    if (cur_batch_ > perf_.max_batch) perf_.max_batch = cur_batch_;
+  }
 
   /// Freelist pop inline (steady state is ~100% pool hits); slab growth
   /// stays out of line.
@@ -304,6 +350,8 @@ class Engine {
   std::size_t cur_batch_ = 0;
   bool stopped_ = false;
   bool running_ = false;
+  /// Latest time the current run() / run_until() dispatches.
+  TimePoint horizon_ = TimePoint::max();
   std::vector<Process*> processes_;
   std::exception_ptr first_error_;
   /// Checkpoint hooks: (executed-count, callback), fired at event
@@ -313,10 +361,10 @@ class Engine {
   std::uint64_t next_watch_ = ~0ull;
 };
 
-// peek_live/fire_entry are defined here so they inline into the three
-// dispatch loops (run, run_until, dispatch_one) — together they are the
-// per-event overhead floor, and keeping `top` in registers across the
-// peek → fire handoff is worth several percent of whole-sim throughput.
+// peek_live/fire_entry are defined here so they inline into the two
+// dispatch loops (run, run_until) — together they are the per-event
+// overhead floor, and keeping `top` in registers across the peek → fire
+// handoff is worth several percent of whole-sim throughput.
 inline bool Engine::peek_live(SchedEntry& out) {
   for (;;) {
     const SchedEntry* top = pending_.peek();
@@ -349,15 +397,7 @@ inline void Engine::fire_entry(const SchedEntry& top) {
   Node& n = node(top.slot);
   util::check(top.t >= now_, "event queue went backwards");
   now_ = top.t;
-  // max_batch records the longest run of events at one t; each of them is
-  // popped and dispatched on its own.
-  if (top.t == last_fired_) {
-    ++cur_batch_;
-  } else {
-    last_fired_ = top.t;
-    cur_batch_ = 1;
-  }
-  if (cur_batch_ > perf_.max_batch) perf_.max_batch = cur_batch_;
+  note_fired(top.t);
   pending_.pop_min();  // peek_live just surfaced `top` at the heap root
   // The callback runs in place — its chunk address is stable even if it
   // schedules events that grow the slab. The generation is bumped first so

@@ -325,12 +325,11 @@ Process::Waker Process::begin_sleep() {
 
 void Process::delay(Duration d) {
   util::require(d >= Duration::zero(), "negative delay");
-  engine_.schedule_after(d, begin_sleep());
-  suspend();
-}
-
-void Process::yield() {
-  engine_.schedule_at(engine_.now(), begin_sleep());
+  const Waker wake = begin_sleep();
+  // kill() continues after its resume(), so a killed body that blocks
+  // while unwinding takes the queued path (and kill() reports it).
+  if (!kill_requested_ && engine_.wake_inline(engine_.now() + d)) return;
+  engine_.schedule_after(d, wake);
   suspend();
 }
 

@@ -4,9 +4,12 @@
 // stackful fiber: its own mmap'd stack, entered and left by a context switch
 // on whichever OS thread is dispatching its engine at the time. Exactly one
 // context — the engine's or one process's — executes on that thread at any
-// moment, and all blocking goes through the engine's event queue, so
-// execution order is fully determined by (time, sequence) and the
-// simulation is reproducible. No kernel call sits on the switch path.
+// moment, and every wake-up takes its place in the engine's (time,
+// sequence) order, so execution order is fully determined and the
+// simulation is reproducible. A wake that goes through the event queue
+// costs a switch out and back; a delay whose wake is provably the next
+// event advances the clock in place and does not switch at all
+// (Engine::wake_inline). No kernel call sits on the switch path.
 //
 // Lifecycle: the constructor schedules the first resume at engine.now();
 // the body runs until it returns, throws, or is kill()ed (which unwinds the
@@ -41,8 +44,8 @@ class Process {
   void delay(Duration d);
 
   /// Reschedule at the current time, behind already-queued events. Lets
-  /// other ready work run first (a cooperative yield).
-  void yield();
+  /// other ready work run first (a cooperative yield): `delay(0)`.
+  void yield() { delay(Duration::zero()); }
 
   // ---- API callable from engine context or other processes ----
 
@@ -61,8 +64,9 @@ class Process {
 
   /// A one-shot wake bound to one sleep epoch: invoking it after the
   /// process already woke for another reason is a harmless no-op. Two
-  /// words, so it rides inline in an engine event. Wakes are delivered
-  /// through the event queue.
+  /// words, so it rides inline in an engine event. Whatever invokes it
+  /// must do nothing after it returns (the inline-wake proof in
+  /// Engine::wake_inline depends on it).
   struct Waker {
     Process* p;
     std::uint64_t epoch;

@@ -4,9 +4,11 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sim/condition.hpp"
@@ -30,6 +32,21 @@ struct Cleanup {
   bool* flag;
   ~Cleanup() { *flag = true; }
 };
+
+/// Delays that completed in place: they count as scheduled events but
+/// never touched the slab.
+std::uint64_t inline_wakes(const Engine& eng) {
+  const EnginePerfStats& p = eng.perf_stats();
+  return p.scheduled - p.pool_reuses - p.pool_allocs;
+}
+
+/// Every EnginePerfStats counter as (name, value).
+std::vector<std::pair<std::string, double>> perf_fields(const Engine& eng) {
+  std::vector<std::pair<std::string, double>> out;
+  eng.perf_stats().visit(
+      [&](const char* name, double v) { out.emplace_back(name, v); });
+  return out;
+}
 
 /// This thread's id, read afresh. pthread_self is declared const, so the
 /// compiler may reuse one call's result across a fiber switch that moved
@@ -254,6 +271,186 @@ TEST(Process, DeterminismAcrossRuns) {
     return trace;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// ---- inline delay wakes ------------------------------------------------
+
+TEST(InlineWake, LoneProcessDelaysNeverTouchTheSlab) {
+  constexpr std::uint64_t kDelays = 100;
+  Engine eng;
+  Process p(eng, "lone", [&](Process& self) {
+    for (std::uint64_t i = 0; i < kDelays; ++i) self.delay(Duration(3));
+  });
+  eng.run();
+  EXPECT_TRUE(p.finished());
+  EXPECT_EQ(eng.now(), TimePoint(3 * kDelays));
+  const EnginePerfStats& perf = eng.perf_stats();
+  EXPECT_EQ(perf.executed, perf.scheduled);
+  EXPECT_EQ(perf.scheduled, kDelays + 1);  // plus the first resume
+  EXPECT_EQ(inline_wakes(eng), kDelays);
+}
+
+TEST(InlineWake, EventAtTheWakeTimeRunsFirst) {
+  Engine eng;
+  std::vector<std::string> trace;
+  auto stamp = [&](const char* what) {
+    trace.push_back(std::string(what) + "@" +
+                    std::to_string(eng.now().count()));
+  };
+  Process p(eng, "p", [&](Process& self) {
+    // Queued at exactly the wake time, so earlier in (t, seq): it must run
+    // before the process resumes, and the wake cannot complete in place.
+    eng.schedule_after(Duration(10), [&] { stamp("tie"); });
+    self.delay(Duration(10));
+    stamp("woke");
+    EXPECT_EQ(inline_wakes(eng), 0u);
+    // One nanosecond after the wake time: the process resumes first, in
+    // place.
+    eng.schedule_after(Duration(11), [&] { stamp("later"); });
+    self.delay(Duration(10));
+    stamp("woke");
+    EXPECT_EQ(inline_wakes(eng), 1u);
+  });
+  eng.run();
+  EXPECT_EQ(trace, (std::vector<std::string>{"tie@10", "woke@10", "woke@20",
+                                             "later@21"}));
+}
+
+TEST(InlineWake, RunUntilHorizonBoundsInlineWakes) {
+  Engine eng;
+  std::vector<std::int64_t> stamps;
+  Process p(eng, "p", [&](Process& self) {
+    self.delay(Duration(10));
+    stamps.push_back(eng.now().count());
+    self.delay(Duration(100));  // past the horizon: stays queued
+    stamps.push_back(eng.now().count());
+  });
+  eng.run_until(TimePoint(50));
+  EXPECT_EQ(eng.now(), TimePoint(50));
+  EXPECT_FALSE(p.finished());
+  EXPECT_EQ(eng.pending_events(), 1u);
+  EXPECT_EQ(stamps, (std::vector<std::int64_t>{10}));
+  EXPECT_EQ(inline_wakes(eng), 1u);
+  eng.run();
+  EXPECT_TRUE(p.finished());
+  EXPECT_EQ(stamps, (std::vector<std::int64_t>{10, 110}));
+  EXPECT_EQ(eng.now(), TimePoint(110));
+}
+
+TEST(InlineWake, WatchpointCrossedInlineFiresOnceAtNextBoundary) {
+  // One process stepping 1 ns at a time against a tick every 10 ns: runs of
+  // nine inline wakes, each ended by a tick that sits at the wake time.
+  constexpr std::uint64_t k = 5;  // inside the first inline run
+  auto workload = [](bool armed, int* fired, std::uint64_t* seen) {
+    Engine eng;
+    for (int i = 1; i <= 10; ++i) eng.schedule_at(TimePoint(10 * i), [] {});
+    Process p(eng, "stepper", [](Process& self) {
+      for (int i = 0; i < 100; ++i) self.delay(Duration(1));
+    });
+    if (armed) {
+      eng.set_watchpoint(k, [&eng, fired, seen] {
+        ++*fired;
+        *seen = eng.executed_events();
+      });
+    }
+    eng.run();
+    EXPECT_TRUE(p.finished());
+    EXPECT_EQ(eng.now(), TimePoint(100));
+    return perf_fields(eng);
+  };
+  int fired = 0;
+  std::uint64_t seen = 0;
+  const auto armed = workload(true, &fired, &seen);
+  EXPECT_EQ(fired, 1);
+  EXPECT_GE(seen, k);
+  EXPECT_EQ(seen, 10u);  // the first resume plus nine inline wakes
+  EXPECT_EQ(armed, workload(false, &fired, &seen));
+  EXPECT_EQ(fired, 1);
+}
+
+// ---- stack-resident condition waiters --------------------------------
+
+TEST(ConditionWaiter, KilledInWaitForLeavesNothingPending) {
+  Engine eng;
+  Condition cond(eng);
+  bool returned = false;
+  Process p(eng, "p", [&](Process& self) {
+    cond.wait_for(self, Duration(100));
+    returned = true;
+  });
+  eng.run_until(TimePoint(10));
+  ASSERT_FALSE(p.finished());
+  EXPECT_EQ(eng.pending_events(), 1u);  // the timeout
+  p.kill();
+  EXPECT_TRUE(p.finished());
+  EXPECT_EQ(eng.pending_events(), 0u);
+  const std::size_t executed = eng.executed_events();
+  eng.run_until(TimePoint(1000));  // past the timeout: nothing to fire
+  EXPECT_EQ(eng.executed_events(), executed);
+  EXPECT_FALSE(returned);
+}
+
+TEST(ConditionWaiter, ConditionDestroyedBeforeKillDoesNotFault) {
+  Engine eng;
+  // A new condition takes the destroyed one's storage, so a waiter that
+  // still unlinked itself through the stale pointer would corrupt the new
+  // FIFO, visibly even without a sanitizer.
+  std::optional<Condition> cond(std::in_place, eng);
+  bool unwound = false;
+  int timed_out = 0;
+  Process waiter(eng, "waiter", [&](Process& self) {
+    Cleanup c{&unwound};
+    cond->wait(self);
+  });
+  Process timer(eng, "timer", [&](Process& self) {
+    if (!cond->wait_for(self, Duration(50))) ++timed_out;
+  });
+  eng.run_until(TimePoint(10));
+  cond.reset();  // both processes still linked into it
+  cond.emplace(eng);
+  bool late_woke = false;
+  Process late(eng, "late", [&](Process& self) {
+    cond->wait(self);
+    late_woke = true;
+  });
+  eng.run();  // the wait_for still times out
+  EXPECT_EQ(timed_out, 1);
+  EXPECT_TRUE(timer.finished());
+  ASSERT_FALSE(waiter.finished());
+  waiter.kill();
+  EXPECT_TRUE(unwound);
+  cond->notify_one();
+  eng.run();
+  EXPECT_TRUE(late_woke);
+  EXPECT_TRUE(eng.blocked_processes().empty());
+}
+
+TEST(ConditionWaiter, NotifiedWaiterKilledBeforeWakeGetsStaleWake) {
+  Engine eng;
+  Condition cond(eng);
+  std::vector<int> woke;
+  Process w0(eng, "w0", [&](Process& self) {
+    cond.wait(self);
+    woke.push_back(0);
+  });
+  Process w1(eng, "w1", [&](Process& self) {
+    cond.wait(self);
+    woke.push_back(1);
+  });
+  Process n(eng, "n", [&](Process& self) {
+    self.delay(Duration(10));
+    cond.notify_one();  // w0's wake is queued at t=10...
+    w0.kill();          // ...and w0 dies before it fires
+    EXPECT_EQ(eng.pending_events(), 1u);
+    self.delay(Duration(10));
+    cond.notify_one();  // reaches w1
+  });
+  eng.run();
+  EXPECT_EQ(woke, (std::vector<int>{1}));
+  EXPECT_TRUE(w0.finished());
+  EXPECT_TRUE(w1.finished());
+  EXPECT_TRUE(eng.blocked_processes().empty());
+  EXPECT_EQ(eng.pending_events(), 0u);
 }
 
 // ---- fiber conformance -------------------------------------------------
