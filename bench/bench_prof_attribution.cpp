@@ -7,9 +7,9 @@
 //   exact      — every message's six segments sum exactly to its e2e latency
 //   identical  — two runs of each cell give byte-identical profile
 //                documents
-//   audit_ok   — the profiler's raw sums equal the flight recorder's
-//                LatencyBreakdown accumulators (independent subsystems,
-//                same call sites)
+//   audit_ok   — the profile's latency view equals the flight recorder's
+//                own lifecycle instants (independent books, same call
+//                sites; obs::audit_against)
 //   gap_attributed — the fraction of the e2e gap the profiler pins on
 //                credit_stall + ecm_rtt; the starved run's slowdown *is*
 //                credit famine, so ≥ 0.90 must land there
@@ -48,10 +48,10 @@ Cell run_cell(int prepost, const std::string& label) {
   mpi::WorldConfig cfg =
       bench::base_config(flowctl::Scheme::user_static, prepost);
   cfg.run = exp::RunConfig{};  // no env-driven exports from bench cells
-  cfg.profile = true;
   mpi::World world(cfg);
-  // Arm the recorder's latency accumulators too: the cross-subsystem audit
-  // compares the profiler's raw sums against them.
+  world.profiler().enable();
+  // Arm the recorder too: the cross-subsystem audit checks the profile's
+  // latency view against the ring's own instants.
   world.recorder().enable(obs::FlightRecorder::kDefaultCapacity);
 
   // The paper's blocking bandwidth pattern (§6.2.2), adapted so the two
@@ -88,8 +88,8 @@ Cell run_cell(int prepost, const std::string& label) {
   Cell cell;
   cell.analysis = world.prof_analysis();
   cell.profile_json = obs::profile_to_json(cell.analysis, label);
-  cell.audit_ok =
-      obs::audit_against(cell.analysis, world.recorder().latency());
+  cell.audit_ok = obs::audit_against(
+      obs::latency_view(world.profiler().records()), world.recorder());
   return cell;
 }
 

@@ -15,7 +15,6 @@
 #include "ib/cq.hpp"
 #include "ib/fabric.hpp"
 #include "ib/hca.hpp"
-#include "obs/recorder.hpp"
 
 using namespace mvflow;
 using namespace mvflow::bench;
@@ -56,12 +55,9 @@ struct RingResult {
 /// queue drains fully between repetitions (recvs are pre-posted, so the
 /// happy path never takes an RNR detour).
 RingResult run_ring(const Sweep& s, int reps) {
-  // World always binds a (possibly disabled) recorder on sim threads, so
-  // bind one here too: the instrumentation fast path under measurement is
-  // then the production one (TLS load + predicted branch), not the
-  // unbound-thread fallback lookup.
-  obs::FlightRecorder rec;
-  obs::RecorderBinding rec_binding(&rec);
+  // The fabric owns its (disarmed) recorder and profiler, so the
+  // instrumentation fast path under measurement is the production one:
+  // one predicted branch per site, reached through the HCA.
   sim::Engine engine;
   ib::FabricConfig cfg;
   if (s.transport_timers) cfg.transport_timeout = sim::microseconds(500);

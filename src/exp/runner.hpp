@@ -9,7 +9,7 @@
 // matter how many worker threads ran the sweep or how the OS scheduled
 // them. Determinism therefore needs no coordination beyond "each job's
 // world is self-contained" — which the de-globalization work guarantees
-// (world-owned flight recorder, thread-local logger clocks, hash-bucketed
+// (fabric-owned flight recorder, thread-local logger clocks, hash-bucketed
 // live-engine registry; see §12 for the full state inventory).
 //
 // Thread count contract:

@@ -90,12 +90,11 @@ void QueuePair::post_send(const SendWr& wr) {
                             // this WQE completes (verbs ownership rule)
   }
   ps.data = std::move(data);
-  if (auto& rec = obs::recorder(); rec.enabled()) {
-    ps.posted_at = hca_.engine().now();
-    rec.record(ps.posted_at, obs::Ev::msg_posted, hca_.node_id(), remote_node_,
-               qpn_, ps.msn, wr.length);
+  if (auto& rec = hca_.fabric().recorder(); rec.enabled()) {
+    rec.record(hca_.engine().now(), obs::Ev::msg_posted, hca_.node_id(),
+               remote_node_, qpn_, ps.msn, wr.length);
   }
-  if (obs::profiler().enabled()) ps.prof_posted = hca_.engine().now();
+  if (hca_.fabric().profiler().enabled()) ps.prof_posted = hca_.engine().now();
   pending_tx_.push_back(std::move(ps));
   pump_tx();
 }
@@ -178,14 +177,12 @@ void QueuePair::transmit_message(PendingSend& ps) {
   const std::uint32_t count =
       ps.wr.opcode == WrOpcode::rdma_read ? 1
                                           : packet_count(ps.data->length, cfg.mtu);
-  if (auto& rec = obs::recorder(); rec.enabled()) {
+  if (auto& rec = fabric.recorder(); rec.enabled()) {
     const int me = hca_.node_id();
     if (ps.retransmission) {
       rec.record(now, obs::Ev::retransmit, me, remote_node_, qpn_, ps.msn,
                  ps.data->length);
     } else {
-      ps.first_tx_at = now;
-      if (ps.posted_at.count() >= 0) rec.note_post_to_wire(now - ps.posted_at);
       rec.record(now, obs::Ev::msg_on_wire, me, remote_node_, qpn_, ps.msn,
                  ps.data->length);
       if (count > 1)
@@ -193,7 +190,7 @@ void QueuePair::transmit_message(PendingSend& ps) {
                    count);
     }
   }
-  if (obs::profiler().enabled()) {
+  if (fabric.profiler().enabled()) {
     // last_tx always tracks the latest transmission start; first_tx only the
     // first — their gap is exactly the profiler's retransmit segment.
     if (ps.retransmission) {
@@ -419,7 +416,7 @@ void QueuePair::responder_accept_send(const Packet& pkt) {
       if (recvq_.empty()) {
         // Receiver not ready: drop the message, tell the requester.
         ++stats_.rnr_naks_sent;
-        if (auto& rec = obs::recorder(); rec.enabled()) {
+        if (auto& rec = hca_.fabric().recorder(); rec.enabled()) {
           rec.record(hca_.engine().now(), obs::Ev::rnr_nak,
                      hca_.node_id(), remote_node_, qpn_, pkt.msn, 0);
         }
@@ -456,7 +453,7 @@ void QueuePair::responder_accept_send(const Packet& pkt) {
     std::memmove(wr.local_addr, pkt.msg->bytes(), pkt.msg->length);
   }
   ++stats_.messages_received;
-  if (auto& rec = obs::recorder(); rec.enabled()) {
+  if (auto& rec = hca_.fabric().recorder(); rec.enabled()) {
     rec.record(hca_.engine().now(), obs::Ev::msg_delivered,
                hca_.node_id(), remote_node_, qpn_, pkt.msn, pkt.msg->length);
   }
@@ -496,7 +493,7 @@ void QueuePair::responder_accept_write(const Packet& pkt) {
   if (pkt.msg->length > 0)
     std::memmove(pkt.msg->remote_addr, pkt.msg->bytes(), pkt.msg->length);
   ++stats_.messages_received;
-  if (auto& rec = obs::recorder(); rec.enabled()) {
+  if (auto& rec = hca_.fabric().recorder(); rec.enabled()) {
     rec.record(hca_.engine().now(), obs::Ev::msg_delivered,
                hca_.node_id(), remote_node_, qpn_, pkt.msn, pkt.msg->length);
   }
@@ -601,13 +598,11 @@ void QueuePair::retire_acked_() {
   while (!unacked_.empty() && unacked_.front().acked) {
     const PendingSend ps = std::move(unacked_.front());
     unacked_.pop_front();
-    if (auto& rec = obs::recorder(); rec.enabled()) {
-      const auto now = hca_.engine().now();
-      rec.record(now, obs::Ev::msg_acked, hca_.node_id(), remote_node_, qpn_,
-                 ps.msn, ps.data ? ps.data->length : 0);
-      if (ps.first_tx_at.count() >= 0) rec.note_wire_to_ack(now - ps.first_tx_at);
+    if (auto& rec = hca_.fabric().recorder(); rec.enabled()) {
+      rec.record(hca_.engine().now(), obs::Ev::msg_acked, hca_.node_id(),
+                 remote_node_, qpn_, ps.msn, ps.data ? ps.data->length : 0);
     }
-    if (auto& prof = obs::profiler();
+    if (auto& prof = hca_.fabric().profiler();
         prof.enabled() && ps.prof_first_tx.count() >= 0) {
       // The ACK retiring the WQE is the commit point for the whole QP-level
       // lifecycle of this message. wr_id is the device's tx id, the offline
@@ -788,7 +783,7 @@ void QueuePair::modify_error() {
 void QueuePair::enter_error() {
   if (state_ == QpState::error) return;
   state_ = QpState::error;
-  if (auto& rec = obs::recorder(); rec.enabled()) {
+  if (auto& rec = hca_.fabric().recorder(); rec.enabled()) {
     rec.record(hca_.engine().now(), obs::Ev::qp_error, hca_.node_id(),
                remote_node_, qpn_, 0, 0);
   }

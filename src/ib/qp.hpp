@@ -118,14 +118,11 @@ class QueuePair {
     int rnr_retries_left = 0;
     bool retransmission = false;
     bool acked = false;
-    // Flight-recorder latency stamps; TimePoint(-1) = never stamped (the
-    // stamps are only taken while the recorder is enabled).
-    sim::TimePoint posted_at{-1};
-    sim::TimePoint first_tx_at{-1};
-    // Profiler lifecycle stamps (obs::Profiler, taken only while armed).
-    // Committed as one qp_send record when the ACK retires the WQE; none of
-    // these are serialized — like the recorder stamps, they are observer
-    // state, not protocol state.
+    // Profiler lifecycle stamps (obs::Profiler, taken only while armed;
+    // TimePoint(-1) = never stamped). Committed as one qp_send record when
+    // the ACK retires the WQE, and the `latency.*` view derives from that
+    // record. None of these are serialized: they are observer state, not
+    // protocol state.
     sim::TimePoint prof_posted{-1};
     sim::TimePoint prof_first_tx{-1};
     sim::TimePoint prof_last_tx{-1};

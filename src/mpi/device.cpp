@@ -40,6 +40,14 @@ int Device::world_size() const { return world_.num_ranks(); }
 
 sim::Engine& Device::engine() const noexcept { return world_.engine(); }
 
+obs::FlightRecorder& Device::recorder() const noexcept {
+  return hca_->fabric().recorder();
+}
+
+obs::Profiler& Device::profiler() const noexcept {
+  return hca_->fabric().profiler();
+}
+
 // ---------------------------------------------------------------- setup --
 
 std::size_t Device::endpoint_state_bytes() noexcept { return sizeof(Endpoint); }
@@ -278,11 +286,11 @@ void Device::send_credited(Endpoint& ep, WireHeader hdr,
                            RequestPtr eager_req) {
   util::check(is_credited(hdr.kind), "send_credited with control kind");
   if (ep.backlog.empty() && ep.flow.try_acquire_credit()) {
-    if (auto& rec = obs::recorder(); rec.enabled()) {
+    if (auto& rec = recorder(); rec.enabled()) {
       rec.record(engine().now(), obs::Ev::credit_consume, me_, ep.peer,
                  ep.qp->qpn(), 1, ep.flow.credits());
     }
-    if (obs::profiler().enabled()) prof_note_credits(ep);
+    if (profiler().enabled()) prof_note_credits(ep);
     post_wire(ep, hdr, payload);
     if (eager_req) eager_req->mark_complete();  // buffered-send semantics
     return;
@@ -294,9 +302,9 @@ void Device::send_credited(Endpoint& ep, WireHeader hdr,
   entry.eager_req = std::move(eager_req);
   const sim::TimePoint now = engine().now();
   entry.enqueued_at = now;
-  if (obs::profiler().enabled()) entry.prof_zero_base = prof_zero_total(ep, now);
+  if (profiler().enabled()) entry.prof_zero_base = prof_zero_total(ep, now);
   ep.backlog.push_back(std::move(entry));
-  if (auto& rec = obs::recorder(); rec.enabled()) {
+  if (auto& rec = recorder(); rec.enabled()) {
     rec.record(now, obs::Ev::backlog_enter, me_, ep.peer, ep.qp->qpn(),
                ep.backlog.size(), ep.flow.credits());
   }
@@ -308,15 +316,14 @@ void Device::drain_backlog(Endpoint& ep) {
     BacklogEntry entry = std::move(ep.backlog.front());
     ep.backlog.pop_front();
     ep.flow.note_backlog_dispatched();
-    if (auto& rec = obs::recorder(); rec.enabled()) {
+    if (auto& rec = recorder(); rec.enabled()) {
       const auto now = engine().now();
       rec.record(now, obs::Ev::credit_consume, me_, ep.peer, ep.qp->qpn(), 1,
                  ep.flow.credits());
       rec.record(now, obs::Ev::backlog_dispatch, me_, ep.peer, ep.qp->qpn(),
                  ep.backlog.size(), ep.flow.credits());
-      rec.note_backlog_residency(now - entry.enqueued_at);
     }
-    if (obs::profiler().enabled()) {
+    if (profiler().enabled()) {
       const auto now = engine().now();
       prof_note_credits(ep);
       ep.prof_next_post = entry.enqueued_at;
@@ -348,13 +355,11 @@ void Device::dispatch_famine_head(Endpoint& ep) {
   ep.backlog.pop_front();
   ep.flow.note_backlog_dispatched();
   ep.flow.note_optimistic_rts();
-  if (auto& rec = obs::recorder(); rec.enabled()) {
-    const auto now = engine().now();
-    rec.record(now, obs::Ev::backlog_dispatch, me_, ep.peer, ep.qp->qpn(),
-               ep.backlog.size(), ep.flow.credits());
-    rec.note_backlog_residency(now - entry.enqueued_at);
+  if (auto& rec = recorder(); rec.enabled()) {
+    rec.record(engine().now(), obs::Ev::backlog_dispatch, me_, ep.peer,
+               ep.qp->qpn(), ep.backlog.size(), ep.flow.credits());
   }
-  if (obs::profiler().enabled()) {
+  if (profiler().enabled()) {
     const auto now = engine().now();
     ep.prof_next_post = entry.enqueued_at;
     ep.prof_next_disp = now;
@@ -401,7 +406,7 @@ void Device::send_ecm(Endpoint& ep) {
   WireHeader hdr;
   hdr.kind = MsgKind::credit;
   ep.flow.note_ecm_sent();
-  if (auto& rec = obs::recorder(); rec.enabled()) {
+  if (auto& rec = recorder(); rec.enabled()) {
     rec.record(engine().now(), obs::Ev::ecm_sent, me_, ep.peer,
                ep.qp->qpn(), ep.flow.pending_return_credits(), 0);
   }
@@ -437,7 +442,7 @@ void Device::post_wire(Endpoint& ep, WireHeader hdr,
   ctx.peer = ep.peer;
   ctx.wr = wr;
   tx_.emplace(txid, std::move(ctx));
-  if (auto& prof = obs::profiler(); prof.enabled()) {
+  if (auto& prof = profiler(); prof.enabled()) {
     obs::ProfRecord r;
     r.family = obs::ProfFamily::dev_send;
     r.msg_kind = static_cast<std::uint8_t>(hdr.kind);
@@ -741,7 +746,7 @@ void Device::finish_reconnect(Rank peer, int peer_posted) {
   ep.flow.reconnect_reset(peer_posted - credited_replays +
                               world_.config().device.debug_skew_reconnect_credit,
                           credited_replays);
-  if (obs::profiler().enabled()) {
+  if (profiler().enabled()) {
     // The credit exchange restarts from scratch: close any open zero-credit
     // episode, forget the stale grant, and reopen only if the reset pool is
     // already empty.
@@ -796,12 +801,12 @@ void Device::handle_inbound(Endpoint& ep, std::uint64_t slot_idx,
 
   if (hdr.piggyback_credits > 0) {
     ep.flow.add_credits(hdr.piggyback_credits);
-    if (auto& rec = obs::recorder(); rec.enabled()) {
+    if (auto& rec = recorder(); rec.enabled()) {
       rec.record(engine().now(), obs::Ev::credit_grant, me_, ep.peer,
                  ep.qp->qpn(), static_cast<std::uint64_t>(hdr.piggyback_credits),
                  ep.flow.credits());
     }
-    if (obs::profiler().enabled()) prof_note_grant(ep, hdr);
+    if (profiler().enabled()) prof_note_grant(ep, hdr);
   }
   if (hdr.backlogged != 0) {
     const int extra = ep.flow.on_backlogged_flag();
@@ -867,7 +872,7 @@ void Device::deliver_eager(Endpoint& ep, const WireHeader& hdr,
   um.src = ep.peer;
   um.tag = hdr.tag;
   um.eager_payload.assign(payload, payload + hdr.payload_bytes);
-  if (obs::profiler().enabled()) {
+  if (profiler().enabled()) {
     um.prof_arrival = arrival;
     um.prof_seq = hdr.seq;
     um.prof_cause = cause;
@@ -892,7 +897,7 @@ void Device::handle_rts(Endpoint& ep, const WireHeader& hdr,
   um.is_rndv = true;
   um.rndv_bytes = hdr.payload_bytes;
   um.rndv_sreq = hdr.sreq;
-  if (obs::profiler().enabled()) {
+  if (profiler().enabled()) {
     um.prof_arrival = arrival;
     um.prof_seq = hdr.seq;
     um.prof_cause = cause;
@@ -998,7 +1003,7 @@ void Device::prof_record_recv(Rank src, std::uint64_t seq, std::uint8_t kind,
                               std::uint8_t flags, std::uint32_t bytes,
                               sim::TimePoint arrival, sim::TimePoint matched,
                               std::uint64_t cause) {
-  auto& prof = obs::profiler();
+  auto& prof = profiler();
   if (!prof.enabled()) return;
   obs::ProfRecord r;
   r.family = obs::ProfFamily::dev_recv;

@@ -29,6 +29,11 @@ namespace mvflow::util::serial {
 class BufWriter;
 }
 
+namespace mvflow::obs {
+class FlightRecorder;
+class Profiler;
+}
+
 namespace mvflow::mpi {
 
 class World;
@@ -328,7 +333,12 @@ class Device {
   /// (uncredited) rendezvous start so the handshake brings credits back.
   void dispatch_famine_head(Endpoint& ep);
 
-  // ---- profiler hooks (all gated on obs::profiler().enabled()) ----
+  /// The fabric's observers, reached through this rank's HCA; each site
+  /// tests enabled() first, one predictable branch while disarmed.
+  obs::FlightRecorder& recorder() const noexcept;
+  obs::Profiler& profiler() const noexcept;
+
+  // ---- profiler hooks (all gated on profiler().enabled()) ----
   /// Cumulative zero-credit ns on `ep` as of `now` (closed episodes plus
   /// the open one).
   static std::int64_t prof_zero_total(const Endpoint& ep, sim::TimePoint now);

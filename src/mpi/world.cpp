@@ -36,26 +36,15 @@ int WorldStats::max_posted_buffers() const { return flow_totals.max_posted; }
 World::World(WorldConfig cfg) : cfg_(cfg) {
   util::require(cfg_.num_ranks >= 1, "need at least one rank");
 
-  // This world's recorder becomes the constructing thread's current one —
-  // instrumented layers reach it through the thread-local obs::recorder()
-  // without knowing which world they run in. The previous binding is
-  // restored at destruction, so worlds nest on a thread and concurrent
-  // worlds on different threads never see each other's rings.
-  prev_recorder_ = obs::bind_recorder(&recorder_);
-  // The causal profiler binds identically (DESIGN.md §16); it stays
-  // disabled — one predictable branch per site — unless this world arms it.
-  prev_profiler_ = obs::bind_profiler(&prof_);
-
-  // A requested trace export arms the recorder for this world's lifetime.
-  const std::size_t trace_capacity =
-      cfg_.run.trace_capacity != 0 ? cfg_.run.trace_capacity
-                                   : obs::FlightRecorder::kDefaultCapacity;
-  if (cfg_.run.trace_enabled()) {
-    recorder_.enable(trace_capacity);
-  }
-  if (prof_enabled()) prof_.enable();
-
   fabric_ = std::make_unique<ib::Fabric>(engine_, cfg_.fabric, cfg_.num_ranks);
+
+  // Requested exports arm the fabric's sinks for this world's lifetime.
+  if (cfg_.run.trace_enabled()) {
+    recorder().enable(cfg_.run.trace_capacity != 0
+                          ? cfg_.run.trace_capacity
+                          : obs::FlightRecorder::kDefaultCapacity);
+  }
+  if (cfg_.run.prof_enabled()) profiler().enable();
 
   metrics_.add_source("engine.", [this](const obs::MetricsRegistry::EmitFn& e) {
     engine_.perf_stats().visit(e);
@@ -66,17 +55,15 @@ World::World(WorldConfig cfg) : cfg_(cfg) {
   metrics_.add_source("msg_pool.", [this](const obs::MetricsRegistry::EmitFn& e) {
     fabric_->msg_pool_stats().visit(e);
   });
+  // Views of the profile, computed at snapshot time. latency.* always emits
+  // its 21 names, all zero until the profiler records; prof.* emits nothing
+  // while the profiler is disarmed, so a disarmed world pays no join.
   metrics_.add_source("latency.", [this](const obs::MetricsRegistry::EmitFn& e) {
-    recorder_.latency().visit(e);
+    obs::latency_view(profiler().records()).visit(e);
   });
-  if (prof_enabled()) {
-    // Run-level blame (per segment, per connection direction, per link).
-    // Registered only when armed: each snapshot re-joins the record buffers,
-    // which is an end-of-run cost, not something a disarmed world pays.
-    metrics_.add_source("prof.", [this](const obs::MetricsRegistry::EmitFn& e) {
-      obs::emit_metrics(prof_analysis(), e);
-    });
-  }
+  metrics_.add_source("prof.", [this](const obs::MetricsRegistry::EmitFn& e) {
+    if (profiler().enabled()) obs::emit_metrics(prof_analysis(), e);
+  });
 
   devices_.reserve(static_cast<std::size_t>(cfg_.num_ranks));
   for (Rank r = 0; r < cfg_.num_ranks; ++r) {
@@ -93,13 +80,8 @@ World::World(WorldConfig cfg) : cfg_(cfg) {
   }
 }
 
-World::~World() {
-  obs::bind_recorder(prev_recorder_);
-  obs::bind_profiler(prev_profiler_);
-}
-
 obs::ProfileAnalysis World::prof_analysis() const {
-  return obs::analyze(prof_.records());
+  return obs::analyze(fabric_->profiler().records());
 }
 
 void World::wire_pair(Rank a, Rank b) {
@@ -151,14 +133,6 @@ sim::Duration World::run(const std::vector<RankBody>& bodies) {
   util::require(static_cast<int>(bodies.size()) == cfg_.num_ranks,
                 "one body per rank required");
   ran_ = true;
-
-  // The engine dispatches on whichever thread called run(), which on a
-  // sweep pool need not be the constructing thread — rebind for the
-  // duration so instrumentation lands in this world's ring. Rank bodies
-  // run as fibers on the dispatching thread, so this binding covers them
-  // as well.
-  obs::RecorderBinding engine_thread_binding(&recorder_);
-  obs::ProfilerBinding engine_thread_prof_binding(&prof_);
 
   std::vector<sim::TimePoint> finish(static_cast<std::size_t>(cfg_.num_ranks));
   std::vector<std::unique_ptr<sim::Process>> procs;
@@ -257,16 +231,16 @@ void World::flush_exports() {
   // Config-driven exports (the RunConfig snapshot of MVFLOW_METRICS /
   // MVFLOW_TRACE / MVFLOW_TRACE_CSV): a metrics snapshot, the Chrome
   // trace, and the credit/backlog CSV, each gated on its own path.
-  if (!cfg_.run.metrics_path.empty()) {
-    metrics_.snapshot().write_json(cfg_.run.metrics_path);
+  if (!cfg_.run.metrics_path.empty() &&
+      !metrics_.snapshot().write_json(cfg_.run.metrics_path)) {
+    util::Logger::write(util::LogLevel::error, "obs",
+                        "cannot write metrics " + cfg_.run.metrics_path);
   }
   // The profile analysis feeds two artifacts: the $MVFLOW_PROF JSON and the
   // Chrome-trace flow arrows. Join once, use for both.
+  const bool arrows = profiler().enabled() && !cfg_.run.trace_path.empty();
   obs::ProfileAnalysis analysis;
-  const bool have_analysis =
-      prof_enabled() &&
-      (cfg_.run.prof_enabled() || cfg_.run.trace_enabled());
-  if (have_analysis) analysis = prof_analysis();
+  if (cfg_.run.prof_enabled() || arrows) analysis = prof_analysis();
   if (cfg_.run.prof_enabled() &&
       !obs::write_profile(cfg_.run.prof_path, analysis, "run")) {
     util::Logger::write(util::LogLevel::error, "obs",
@@ -276,17 +250,16 @@ void World::flush_exports() {
     // With the profiler armed the trace gains sender→receiver flow arrows
     // (ph:"s"/"f"), one per joined wire message.
     const bool ok =
-        prof_enabled()
-            ? recorder_.export_chrome_trace(cfg_.run.trace_path,
-                                            obs::flow_events(analysis))
-            : recorder_.export_chrome_trace(cfg_.run.trace_path);
+        arrows ? recorder().export_chrome_trace(cfg_.run.trace_path,
+                                                obs::flow_events(analysis))
+               : recorder().export_chrome_trace(cfg_.run.trace_path);
     if (!ok) {
       util::Logger::write(util::LogLevel::error, "obs",
                           "cannot write trace file " + cfg_.run.trace_path);
     }
   }
   if (!cfg_.run.trace_csv_path.empty() &&
-      !recorder_.export_credit_csv(cfg_.run.trace_csv_path)) {
+      !recorder().export_credit_csv(cfg_.run.trace_csv_path)) {
     util::Logger::write(util::LogLevel::error, "obs",
                         "cannot write credit CSV " + cfg_.run.trace_csv_path);
   }
@@ -466,8 +439,10 @@ void World::handle_stall(const sim::WatchdogStall& stall) {
   // runs mid-event rather than at an armed watchpoint, so it is a
   // diagnostic artifact — the restore audit's bit-exactness guarantee
   // applies only to checkpoints taken at a watchpoint (DESIGN.md §13).
-  if (!cfg_.run.watchdog_dump_path.empty()) {
-    metrics_.snapshot().write_json(cfg_.run.watchdog_dump_path);
+  if (!cfg_.run.watchdog_dump_path.empty() &&
+      !metrics_.snapshot().write_json(cfg_.run.watchdog_dump_path)) {
+    util::Logger::write(util::LogLevel::error, "watchdog",
+                        "cannot write metrics " + cfg_.run.watchdog_dump_path);
   }
   if (!cfg_.run.watchdog_ckpt_path.empty() && workload_.has_value()) {
     try {

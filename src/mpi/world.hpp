@@ -42,12 +42,6 @@ struct WorldConfig {
   /// (protects against infinite hardware retry loops in the modeled system).
   sim::Duration max_sim_time = sim::seconds(30);
 
-  /// Arm the causal profiler (DESIGN.md §16) without requesting a file
-  /// export — for tests and benchmarks that read the analysis in process.
-  /// $MVFLOW_PROF (run.prof_path) arms it too, and additionally writes the
-  /// profile JSON at flush_exports.
-  bool profile = false;
-
   /// Tracing/metrics-export configuration. Defaults to the one-time
   /// process snapshot of the MVFLOW_* environment; sweep jobs running on
   /// the parallel runner get an explicit (quiet) config instead, so
@@ -95,7 +89,6 @@ class World {
   explicit World(WorldConfig cfg);
   World(const World&) = delete;
   World& operator=(const World&) = delete;
-  ~World();
 
   using RankBody = std::function<void(Communicator&)>;
 
@@ -181,21 +174,16 @@ class World {
   /// the whole stack's counters as a flat document (DESIGN.md §11).
   obs::MetricsRegistry& metrics() noexcept { return metrics_; }
 
-  /// This world's flight recorder (DESIGN.md §11-12). World-owned so
-  /// concurrent worlds trace independently; the constructor binds it as the
-  /// current thread's recorder and run() rebinds it on the running thread,
-  /// where the rank fibers run too. Armed automatically when the run
-  /// config requests a trace export; tests may enable() it directly.
-  obs::FlightRecorder& recorder() noexcept { return recorder_; }
+  /// This world's flight recorder (DESIGN.md §11): its fabric's, which
+  /// every QP and device reaches through its HCA. Armed automatically when
+  /// the run config requests a trace export; tests may enable() it directly.
+  obs::FlightRecorder& recorder() noexcept { return fabric_->recorder(); }
 
-  /// Causal profiler armed for this world (WorldConfig::profile or the run
-  /// config's $MVFLOW_PROF snapshot).
-  bool prof_enabled() const noexcept {
-    return cfg_.profile || cfg_.run.prof_enabled();
-  }
-  /// This world's profiler (DESIGN.md §16), bound exactly like the
-  /// recorder: on the constructing thread and the run() thread.
-  obs::Profiler& profiler() noexcept { return prof_; }
+  /// This world's causal profiler (DESIGN.md §16), owned by the fabric like
+  /// the recorder. $MVFLOW_PROF (the run config's prof_path) arms it at
+  /// construction; tests and benchmarks that read the analysis in process
+  /// call profiler().enable() before run().
+  obs::Profiler& profiler() noexcept { return fabric_->profiler(); }
   /// analyze() over the profiler's records — the full causal attribution.
   obs::ProfileAnalysis prof_analysis() const;
 
@@ -218,15 +206,6 @@ class World {
   // objects, and member order guarantees the registry outlives none of them
   // while they can still be snapshotted.
   obs::MetricsRegistry metrics_;
-  obs::FlightRecorder recorder_;
-  /// Recorder bound on the constructing thread before this world; restored
-  /// by the destructor (worlds nest strictly on a given thread).
-  obs::FlightRecorder* prev_recorder_ = nullptr;
-  /// Causal profiler, mirroring the recorder's ownership/binding pattern.
-  /// Never serialized into snapshots — the profile is an export artifact,
-  /// not world state.
-  obs::Profiler prof_;
-  obs::Profiler* prev_profiler_ = nullptr;
   std::unique_ptr<ib::Fabric> fabric_;
   std::vector<std::unique_ptr<Device>> devices_;
   sim::Duration elapsed_{0};

@@ -200,4 +200,16 @@ std::string escape(std::string_view s) {
   return out;
 }
 
+bool write_file(const std::string& path, std::string_view doc) {
+  if (path == "-") {
+    const bool ok =
+        std::fwrite(doc.data(), 1, doc.size(), stdout) == doc.size();
+    return std::fflush(stdout) == 0 && ok && std::ferror(stdout) == 0;
+  }
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
+  return std::fclose(f) == 0 && ok;
+}
+
 }  // namespace mvflow::obs::json

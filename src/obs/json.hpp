@@ -44,4 +44,9 @@ std::optional<Value> parse(std::string_view text);
 /// Escape a string for embedding in emitted JSON (quotes not included).
 std::string escape(std::string_view s);
 
+/// Write a finished document to `path`; "-" writes to stdout. False when
+/// the file cannot be opened or when the write, the close or the flush of
+/// stdout fails (a full disk surfaces only at the close).
+bool write_file(const std::string& path, std::string_view doc);
+
 }  // namespace mvflow::obs::json

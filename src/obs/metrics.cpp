@@ -80,19 +80,9 @@ std::optional<Snapshot> Snapshot::from_json(std::string_view text) {
 }
 
 bool Snapshot::write_json(const std::string& path) const {
-  const std::string doc = to_json();
-  if (path == "-") {
-    // Pipeline use (MVFLOW_METRICS=-): the snapshot goes to stdout so a
-    // consumer like mvflow_prof can read it without a temp file.
-    std::fwrite(doc.data(), 1, doc.size(), stdout);
-    std::fflush(stdout);
-    return true;
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fwrite(doc.data(), 1, doc.size(), f);
-  std::fclose(f);
-  return true;
+  // "-" is pipeline use (MVFLOW_METRICS=-): a consumer like mvflow_prof
+  // reads the snapshot from stdout without a temp file.
+  return json::write_file(path, to_json());
 }
 
 namespace {

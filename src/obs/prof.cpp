@@ -1,9 +1,8 @@
 #include "obs/prof.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <iostream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <tuple>
 
@@ -57,17 +56,9 @@ ProfileAnalysis analyze(const std::vector<ProfRecord>& records) {
     switch (r.family) {
       case ProfFamily::dev_send:
         sends.emplace(conn_key(r), &r);
-        if ((r.flags & kProfBacklogged) != 0) {
-          out.raw_backlog_wait_ns += ns(r.t2) - ns(r.t0);
-          ++out.raw_backlog_count;
-        }
         break;
       case ProfFamily::qp_send:
-        if (qps.emplace(std::make_pair(r.src, r.aux), &r).second) {
-          out.raw_post_to_wire_ns += ns(r.t1) - ns(r.t0);
-          out.raw_wire_to_ack_ns += ns(r.t3) - ns(r.t1);
-          ++out.raw_qp_count;
-        }
+        qps.emplace(std::make_pair(r.src, r.aux), &r);
         break;
       case ProfFamily::dev_recv:
         recvs.emplace(conn_key(r), &r);
@@ -205,17 +196,47 @@ ProfileAnalysis analyze(const std::vector<ProfRecord>& records) {
   return out;
 }
 
-bool audit_against(const ProfileAnalysis& a, const LatencyBreakdown& lat) {
-  if (!a.exact) return false;
-  const auto eq = [](std::int64_t x, double s) {
-    return static_cast<double>(x) == s;
+LatencyBreakdown latency_view(const std::vector<ProfRecord>& records) {
+  LatencyBreakdown out;
+  const auto add = [](util::RunningStats& rs, util::Histogram& h,
+                      std::int64_t d) {
+    rs.add(static_cast<double>(d));
+    h.add(static_cast<double>(d));
   };
-  return eq(a.raw_backlog_wait_ns, lat.backlog_residency.sum()) &&
-         a.raw_backlog_count == lat.backlog_residency.count() &&
-         eq(a.raw_post_to_wire_ns, lat.post_to_wire.sum()) &&
-         a.raw_qp_count == lat.post_to_wire.count() &&
-         eq(a.raw_wire_to_ack_ns, lat.wire_to_ack.sum()) &&
-         a.raw_qp_count == lat.wire_to_ack.count();
+  std::set<std::pair<std::int16_t, std::uint64_t>> seen;  // (src, tx id)
+  for (const ProfRecord& r : records) {
+    if (r.family == ProfFamily::qp_send) {
+      if (!seen.emplace(r.src, r.aux).second) continue;
+      add(out.post_to_wire, out.post_to_wire_hist, ns(r.t1) - ns(r.t0));
+      add(out.wire_to_ack, out.wire_to_ack_hist, ns(r.t3) - ns(r.t1));
+    } else if (r.family == ProfFamily::dev_send &&
+               (r.flags & kProfBacklogged) != 0) {
+      add(out.backlog_residency, out.backlog_residency_hist,
+          ns(r.t2) - ns(r.t0));
+    }
+  }
+  return out;
+}
+
+bool audit_against(const LatencyBreakdown& view, const FlightRecorder& rec) {
+  if (rec.dropped() != 0) return false;
+  // Σ t per kind over the ring. Every on-wire instant has its posted one,
+  // every ACK its on-wire one and every dispatch its enter, so with equal
+  // counts the differences of these sums are the per-message sums.
+  std::int64_t sum[kEvKinds] = {};
+  for (const TraceEvent& e : rec.events()) {
+    sum[static_cast<std::size_t>(e.kind)] += e.t.count();
+  }
+  const auto book = [&](const util::RunningStats& rs, Ev from, Ev to) {
+    const auto n = rec.count(to);
+    const std::int64_t ns_sum = sum[static_cast<std::size_t>(to)] -
+                                sum[static_cast<std::size_t>(from)];
+    return rec.count(from) == n && rs.count() == n &&
+           rs.sum() == static_cast<double>(ns_sum);
+  };
+  return book(view.post_to_wire, Ev::msg_posted, Ev::msg_on_wire) &&
+         book(view.wire_to_ack, Ev::msg_on_wire, Ev::msg_acked) &&
+         book(view.backlog_residency, Ev::backlog_enter, Ev::backlog_dispatch);
 }
 
 std::vector<FlowArrowEvent> flow_events(const ProfileAnalysis& a) {
@@ -316,34 +337,7 @@ std::string profile_to_json(const ProfileAnalysis& a, std::string_view label) {
 
 bool write_profile(const std::string& path, const ProfileAnalysis& a,
                    std::string_view label) {
-  const std::string doc = profile_to_json(a, label);
-  if (path == "-") {
-    std::cout << doc << std::flush;
-    return true;
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  return std::fclose(f) == 0 && ok;
+  return json::write_file(path, profile_to_json(a, label));
 }
-
-// ------------------------------------------------- thread-local binding ----
-
-namespace detail {
-thread_local constinit Profiler* t_profiler = nullptr;
-
-Profiler& fallback_profiler() noexcept {
-  static Profiler fallback;
-  return fallback;
-}
-}  // namespace detail
-
-Profiler* bind_profiler(Profiler* p) noexcept {
-  Profiler* prev = detail::t_profiler;
-  detail::t_profiler = p;
-  return prev;
-}
-
-bool profiler_is_fallback() noexcept { return detail::t_profiler == nullptr; }
 
 }  // namespace mvflow::obs

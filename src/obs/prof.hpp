@@ -32,9 +32,14 @@
 //                  transmission (dispatch → first tx, last tx → arrival)
 //   match_wait   — arrival → matched to a posted receive
 //
-// The same overhead contract as the recorder: a disabled profiler costs one
-// predictable branch per site, and an unbound thread sees a shared
-// never-enabled fallback.
+// The same overhead contract and ownership as the recorder: every ib::Fabric
+// owns one profiler, the instrumented layers reach it through their HCA's
+// fabric(), and a disabled profiler costs one predictable branch per site.
+//
+// The `latency.*` metrics are a view of these records (latency_view), so
+// the QP's four qp_send stamps are the only per-message latency stamps in
+// the simulator; audit_against cross-foots the view against the flight
+// recorder's own lifecycle instants.
 #pragma once
 
 #include <cstddef>
@@ -45,10 +50,11 @@
 #include <vector>
 
 #include "sim/time.hpp"
+#include "util/stats.hpp"
 
 namespace mvflow::obs {
 
-struct LatencyBreakdown;
+class FlightRecorder;
 struct FlowArrowEvent;
 
 enum class ProfFamily : std::uint8_t { dev_send, qp_send, dev_recv };
@@ -67,8 +73,8 @@ inline constexpr std::uint8_t kProfPayload = 1u << 4;     ///< credited kind (ea
 ///             [t0, t1]; grant_seq = inbound (dst→src) sequence of the grant
 ///             that released it; aux = device tx id (joins qp_send). For
 ///             backlogged sends t2 = the dispatch *decision* time (the
-///             recorder's backlog-residency endpoint; it can precede t1 by
-///             host-time charges on the famine-conversion path).
+///             backlog-residency endpoint; it can precede t1 by host-time
+///             charges on the famine-conversion path).
 ///   qp_send:  t0 = WQE posted, t1 = first tx, t2 = last tx, t3 = ACK
 ///             retired; aux = wr_id (the device tx id); n_retx retransmits.
 ///   dev_recv: t0 = arrival at handle_inbound, t1 = matched (== t0 for
@@ -91,9 +97,8 @@ struct ProfRecord {
   sim::TimePoint t3{-1};
 };
 
-/// Append-only record buffer, one per world, reached through the
-/// thread-local binding below. Unlike the recorder's bounded ring,
-/// attribution needs every record of every completed message, so the
+/// Append-only record buffer, one per fabric. Unlike the recorder's bounded
+/// ring, attribution needs every record of every completed message, so the
 /// buffer grows geometrically; a profiled run trades memory for exactness
 /// by design.
 class Profiler {
@@ -103,7 +108,6 @@ class Profiler {
 
   void enable();
   void disable() noexcept { enabled_ = false; }
-  void clear() noexcept { records_.clear(); }
 
   /// Append one record. Out of line: the enabled() branch at the call site
   /// is the hot-path cost.
@@ -202,25 +206,60 @@ struct ProfileAnalysis {
   std::vector<CriticalStep> critical_path;   ///< root first, last completion last
   std::uint64_t incomplete = 0;  ///< dev_send records lacking a full chain
   bool exact = true;  ///< every message: Σ segments == e2e (invariant)
-
-  // Raw sums mirroring the LatencyBreakdown accumulators (same call sites,
-  // so equality with the recorder's totals is the cross-subsystem audit).
-  std::int64_t raw_backlog_wait_ns = 0;
-  std::uint64_t raw_backlog_count = 0;
-  std::int64_t raw_post_to_wire_ns = 0;
-  std::int64_t raw_wire_to_ack_ns = 0;
-  std::uint64_t raw_qp_count = 0;
 };
 
 /// Join the record multiset into per-message attributions. Pure function of
 /// the records: bit-identical input multisets give bit-identical analyses.
 ProfileAnalysis analyze(const std::vector<ProfRecord>& records);
 
-/// Cross-subsystem audit: the profiler's raw sums must equal the recorder's
-/// LatencyBreakdown accumulators (both subsystems instrument the same call
-/// sites), and every message must satisfy Σ segments == e2e. Requires both
-/// subsystems armed for the whole run and a drained (fully-ACKed) world.
-bool audit_against(const ProfileAnalysis& a, const LatencyBreakdown& lat);
+/// Per-message latency breakdown: the value type of the `latency.*` view,
+/// derived from the records at snapshot time.
+struct LatencyBreakdown {
+  util::RunningStats post_to_wire;       ///< WQE post → first byte on wire
+  util::RunningStats wire_to_ack;        ///< first transmission → retired
+  util::RunningStats backlog_residency;  ///< backlog enter → dispatch
+  util::Histogram post_to_wire_hist{0.0, 50'000.0, 50};        // ns
+  util::Histogram wire_to_ack_hist{0.0, 200'000.0, 50};        // ns
+  util::Histogram backlog_residency_hist{0.0, 2'000'000.0, 50};  // ns
+
+  template <typename Fn>
+  void visit(Fn&& f) const {
+    emit_visit("post_to_wire", post_to_wire, post_to_wire_hist, f);
+    emit_visit("wire_to_ack", wire_to_ack, wire_to_ack_hist, f);
+    emit_visit("backlog_residency", backlog_residency, backlog_residency_hist, f);
+  }
+
+ private:
+  template <typename Fn>
+  static void emit_visit(std::string_view name, const util::RunningStats& rs,
+                         const util::Histogram& h, Fn& f) {
+    const std::string base(name);
+    f(base + ".count", static_cast<double>(rs.count()));
+    f(base + ".mean_ns", rs.mean());
+    f(base + ".min_ns", rs.min());
+    f(base + ".max_ns", rs.max());
+    f(base + ".p50_ns", h.quantile(0.50));
+    f(base + ".p90_ns", h.quantile(0.90));
+    f(base + ".p99_ns", h.quantile(0.99));
+  }
+};
+
+/// The `latency.*` view of a record multiset (DESIGN.md §11):
+///   post_to_wire      = qp_send t1 − t0 (WQE posted → first transmission)
+///   wire_to_ack       = qp_send t3 − t1 (first transmission → ACK retired)
+/// over the first qp_send per (src, device tx id) — a QP recovery replay
+/// reuses the id — and
+///   backlog_residency = dev_send t2 − t0 over backlogged sends.
+LatencyBreakdown latency_view(const std::vector<ProfRecord>& records);
+
+/// Cross-subsystem audit: the profile's latency view must equal the flight
+/// recorder's own instants — Σ(msg_on_wire − msg_posted),
+/// Σ(msg_acked − msg_on_wire) and Σ(backlog_dispatch − backlog_enter),
+/// with their counts. The two books are stamped independently at the same
+/// call sites, so they agree only on a drained (fully-ACKed) run that
+/// armed both sinks throughout and whose ring never wrapped; a wrapped
+/// ring fails the audit.
+bool audit_against(const LatencyBreakdown& view, const FlightRecorder& rec);
 
 /// Chrome-trace flow arrows (ph:"s"/"f") for every joined message: the "s"
 /// endpoint on the sender's track at dispatch, the "f" endpoint on the
@@ -240,47 +279,9 @@ void emit_metrics(const ProfileAnalysis& a, const EmitFn& e);
 std::string profile_to_json(const ProfileAnalysis& a, std::string_view label);
 
 /// Write the profile to `path`; "-" writes to stdout. Returns false when
-/// the file cannot be opened.
+/// the file cannot be opened or written, or stdout has failed.
 bool write_profile(const std::string& path, const ProfileAnalysis& a,
                    std::string_view label);
-
-// ------------------------------------------------- thread-local binding ----
-
-namespace detail {
-/// Same constinit contract as detail::t_recorder: a plain TLS load per
-/// instrumentation site, no init-guard. Internal — bind through
-/// bind_profiler()/ProfilerBinding.
-extern thread_local constinit Profiler* t_profiler;
-/// Shared profiler that is never enabled; what unbound threads observe.
-Profiler& fallback_profiler() noexcept;
-}  // namespace detail
-
-/// The profiler bound to the current thread (world-owned while a profiled
-/// simulation is active, the shared disabled fallback otherwise).
-inline Profiler& profiler() noexcept {
-  Profiler* p = detail::t_profiler;
-  return p != nullptr ? *p : detail::fallback_profiler();
-}
-
-/// Bind `p` as this thread's profiler and return the previous binding
-/// (nullptr rebinds the disabled fallback). `p` must outlive the binding.
-Profiler* bind_profiler(Profiler* p) noexcept;
-
-/// True when the current thread's binding is the shared disabled fallback.
-bool profiler_is_fallback() noexcept;
-
-/// RAII binding for the current thread; restores the previous profiler on
-/// destruction.
-class ProfilerBinding {
- public:
-  explicit ProfilerBinding(Profiler* p) noexcept : prev_(bind_profiler(p)) {}
-  ~ProfilerBinding() { bind_profiler(prev_); }
-  ProfilerBinding(const ProfilerBinding&) = delete;
-  ProfilerBinding& operator=(const ProfilerBinding&) = delete;
-
- private:
-  Profiler* prev_;
-};
 
 // ----------------------------------------------------- template definition --
 

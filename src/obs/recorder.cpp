@@ -48,15 +48,10 @@ std::string_view to_string(Ev e) {
 void FlightRecorder::enable(std::size_t capacity) {
   if (capacity == 0) capacity = 1;
   ring_.assign(capacity, TraceEvent{});
-  clear();
-  enabled_ = true;
-}
-
-void FlightRecorder::clear() noexcept {
   head_ = 0;
   recorded_ = 0;
   for (auto& c : kind_counts_) c = 0;
-  latency_ = LatencyBreakdown{};
+  enabled_ = true;
 }
 
 void FlightRecorder::record(sim::TimePoint t, Ev kind, int rank, int peer,
@@ -74,24 +69,6 @@ void FlightRecorder::record(sim::TimePoint t, Ev kind, int rank, int peer,
   head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
   ++recorded_;
   ++kind_counts_[static_cast<std::size_t>(kind)];
-}
-
-void FlightRecorder::note_post_to_wire(sim::Duration d) noexcept {
-  const double ns = static_cast<double>(d.count());
-  latency_.post_to_wire.add(ns);
-  latency_.post_to_wire_hist.add(ns);
-}
-
-void FlightRecorder::note_wire_to_ack(sim::Duration d) noexcept {
-  const double ns = static_cast<double>(d.count());
-  latency_.wire_to_ack.add(ns);
-  latency_.wire_to_ack_hist.add(ns);
-}
-
-void FlightRecorder::note_backlog_residency(sim::Duration d) noexcept {
-  const double ns = static_cast<double>(d.count());
-  latency_.backlog_residency.add(ns);
-  latency_.backlog_residency_hist.add(ns);
 }
 
 std::size_t FlightRecorder::size() const noexcept {
@@ -257,6 +234,7 @@ bool FlightRecorder::export_chrome_trace(
   std::ofstream f(path);
   if (!f) return false;
   export_chrome_trace(f, flows);
+  f.close();  // a full device fails the final flush, not the write
   return static_cast<bool>(f);
 }
 
@@ -291,32 +269,8 @@ bool FlightRecorder::export_credit_csv(const std::string& path) const {
   std::ofstream f(path);
   if (!f) return false;
   export_credit_csv(f);
+  f.close();
   return static_cast<bool>(f);
-}
-
-namespace detail {
-
-thread_local constinit FlightRecorder* t_recorder = nullptr;
-
-/// Shared object for threads no simulation has claimed. Construct-once,
-/// never enabled afterwards: concurrent unbound threads only ever read
-/// `enabled_` (false), so sharing it is race-free.
-FlightRecorder& fallback_recorder() noexcept {
-  static FlightRecorder instance;
-  return instance;
-}
-
-}  // namespace detail
-
-FlightRecorder* bind_recorder(FlightRecorder* r) noexcept {
-  FlightRecorder* prev = detail::t_recorder;
-  detail::t_recorder = r;
-  return prev;
-}
-
-bool recorder_is_fallback() noexcept {
-  return detail::t_recorder == nullptr ||
-         detail::t_recorder == &detail::fallback_recorder();
 }
 
 void FlightRecorder::serialize_state(util::serial::BufWriter& w) const {
@@ -336,22 +290,6 @@ void FlightRecorder::serialize_state(util::serial::BufWriter& w) const {
     w.i32(e.peer);
     w.u8(static_cast<std::uint8_t>(e.kind));
   }
-  const auto put_rs = [&w](const util::RunningStats& rs) {
-    rs.visit_raw([&w](double v) { w.f64(v); });
-  };
-  const auto put_hist = [&w](const util::Histogram& h) {
-    w.u64(h.total());
-    w.u64(h.underflow());
-    w.u64(h.overflow());
-    w.u64(h.bucket_count());
-    for (std::size_t i = 0; i < h.bucket_count(); ++i) w.u64(h.bucket(i));
-  };
-  put_rs(latency_.post_to_wire);
-  put_rs(latency_.wire_to_ack);
-  put_rs(latency_.backlog_residency);
-  put_hist(latency_.post_to_wire_hist);
-  put_hist(latency_.wire_to_ack_hist);
-  put_hist(latency_.backlog_residency_hist);
 }
 
 }  // namespace mvflow::obs

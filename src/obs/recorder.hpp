@@ -7,7 +7,10 @@
 // stamped with engine (simulated) time by the call site and exported as
 // Chrome `trace_event` JSON — one process track per rank/node, one thread
 // track per QP, viewable in Perfetto or chrome://tracing — plus a CSV
-// time-series of credit count and backlog depth per connection.
+// time-series of credit count and backlog depth per connection. The ring
+// keeps instants only: the `latency.*` breakdown is a view of the causal
+// profile (obs/prof.hpp), which audit_against cross-foots against these
+// instants.
 //
 // Overhead contract: the recorder is OFF by default and a disabled
 // recorder costs exactly one predictable branch at each instrumentation
@@ -15,16 +18,12 @@
 // allocates while recording — the ring is sized at enable() time and
 // overwrites its oldest events at capacity (`dropped()` counts evictions).
 //
-// Ownership and threading: every recorder is owned by whoever creates it —
-// mpi::World owns one per simulation — and `obs::recorder()` resolves to the
-// recorder *bound to the current thread* (a thread-local pointer, so
-// independent Worlds on a thread pool record into their own rings with no
-// shared mutable state). World binds its recorder on the constructing
-// thread and on the thread running the engine, where its rank fibers also
-// run; a thread with no binding sees a shared, permanently-disabled
-// fallback, which keeps the instrumentation fast path a single branch with
-// no null check. Tests may instantiate and
-// bind private FlightRecorders freely (RecorderBinding below).
+// Ownership: every ib::Fabric owns one recorder (mpi::World forwards
+// World::recorder() to its fabric's), and the instrumented layers reach it
+// through the object graph — a QP or device asks its HCA's fabric() — so
+// concurrent worlds record into their own rings with no binding and no
+// shared state. Tests may also instantiate private FlightRecorders and
+// drive record() directly.
 #pragma once
 
 #include <cstddef>
@@ -35,7 +34,6 @@
 #include <vector>
 
 #include "sim/time.hpp"
-#include "util/stats.hpp"
 
 namespace mvflow::util::serial {
 class BufWriter;
@@ -72,38 +70,6 @@ struct TraceEvent {
   Ev kind = Ev::msg_posted;
 };
 
-/// Per-message latency breakdown derived from the lifecycle events; fed by
-/// the instrumented layers only while the recorder is enabled.
-struct LatencyBreakdown {
-  util::RunningStats post_to_wire;       ///< WQE post → first byte on wire
-  util::RunningStats wire_to_ack;        ///< first transmission → retired
-  util::RunningStats backlog_residency;  ///< backlog enter → dispatch
-  util::Histogram post_to_wire_hist{0.0, 50'000.0, 50};        // ns
-  util::Histogram wire_to_ack_hist{0.0, 200'000.0, 50};        // ns
-  util::Histogram backlog_residency_hist{0.0, 2'000'000.0, 50};  // ns
-
-  template <typename Fn>
-  void visit(Fn&& f) const {
-    emit_visit("post_to_wire", post_to_wire, post_to_wire_hist, f);
-    emit_visit("wire_to_ack", wire_to_ack, wire_to_ack_hist, f);
-    emit_visit("backlog_residency", backlog_residency, backlog_residency_hist, f);
-  }
-
- private:
-  template <typename Fn>
-  static void emit_visit(std::string_view name, const util::RunningStats& rs,
-                         const util::Histogram& h, Fn& f) {
-    const std::string base(name);
-    f(base + ".count", static_cast<double>(rs.count()));
-    f(base + ".mean_ns", rs.mean());
-    f(base + ".min_ns", rs.min());
-    f(base + ".max_ns", rs.max());
-    f(base + ".p50_ns", h.quantile(0.50));
-    f(base + ".p90_ns", h.quantile(0.90));
-    f(base + ".p99_ns", h.quantile(0.99));
-  }
-};
-
 /// One endpoint of a Chrome-trace flow arrow (ph:"s" start on the sender's
 /// track, ph:"f" finish on the receiver's). Produced by the causal profiler
 /// (obs/prof.hpp) and interleaved into export_chrome_trace by timestamp.
@@ -130,25 +96,17 @@ class FlightRecorder {
   void enable(std::size_t capacity = kDefaultCapacity);
   /// Stop recording; the captured events stay exportable.
   void disable() noexcept { enabled_ = false; }
-  /// Drop all captured events and latency stats (capacity retained).
-  void clear() noexcept;
 
   /// Append one event (overwrites the oldest at capacity). Out-of-line on
   /// purpose: the enabled() branch at the call site is the hot-path cost.
   void record(sim::TimePoint t, Ev kind, int rank, int peer, std::uint32_t qpn,
               std::uint64_t a, std::int64_t b) noexcept;
 
-  // Latency feeds (call only when enabled()).
-  void note_post_to_wire(sim::Duration d) noexcept;
-  void note_wire_to_ack(sim::Duration d) noexcept;
-  void note_backlog_residency(sim::Duration d) noexcept;
-  const LatencyBreakdown& latency() const noexcept { return latency_; }
-
   std::size_t size() const noexcept;
   std::size_t capacity() const noexcept { return ring_.size(); }
   /// Events evicted by the ring wrapping.
   std::uint64_t dropped() const noexcept;
-  /// Total record() calls since enable()/clear(), per kind and overall —
+  /// Total record() calls since enable(), per kind and overall —
   /// counted even for events the ring later overwrote.
   std::uint64_t recorded() const noexcept { return recorded_; }
   std::uint64_t count(Ev kind) const noexcept {
@@ -180,8 +138,7 @@ class FlightRecorder {
   bool export_credit_csv(const std::string& path) const;
 
   /// Serialize the recorder for the snapshot restore audit: configuration,
-  /// per-kind counts, the retained ring (oldest first), and the raw latency
-  /// accumulators (bit-exact, not the derived quantiles).
+  /// per-kind counts and the retained ring (oldest first).
   void serialize_state(util::serial::BufWriter& w) const;
 
  private:
@@ -190,54 +147,19 @@ class FlightRecorder {
   std::size_t head_ = 0;        ///< next write position
   std::uint64_t recorded_ = 0;  ///< total record() calls
   std::uint64_t kind_counts_[kEvKinds] = {};
-  LatencyBreakdown latency_;
 };
 
-namespace detail {
-/// The current thread's recorder; nullptr = unbound. `constinit` matters:
-/// a constant-initialized thread_local compiles to a plain TLS load at
-/// every instrumentation site, where a dynamic initializer would route
-/// every access through the TLS init-guard wrapper — measurable across
-/// the simulation hot path. Internal — bind through
-/// bind_recorder()/RecorderBinding.
-extern thread_local constinit FlightRecorder* t_recorder;
-/// Shared recorder that is never enabled; what unbound threads observe.
-FlightRecorder& fallback_recorder() noexcept;
-}  // namespace detail
-
-/// The recorder bound to the current thread (a world-owned recorder while a
-/// simulation is active, a shared never-enabled fallback otherwise). This
-/// is what the instrumented layers consult; during a simulation — the only
-/// time the fast path matters — the branch below is perfectly predicted
-/// non-null.
-inline FlightRecorder& recorder() noexcept {
-  FlightRecorder* r = detail::t_recorder;
-  return r != nullptr ? *r : detail::fallback_recorder();
-}
-
-/// Bind `r` as this thread's recorder and return the previous binding
-/// (pass the returned pointer back to restore it; nullptr rebinds the
-/// disabled fallback). `r` must outlive the binding.
-FlightRecorder* bind_recorder(FlightRecorder* r) noexcept;
-
-/// True when the current thread's binding is the shared disabled fallback
-/// (i.e. no simulation has bound a recorder here).
-bool recorder_is_fallback() noexcept;
-
-/// RAII binding for the current thread; restores the previous recorder on
-/// destruction. Used by tests and by World on the thread that runs the
-/// engine. Rank bodies need no binding of their own: they run as fibers on
-/// that thread.
+/// Inert: binds nothing. Instrumentation reaches its recorder through the
+/// ib::Fabric that owns it, so there is no thread-local binding left to
+/// make. The type survives only because perfbench's verbs_ring cell still
+/// constructs one; ROADMAP's "For the next benchmark change" entry deletes
+/// that use and then this shim.
 class RecorderBinding {
  public:
-  explicit RecorderBinding(FlightRecorder* r) noexcept
-      : prev_(bind_recorder(r)) {}
-  ~RecorderBinding() { bind_recorder(prev_); }
+  explicit RecorderBinding(FlightRecorder*) noexcept {}
+  ~RecorderBinding() {}  // user-provided: an unused binding stays warning-free
   RecorderBinding(const RecorderBinding&) = delete;
   RecorderBinding& operator=(const RecorderBinding&) = delete;
-
- private:
-  FlightRecorder* prev_;
 };
 
 }  // namespace mvflow::obs

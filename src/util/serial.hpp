@@ -164,7 +164,9 @@ inline constexpr char kMagic[8] = {'M', 'V', 'F', 'L', 'O', 'W', 'C', 'K'};
 // and the engine and trace sections drop their shard counts.
 // v4: one pending-set structure — the config section drops the scheduler
 // byte, so a snapshot carries no engine-mode fields.
-inline constexpr std::uint32_t kVersion = 4;
+// v5: latency is a view of the profile — the trace section drops the
+// recorder's latency accumulators.
+inline constexpr std::uint32_t kVersion = 5;
 inline constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 8 + 4;
 
 struct Section {

@@ -24,18 +24,6 @@ class RunningStats {
   double max() const noexcept { return n_ ? max_ : 0.0; }
   double sum() const noexcept { return sum_; }
 
-  /// Enumerate the raw accumulator fields (not the derived views) so a
-  /// snapshot can capture the exact state for a bit-identical audit.
-  template <typename Fn>
-  void visit_raw(Fn&& f) const {
-    f(static_cast<double>(n_));
-    f(mean_);
-    f(m2_);
-    f(min_);
-    f(max_);
-    f(sum_);
-  }
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;

@@ -214,7 +214,8 @@ TEST(SweepRunner, TwoWorldsOnTwoThreadsStayDeterministic) {
 }
 
 TEST(SweepRunner, RecordersStayIsolatedAcrossConcurrentWorlds) {
-  // Each world owns its flight recorder and binds it thread-locally; two
+  // Each world's fabric owns its flight recorder, and every QP and device
+  // reaches it through its HCA, not through any per-thread state; two
   // tracing worlds running at once must each see exactly their own
   // events. Different iteration counts make cross-talk detectable.
   std::uint64_t posted_small = 0, posted_large = 0;

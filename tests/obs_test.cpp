@@ -1,17 +1,21 @@
 // Observability layer: metrics registry round-trip, flight-recorder ring
-// semantics, Chrome trace well-formedness, and the ISSUE's end-to-end
-// acceptance scenarios (trace/metric agreement on a NAS LU run; backlog
-// episodes visible at prepost=10 and absent at prepost=100).
+// semantics, Chrome trace well-formedness, failed exports, and end-to-end
+// scenarios (trace/metric agreement on a NAS LU run; backlog episodes
+// visible at prepost=10 and absent at prepost=100; the latency.* view of a
+// disarmed world).
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "mpi/communicator.hpp"
 #include "mpi/world.hpp"
 #include "nas/kernel.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/prof.hpp"
 #include "obs/recorder.hpp"
 
 namespace obs = mvflow::obs;
@@ -144,21 +148,6 @@ TEST(FlightRecorder, DisabledRecorderRecordsNothing) {
   EXPECT_EQ(rec.recorded(), 1u);
 }
 
-TEST(FlightRecorder, LatencyBreakdownAccumulates) {
-  obs::FlightRecorder rec;
-  rec.enable(4);
-  rec.note_post_to_wire(sim::Duration(100));
-  rec.note_post_to_wire(sim::Duration(300));
-  rec.note_wire_to_ack(sim::Duration(5000));
-  rec.note_backlog_residency(sim::Duration(70000));
-  EXPECT_EQ(rec.latency().post_to_wire.count(), 2u);
-  EXPECT_EQ(rec.latency().post_to_wire.mean(), 200.0);
-  EXPECT_EQ(rec.latency().wire_to_ack.count(), 1u);
-  EXPECT_EQ(rec.latency().backlog_residency.count(), 1u);
-  rec.clear();
-  EXPECT_EQ(rec.latency().post_to_wire.count(), 0u);
-}
-
 TEST(FlightRecorder, CsvCarriesLastKnownValues) {
   obs::FlightRecorder rec;
   rec.enable(16);
@@ -180,6 +169,7 @@ TEST(FlightRecorder, CsvCarriesLastKnownValues) {
 TEST(ChromeTrace, PingPongProducesWellFormedTrace) {
   mpi::World world(two_rank_config(/*prepost=*/16));
   world.recorder().enable(1u << 16);
+  world.profiler().enable();
   world.run([](mpi::Communicator& comm) {
     std::byte buf[256];
     std::memset(buf, 0, sizeof buf);
@@ -231,8 +221,11 @@ TEST(ChromeTrace, PingPongProducesWellFormedTrace) {
   EXPECT_GT(rec.count(obs::Ev::msg_on_wire), 0u);
   EXPECT_GT(rec.count(obs::Ev::msg_delivered), 0u);
   EXPECT_GT(rec.count(obs::Ev::msg_acked), 0u);
-  EXPECT_GT(rec.latency().post_to_wire.count(), 0u);
-  EXPECT_GT(rec.latency().wire_to_ack.count(), 0u);
+  // The latency breakdown is a view of the profile, armed alongside.
+  const obs::LatencyBreakdown lat =
+      obs::latency_view(world.profiler().records());
+  EXPECT_GT(lat.post_to_wire.count(), 0u);
+  EXPECT_GT(lat.wire_to_ack.count(), 0u);
 }
 
 namespace {
@@ -343,4 +336,52 @@ TEST(WorldMetrics, SnapshotCoversEveryLayer) {
   EXPECT_TRUE(snap.has("rank0.peer1.qp.messages_sent"));
   EXPECT_TRUE(snap.has("latency.post_to_wire.count"));
   EXPECT_GT(snap.sum_suffix(".flow.total_messages"), 0.0);
+}
+
+TEST(WorldMetrics, DisarmedWorldReadsZeroLatencyView) {
+  // latency.* is a view of the profile: a world that arms nothing still
+  // emits all 21 names, in their fixed order, all zero, and no prof.*.
+  mpi::WorldConfig cfg = two_rank_config(/*prepost=*/16);
+  cfg.run = mvflow::exp::RunConfig{};  // ignore ambient MVFLOW_* exports
+  mpi::World world(cfg);
+  world.run([](mpi::Communicator& comm) {
+    std::byte buf[64] = {};
+    if (comm.rank() == 0) comm.send(buf, 1, 1);
+    else comm.recv(buf, 0, 1);
+  });
+  std::vector<std::string> want;
+  for (const char* series :
+       {"post_to_wire", "wire_to_ack", "backlog_residency"}) {
+    for (const char* field : {"count", "mean_ns", "min_ns", "max_ns", "p50_ns",
+                              "p90_ns", "p99_ns"}) {
+      want.push_back(std::string("latency.") + series + "." + field);
+    }
+  }
+  std::vector<std::string> got;
+  for (const auto& [name, value] : world.metrics().snapshot().values) {
+    EXPECT_NE(name.rfind("prof.", 0), 0u) << name;
+    if (name.rfind("latency.", 0) != 0) continue;
+    got.push_back(name);
+    EXPECT_EQ(value, 0.0) << name;
+  }
+  EXPECT_EQ(got, want);
+}
+
+// ----------------------------------------------------------------- exports --
+
+TEST(Exports, EveryFileExportReportsAFullDevice) {
+  // /dev/full accepts the open and fails the flush: each export must check
+  // its close, not just its open.
+  const std::string full = "/dev/full";
+  obs::MetricsRegistry reg;
+  reg.gauge("a") = 1.0;
+  EXPECT_FALSE(reg.snapshot().write_json(full));
+
+  obs::FlightRecorder rec;
+  rec.enable(16);
+  rec.record(sim::TimePoint(10), obs::Ev::credit_grant, 0, 1, 3, 5, 5);
+  EXPECT_FALSE(rec.export_chrome_trace(full));
+  EXPECT_FALSE(rec.export_credit_csv(full));
+
+  EXPECT_FALSE(obs::write_profile(full, obs::ProfileAnalysis{}, "full"));
 }

@@ -1,8 +1,8 @@
 // Causal critical-path profiler tests (DESIGN.md §16): exactness of the
-// six-way latency split, the cross-subsystem audit against the flight
-// recorder, the zero-record disarmed contract, the deterministic chain-id
-// join key, and the export surfaces (profile JSON, flow arrows, "prof."
-// metrics).
+// six-way latency split, the latency.* view of the records, the
+// cross-subsystem audit against the flight recorder's instants, the
+// zero-record disarmed contract, the deterministic chain-id join key, and
+// the export surfaces (profile JSON, flow arrows, "prof." metrics).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -37,7 +37,6 @@ mpi::WorldConfig prof_config(int ranks, int prepost) {
   cfg.flow.scheme = flowctl::Scheme::user_static;
   cfg.flow.prepost = prepost;
   cfg.run = exp::RunConfig{};  // tests must ignore ambient MVFLOW_* exports
-  cfg.profile = true;
   return cfg;
 }
 
@@ -60,6 +59,7 @@ void starved_flood(mpi::Communicator& comm) {
 obs::ProfileAnalysis starved_analysis(
     std::unique_ptr<mpi::World>* out_world = nullptr) {
   auto world = std::make_unique<mpi::World>(prof_config(2, 2));
+  world->profiler().enable();
   world->recorder().enable(obs::FlightRecorder::kDefaultCapacity);
   world->run(starved_flood);
   obs::ProfileAnalysis a = world->prof_analysis();
@@ -99,8 +99,9 @@ TEST(ProfAttribution, SegmentsSumExactlyToE2e) {
   EXPECT_GT(a.payload.seg[static_cast<int>(obs::Segment::credit_stall)] +
                 a.payload.seg[static_cast<int>(obs::Segment::ecm_rtt)],
             0);
-  // Cross-subsystem audit: raw sums equal the recorder's accumulators.
-  EXPECT_TRUE(obs::audit_against(a, world->recorder().latency()));
+  // Cross-subsystem audit: the latency view equals the ring's instants.
+  EXPECT_TRUE(obs::audit_against(
+      obs::latency_view(world->profiler().records()), world->recorder()));
 }
 
 TEST(ProfAttribution, CriticalPathAndConnectionsPopulated) {
@@ -124,9 +125,7 @@ TEST(ProfAttribution, CriticalPathAndConnectionsPopulated) {
 }
 
 TEST(ProfAttribution, DisarmedProfilerRecordsNothing) {
-  mpi::WorldConfig cfg = prof_config(2, 2);
-  cfg.profile = false;
-  mpi::World world(cfg);
+  mpi::World world(prof_config(2, 2));
   world.run(starved_flood);
   EXPECT_FALSE(world.profiler().enabled());
   EXPECT_TRUE(world.profiler().records().empty());
@@ -135,6 +134,7 @@ TEST(ProfAttribution, DisarmedProfilerRecordsNothing) {
 
 TEST(ProfAttribution, DevRecvCarriesDeterministicChainId) {
   mpi::World world(prof_config(2, 2));
+  world.profiler().enable();
   world.run(starved_flood);
   std::size_t checked = 0;
   for (const obs::ProfRecord& r : world.profiler().records()) {
@@ -149,6 +149,136 @@ TEST(ProfAttribution, DevRecvCarriesDeterministicChainId) {
   }
   // At least the whole flood (the teardown handshake may add a couple).
   EXPECT_GE(checked, static_cast<std::size_t>(kFloodCount));
+}
+
+// ------------------------------------------------------------ latency view --
+
+namespace {
+
+obs::ProfRecord qp_send(std::int16_t src, std::uint64_t tx_id,
+                        std::int64_t post, std::int64_t first_tx,
+                        std::int64_t acked) {
+  obs::ProfRecord r;
+  r.family = obs::ProfFamily::qp_send;
+  r.src = src;
+  r.aux = tx_id;
+  r.t0 = sim::TimePoint(post);
+  r.t1 = sim::TimePoint(first_tx);
+  r.t2 = sim::TimePoint(first_tx);
+  r.t3 = sim::TimePoint(acked);
+  return r;
+}
+
+obs::ProfRecord dev_send(std::int64_t post, std::int64_t dispatch,
+                         bool backlogged) {
+  obs::ProfRecord r;
+  r.family = obs::ProfFamily::dev_send;
+  r.src = 0;
+  r.t0 = sim::TimePoint(post);
+  r.t1 = sim::TimePoint(dispatch);
+  if (backlogged) {
+    r.t2 = sim::TimePoint(dispatch);
+    r.flags = obs::kProfBacklogged;
+  }
+  return r;
+}
+
+/// Replay `from`'s ring into a fresh recorder of `capacity` slots, with
+/// the first msg_on_wire instant moved `late_ns` later.
+obs::FlightRecorder replay_ring(const obs::FlightRecorder& from,
+                                std::size_t capacity, std::int64_t late_ns) {
+  obs::FlightRecorder to;
+  to.enable(capacity);
+  bool shifted = false;
+  for (const obs::TraceEvent& e : from.events()) {
+    sim::TimePoint t = e.t;
+    if (!shifted && e.kind == obs::Ev::msg_on_wire) {
+      t += sim::Duration(late_ns);
+      shifted = true;
+    }
+    to.record(t, e.kind, e.rank, e.peer, e.qpn, e.a, e.b);
+  }
+  return to;
+}
+
+}  // namespace
+
+TEST(LatencyView, FoldsFirstQpSendAndBackloggedDevSend) {
+  const std::vector<obs::ProfRecord> records = {
+      qp_send(0, 1, 100, 300, 5'300),       // 200 ns to wire, 5 000 to ACK
+      qp_send(0, 2, 1'000, 3'600, 153'600),  // 2 600 ns, 150 000 ns
+      qp_send(0, 1, 0, 45'000, 245'000),    // recovery replay of tx 1: skipped
+      dev_send(10'000, 80'000, true),       // 70 000 ns in the backlog
+      dev_send(0, 500, false),              // never backlogged: skipped
+  };
+  std::vector<std::pair<std::string, double>> got;
+  obs::latency_view(records).visit(
+      [&got](const std::string& name, double v) { got.emplace_back(name, v); });
+  ASSERT_EQ(got.size(), 21u);
+  const auto value = [&got](const std::string& name) {
+    for (const auto& [n, v] : got) {
+      if (n == name) return v;
+    }
+    ADD_FAILURE() << "missing " << name;
+    return -1.0;
+  };
+  // Histogram quantiles report bucket midpoints: 1 000 ns buckets for
+  // post_to_wire, 4 000 for wire_to_ack, 40 000 for backlog_residency.
+  EXPECT_EQ(value("post_to_wire.count"), 2.0);
+  EXPECT_EQ(value("post_to_wire.min_ns"), 200.0);
+  EXPECT_EQ(value("post_to_wire.max_ns"), 2'600.0);
+  EXPECT_EQ(value("post_to_wire.mean_ns"), 1'400.0);
+  EXPECT_EQ(value("post_to_wire.p50_ns"), 2'500.0);
+  EXPECT_EQ(value("post_to_wire.p90_ns"), 2'500.0);
+  EXPECT_EQ(value("post_to_wire.p99_ns"), 2'500.0);
+  EXPECT_EQ(value("wire_to_ack.count"), 2.0);
+  EXPECT_EQ(value("wire_to_ack.min_ns"), 5'000.0);
+  EXPECT_EQ(value("wire_to_ack.max_ns"), 150'000.0);
+  EXPECT_EQ(value("wire_to_ack.p50_ns"), 150'000.0);
+  EXPECT_EQ(value("wire_to_ack.p90_ns"), 150'000.0);
+  EXPECT_EQ(value("wire_to_ack.p99_ns"), 150'000.0);
+  EXPECT_EQ(value("backlog_residency.count"), 1.0);
+  EXPECT_EQ(value("backlog_residency.min_ns"), 70'000.0);
+  EXPECT_EQ(value("backlog_residency.max_ns"), 70'000.0);
+  EXPECT_EQ(value("backlog_residency.p50_ns"), 60'000.0);
+  EXPECT_EQ(value("backlog_residency.p90_ns"), 60'000.0);
+  EXPECT_EQ(value("backlog_residency.p99_ns"), 60'000.0);
+  EXPECT_EQ(obs::latency_view({}).post_to_wire.count(), 0u);
+}
+
+TEST(ProfAudit, ViewAgreesWithTraceRingOnStarvedFlood) {
+  std::unique_ptr<mpi::World> world;
+  (void)starved_analysis(&world);
+  ASSERT_NE(world, nullptr);
+  const obs::LatencyBreakdown view =
+      obs::latency_view(world->profiler().records());
+  ASSERT_GT(view.backlog_residency.count(), 0u) << "flood must backlog";
+  EXPECT_TRUE(obs::audit_against(view, world->recorder()));
+  // An exact copy of the ring is the same book.
+  const obs::FlightRecorder& rec = world->recorder();
+  EXPECT_TRUE(obs::audit_against(view, replay_ring(rec, rec.size(), 0)));
+}
+
+TEST(ProfAudit, OneLateOnWireInstantFailsTheAudit) {
+  std::unique_ptr<mpi::World> world;
+  (void)starved_analysis(&world);
+  ASSERT_NE(world, nullptr);
+  const obs::FlightRecorder& rec = world->recorder();
+  EXPECT_FALSE(
+      obs::audit_against(obs::latency_view(world->profiler().records()),
+                         replay_ring(rec, rec.size(), 1)));
+}
+
+TEST(ProfAudit, WrappedRingFailsTheAudit) {
+  std::unique_ptr<mpi::World> world;
+  (void)starved_analysis(&world);
+  ASSERT_NE(world, nullptr);
+  const obs::FlightRecorder& rec = world->recorder();
+  ASSERT_GT(rec.size(), 1u);
+  const obs::FlightRecorder wrapped = replay_ring(rec, rec.size() - 1, 0);
+  ASSERT_GT(wrapped.dropped(), 0u);
+  EXPECT_FALSE(obs::audit_against(
+      obs::latency_view(world->profiler().records()), wrapped));
 }
 
 // ----------------------------------------------------------------- exports --
@@ -207,7 +337,7 @@ TEST(ProfExport, MetricsRegistryExposesBlameAndQuantiles) {
   EXPECT_TRUE(snap.has("prof.link.up.r0.e2e_ns"));
   EXPECT_TRUE(snap.has("prof.link.down.r1.e2e_ns"));
   // Histogram quantiles are derived gauges in the same snapshot (the
-  // recorder's latency source), p50/p90/p99 all present.
+  // profile's latency view), p50/p90/p99 all present.
   EXPECT_GT(snap.count_suffix(".p50_ns"), 0u);
   EXPECT_GT(snap.count_suffix(".p90_ns"), 0u);
   EXPECT_GT(snap.count_suffix(".p99_ns"), 0u);

@@ -40,8 +40,9 @@ SPECS = {
     "prof_attribution": {
         # Causal-profiler correctness verdicts (DESIGN.md §16). All are
         # exact: Σ segments == e2e is an invariant, a repeated run must
-        # reproduce the profile byte for byte, the LatencyBreakdown
-        # cross-audit is equality of integer sums, and the fig3 gap
+        # reproduce the profile byte for byte, the cross-audit of the
+        # latency view against the flight recorder's own instants is
+        # equality of integer sums and counts, and the fig3 gap
         # attribution is a deterministic function of the simulated runs.
         # The per-point segment totals are exact for the same reason — any
         # change here is a protocol/timing change, not noise.

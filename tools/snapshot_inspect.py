@@ -16,7 +16,7 @@ import sys
 import zlib
 
 MAGIC = b"MVFLOWCK"
-VERSION = 4
+VERSION = 5
 HEADER = struct.Struct("<8sIIQI")  # magic, version, flags, payload, crc
 
 SECTION_NAMES = {
