@@ -7,9 +7,10 @@
 //   exact      — every message's six segments sum exactly to its e2e latency
 //   identical  — two runs of each cell give byte-identical profile
 //                documents
-//   audit_ok   — the profile's latency view equals the flight recorder's
-//                own lifecycle instants (independent books, same call
-//                sites; obs::audit_against)
+//   audit_ok   — the profile and its latency view, both replayed from the
+//                flight recorder's stream, cross-foot against the
+//                flow-control and QP counters the stream does not feed
+//                (obs::audit_against)
 //   gap_attributed — the fraction of the e2e gap the profiler pins on
 //                credit_stall + ecm_rtt; the starved run's slowdown *is*
 //                credit famine, so ≥ 0.90 must land there
@@ -49,10 +50,8 @@ Cell run_cell(int prepost, const std::string& label) {
       bench::base_config(flowctl::Scheme::user_static, prepost);
   cfg.run = exp::RunConfig{};  // no env-driven exports from bench cells
   mpi::World world(cfg);
-  world.profiler().enable();
-  // Arm the recorder too: the cross-subsystem audit checks the profile's
-  // latency view against the ring's own instants.
-  world.recorder().enable(obs::FlightRecorder::kDefaultCapacity);
+  // The profile is a view of the whole stream: record without wrapping.
+  world.recorder().enable(obs::FlightRecorder::kUnbounded);
 
   // The paper's blocking bandwidth pattern (§6.2.2), adapted so the two
   // prepost configurations differ *only* in credit availability: the
@@ -89,7 +88,8 @@ Cell run_cell(int prepost, const std::string& label) {
   cell.analysis = world.prof_analysis();
   cell.profile_json = obs::profile_to_json(cell.analysis, label);
   cell.audit_ok = obs::audit_against(
-      obs::latency_view(world.profiler().records()), world.recorder());
+      cell.analysis, obs::latency_view(world.recorder().stream()),
+      world.counter_books());
   return cell;
 }
 

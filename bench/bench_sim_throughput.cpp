@@ -55,9 +55,9 @@ struct RingResult {
 /// queue drains fully between repetitions (recvs are pre-posted, so the
 /// happy path never takes an RNR detour).
 RingResult run_ring(const Sweep& s, int reps) {
-  // The fabric owns its (disarmed) recorder and profiler, so the
-  // instrumentation fast path under measurement is the production one:
-  // one predicted branch per site, reached through the HCA.
+  // The fabric owns its (disarmed) recorder, so the instrumentation fast
+  // path under measurement is the production one: one predicted branch per
+  // site, reached through the HCA.
   sim::Engine engine;
   ib::FabricConfig cfg;
   if (s.transport_timers) cfg.transport_timeout = sim::microseconds(500);

@@ -52,9 +52,10 @@ struct RunConfig {
     return !trace_path.empty() || !trace_csv_path.empty();
   }
 
-  /// Causal profiler export ($MVFLOW_PROF, DESIGN.md §16): arm the
-  /// profiler and write the analyzed profile JSON here at world teardown.
-  /// "-" writes to stdout. Empty = profiler disarmed (zero cost).
+  /// Causal profile export ($MVFLOW_PROF, DESIGN.md §16): record an
+  /// unbounded stream (trace_capacity is ignored) and write its analyzed
+  /// profile JSON here at world teardown. "-" writes to stdout. Empty =
+  /// no profile.
   std::string prof_path;
 
   bool prof_enabled() const noexcept { return !prof_path.empty(); }

@@ -11,10 +11,6 @@ std::optional<Completion> CompletionQueue::poll() {
 
 void CompletionQueue::push(const Completion& wc) {
   entries_.push_back(wc);
-  // Stamp the causal token of the event pushing this completion (one load +
-  // store; 0 whenever no profiler is armed). Stamping here, not at the many
-  // QP push sites, keeps the producer protocol code cause-agnostic.
-  entries_.back().cause = engine_.cause();
   ++total_pushed_;
   nonempty_.notify_all();
 }

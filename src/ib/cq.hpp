@@ -15,7 +15,7 @@ namespace mvflow::ib {
 class CompletionQueue {
  public:
   explicit CompletionQueue(sim::Engine& engine)
-      : engine_(engine), nonempty_(engine) {}
+      : nonempty_(engine) {}
   CompletionQueue(const CompletionQueue&) = delete;
   CompletionQueue& operator=(const CompletionQueue&) = delete;
 
@@ -35,7 +35,6 @@ class CompletionQueue {
   std::uint64_t total_pushed() const noexcept { return total_pushed_; }
 
  private:
-  sim::Engine& engine_;
   util::FlatFifo<Completion> entries_;
   sim::Condition nonempty_;
   std::uint64_t total_pushed_ = 0;

@@ -5,8 +5,7 @@
 // bandwidth contention, head-of-line effects, and NAK/retransmit waste are
 // all visible in simulated time. Every node schedules on the one engine
 // the fabric was built with (DESIGN.md §14), and every QP and device on
-// the fabric reports to the fabric's flight recorder and causal profiler
-// (DESIGN.md §11, §16).
+// the fabric reports to the fabric's flight recorder (DESIGN.md §11).
 #pragma once
 
 #include <cstdint>
@@ -18,7 +17,6 @@
 #include "ib/config.hpp"
 #include "ib/hca.hpp"
 #include "ib/packet.hpp"
-#include "obs/prof.hpp"
 #include "obs/recorder.hpp"
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
@@ -72,12 +70,11 @@ class Fabric {
   sim::Engine& engine() noexcept { return engine_; }
   const FabricConfig& config() const noexcept { return config_; }
 
-  /// The observers every QP and device on this fabric reports to, reached
-  /// through the HCA (`hca.fabric().recorder()`). Both start disarmed, and
-  /// a disarmed sink costs each instrumentation site one predictable
-  /// branch; arm one with enable() before the traffic it should see.
+  /// The one sink every QP and device on this fabric reports to, reached
+  /// through the HCA (`hca.fabric().recorder()`). It starts disarmed, and
+  /// a disarmed recorder costs each instrumentation site one predictable
+  /// branch; arm it with enable() before the traffic it should see.
   obs::FlightRecorder& recorder() noexcept { return recorder_; }
-  obs::Profiler& profiler() noexcept { return profiler_; }
 
   /// Connect two QPs into an RC pair (both transition to ready).
   static void connect(QueuePair& a, QueuePair& b);
@@ -201,13 +198,11 @@ class Fabric {
   std::map<std::tuple<int, int, PacketKind>, std::uint64_t> passed_;
 
   // Last, so the per-packet state above stays packed into the same cache
-  // lines: placed before nodes_, they slowed perfbench's verbs_ring by ~6%
-  // on a 4-vCPU x86-64 VM. No QP reports while the fabric is torn down.
-  // Neither is part of serialize_state: snapshots carry the recorder as a
-  // section of its own (DESIGN.md §13), and the profile is an export
-  // artifact, not world state.
+  // lines: placed before nodes_, the sinks slowed perfbench's verbs_ring by
+  // ~6% on a 4-vCPU x86-64 VM. No QP reports while the fabric is torn
+  // down. Not part of serialize_state: snapshots carry the recorder as a
+  // section of its own (DESIGN.md §13).
   obs::FlightRecorder recorder_;
-  obs::Profiler profiler_;
 };
 
 }  // namespace mvflow::ib

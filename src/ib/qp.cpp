@@ -6,7 +6,6 @@
 #include "ib/cq.hpp"
 #include "ib/fabric.hpp"
 #include "ib/hca.hpp"
-#include "obs/prof.hpp"
 #include "obs/recorder.hpp"
 #include "util/check.hpp"
 #include "util/serial.hpp"
@@ -92,9 +91,8 @@ void QueuePair::post_send(const SendWr& wr) {
   ps.data = std::move(data);
   if (auto& rec = hca_.fabric().recorder(); rec.enabled()) {
     rec.record(hca_.engine().now(), obs::Ev::msg_posted, hca_.node_id(),
-               remote_node_, qpn_, ps.msn, wr.length);
+               remote_node_, qpn_, ps.msn, wr.length, wr.wr_id);
   }
-  if (hca_.fabric().profiler().enabled()) ps.prof_posted = hca_.engine().now();
   pending_tx_.push_back(std::move(ps));
   pump_tx();
 }
@@ -179,26 +177,17 @@ void QueuePair::transmit_message(PendingSend& ps) {
                                           : packet_count(ps.data->length, cfg.mtu);
   if (auto& rec = fabric.recorder(); rec.enabled()) {
     const int me = hca_.node_id();
+    const std::uint64_t wr_id = ps.wr.wr_id;
     if (ps.retransmission) {
       rec.record(now, obs::Ev::retransmit, me, remote_node_, qpn_, ps.msn,
-                 ps.data->length);
+                 ps.data->length, wr_id);
     } else {
       rec.record(now, obs::Ev::msg_on_wire, me, remote_node_, qpn_, ps.msn,
-                 ps.data->length);
+                 ps.data->length, wr_id);
       if (count > 1)
         rec.record(now, obs::Ev::msg_segmented, me, remote_node_, qpn_, ps.msn,
-                   count);
+                   count, wr_id);
     }
-  }
-  if (fabric.profiler().enabled()) {
-    // last_tx always tracks the latest transmission start; first_tx only the
-    // first — their gap is exactly the profiler's retransmit segment.
-    if (ps.retransmission) {
-      ++ps.prof_retx;
-    } else {
-      ps.prof_first_tx = now;
-    }
-    ps.prof_last_tx = now;
   }
   std::uint32_t remaining = ps.data->length;
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -599,27 +588,11 @@ void QueuePair::retire_acked_() {
     const PendingSend ps = std::move(unacked_.front());
     unacked_.pop_front();
     if (auto& rec = hca_.fabric().recorder(); rec.enabled()) {
+      // The ACK retiring the WQE commits its QP-level lifecycle; wr_id (the
+      // device's tx id) joins it to the device's wire_post offline.
       rec.record(hca_.engine().now(), obs::Ev::msg_acked, hca_.node_id(),
-                 remote_node_, qpn_, ps.msn, ps.data ? ps.data->length : 0);
-    }
-    if (auto& prof = hca_.fabric().profiler();
-        prof.enabled() && ps.prof_first_tx.count() >= 0) {
-      // The ACK retiring the WQE is the commit point for the whole QP-level
-      // lifecycle of this message. wr_id is the device's tx id, the offline
-      // join key against the dev_send record.
-      obs::ProfRecord r;
-      r.family = obs::ProfFamily::qp_send;
-      r.msg_kind = static_cast<std::uint8_t>(ps.wr.opcode);
-      r.src = static_cast<std::int16_t>(hca_.node_id());
-      r.dst = static_cast<std::int16_t>(remote_node_);
-      r.bytes = ps.data ? ps.data->length : 0;
-      r.n_retx = ps.prof_retx;
-      r.aux = ps.wr.wr_id;
-      r.t0 = ps.prof_posted;
-      r.t1 = ps.prof_first_tx;
-      r.t2 = ps.prof_last_tx;
-      r.t3 = hca_.engine().now();
-      prof.record(r);
+                 remote_node_, qpn_, ps.msn, ps.data ? ps.data->length : 0,
+                 ps.wr.wr_id);
     }
     WcOpcode op = WcOpcode::send;
     if (ps.wr.opcode == WrOpcode::rdma_write) op = WcOpcode::rdma_write;

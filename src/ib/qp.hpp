@@ -118,15 +118,6 @@ class QueuePair {
     int rnr_retries_left = 0;
     bool retransmission = false;
     bool acked = false;
-    // Profiler lifecycle stamps (obs::Profiler, taken only while armed;
-    // TimePoint(-1) = never stamped). Committed as one qp_send record when
-    // the ACK retires the WQE, and the `latency.*` view derives from that
-    // record. None of these are serialized: they are observer state, not
-    // protocol state.
-    sim::TimePoint prof_posted{-1};
-    sim::TimePoint prof_first_tx{-1};
-    sim::TimePoint prof_last_tx{-1};
-    std::uint32_t prof_retx = 0;
   };
 
   void pump_tx();

@@ -93,11 +93,6 @@ struct Completion {
   std::uint32_t byte_len = 0;
   QpNumber qp_num = 0;      ///< Local QP this completion belongs to.
   QpNumber src_qp = 0;      ///< Remote QP (recv completions).
-  /// Engine causal token at CQ push time (sim::Engine::cause). Carries the
-  /// originating wire message's chain id across the poll boundary, where
-  /// one process wakeup may drain completions of many causes. Always 0 when
-  /// no profiler is armed; never serialized.
-  std::uint64_t cause = 0;
   bool ok() const { return status == WcStatus::success; }
 };
 

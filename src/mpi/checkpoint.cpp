@@ -84,7 +84,6 @@ void encode_config(serial::BufWriter& w, const WorldConfig& cfg,
 
   const DeviceConfig& d = cfg.device;
   w.u32(d.buffer_size);
-  w.u32(d.control_reserve);
   w.i64(d.send_overhead.count());
   w.i64(d.recv_post_overhead.count());
   w.i64(d.eager_handle_overhead.count());
@@ -97,7 +96,6 @@ void encode_config(serial::BufWriter& w, const WorldConfig& cfg,
   w.u64(d.page_size);
   w.b(d.reg_cache);
   w.u64(d.reg_cache_capacity);
-  w.b(d.convert_backlogged_to_rndv);
   w.i64(d.connect_setup.count());
   w.b(d.auto_reconnect);
   w.i64(d.reconnect_delay.count());
@@ -166,7 +164,6 @@ void decode_config(serial::BufReader& r, WorldConfig& cfg, bool& trace_armed,
 
   DeviceConfig& d = cfg.device;
   d.buffer_size = r.u32("device.buffer_size");
-  d.control_reserve = r.u32("device.control_reserve");
   d.send_overhead = sim::Duration(r.i64("device.send_overhead"));
   d.recv_post_overhead = sim::Duration(r.i64("device.recv_post_overhead"));
   d.eager_handle_overhead =
@@ -181,7 +178,6 @@ void decode_config(serial::BufReader& r, WorldConfig& cfg, bool& trace_armed,
   d.page_size = r.u64("device.page_size");
   d.reg_cache = r.b("device.reg_cache");
   d.reg_cache_capacity = r.u64("device.reg_cache_capacity");
-  d.convert_backlogged_to_rndv = r.b("device.convert_backlogged_to_rndv");
   d.connect_setup = sim::Duration(r.i64("device.connect_setup"));
   d.auto_reconnect = r.b("device.auto_reconnect");
   d.reconnect_delay = sim::Duration(r.i64("device.reconnect_delay"));

@@ -12,15 +12,10 @@
 namespace mvflow::mpi {
 
 struct DeviceConfig {
-  /// Size of each pre-posted buffer (paper §5: 2 KBytes).
+  /// Size of each pre-posted buffer (paper §5: 2 KBytes). The pool holds
+  /// exactly the credited buffers: optimistic control messages (CTS/FIN/
+  /// ECM) ride on the RC RNR NAK retry as their backstop, as in the paper.
   std::uint32_t buffer_size = 2048;
-
-  /// Physical buffers posted beyond the credited pool. The paper's design
-  /// posts exactly the credited pool and lets optimistic control messages
-  /// (CTS/FIN/ECM) ride on the RC RNR NAK retry as their backstop, so the
-  /// default reserve is zero; raise it to absorb control bursts without
-  /// hardware retries.
-  std::uint32_t control_reserve = 0;
 
   // ---- host software costs (simulated time) ----
   // Receive-side handling is charged by message class: consuming an eager
@@ -49,11 +44,6 @@ struct DeviceConfig {
   /// registrations of the same buffer are free until evicted.
   bool reg_cache = true;
   std::size_t reg_cache_capacity = 256;
-
-  /// User-level schemes: a small message that finds no credits is switched
-  /// to Rendezvous (paper §4.2: "when there are no credits, only
-  /// Rendezvous protocol is used" — the handshake piggybacks credits back).
-  bool convert_backlogged_to_rndv = true;
 
   /// On-demand connection setup handshake cost (three control messages
   /// through an out-of-band channel).

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "mpi/world.hpp"
-#include "obs/prof.hpp"
 #include "obs/recorder.hpp"
 #include "util/check.hpp"
 #include "util/serial.hpp"
@@ -14,13 +13,12 @@ namespace mvflow::mpi {
 namespace {
 constexpr std::size_t kBounceChunk = 64;  // bounce slots added per arena
 
-/// Deterministic chain id of one wire message: the same value the offline
-/// analysis derives from (src, dst, seq), so the engine's causal token can
-/// be checked against the profile without any shared counter.
-std::uint64_t prof_chain_id(Rank src, Rank dst, std::uint64_t seq) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint16_t>(src)) << 48) |
-         (static_cast<std::uint64_t>(static_cast<std::uint16_t>(dst)) << 32) |
-         (seq & 0xffffffffull);
+/// TraceEvent::flags of a device instant: the message kind and whether it
+/// is credited (eager data, rendezvous start).
+std::uint8_t msg_flags(MsgKind kind) {
+  return static_cast<std::uint8_t>(
+      (static_cast<unsigned>(kind) << obs::kMsgKindShift) |
+      (is_credited(kind) ? obs::kProfPayload : 0u));
 }
 }
 
@@ -42,10 +40,6 @@ sim::Engine& Device::engine() const noexcept { return world_.engine(); }
 
 obs::FlightRecorder& Device::recorder() const noexcept {
   return hca_->fabric().recorder();
-}
-
-obs::Profiler& Device::profiler() const noexcept {
-  return hca_->fabric().profiler();
 }
 
 // ---------------------------------------------------------------- setup --
@@ -96,9 +90,7 @@ void Device::activate_endpoint(Rank peer) {
   util::check(ep.qp->connected(), "activate before connect");
   util::check(!ep.active, "endpoint already active");
   ep.active = true;
-  const int total = ep.flow.initial_posted() +
-                    static_cast<int>(world_.config().device.control_reserve);
-  grow_recv_slots(ep, total);
+  grow_recv_slots(ep, ep.flow.initial_posted());
 }
 
 Device::Endpoint& Device::ensure_endpoint(Rank peer) {
@@ -290,7 +282,6 @@ void Device::send_credited(Endpoint& ep, WireHeader hdr,
       rec.record(engine().now(), obs::Ev::credit_consume, me_, ep.peer,
                  ep.qp->qpn(), 1, ep.flow.credits());
     }
-    if (profiler().enabled()) prof_note_credits(ep);
     post_wire(ep, hdr, payload);
     if (eager_req) eager_req->mark_complete();  // buffered-send semantics
     return;
@@ -300,13 +291,10 @@ void Device::send_credited(Endpoint& ep, WireHeader hdr,
   entry.hdr = hdr;
   entry.payload.assign(payload.begin(), payload.end());
   entry.eager_req = std::move(eager_req);
-  const sim::TimePoint now = engine().now();
-  entry.enqueued_at = now;
-  if (profiler().enabled()) entry.prof_zero_base = prof_zero_total(ep, now);
   ep.backlog.push_back(std::move(entry));
   if (auto& rec = recorder(); rec.enabled()) {
-    rec.record(now, obs::Ev::backlog_enter, me_, ep.peer, ep.qp->qpn(),
-               ep.backlog.size(), ep.flow.credits());
+    rec.record(engine().now(), obs::Ev::backlog_enter, me_, ep.peer,
+               ep.qp->qpn(), ep.backlog.size(), ep.flow.credits());
   }
   drain_backlog(ep);  // under famine the head may leave as an optimistic RTS
 }
@@ -323,13 +311,6 @@ void Device::drain_backlog(Endpoint& ep) {
       rec.record(now, obs::Ev::backlog_dispatch, me_, ep.peer, ep.qp->qpn(),
                  ep.backlog.size(), ep.flow.credits());
     }
-    if (profiler().enabled()) {
-      const auto now = engine().now();
-      prof_note_credits(ep);
-      ep.prof_next_post = entry.enqueued_at;
-      ep.prof_next_disp = now;
-      ep.prof_next_zero = prof_zero_total(ep, now) - entry.prof_zero_base;
-    }
     entry.hdr.backlogged = 1;  // dynamic-scheme feedback bit
     post_wire(ep, entry.hdr, entry.payload);
     if (entry.eager_req) entry.eager_req->mark_complete();
@@ -340,7 +321,6 @@ void Device::drain_backlog(Endpoint& ep) {
   // buffers we leave the head queued and rely on the (pool-capped) ECM
   // threshold to bring credits back instead.
   if (!ep.backlog.empty() && !ep.famine_rts_inflight &&
-      world_.config().device.convert_backlogged_to_rndv &&
       ep.flow.config().prepost >= 4) {
     dispatch_famine_head(ep);
   }
@@ -358,12 +338,6 @@ void Device::dispatch_famine_head(Endpoint& ep) {
   if (auto& rec = recorder(); rec.enabled()) {
     rec.record(engine().now(), obs::Ev::backlog_dispatch, me_, ep.peer,
                ep.qp->qpn(), ep.backlog.size(), ep.flow.credits());
-  }
-  if (profiler().enabled()) {
-    const auto now = engine().now();
-    ep.prof_next_post = entry.enqueued_at;
-    ep.prof_next_disp = now;
-    ep.prof_next_zero = prof_zero_total(ep, now) - entry.prof_zero_base;
   }
   ep.famine_rts_inflight = true;
 
@@ -442,45 +416,14 @@ void Device::post_wire(Endpoint& ep, WireHeader hdr,
   ctx.peer = ep.peer;
   ctx.wr = wr;
   tx_.emplace(txid, std::move(ctx));
-  if (auto& prof = profiler(); prof.enabled()) {
-    obs::ProfRecord r;
-    r.family = obs::ProfFamily::dev_send;
-    r.msg_kind = static_cast<std::uint8_t>(hdr.kind);
-    r.src = static_cast<std::int16_t>(me_);
-    r.dst = static_cast<std::int16_t>(ep.peer);
-    r.bytes = hdr.payload_bytes;
-    r.seq = hdr.seq;
-    r.aux = txid;
-    const sim::TimePoint now = engine().now();
-    r.t1 = now;
-    if (ep.prof_next_post.count() >= 0) {
-      // Dispatched from the backlog: the dispatcher left the original post
-      // time, the residency endpoint and the zero-credit overlap behind.
-      r.t0 = ep.prof_next_post;
-      r.t2 = ep.prof_next_disp;
-      r.zero_ns = ep.prof_next_zero;
-      r.flags |= obs::kProfBacklogged;
-      ep.prof_next_post = sim::TimePoint{-1};
-      ep.prof_next_disp = sim::TimePoint{-1};
-      ep.prof_next_zero = 0;
-    } else {
-      r.t0 = now;
-    }
-    if (is_credited(hdr.kind)) r.flags |= obs::kProfPayload;
-    if (hdr.optimistic != 0) r.flags |= obs::kProfOptimistic;
-    if (r.zero_ns > 0 && ep.prof_grant_seq != obs::kProfNoSeq) {
-      r.grant_seq = ep.prof_grant_seq;
-      if (ep.prof_grant_ecm) r.flags |= obs::kProfGrantEcm;
-    }
-    prof.record(r);
-    // Every event this post cascades into — fabric hops, the receiver's
-    // completion, the returning ACK — inherits this message's chain id
-    // through the engine's causal token.
-    const std::uint64_t prev = engine().cause();
-    engine().set_cause(prof_chain_id(me_, ep.peer, hdr.seq));
-    ep.qp->post_send(wr);
-    engine().set_cause(prev);
-    return;
+  if (auto& rec = recorder(); rec.enabled()) {
+    // The backlogged bit marks a send the backlog released: the offline
+    // replay pairs it with that connection's backlog_dispatch instants.
+    std::uint8_t flags = msg_flags(hdr.kind);
+    if (hdr.backlogged != 0) flags |= obs::kProfBacklogged;
+    if (hdr.optimistic != 0) flags |= obs::kProfOptimistic;
+    rec.record(engine().now(), obs::Ev::wire_post, me_, ep.peer, ep.qp->qpn(),
+               txid, hdr.payload_bytes, hdr.seq, flags);
   }
   ep.qp->post_send(wr);
 }
@@ -513,21 +456,11 @@ RequestPtr Device::irecv(Rank src, Tag tag, std::span<std::byte> buffer) {
                     um->eager_payload.size());
       req->mark_complete(Status{um->src, um->tag,
                                 static_cast<std::uint32_t>(um->eager_payload.size())});
-      if (um->prof_seq != obs::kProfNoSeq) {
-        prof_record_recv(um->src, um->prof_seq,
-                         static_cast<std::uint8_t>(MsgKind::eager_data),
-                         obs::kProfUnexpected,
-                         static_cast<std::uint32_t>(um->eager_payload.size()),
-                         um->prof_arrival, engine().now(), um->prof_cause);
-      }
+      note_matched(um->src, um->seq, MsgKind::eager_data,
+                   static_cast<std::uint32_t>(um->eager_payload.size()), true);
       return req;
     }
-    if (um->prof_seq != obs::kProfNoSeq) {
-      prof_record_recv(um->src, um->prof_seq,
-                       static_cast<std::uint8_t>(MsgKind::rndv_rts),
-                       obs::kProfUnexpected, um->rndv_bytes, um->prof_arrival,
-                       engine().now(), um->prof_cause);
-    }
+    note_matched(um->src, um->seq, MsgKind::rndv_rts, um->rndv_bytes, true);
     begin_recv_rndv(um->src, um->tag, um->rndv_sreq, um->rndv_bytes,
                     buffer.data(), req);
     return req;
@@ -589,7 +522,7 @@ void Device::handle_completion(const ib::Completion& wc) {
     return;
   }
   if (wc.opcode == ib::WcOpcode::recv) {
-    handle_inbound(ep, wc.wr_id, wc.byte_len, wc.cause);
+    handle_inbound(ep, wc.wr_id, wc.byte_len);
     return;
   }
   // Send-side completion: bounce release or rendezvous RDMA-write done.
@@ -746,18 +679,9 @@ void Device::finish_reconnect(Rank peer, int peer_posted) {
   ep.flow.reconnect_reset(peer_posted - credited_replays +
                               world_.config().device.debug_skew_reconnect_credit,
                           credited_replays);
-  if (profiler().enabled()) {
-    // The credit exchange restarts from scratch: close any open zero-credit
-    // episode, forget the stale grant, and reopen only if the reset pool is
-    // already empty.
-    const auto now = engine().now();
-    if (ep.prof_zero_since.count() >= 0) {
-      ep.prof_cum_zero += (now - ep.prof_zero_since).count();
-      ep.prof_zero_since = sim::TimePoint{-1};
-    }
-    if (ep.flow.credits() == 0) ep.prof_zero_since = now;
-    ep.prof_grant_seq = obs::kProfNoSeq;
-    ep.prof_grant_ecm = false;
+  if (auto& rec = recorder(); rec.enabled()) {
+    rec.record(engine().now(), obs::Ev::credit_reset, me_, peer, ep.qp->qpn(),
+               static_cast<std::uint64_t>(credited_replays), ep.flow.credits());
   }
   ep.failed = false;
   ep.recovering = false;
@@ -767,14 +691,20 @@ void Device::finish_reconnect(Rank peer, int peer_posted) {
 }
 
 void Device::handle_inbound(Endpoint& ep, std::uint64_t slot_idx,
-                            std::uint32_t byte_len, std::uint64_t cause) {
+                            std::uint32_t byte_len) {
   (void)byte_len;
   const auto& dcfg = world_.config().device;
-  // Wire-arrival checkpoint, before any handling overhead is charged.
-  const sim::TimePoint prof_arrival = engine().now();
   // Copy, not reference: growing the pool below reallocates ep.slots.
   const RecvSlot slot = ep.slots.at(slot_idx);
   const WireHeader hdr = read_header(slot.addr);
+  // The wire-arrival instant precedes any handling overhead, so the stream
+  // stays in time order. Replayed duplicates arrive too; the offline
+  // replay keeps each sequence's first arrival, the one applied below.
+  if (auto& rec = recorder(); rec.enabled()) {
+    rec.record(engine().now(), obs::Ev::wire_arrive, me_, ep.peer,
+               ep.qp->qpn(), 0, hdr.payload_bytes, hdr.seq,
+               msg_flags(hdr.kind));
+  }
   switch (hdr.kind) {
     case MsgKind::eager_data: charge(dcfg.eager_handle_overhead); break;
     case MsgKind::rndv_rts: charge(dcfg.rts_handle_overhead); break;
@@ -802,29 +732,24 @@ void Device::handle_inbound(Endpoint& ep, std::uint64_t slot_idx,
   if (hdr.piggyback_credits > 0) {
     ep.flow.add_credits(hdr.piggyback_credits);
     if (auto& rec = recorder(); rec.enabled()) {
+      // The granting message's sequence and kind name the causal
+      // predecessor of the next send this grant releases.
       rec.record(engine().now(), obs::Ev::credit_grant, me_, ep.peer,
                  ep.qp->qpn(), static_cast<std::uint64_t>(hdr.piggyback_credits),
-                 ep.flow.credits());
+                 ep.flow.credits(), hdr.seq,
+                 hdr.kind == MsgKind::credit ? obs::kProfGrantEcm : 0);
     }
-    if (profiler().enabled()) prof_note_grant(ep, hdr);
   }
   if (hdr.backlogged != 0) {
     const int extra = ep.flow.on_backlogged_flag();
     if (extra > 0) grow_recv_slots(ep, extra);
   }
 
-  // Control messages have no MPI-level receive: their lifecycle completes
-  // at arrival, so the receiver-side record closes with matched == arrival.
-  if (!is_credited(hdr.kind)) {
-    prof_record_recv(ep.peer, hdr.seq, static_cast<std::uint8_t>(hdr.kind), 0,
-                     0, prof_arrival, prof_arrival, cause);
-  }
-
   switch (hdr.kind) {
     case MsgKind::eager_data:
-      deliver_eager(ep, hdr, slot.addr + kHeaderBytes, prof_arrival, cause);
+      deliver_eager(ep, hdr, slot.addr + kHeaderBytes);
       break;
-    case MsgKind::rndv_rts: handle_rts(ep, hdr, prof_arrival, cause); break;
+    case MsgKind::rndv_rts: handle_rts(ep, hdr); break;
     case MsgKind::rndv_cts: handle_cts(ep, hdr); break;
     case MsgKind::rndv_fin: handle_fin(ep, hdr); break;
     case MsgKind::credit: break;  // piggyback field already consumed
@@ -855,8 +780,7 @@ void Device::handle_inbound(Endpoint& ep, std::uint64_t slot_idx,
 }
 
 void Device::deliver_eager(Endpoint& ep, const WireHeader& hdr,
-                           const std::byte* payload, sim::TimePoint arrival,
-                           std::uint64_t cause) {
+                           const std::byte* payload) {
   charge_copy(hdr.payload_bytes);
   if (auto pr = match_.match_inbound(ep.peer, hdr.tag)) {
     util::require(hdr.payload_bytes <= pr->capacity,
@@ -864,29 +788,22 @@ void Device::deliver_eager(Endpoint& ep, const WireHeader& hdr,
     if (hdr.payload_bytes > 0)  // zero-byte recv may carry a null buffer
       std::memcpy(pr->buffer, payload, hdr.payload_bytes);
     pr->req->mark_complete(Status{ep.peer, hdr.tag, hdr.payload_bytes});
-    prof_record_recv(ep.peer, hdr.seq, static_cast<std::uint8_t>(hdr.kind), 0,
-                     hdr.payload_bytes, arrival, engine().now(), cause);
+    note_matched(ep.peer, hdr.seq, hdr.kind, hdr.payload_bytes, false);
     return;
   }
   UnexpectedMsg um;
   um.src = ep.peer;
   um.tag = hdr.tag;
+  um.seq = hdr.seq;
   um.eager_payload.assign(payload, payload + hdr.payload_bytes);
-  if (profiler().enabled()) {
-    um.prof_arrival = arrival;
-    um.prof_seq = hdr.seq;
-    um.prof_cause = cause;
-  }
   match_.add_unexpected(std::move(um));
 }
 
-void Device::handle_rts(Endpoint& ep, const WireHeader& hdr,
-                        sim::TimePoint arrival, std::uint64_t cause) {
+void Device::handle_rts(Endpoint& ep, const WireHeader& hdr) {
   if (auto pr = match_.match_inbound(ep.peer, hdr.tag)) {
     util::require(hdr.payload_bytes <= pr->capacity,
                   "receive buffer too small (truncation)");
-    prof_record_recv(ep.peer, hdr.seq, static_cast<std::uint8_t>(hdr.kind), 0,
-                     hdr.payload_bytes, arrival, engine().now(), cause);
+    note_matched(ep.peer, hdr.seq, hdr.kind, hdr.payload_bytes, false);
     begin_recv_rndv(ep.peer, hdr.tag, hdr.sreq, hdr.payload_bytes, pr->buffer,
                     pr->req);
     return;
@@ -894,14 +811,10 @@ void Device::handle_rts(Endpoint& ep, const WireHeader& hdr,
   UnexpectedMsg um;
   um.src = ep.peer;
   um.tag = hdr.tag;
+  um.seq = hdr.seq;
   um.is_rndv = true;
   um.rndv_bytes = hdr.payload_bytes;
   um.rndv_sreq = hdr.sreq;
-  if (profiler().enabled()) {
-    um.prof_arrival = arrival;
-    um.prof_seq = hdr.seq;
-    um.prof_cause = cause;
-  }
   match_.add_unexpected(std::move(um));
 }
 
@@ -971,52 +884,14 @@ bool Device::test(const RequestPtr& req) {
   return req->complete();
 }
 
-// ------------------------------------------------------- profiler hooks --
-
-std::int64_t Device::prof_zero_total(const Endpoint& ep, sim::TimePoint now) {
-  std::int64_t total = ep.prof_cum_zero;
-  if (ep.prof_zero_since.count() >= 0)
-    total += (now - ep.prof_zero_since).count();
-  return total;
-}
-
-void Device::prof_note_credits(Endpoint& ep) {
-  // Credits only leave through try_acquire_credit, so checking after each
-  // successful acquire catches every pool-emptying transition.
-  if (ep.flow.credits() == 0 && ep.prof_zero_since.count() < 0)
-    ep.prof_zero_since = engine().now();
-}
-
-void Device::prof_note_grant(Endpoint& ep, const WireHeader& hdr) {
-  if (ep.prof_zero_since.count() < 0 || ep.flow.credits() <= 0) return;
-  // This grant ends the famine: close the episode and remember the grant's
-  // identity — it is the causal predecessor of whichever blocked message
-  // dispatches next, and the ECM-vs-piggyback distinction decides whether
-  // that message's stall is attributed as an explicit-credit round trip.
-  ep.prof_cum_zero += (engine().now() - ep.prof_zero_since).count();
-  ep.prof_zero_since = sim::TimePoint{-1};
-  ep.prof_grant_seq = hdr.seq;
-  ep.prof_grant_ecm = hdr.kind == MsgKind::credit;
-}
-
-void Device::prof_record_recv(Rank src, std::uint64_t seq, std::uint8_t kind,
-                              std::uint8_t flags, std::uint32_t bytes,
-                              sim::TimePoint arrival, sim::TimePoint matched,
-                              std::uint64_t cause) {
-  auto& prof = profiler();
-  if (!prof.enabled()) return;
-  obs::ProfRecord r;
-  r.family = obs::ProfFamily::dev_recv;
-  r.msg_kind = kind;
-  r.flags = flags;
-  r.src = static_cast<std::int16_t>(src);
-  r.dst = static_cast<std::int16_t>(me_);
-  r.bytes = bytes;
-  r.seq = seq;
-  r.aux = cause;  // the sender's chain id, carried by the causal token
-  r.t0 = arrival;
-  r.t1 = matched;
-  prof.record(r);
+void Device::note_matched(Rank src, std::uint64_t seq, MsgKind kind,
+                          std::uint32_t bytes, bool unexpected) {
+  if (auto& rec = recorder(); rec.enabled()) {
+    std::uint8_t flags = msg_flags(kind);
+    if (unexpected) flags |= obs::kProfUnexpected;
+    rec.record(engine().now(), obs::Ev::msg_matched, me_, src,
+               ep_at(src).qp->qpn(), 0, bytes, seq, flags);
+  }
 }
 
 // --------------------------------------------------------- introspection --
@@ -1041,7 +916,6 @@ Device::EndpointProbe Device::probe(Rank peer) const {
   p.rx_seq = ep.rx_seq;
   p.slots = ep.slots.size();
   p.retired_slots = ep.retired_count;
-  p.control_reserve = world_.config().device.control_reserve;
   if (ep.qp) {
     const ib::QpStats& qs = ep.qp->stats();
     p.wqes_posted = qs.recv_wqes_posted;
@@ -1111,7 +985,6 @@ void Device::serialize_state(util::serial::BufWriter& w) const {
       w.u32(be.hdr.payload_bytes);
       w.u64(be.hdr.sreq);
       w.u64(be.payload.size());
-      w.i64(be.enqueued_at.count());
     }
     ep->flow.serialize_state(w);
     if (ep->qp) {

@@ -31,7 +31,6 @@ class BufWriter;
 
 namespace mvflow::obs {
 class FlightRecorder;
-class Profiler;
 }
 
 namespace mvflow::mpi {
@@ -103,7 +102,7 @@ class Device {
   // ---- setup (World / on-demand) ----
   /// Create this side's QP toward `peer` (not yet connected).
   ib::QueuePair& create_endpoint(Rank peer);
-  /// Pre-post the initial credited pool + control reserve for `peer`.
+  /// Pre-post the initial credited pool for `peer`.
   void activate_endpoint(Rank peer);
   bool has_endpoint(Rank peer) const {
     return peer >= 0 && static_cast<std::size_t>(peer) < peer_index_.size() &&
@@ -146,7 +145,6 @@ class Device {
     std::uint64_t rx_seq = 0;
     std::size_t slots = 0;          ///< Receive pool size (incl. retired).
     std::size_t retired_slots = 0;  ///< Slots removed by dynamic decay.
-    std::size_t control_reserve = 0;
     // Live QP recv-WQE ledger (zeroed while a reconnect is rebuilding it).
     std::uint64_t wqes_posted = 0;
     std::uint64_t wqes_completed = 0;
@@ -198,10 +196,6 @@ class Device {
     WireHeader hdr;
     std::vector<std::byte> payload;  // eager payload (empty for RTS)
     RequestPtr eager_req;            // completes at dispatch (eager only)
-    sim::TimePoint enqueued_at{0};   // backlog-residency latency stamp
-    /// Profiler: the connection's cumulative zero-credit time at enqueue;
-    /// the dispatch-time delta is this message's zero-credit overlap.
-    std::int64_t prof_zero_base = 0;
   };
   struct Endpoint {
     Rank peer = -1;
@@ -231,22 +225,6 @@ class Device {
     std::uint64_t rx_seq = 0;
     /// Stats accumulated from QPs destroyed by recovery.
     ib::QpStats retired_qp;
-    // ---- profiler state (obs::Profiler; written only while armed) ----
-    // Zero-credit episode ledger: an episode opens when the credit pool
-    // empties and closes when an inbound grant refills it. prof_cum_zero
-    // accumulates closed episodes, so cumulative zero time at any instant
-    // is prof_cum_zero plus the open episode's age — per-message overlap
-    // is a difference of two such readings (see obs/prof.hpp).
-    sim::TimePoint prof_zero_since{-1};  ///< open episode start; -1 = none
-    std::int64_t prof_cum_zero = 0;      ///< closed-episode zero-credit ns
-    std::uint64_t prof_grant_seq = ~0ull;  ///< inbound seq of last releasing grant
-    bool prof_grant_ecm = false;  ///< that grant was an explicit credit message
-    /// Scratch handed from the backlog dispatchers to post_wire (the only
-    /// place that knows the final wire seq): original post time and
-    /// zero-credit overlap of the message about to be posted.
-    sim::TimePoint prof_next_post{-1};
-    sim::TimePoint prof_next_disp{-1};
-    std::int64_t prof_next_zero = 0;
     explicit Endpoint(const flowctl::Config& cfg) : flow(cfg) {}
   };
   struct TxCtx {
@@ -304,12 +282,10 @@ class Device {
   /// Schedule World::recover_pair after the configured reconnect delay.
   void begin_recovery(Endpoint& ep);
   void handle_inbound(Endpoint& ep, std::uint64_t slot_idx,
-                      std::uint32_t byte_len, std::uint64_t cause);
+                      std::uint32_t byte_len);
   void deliver_eager(Endpoint& ep, const WireHeader& hdr,
-                     const std::byte* payload, sim::TimePoint arrival,
-                     std::uint64_t cause);
-  void handle_rts(Endpoint& ep, const WireHeader& hdr, sim::TimePoint arrival,
-                  std::uint64_t cause);
+                     const std::byte* payload);
+  void handle_rts(Endpoint& ep, const WireHeader& hdr);
   void handle_cts(Endpoint& ep, const WireHeader& hdr);
   void handle_fin(Endpoint& ep, const WireHeader& hdr);
   void begin_recv_rndv(Rank src, Tag tag, std::uint64_t sreq,
@@ -333,24 +309,13 @@ class Device {
   /// (uncredited) rendezvous start so the handshake brings credits back.
   void dispatch_famine_head(Endpoint& ep);
 
-  /// The fabric's observers, reached through this rank's HCA; each site
-  /// tests enabled() first, one predictable branch while disarmed.
+  /// The fabric's flight recorder, reached through this rank's HCA; each
+  /// site tests enabled() once, one predictable branch while disarmed.
   obs::FlightRecorder& recorder() const noexcept;
-  obs::Profiler& profiler() const noexcept;
-
-  // ---- profiler hooks (all gated on profiler().enabled()) ----
-  /// Cumulative zero-credit ns on `ep` as of `now` (closed episodes plus
-  /// the open one).
-  static std::int64_t prof_zero_total(const Endpoint& ep, sim::TimePoint now);
-  /// Credit-pool transition tracking: open an episode when the pool just
-  /// emptied, close it (recording the releasing grant) when it refills.
-  void prof_note_credits(Endpoint& ep);
-  void prof_note_grant(Endpoint& ep, const WireHeader& hdr);
-  /// Emit the receiver-side checkpoint record for one wire message.
-  void prof_record_recv(Rank src, std::uint64_t seq, std::uint8_t kind,
-                        std::uint8_t flags, std::uint32_t bytes,
-                        sim::TimePoint arrival, sim::TimePoint matched,
-                        std::uint64_t cause);
+  /// The msg_matched instant: a credited message from `src` met its
+  /// receive, on arrival or (`unexpected`) when the receive was posted.
+  void note_matched(Rank src, std::uint64_t seq, MsgKind kind,
+                    std::uint32_t bytes, bool unexpected);
 
   std::size_t acquire_bounce_slot();
   void release_bounce_slot(std::size_t idx);

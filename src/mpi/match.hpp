@@ -11,7 +11,6 @@
 
 #include "mpi/request.hpp"
 #include "mpi/types.hpp"
-#include "sim/time.hpp"
 
 namespace mvflow::util::serial {
 class BufWriter;
@@ -36,12 +35,9 @@ struct UnexpectedMsg {
   std::vector<std::byte> eager_payload;  // eager only
   std::uint32_t rndv_bytes = 0;          // rendezvous total size
   std::uint64_t rndv_sreq = 0;           // sender's op id, echoed in the CTS
-  // Profiler carry-through (armed runs only): the wire arrival checkpoint
-  // travels with the queued message so the dev_recv record emitted at match
-  // time still spans the full match_wait segment. ~0ull seq = not stamped.
-  sim::TimePoint prof_arrival{-1};
-  std::uint64_t prof_seq = ~0ull;
-  std::uint64_t prof_cause = 0;
+  /// Wire sequence on the (src, me) connection: the msg_matched instant's
+  /// join key when a receive finally matches it.
+  std::uint64_t seq = 0;
 };
 
 class MatchQueue {

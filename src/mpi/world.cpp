@@ -38,13 +38,16 @@ World::World(WorldConfig cfg) : cfg_(cfg) {
 
   fabric_ = std::make_unique<ib::Fabric>(engine_, cfg_.fabric, cfg_.num_ranks);
 
-  // Requested exports arm the fabric's sinks for this world's lifetime.
-  if (cfg_.run.trace_enabled()) {
+  // Requested exports arm the fabric's recorder for this world's lifetime.
+  // The profile needs every instant, so it records an unbounded stream
+  // whatever ring capacity a trace export asked for.
+  if (cfg_.run.prof_enabled()) {
+    recorder().enable(obs::FlightRecorder::kUnbounded);
+  } else if (cfg_.run.trace_enabled()) {
     recorder().enable(cfg_.run.trace_capacity != 0
                           ? cfg_.run.trace_capacity
                           : obs::FlightRecorder::kDefaultCapacity);
   }
-  if (cfg_.run.prof_enabled()) profiler().enable();
 
   metrics_.add_source("engine.", [this](const obs::MetricsRegistry::EmitFn& e) {
     engine_.perf_stats().visit(e);
@@ -55,14 +58,15 @@ World::World(WorldConfig cfg) : cfg_(cfg) {
   metrics_.add_source("msg_pool.", [this](const obs::MetricsRegistry::EmitFn& e) {
     fabric_->msg_pool_stats().visit(e);
   });
-  // Views of the profile, computed at snapshot time. latency.* always emits
-  // its 21 names, all zero until the profiler records; prof.* emits nothing
-  // while the profiler is disarmed, so a disarmed world pays no join.
+  // Views of the stream, computed at snapshot time and only over an
+  // unbounded one: latency.* always emits its 21 names, all zero unless
+  // the recorder keeps every instant; prof.* emits nothing then, so a world
+  // without a profile pays no replay.
   metrics_.add_source("latency.", [this](const obs::MetricsRegistry::EmitFn& e) {
-    obs::latency_view(profiler().records()).visit(e);
+    obs::latency_view(fabric_->recorder().stream()).visit(e);
   });
   metrics_.add_source("prof.", [this](const obs::MetricsRegistry::EmitFn& e) {
-    if (profiler().enabled()) obs::emit_metrics(prof_analysis(), e);
+    if (fabric_->recorder().unbounded()) obs::emit_metrics(prof_analysis(), e);
   });
 
   devices_.reserve(static_cast<std::size_t>(cfg_.num_ranks));
@@ -81,7 +85,20 @@ World::World(WorldConfig cfg) : cfg_(cfg) {
 }
 
 obs::ProfileAnalysis World::prof_analysis() const {
-  return obs::analyze(fabric_->profiler().records());
+  return obs::analyze(fabric_->recorder().stream());
+}
+
+obs::CounterBooks World::counter_books() const {
+  obs::CounterBooks b;
+  for (const auto& dev : devices_) {
+    const flowctl::Counters& f = dev->flow_totals();
+    b.wire_msgs += f.total_messages();
+    b.backlog_dispatched += f.backlog_dispatched;
+    for (const Rank peer : dev->peers()) {
+      b.qp_sends += dev->qp_stats(peer).messages_sent;
+    }
+  }
+  return b;
 }
 
 void World::wire_pair(Rank a, Rank b) {
@@ -237,8 +254,9 @@ void World::flush_exports() {
                         "cannot write metrics " + cfg_.run.metrics_path);
   }
   // The profile analysis feeds two artifacts: the $MVFLOW_PROF JSON and the
-  // Chrome-trace flow arrows. Join once, use for both.
-  const bool arrows = profiler().enabled() && !cfg_.run.trace_path.empty();
+  // Chrome-trace flow arrows. Replay once, use for both.
+  const bool arrows =
+      recorder().unbounded() && !cfg_.run.trace_path.empty();
   obs::ProfileAnalysis analysis;
   if (cfg_.run.prof_enabled() || arrows) analysis = prof_analysis();
   if (cfg_.run.prof_enabled() &&
@@ -247,7 +265,7 @@ void World::flush_exports() {
                         "cannot write profile " + cfg_.run.prof_path);
   }
   if (!cfg_.run.trace_path.empty()) {
-    // With the profiler armed the trace gains sender→receiver flow arrows
+    // With a profile armed the trace gains sender→receiver flow arrows
     // (ph:"s"/"f"), one per joined wire message.
     const bool ok =
         arrows ? recorder().export_chrome_trace(cfg_.run.trace_path,
@@ -305,7 +323,6 @@ void World::audit_pair(Rank a, Rank b) {
     eb.peer = peer;
     eb.slots = p.slots;
     eb.retired = p.retired_slots;
-    eb.control_reserve = p.control_reserve;
     eb.current_posted = posted;
     eb.wqes_posted = p.wqes_posted;
     eb.wqes_completed = p.wqes_completed;

@@ -175,17 +175,18 @@ class World {
   obs::MetricsRegistry& metrics() noexcept { return metrics_; }
 
   /// This world's flight recorder (DESIGN.md §11): its fabric's, which
-  /// every QP and device reaches through its HCA. Armed automatically when
-  /// the run config requests a trace export; tests may enable() it directly.
+  /// every QP and device reaches through its HCA. Armed at construction
+  /// when the run config requests a trace ($MVFLOW_TRACE*: a ring) or a
+  /// profile ($MVFLOW_PROF: unbounded); tests and benchmarks that read the
+  /// profile in process call enable(FlightRecorder::kUnbounded) before
+  /// run().
   obs::FlightRecorder& recorder() noexcept { return fabric_->recorder(); }
-
-  /// This world's causal profiler (DESIGN.md §16), owned by the fabric like
-  /// the recorder. $MVFLOW_PROF (the run config's prof_path) arms it at
-  /// construction; tests and benchmarks that read the analysis in process
-  /// call profiler().enable() before run().
-  obs::Profiler& profiler() noexcept { return fabric_->profiler(); }
-  /// analyze() over the profiler's records — the full causal attribution.
+  /// analyze() over the recorder's stream — the full causal attribution
+  /// (DESIGN.md §16); empty unless the stream is unbounded.
   obs::ProfileAnalysis prof_analysis() const;
+  /// The flow-control and QP counters summed over every device: the books
+  /// obs::audit_against cross-foots the profile against.
+  obs::CounterBooks counter_books() const;
 
  private:
   /// One progress sample per live connection (sender side), fed to the

@@ -79,8 +79,8 @@ void audit_buffer_accounting(const EndpointBuffers& e) {
   const auto fail = [&](const std::string& what) {
     std::ostringstream os;
     os << what << " (slots=" << e.slots << " retired=" << e.retired
-       << " control_reserve=" << e.control_reserve << " current_posted="
-       << e.current_posted << " wqes_posted=" << e.wqes_posted
+       << " current_posted=" << e.current_posted
+       << " wqes_posted=" << e.wqes_posted
        << " recvq_depth=" << e.recvq_depth << " assembly_holds="
        << (e.assembly_holds_wqe ? 1 : 0) << " completed=" << e.wqes_completed
        << " flushed=" << e.wqes_flushed << ")";
@@ -89,11 +89,10 @@ void audit_buffer_accounting(const EndpointBuffers& e) {
   if (e.retired > e.slots) fail("more slots retired than ever existed");
   const std::int64_t live =
       static_cast<std::int64_t>(e.slots) - static_cast<std::int64_t>(e.retired);
-  if (live != e.current_posted + static_cast<std::int64_t>(e.control_reserve)) {
+  if (live != e.current_posted) {
     std::ostringstream os;
     os << "receive pool shape broken: slots - retired = " << live
-       << " != current_posted + control_reserve = "
-       << (e.current_posted + static_cast<std::int64_t>(e.control_reserve));
+       << " != current_posted = " << e.current_posted;
     fail(os.str());
   }
   const std::uint64_t accounted = static_cast<std::uint64_t>(e.recvq_depth) +

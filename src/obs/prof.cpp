@@ -1,23 +1,15 @@
 #include "obs/prof.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <map>
 #include <set>
 #include <sstream>
 #include <tuple>
 
 #include "obs/json.hpp"
-#include "obs/recorder.hpp"
 
 namespace mvflow::obs {
-
-void Profiler::enable() {
-  enabled_ = true;
-  records_.clear();
-  records_.reserve(1u << 12);
-}
-
-void Profiler::record(const ProfRecord& r) { records_.push_back(r); }
 
 std::string_view to_string(Segment s) {
   switch (s) {
@@ -37,47 +29,230 @@ namespace {
 
 using ConnKey = std::tuple<std::int16_t, std::int16_t, std::uint64_t>;
 
-ConnKey conn_key(const ProfRecord& r) { return {r.src, r.dst, r.seq}; }
+/// The sending device's side of one wire message (from its wire_post).
+struct DevSend {
+  std::int16_t src = -1;
+  std::int16_t dst = -1;
+  std::uint8_t msg_kind = 0;
+  std::uint8_t flags = 0;
+  std::uint32_t bytes = 0;
+  std::uint64_t seq = kProfNoSeq;
+  std::uint64_t wr_id = 0;
+  std::uint64_t grant_seq = kProfNoSeq;
+  std::int64_t zero_ns = 0;  ///< zero-credit overlap of [t_post, t_disp]
+  std::int64_t t_post = -1;
+  std::int64_t t_disp = -1;
+  std::int64_t t_released = -1;  ///< backlog_dispatch (backlogged only)
+};
 
-std::int64_t ns(sim::TimePoint t) { return t.count(); }
+/// One WQE's requester lifecycle, committed at its msg_acked instant.
+struct QpSend {
+  std::int16_t src = -1;
+  std::uint64_t wr_id = 0;
+  std::uint32_t n_retx = 0;
+  std::int64_t t_posted = -1;
+  std::int64_t t_first_tx = -1;
+  std::int64_t t_last_tx = -1;
+  std::int64_t t_acked = -1;
+};
 
-}  // namespace
+/// The receiving device's side of one wire message.
+struct DevRecv {
+  std::uint8_t flags = 0;
+  std::int64_t t_arrive = -1;
+  std::int64_t t_matched = -1;
+};
 
-ProfileAnalysis analyze(const std::vector<ProfRecord>& records) {
-  ProfileAnalysis out;
+struct Replay {
+  std::vector<DevSend> sends;        ///< wire_post order
+  std::vector<QpSend> qps;           ///< msg_acked order
+  std::map<ConnKey, DevRecv> recvs;  ///< first arrival per wire message
+};
 
-  // Index the three families. QP recovery can replay a wire message through
-  // a fresh QP (same device tx id, same sequence number); emplace keeps the
-  // first record, which carries the original protocol history.
-  std::map<ConnKey, const ProfRecord*> sends;
-  std::map<ConnKey, const ProfRecord*> recvs;
-  std::map<std::pair<std::int16_t, std::uint64_t>, const ProfRecord*> qps;
-  for (const ProfRecord& r : records) {
-    switch (r.family) {
-      case ProfFamily::dev_send:
-        sends.emplace(conn_key(r), &r);
+/// One sender-side connection's credit and backlog history. A zero-credit
+/// episode opens when a consume leaves no credit and closes when a grant
+/// refills the pool; cumulative zero time at any instant is `cum_zero`
+/// plus the open episode's age, so a backlogged message's zero-credit
+/// overlap is the difference of two readings.
+struct ConnReplay {
+  std::int64_t zero_since = -1;  ///< open episode start; -1 = none
+  std::int64_t cum_zero = 0;     ///< closed-episode zero-credit ns
+  std::uint64_t grant_seq = kProfNoSeq;  ///< last releasing grant
+  bool grant_ecm = false;
+  /// backlog_enter FIFO: (enqueued at, cumulative zero then).
+  std::deque<std::pair<std::int64_t, std::int64_t>> queued;
+  /// Released but not yet posted: (enqueued at, released at, overlap).
+  std::deque<std::tuple<std::int64_t, std::int64_t, std::int64_t>> released;
+
+  std::int64_t zero_total(std::int64_t now) const noexcept {
+    return cum_zero + (zero_since >= 0 ? now - zero_since : 0);
+  }
+  void close_episode(std::int64_t now) noexcept {
+    if (zero_since < 0) return;
+    cum_zero += now - zero_since;
+    zero_since = -1;
+  }
+};
+
+/// The one pass over the stream both views share.
+Replay replay(std::span<const TraceEvent> events) {
+  Replay out;
+  std::map<std::pair<std::int16_t, std::int16_t>, ConnReplay> conns;
+  std::map<std::pair<std::uint32_t, std::uint64_t>, QpSend> live;  // qpn, msn
+  for (const TraceEvent& e : events) {
+    const std::int64_t t = e.t.count();
+    switch (e.kind) {
+      case Ev::msg_posted: {
+        QpSend& q = live[{e.qpn, e.a}];
+        q = QpSend{};
+        q.src = e.rank;
+        q.wr_id = e.key;
+        q.t_posted = t;
         break;
-      case ProfFamily::qp_send:
-        qps.emplace(std::make_pair(r.src, r.aux), &r);
+      }
+      case Ev::msg_on_wire:
+      case Ev::retransmit: {
+        const auto it = live.find({e.qpn, e.a});
+        if (it == live.end()) break;
+        // last_tx tracks the latest transmission start, first_tx only the
+        // first: their gap is exactly the retransmit segment.
+        if (e.kind == Ev::retransmit) {
+          ++it->second.n_retx;
+        } else {
+          it->second.t_first_tx = t;
+        }
+        it->second.t_last_tx = t;
         break;
-      case ProfFamily::dev_recv:
-        recvs.emplace(conn_key(r), &r);
+      }
+      case Ev::msg_acked: {
+        const auto it = live.find({e.qpn, e.a});
+        if (it == live.end()) break;
+        if (it->second.t_first_tx >= 0) {
+          it->second.t_acked = t;
+          out.qps.push_back(it->second);
+        }
+        live.erase(it);
+        break;
+      }
+      case Ev::credit_consume: {
+        ConnReplay& c = conns[{e.rank, e.peer}];
+        if (e.b == 0 && c.zero_since < 0) c.zero_since = t;
+        break;
+      }
+      case Ev::credit_grant: {
+        // A grant that refills an empty pool ends the famine, and is the
+        // causal predecessor of whichever blocked message posts next.
+        ConnReplay& c = conns[{e.rank, e.peer}];
+        if (c.zero_since < 0 || e.b <= 0) break;
+        c.close_episode(t);
+        c.grant_seq = e.key;
+        c.grant_ecm = (e.flags & kProfGrantEcm) != 0;
+        break;
+      }
+      case Ev::credit_reset: {
+        // The credit exchange restarts from scratch: close the episode,
+        // forget the stale grant, reopen only if the reset pool is empty.
+        ConnReplay& c = conns[{e.rank, e.peer}];
+        c.close_episode(t);
+        if (e.b == 0) c.zero_since = t;
+        c.grant_seq = kProfNoSeq;
+        c.grant_ecm = false;
+        break;
+      }
+      case Ev::backlog_enter: {
+        ConnReplay& c = conns[{e.rank, e.peer}];
+        c.queued.emplace_back(t, c.zero_total(t));
+        break;
+      }
+      case Ev::backlog_dispatch: {
+        ConnReplay& c = conns[{e.rank, e.peer}];
+        if (c.queued.empty()) break;
+        const auto [enqueued, zero_base] = c.queued.front();
+        c.queued.pop_front();
+        c.released.emplace_back(enqueued, t, c.zero_total(t) - zero_base);
+        break;
+      }
+      case Ev::wire_post: {
+        DevSend s;
+        s.src = e.rank;
+        s.dst = e.peer;
+        s.msg_kind = static_cast<std::uint8_t>(e.flags >> kMsgKindShift);
+        s.flags = static_cast<std::uint8_t>(
+            e.flags & ((1u << kMsgKindShift) - 1) & ~kProfBacklogged);
+        s.bytes = static_cast<std::uint32_t>(e.b);
+        s.seq = e.key;
+        s.wr_id = e.a;
+        s.t_post = t;
+        s.t_disp = t;
+        if ((e.flags & kProfBacklogged) != 0) {
+          ConnReplay& c = conns[{e.rank, e.peer}];
+          if (!c.released.empty()) {
+            std::tie(s.t_post, s.t_released, s.zero_ns) = c.released.front();
+            c.released.pop_front();
+            s.flags |= kProfBacklogged;
+          }
+          if (s.zero_ns > 0 && c.grant_seq != kProfNoSeq) {
+            s.grant_seq = c.grant_seq;
+            if (c.grant_ecm) s.flags |= kProfGrantEcm;
+          }
+        }
+        out.sends.push_back(s);
+        break;
+      }
+      case Ev::wire_arrive: {
+        // A reconnect replay can deliver a sequence again; the first
+        // arrival is the one the device applied. Control messages have no
+        // MPI-level receive: they complete at arrival.
+        const auto [it, fresh] = out.recvs.try_emplace({e.peer, e.rank, e.key});
+        if (!fresh) break;
+        it->second.t_arrive = t;
+        if ((e.flags & kProfPayload) == 0) it->second.t_matched = t;
+        break;
+      }
+      case Ev::msg_matched: {
+        const auto it = out.recvs.find({e.peer, e.rank, e.key});
+        if (it == out.recvs.end() || it->second.t_matched >= 0) break;
+        it->second.t_matched = t;
+        it->second.flags = e.flags & kProfUnexpected;
+        break;
+      }
+      default:
         break;
     }
   }
+  return out;
+}
 
-  // Join each dev_send with its QP lifecycle and its receiver-side record;
-  // the map iteration order is the canonical (src, dst, seq) order.
+}  // namespace
+
+ProfileAnalysis analyze(std::span<const TraceEvent> events) {
+  ProfileAnalysis out;
+  const Replay r = replay(events);
+
+  // Index the three sides. QP recovery can replay a wire message through a
+  // fresh QP (same wr_id, same sequence number); emplace keeps the first
+  // acked lifecycle, which carries the original protocol history.
+  std::map<ConnKey, const DevSend*> sends;
+  for (const DevSend& s : r.sends) sends.emplace(ConnKey{s.src, s.dst, s.seq}, &s);
+  std::map<std::pair<std::int16_t, std::uint64_t>, const QpSend*> qps;
+  for (const QpSend& q : r.qps) qps.emplace(std::make_pair(q.src, q.wr_id), &q);
+  const auto received = [&r](const ConnKey& key) -> const DevRecv* {
+    const auto it = r.recvs.find(key);
+    return it == r.recvs.end() || it->second.t_matched < 0 ? nullptr
+                                                           : &it->second;
+  };
+
+  // Join each device send with its QP lifecycle and its receive; the map
+  // iteration order is the canonical (src, dst, seq) order.
   std::map<std::pair<std::int16_t, std::int16_t>, SegmentTotals> conns;
   for (const auto& [key, s] : sends) {
-    const auto qit = qps.find({s->src, s->aux});
-    const auto rit = recvs.find(key);
-    if (qit == qps.end() || rit == recvs.end()) {
+    const auto qit = qps.find({s->src, s->wr_id});
+    const DevRecv* rv = received(key);
+    if (qit == qps.end() || rv == nullptr) {
       ++out.incomplete;
       continue;
     }
-    const ProfRecord& q = *qit->second;
-    const ProfRecord& rv = *rit->second;
+    const QpSend& q = *qit->second;
 
     MessageProfile m;
     m.src = s->src;
@@ -88,16 +263,16 @@ ProfileAnalysis analyze(const std::vector<ProfRecord>& records) {
     m.flags = s->flags;
     m.bytes = s->bytes;
     m.n_retx = q.n_retx;
-    m.t_post = ns(s->t0);
-    m.t_disp = ns(s->t1);
-    m.t_first_tx = ns(q.t1);
-    m.t_last_tx = ns(q.t2);
-    m.t_acked = ns(q.t3);
-    m.t_recv = ns(rv.t0);
-    m.t_matched = ns(rv.t1);
-    m.flags |= rv.flags & kProfUnexpected;
+    m.t_post = s->t_post;
+    m.t_disp = s->t_disp;
+    m.t_first_tx = q.t_first_tx;
+    m.t_last_tx = q.t_last_tx;
+    m.t_acked = q.t_acked;
+    m.t_recv = rv->t_arrive;
+    m.t_matched = rv->t_matched;
+    m.flags |= rv->flags;
 
-    // The wait before dispatch splits three ways. `zero` is the online
+    // The wait before dispatch splits three ways. `zero` is the replayed
     // zero-credit overlap of [t_post, t_disp]; the slice of it during which
     // the releasing ECM was actually in flight is the ECM round-trip, the
     // rest is plain credit stall, and the credits-available remainder of
@@ -109,10 +284,10 @@ ProfileAnalysis analyze(const std::vector<ProfRecord>& records) {
         s->grant_seq != kProfNoSeq) {
       const ConnKey gkey{s->dst, s->src, s->grant_seq};
       const auto gs = sends.find(gkey);
-      const auto gr = recvs.find(gkey);
-      if (gs != sends.end() && gr != recvs.end()) {
-        const std::int64_t lo = std::max(m.t_post, ns(gs->second->t1));
-        const std::int64_t hi = std::min(m.t_disp, ns(gr->second->t0));
+      const DevRecv* gr = received(gkey);
+      if (gs != sends.end() && gr != nullptr) {
+        const std::int64_t lo = std::max(m.t_post, gs->second->t_disp);
+        const std::int64_t hi = std::min(m.t_disp, gr->t_arrive);
         ecm = std::clamp<std::int64_t>(hi - lo, 0, zero);
       }
     }
@@ -196,47 +371,36 @@ ProfileAnalysis analyze(const std::vector<ProfRecord>& records) {
   return out;
 }
 
-LatencyBreakdown latency_view(const std::vector<ProfRecord>& records) {
+LatencyBreakdown latency_view(std::span<const TraceEvent> events) {
   LatencyBreakdown out;
   const auto add = [](util::RunningStats& rs, util::Histogram& h,
                       std::int64_t d) {
     rs.add(static_cast<double>(d));
     h.add(static_cast<double>(d));
   };
-  std::set<std::pair<std::int16_t, std::uint64_t>> seen;  // (src, tx id)
-  for (const ProfRecord& r : records) {
-    if (r.family == ProfFamily::qp_send) {
-      if (!seen.emplace(r.src, r.aux).second) continue;
-      add(out.post_to_wire, out.post_to_wire_hist, ns(r.t1) - ns(r.t0));
-      add(out.wire_to_ack, out.wire_to_ack_hist, ns(r.t3) - ns(r.t1));
-    } else if (r.family == ProfFamily::dev_send &&
-               (r.flags & kProfBacklogged) != 0) {
-      add(out.backlog_residency, out.backlog_residency_hist,
-          ns(r.t2) - ns(r.t0));
-    }
+  const Replay r = replay(events);
+  std::set<std::pair<std::int16_t, std::uint64_t>> seen;  // (src, wr_id)
+  for (const QpSend& q : r.qps) {
+    if (!seen.emplace(q.src, q.wr_id).second) continue;
+    add(out.post_to_wire, out.post_to_wire_hist, q.t_first_tx - q.t_posted);
+    add(out.wire_to_ack, out.wire_to_ack_hist, q.t_acked - q.t_first_tx);
+  }
+  for (const DevSend& s : r.sends) {
+    if ((s.flags & kProfBacklogged) == 0) continue;
+    add(out.backlog_residency, out.backlog_residency_hist,
+        s.t_released - s.t_post);
   }
   return out;
 }
 
-bool audit_against(const LatencyBreakdown& view, const FlightRecorder& rec) {
-  if (rec.dropped() != 0) return false;
-  // Σ t per kind over the ring. Every on-wire instant has its posted one,
-  // every ACK its on-wire one and every dispatch its enter, so with equal
-  // counts the differences of these sums are the per-message sums.
-  std::int64_t sum[kEvKinds] = {};
-  for (const TraceEvent& e : rec.events()) {
-    sum[static_cast<std::size_t>(e.kind)] += e.t.count();
-  }
-  const auto book = [&](const util::RunningStats& rs, Ev from, Ev to) {
-    const auto n = rec.count(to);
-    const std::int64_t ns_sum = sum[static_cast<std::size_t>(to)] -
-                                sum[static_cast<std::size_t>(from)];
-    return rec.count(from) == n && rs.count() == n &&
-           rs.sum() == static_cast<double>(ns_sum);
-  };
-  return book(view.post_to_wire, Ev::msg_posted, Ev::msg_on_wire) &&
-         book(view.wire_to_ack, Ev::msg_on_wire, Ev::msg_acked) &&
-         book(view.backlog_residency, Ev::backlog_enter, Ev::backlog_dispatch);
+bool audit_against(const ProfileAnalysis& a, const LatencyBreakdown& view,
+                   const CounterBooks& books) {
+  return a.exact &&
+         a.payload.messages + a.control.messages + a.incomplete ==
+             books.wire_msgs &&
+         view.backlog_residency.count() == books.backlog_dispatched &&
+         view.post_to_wire.count() == books.qp_sends &&
+         view.wire_to_ack.count() == books.qp_sends;
 }
 
 std::vector<FlowArrowEvent> flow_events(const ProfileAnalysis& a) {

@@ -1,24 +1,26 @@
-// Causal critical-path profiler (DESIGN.md §16).
+// Causal critical-path profile (DESIGN.md §16): an offline view of the
+// flight recorder's stream.
 //
-// Where the flight recorder answers "what happened", the profiler answers
-// "which stall delayed *this* message". Instrumented layers emit one compact
-// checkpoint record per side of every wire message:
+// Where the Chrome trace answers "what happened", the profile answers
+// "which stall delayed *this* message". It needs no books of its own: one
+// pass over the recorded instants (obs/recorder.hpp) rebuilds each wire
+// message's history from the sites that already stamp it —
 //
-//   dev_send — the sending mpi::Device: post time, dispatch time (credit
-//              acquired, header sequence stamped), the zero-credit overlap of
-//              the wait, and the inbound sequence number of the credit grant
-//              that released it (the causal predecessor).
-//   qp_send  — the sending ib::QueuePair, committed when the ACK retires the
-//              WQE: first/last transmission times and the retransmit count.
-//   dev_recv — the receiving mpi::Device: arrival (handle_inbound) and the
-//              instant the message matched a posted receive.
+//   device send — wire_post (dispatch; post time, backlog residency and
+//                 zero-credit overlap come from the connection's
+//                 backlog_enter / backlog_dispatch and credit_consume /
+//                 credit_grant / credit_reset instants, replayed in
+//                 stream order), joined to its QP lifecycle by
+//                 (rank, wr_id);
+//   QP lifecycle — msg_posted, msg_on_wire, retransmit and msg_acked of
+//                 one WQE; the first acked lifecycle per (rank, wr_id)
+//                 counts, so a reconnect replay of the same wr_id does not;
+//   device receive — wire_arrive and msg_matched, joined to the send by
+//                 (src, dst, per-connection wire sequence).
 //
-// Records join *offline* by deterministic keys — the per-connection wire
-// sequence number across ranks, the device tx id between device and QP — so
-// attribution is a pure function of the record multiset: each record is a
-// function of one message's protocol history, so a deterministic run
-// produces the identical multiset — and the identical analysis — every
-// time.
+// Every join key is protocol data (the wr_id, the wire sequence), so the
+// analysis is a pure function of the stream: a deterministic run records
+// the identical stream and yields the identical profile.
 //
 // Each completed message's end-to-end latency decomposes exactly into six
 // disjoint segments (differences of consecutive timeline checkpoints, so
@@ -32,93 +34,24 @@
 //                  transmission (dispatch → first tx, last tx → arrival)
 //   match_wait   — arrival → matched to a posted receive
 //
-// The same overhead contract and ownership as the recorder: every ib::Fabric
-// owns one profiler, the instrumented layers reach it through their HCA's
-// fabric(), and a disabled profiler costs one predictable branch per site.
-//
-// The `latency.*` metrics are a view of these records (latency_view), so
-// the QP's four qp_send stamps are the only per-message latency stamps in
-// the simulator; audit_against cross-foots the view against the flight
-// recorder's own lifecycle instants.
+// The `latency.*` metrics are a second view of the same pass
+// (latency_view), and audit_against cross-foots both views against books
+// the stream does not feed: the flow-control and QP counters.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "obs/recorder.hpp"
 #include "sim/time.hpp"
 #include "util/stats.hpp"
 
 namespace mvflow::obs {
-
-class FlightRecorder;
-struct FlowArrowEvent;
-
-enum class ProfFamily : std::uint8_t { dev_send, qp_send, dev_recv };
-
-inline constexpr std::uint64_t kProfNoSeq = ~0ull;
-
-// ProfRecord::flags bits (set by the instrumented layers).
-inline constexpr std::uint8_t kProfBacklogged = 1u << 0;  ///< left via backlog
-inline constexpr std::uint8_t kProfOptimistic = 1u << 1;  ///< uncredited famine RTS
-inline constexpr std::uint8_t kProfGrantEcm = 1u << 2;    ///< releasing grant was an ECM
-inline constexpr std::uint8_t kProfUnexpected = 1u << 3;  ///< matched from unexpected queue
-inline constexpr std::uint8_t kProfPayload = 1u << 4;     ///< credited kind (eager/RTS)
-
-/// One checkpoint record. Field meaning varies by family:
-///   dev_send: t0 = post, t1 = dispatch; zero_ns = zero-credit overlap of
-///             [t0, t1]; grant_seq = inbound (dst→src) sequence of the grant
-///             that released it; aux = device tx id (joins qp_send). For
-///             backlogged sends t2 = the dispatch *decision* time (the
-///             backlog-residency endpoint; it can precede t1 by host-time
-///             charges on the famine-conversion path).
-///   qp_send:  t0 = WQE posted, t1 = first tx, t2 = last tx, t3 = ACK
-///             retired; aux = wr_id (the device tx id); n_retx retransmits.
-///   dev_recv: t0 = arrival at handle_inbound, t1 = matched (== t0 for
-///             control messages, which have no MPI-level receive).
-struct ProfRecord {
-  ProfFamily family = ProfFamily::dev_send;
-  std::uint8_t msg_kind = 0;  ///< mpi::MsgKind (dev_*) / ib wr opcode (qp_send)
-  std::uint8_t flags = 0;
-  std::int16_t src = -1;  ///< sending rank of the wire message
-  std::int16_t dst = -1;  ///< receiving rank
-  std::uint32_t bytes = 0;
-  std::uint32_t n_retx = 0;
-  std::uint64_t seq = kProfNoSeq;  ///< per-connection wire sequence number
-  std::uint64_t aux = 0;           ///< family-specific join key (see above)
-  std::uint64_t grant_seq = kProfNoSeq;
-  std::int64_t zero_ns = 0;
-  sim::TimePoint t0{-1};
-  sim::TimePoint t1{-1};
-  sim::TimePoint t2{-1};
-  sim::TimePoint t3{-1};
-};
-
-/// Append-only record buffer, one per fabric. Unlike the recorder's bounded
-/// ring, attribution needs every record of every completed message, so the
-/// buffer grows geometrically; a profiled run trades memory for exactness
-/// by design.
-class Profiler {
- public:
-  /// The one branch instrumentation sites take when profiling is off.
-  bool enabled() const noexcept { return enabled_; }
-
-  void enable();
-  void disable() noexcept { enabled_ = false; }
-
-  /// Append one record. Out of line: the enabled() branch at the call site
-  /// is the hot-path cost.
-  void record(const ProfRecord& r);
-
-  const std::vector<ProfRecord>& records() const noexcept { return records_; }
-
- private:
-  bool enabled_ = false;
-  std::vector<ProfRecord> records_;
-};
 
 // ------------------------------------------------------- offline analysis --
 
@@ -204,16 +137,18 @@ struct ProfileAnalysis {
   SegmentTotals control;  ///< CTS / FIN / ECM
   std::vector<ConnectionBlame> connections;  ///< payload blame per direction
   std::vector<CriticalStep> critical_path;   ///< root first, last completion last
-  std::uint64_t incomplete = 0;  ///< dev_send records lacking a full chain
+  std::uint64_t incomplete = 0;  ///< wire posts lacking a full chain
   bool exact = true;  ///< every message: Σ segments == e2e (invariant)
 };
 
-/// Join the record multiset into per-message attributions. Pure function of
-/// the records: bit-identical input multisets give bit-identical analyses.
-ProfileAnalysis analyze(const std::vector<ProfRecord>& records);
+/// Replay the stream into per-message attributions. Pure function of the
+/// instants: identical streams give bit-identical analyses. `events` must
+/// be a whole stream (FlightRecorder::stream()): a ring that lost its
+/// oldest instants would attribute against a truncated history.
+ProfileAnalysis analyze(std::span<const TraceEvent> events);
 
 /// Per-message latency breakdown: the value type of the `latency.*` view,
-/// derived from the records at snapshot time.
+/// derived from the stream at snapshot time.
 struct LatencyBreakdown {
   util::RunningStats post_to_wire;       ///< WQE post → first byte on wire
   util::RunningStats wire_to_ack;        ///< first transmission → retired
@@ -244,22 +179,34 @@ struct LatencyBreakdown {
   }
 };
 
-/// The `latency.*` view of a record multiset (DESIGN.md §11):
-///   post_to_wire      = qp_send t1 − t0 (WQE posted → first transmission)
-///   wire_to_ack       = qp_send t3 − t1 (first transmission → ACK retired)
-/// over the first qp_send per (src, device tx id) — a QP recovery replay
-/// reuses the id — and
-///   backlog_residency = dev_send t2 − t0 over backlogged sends.
-LatencyBreakdown latency_view(const std::vector<ProfRecord>& records);
+/// The `latency.*` view of a stream (DESIGN.md §11), from the same replay
+/// as analyze():
+///   post_to_wire      = msg_on_wire − msg_posted (first transmission)
+///   wire_to_ack       = msg_acked − msg_on_wire (first transmission → ACK)
+/// over the first acked QP lifecycle per (rank, wr_id), in msg_acked order
+/// — a reconnect replay reuses the wr_id — and
+///   backlog_residency = backlog_dispatch − backlog_enter
+/// over backlogged sends, in wire_post order.
+LatencyBreakdown latency_view(std::span<const TraceEvent> events);
 
-/// Cross-subsystem audit: the profile's latency view must equal the flight
-/// recorder's own instants — Σ(msg_on_wire − msg_posted),
-/// Σ(msg_acked − msg_on_wire) and Σ(backlog_dispatch − backlog_enter),
-/// with their counts. The two books are stamped independently at the same
-/// call sites, so they agree only on a drained (fully-ACKed) run that
-/// armed both sinks throughout and whose ring never wrapped; a wrapped
-/// ring fails the audit.
-bool audit_against(const LatencyBreakdown& view, const FlightRecorder& rec);
+/// Totals from books the stream does not feed, summed over a world: the
+/// devices' flowctl::Counters and their QPs' QpStats (live and retired).
+struct CounterBooks {
+  /// Device wire posts: credited_sent (famine RTSes included) +
+  /// control_sent + ecm_sent.
+  std::uint64_t wire_msgs = 0;
+  std::uint64_t backlog_dispatched = 0;
+  /// QpStats::messages_sent: WQEs whose first transmission started.
+  std::uint64_t qp_sends = 0;
+};
+
+/// Cross-foot the views of one stream against the counters: every device
+/// wire post is analyzed (messages + incomplete == wire_msgs), every
+/// backlog dispatch has its residency, every QP send its ACK-retired
+/// lifecycle, and every message is exact. The books hold on a drained,
+/// fault-free run; a reconnect's replays count again in QpStats.
+bool audit_against(const ProfileAnalysis& a, const LatencyBreakdown& view,
+                   const CounterBooks& books);
 
 /// Chrome-trace flow arrows (ph:"s"/"f") for every joined message: the "s"
 /// endpoint on the sender's track at dispatch, the "f" endpoint on the

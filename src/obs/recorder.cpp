@@ -41,13 +41,22 @@ std::string_view to_string(Ev e) {
     case Ev::rnr_nak: return "rnr_nak";
     case Ev::retransmit: return "retransmit";
     case Ev::qp_error: return "qp_error";
+    case Ev::wire_post: return "wire_post";
+    case Ev::wire_arrive: return "wire_arrive";
+    case Ev::msg_matched: return "msg_matched";
+    case Ev::credit_reset: return "credit_reset";
   }
   return "unknown";
 }
 
 void FlightRecorder::enable(std::size_t capacity) {
-  if (capacity == 0) capacity = 1;
-  ring_.assign(capacity, TraceEvent{});
+  unbounded_ = capacity == kUnbounded;
+  if (unbounded_) {
+    ring_.clear();
+    ring_.reserve(1u << 12);
+  } else {
+    ring_.assign(capacity == 0 ? 1 : capacity, TraceEvent{});
+  }
   head_ = 0;
   recorded_ = 0;
   for (auto& c : kind_counts_) c = 0;
@@ -55,18 +64,18 @@ void FlightRecorder::enable(std::size_t capacity) {
 }
 
 void FlightRecorder::record(sim::TimePoint t, Ev kind, int rank, int peer,
-                            std::uint32_t qpn, std::uint64_t a,
-                            std::int64_t b) noexcept {
-  if (!enabled_ || ring_.empty()) return;
-  TraceEvent& e = ring_[head_];
-  e.t = t;
-  e.a = a;
-  e.b = b;
-  e.qpn = qpn;
-  e.rank = static_cast<std::int16_t>(rank);
-  e.peer = static_cast<std::int16_t>(peer);
-  e.kind = kind;
-  head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
+                            std::uint32_t qpn, std::uint64_t a, std::int64_t b,
+                            std::uint64_t key, std::uint8_t flags) {
+  if (!enabled_) return;
+  const TraceEvent e{t, a, b, key, qpn, static_cast<std::int16_t>(rank),
+                     static_cast<std::int16_t>(peer), kind, flags};
+  if (unbounded_) {
+    ring_.push_back(e);
+  } else {
+    if (ring_.empty()) return;
+    ring_[head_] = e;
+    head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
+  }
   ++recorded_;
   ++kind_counts_[static_cast<std::size_t>(kind)];
 }
@@ -78,6 +87,11 @@ std::size_t FlightRecorder::size() const noexcept {
 
 std::uint64_t FlightRecorder::dropped() const noexcept {
   return recorded_ < ring_.size() ? 0 : recorded_ - ring_.size();
+}
+
+std::span<const TraceEvent> FlightRecorder::stream() const noexcept {
+  if (!unbounded_) return {};
+  return ring_;
 }
 
 std::vector<TraceEvent> FlightRecorder::events() const {
@@ -110,7 +124,8 @@ std::string connection_label(const TraceEvent& e) {
 }
 
 bool is_credit_kind(Ev k) {
-  return k == Ev::credit_grant || k == Ev::credit_consume;
+  return k == Ev::credit_grant || k == Ev::credit_consume ||
+         k == Ev::credit_reset;
 }
 
 bool is_backlog_kind(Ev k) {
@@ -137,8 +152,8 @@ void FlightRecorder::export_chrome_trace(
   };
 
   // Flow arrows interleave with the instant events so the whole stream
-  // stays non-decreasing in ts; `flows` arrives time-sorted from the
-  // profiler. Binding id + shared cat/name is what makes Perfetto draw the
+  // stays non-decreasing in ts; `flows` arrives time-sorted from
+  // obs::flow_events. Binding id + shared cat/name is what makes Perfetto draw the
   // s→f arrow between the sender's and receiver's tracks.
   std::size_t fi = 0;
   const auto put_flows_until = [&](sim::TimePoint t, bool all) {
@@ -188,6 +203,10 @@ void FlightRecorder::export_chrome_trace(
     out += std::to_string(e.a);
     out += ", \"b\": ";
     out += std::to_string(e.b);
+    out += ", \"key\": ";
+    out += std::to_string(e.key);
+    out += ", \"flags\": ";
+    out += std::to_string(e.flags);
     out += "}}";
 
     // Counter tracks so Perfetto draws credits / backlog depth over time.
@@ -275,7 +294,7 @@ bool FlightRecorder::export_credit_csv(const std::string& path) const {
 
 void FlightRecorder::serialize_state(util::serial::BufWriter& w) const {
   w.b(enabled_);
-  w.u64(ring_.size());  // capacity
+  w.u64(capacity());
   w.u64(recorded_);
   w.u64(dropped());
   for (std::uint64_t c : kind_counts_) w.u64(c);
@@ -285,10 +304,12 @@ void FlightRecorder::serialize_state(util::serial::BufWriter& w) const {
     w.i64(e.t.count());
     w.u64(e.a);
     w.i64(e.b);
+    w.u64(e.key);
     w.u32(e.qpn);
     w.i32(e.rank);
     w.i32(e.peer);
     w.u8(static_cast<std::uint8_t>(e.kind));
+    w.u8(e.flags);
   }
 }
 

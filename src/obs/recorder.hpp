@@ -1,27 +1,33 @@
-// Sim-time flight recorder (DESIGN.md §11).
+// Sim-time flight recorder (DESIGN.md §11): the simulator's one
+// instrumentation stream.
 //
-// A bounded ring buffer of compact 32-byte trace events covering the
-// flow-control lifecycle the paper argues about: message posted → segmented
-// → on-wire → delivered → ACKed, credit grant/consume, backlog
-// enter/dispatch, ECM sent, RNR NAK, retransmit, QP error. Events are
-// stamped with engine (simulated) time by the call site and exported as
-// Chrome `trace_event` JSON — one process track per rank/node, one thread
-// track per QP, viewable in Perfetto or chrome://tracing — plus a CSV
-// time-series of credit count and backlog depth per connection. The ring
-// keeps instants only: the `latency.*` breakdown is a view of the causal
-// profile (obs/prof.hpp), which audit_against cross-foots against these
-// instants.
+// Instrumented sites in the ib and mpi layers append compact 48-byte
+// instants covering the flow-control lifecycle the paper argues about:
+// message posted → segmented → on-wire → delivered → ACKed, credit
+// grant/consume/reset, backlog enter/dispatch, ECM sent, RNR NAK,
+// retransmit, QP error, and the device's wire post, wire arrival and
+// receive match. Events are stamped with engine (simulated) time by the
+// call site. Every export is a view of the stream: the Chrome
+// `trace_event` JSON (one process track per rank/node, one thread track
+// per QP, viewable in Perfetto or chrome://tracing), a CSV time-series of
+// credit count and backlog depth per connection, and — computed offline
+// from the same instants — the causal profile and the `latency.*` metrics
+// (obs/prof.hpp).
+//
+// Two modes. A ring (enable(capacity)) keeps the newest `capacity`
+// instants and overwrites the oldest (`dropped()` counts evictions); an
+// unbounded stream (enable(kUnbounded)) keeps every instant, which is what
+// the profile views need: they are computed only on an unbounded stream.
 //
 // Overhead contract: the recorder is OFF by default and a disabled
 // recorder costs exactly one predictable branch at each instrumentation
-// site (`if (rec.enabled()) ...` around an out-of-line record()). Nothing
-// allocates while recording — the ring is sized at enable() time and
-// overwrites its oldest events at capacity (`dropped()` counts evictions).
+// site (`if (rec.enabled()) ...` around out-of-line record() calls). The
+// ring is sized at enable() time and never allocates while recording.
 //
 // Ownership: every ib::Fabric owns one recorder (mpi::World forwards
 // World::recorder() to its fabric's), and the instrumented layers reach it
 // through the object graph — a QP or device asks its HCA's fabric() — so
-// concurrent worlds record into their own rings with no binding and no
+// concurrent worlds record into their own streams with no binding and no
 // shared state. Tests may also instantiate private FlightRecorders and
 // drive record() directly.
 #pragma once
@@ -29,6 +35,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -55,24 +63,51 @@ enum class Ev : std::uint8_t {
   rnr_nak,           ///< responder had no buffer;     a = msn
   retransmit,        ///< message re-entered the wire; a = msn, b = bytes
   qp_error,          ///< QP entered the error state
+  wire_post,         ///< device posted a wire message; a = wr_id, b = payload bytes
+  wire_arrive,       ///< wire message reached the device; b = payload bytes
+  msg_matched,       ///< credited message met its receive; b = payload bytes
+  credit_reset,      ///< reconnect restarted credits;  a = credited replays, b = credits now
 };
-inline constexpr std::size_t kEvKinds = 13;
+inline constexpr std::size_t kEvKinds = 17;
+static_assert(static_cast<std::size_t>(Ev::credit_reset) + 1 == kEvKinds);
+
+// Join keys (TraceEvent::key). The QP lifecycle instants (msg_posted,
+// msg_segmented, msg_on_wire, retransmit, msg_acked) carry the WQE's
+// wr_id — the device's tx id, which wire_post carries in `a`. The device
+// instants wire_post, wire_arrive and msg_matched carry the message's
+// per-connection wire sequence, and credit_grant the inbound sequence of
+// the message that carried the credits.
+//
+// TraceEvent::flags of wire_post / wire_arrive / msg_matched: the
+// mpi::MsgKind above kMsgKindShift, and the flag bits below it. The
+// profile's MessageProfile::flags reuse the same bits.
+inline constexpr std::uint8_t kProfBacklogged = 1u << 0;  ///< left via backlog
+inline constexpr std::uint8_t kProfOptimistic = 1u << 1;  ///< uncredited famine RTS
+inline constexpr std::uint8_t kProfGrantEcm = 1u << 2;    ///< the grant was an ECM (also on credit_grant)
+inline constexpr std::uint8_t kProfUnexpected = 1u << 3;  ///< matched from unexpected queue
+inline constexpr std::uint8_t kProfPayload = 1u << 4;     ///< credited kind (eager/RTS)
+inline constexpr int kMsgKindShift = 5;
+inline constexpr std::uint64_t kProfNoSeq = ~0ull;
 
 std::string_view to_string(Ev e);
 
 struct TraceEvent {
   sim::TimePoint t{0};
-  std::uint64_t a = 0;  ///< kind-specific, see Ev
-  std::int64_t b = 0;   ///< kind-specific, see Ev
+  std::uint64_t a = 0;    ///< kind-specific, see Ev
+  std::int64_t b = 0;     ///< kind-specific, see Ev
+  std::uint64_t key = 0;  ///< join key: wr_id or wire sequence (see above)
   std::uint32_t qpn = 0;
   std::int16_t rank = -1;  ///< originating rank/node
   std::int16_t peer = -1;  ///< remote rank/node (-1 when not applicable)
   Ev kind = Ev::msg_posted;
+  std::uint8_t flags = 0;  ///< message kind and flag bits (see above)
 };
+static_assert(sizeof(TraceEvent) == 48, "TraceEvent is the stream's unit");
 
 /// One endpoint of a Chrome-trace flow arrow (ph:"s" start on the sender's
-/// track, ph:"f" finish on the receiver's). Produced by the causal profiler
-/// (obs/prof.hpp) and interleaved into export_chrome_trace by timestamp.
+/// track, ph:"f" finish on the receiver's). Derived from the profile
+/// (obs::flow_events) and interleaved into export_chrome_trace by
+/// timestamp.
 struct FlowArrowEvent {
   sim::TimePoint t{0};
   std::int16_t rank = -1;
@@ -88,22 +123,34 @@ std::string csv_escape(std::string_view field);
 class FlightRecorder {
  public:
   static constexpr std::size_t kDefaultCapacity = 1u << 20;
+  /// enable() capacity that keeps every instant: the stream grows instead
+  /// of wrapping. The profile views need it.
+  static constexpr std::size_t kUnbounded =
+      std::numeric_limits<std::size_t>::max();
 
-  /// The one branch instrumentation sites take when tracing is off.
+  /// The one branch instrumentation sites take when recording is off.
   bool enabled() const noexcept { return enabled_; }
 
-  /// Size (or resize) the ring and start recording. Clears prior events.
+  /// Start recording into a ring of `capacity` instants, or into an
+  /// unbounded stream for kUnbounded. Clears prior events.
   void enable(std::size_t capacity = kDefaultCapacity);
   /// Stop recording; the captured events stay exportable.
   void disable() noexcept { enabled_ = false; }
 
-  /// Append one event (overwrites the oldest at capacity). Out-of-line on
-  /// purpose: the enabled() branch at the call site is the hot-path cost.
+  /// Append one instant (a ring overwrites its oldest at capacity).
+  /// Out-of-line on purpose: the enabled() branch at the call site is the
+  /// hot-path cost.
   void record(sim::TimePoint t, Ev kind, int rank, int peer, std::uint32_t qpn,
-              std::uint64_t a, std::int64_t b) noexcept;
+              std::uint64_t a, std::int64_t b, std::uint64_t key = 0,
+              std::uint8_t flags = 0);
 
+  /// True when enabled with kUnbounded: no instant since enable() is lost.
+  bool unbounded() const noexcept { return unbounded_; }
   std::size_t size() const noexcept;
-  std::size_t capacity() const noexcept { return ring_.size(); }
+  /// Ring size, or kUnbounded.
+  std::size_t capacity() const noexcept {
+    return unbounded_ ? kUnbounded : ring_.size();
+  }
   /// Events evicted by the ring wrapping.
   std::uint64_t dropped() const noexcept;
   /// Total record() calls since enable(), per kind and overall —
@@ -115,11 +162,15 @@ class FlightRecorder {
 
   /// Copy of the retained events, oldest first.
   std::vector<TraceEvent> events() const;
+  /// Every instant since enable(), in record order, for the offline views
+  /// (obs/prof.hpp) — or empty when recording into a ring, whose oldest
+  /// instants may be gone.
+  std::span<const TraceEvent> stream() const noexcept;
 
   /// Chrome trace_event JSON ({"traceEvents": [...]}) with rank process
   /// tracks, QP thread tracks, instant events for every kind, and counter
   /// tracks for credits / backlog depth per connection. The overload taking
-  /// `flows` interleaves the profiler's sender→receiver flow arrows by
+  /// `flows` interleaves the profile's sender→receiver flow arrows by
   /// timestamp (ph:"s"/"f"); `flows` must be time-sorted. A `path` of "-"
   /// writes to stdout.
   void export_chrome_trace(std::ostream& os) const;
@@ -143,7 +194,8 @@ class FlightRecorder {
 
  private:
   bool enabled_ = false;
-  std::vector<TraceEvent> ring_;
+  bool unbounded_ = false;
+  std::vector<TraceEvent> ring_;  ///< the whole stream when unbounded_
   std::size_t head_ = 0;        ///< next write position
   std::uint64_t recorded_ = 0;  ///< total record() calls
   std::uint64_t kind_counts_[kEvKinds] = {};

@@ -129,17 +129,6 @@ class Engine {
   /// const Engine*).
   static long long log_clock(const void* engine) noexcept;
 
-  /// Causal-parent token (the profiler's chain id, DESIGN.md §16). Every
-  /// scheduled event inherits the token current at its schedule_at call,
-  /// and dispatch re-establishes it for the callback's duration — so a
-  /// chain of events (packet hops, timer cascades) carries its originating
-  /// message's identity with zero bookkeeping at the intermediate sites.
-  /// 0 means "no cause"; the token is runtime-only state and is never
-  /// serialized (snapshots stay byte-identical whether or not a profiler
-  /// was armed).
-  std::uint64_t cause() const noexcept { return cause_; }
-  void set_cause(std::uint64_t c) noexcept { cause_ = c; }
-
   /// Inline storage for event callbacks, sized for the largest hot-path
   /// closure (the fabric's packet-delivery lambda: a full Packet plus
   /// routing state) with headroom. A schedule site whose capture outgrows
@@ -156,7 +145,6 @@ class Engine {
     const std::uint32_t slot = acquire_slot();
     Node& n = node(slot);
     n.fn.emplace(std::forward<F>(fn));
-    n.cause = cause_;  // inherit the scheduler's causal token (one store)
     try {
       pending_.push(SchedEntry{t, next_seq_++, slot, n.gen});
     } catch (...) {
@@ -251,7 +239,6 @@ class Engine {
   struct Node {
     std::uint32_t gen = 0;
     std::uint32_t next_free = kNone;
-    std::uint64_t cause = 0;  ///< causal token inherited at schedule time
     EventFn fn;
   };
 
@@ -343,7 +330,6 @@ class Engine {
   std::size_t zombies_ = 0;           // cancelled entries not yet reaped
   TimePoint now_{0};
   std::uint64_t next_seq_ = 0;
-  std::uint64_t cause_ = 0;  ///< current causal token (see cause())
   EnginePerfStats perf_;
   /// Same-timestamp dispatch-run tracking for perf_.max_batch.
   TimePoint last_fired_{Duration::min()};
@@ -385,9 +371,7 @@ inline void Engine::fire_entry(const SchedEntry& top) {
   struct FireGuard {
     Engine* e;
     std::uint32_t slot;
-    std::uint64_t prev_cause;
     ~FireGuard() {
-      e->cause_ = prev_cause;
       Node& n = e->node(slot);
       n.fn.reset();
       n.next_free = e->free_head_;
@@ -406,8 +390,7 @@ inline void Engine::fire_entry(const SchedEntry& top) {
   // returns, so nothing can emplace over the still-executing closure.
   ++n.gen;
   ++perf_.executed;
-  FireGuard guard{this, top.slot, cause_};
-  cause_ = n.cause;  // the callback observes its scheduler's causal token
+  FireGuard guard{this, top.slot};
   n.fn();
 }
 

@@ -166,7 +166,12 @@ inline constexpr char kMagic[8] = {'M', 'V', 'F', 'L', 'O', 'W', 'C', 'K'};
 // byte, so a snapshot carries no engine-mode fields.
 // v5: latency is a view of the profile — the trace section drops the
 // recorder's latency accumulators.
-inline constexpr std::uint32_t kVersion = 5;
+// v6: one record stream — the trace section's events gain a join key and a
+// flags byte, four more per-kind counts, and a capacity that can read
+// "unbounded"; the config section drops two device switches no caller
+// flipped (the control reserve and the famine-conversion toggle); a
+// backlog entry drops its enqueue time.
+inline constexpr std::uint32_t kVersion = 6;
 inline constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 8 + 4;
 
 struct Section {

@@ -1,10 +1,14 @@
-// Causal critical-path profiler tests (DESIGN.md §16): exactness of the
-// six-way latency split, the latency.* view of the records, the
-// cross-subsystem audit against the flight recorder's instants, the
-// zero-record disarmed contract, the deterministic chain-id join key, and
+// Causal critical-path profile tests (DESIGN.md §16): exactness of the
+// six-way latency split, the offline replay of the recorder's instants
+// (zero-credit episodes, ECM round trips, backlog residency, QP lifecycles
+// joined by wr_id), the latency.* view of the same stream, the cross-foot
+// against the flow-control and QP counters, the arming rule (a profile
+// records an unbounded stream whatever trace capacity is asked for), the
+// profiles pinned from the online bookkeeping this replay replaced, and
 // the export surfaces (profile JSON, flow arrows, "prof." metrics).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -14,13 +18,16 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "exp/run_config.hpp"
 #include "mpi/communicator.hpp"
 #include "mpi/protocol.hpp"
+#include "mpi/workload.hpp"
 #include "mpi/world.hpp"
+#include "nas/kernel.hpp"
 #include "obs/prof.hpp"
 #include "obs/recorder.hpp"
 
@@ -56,25 +63,51 @@ void starved_flood(mpi::Communicator& comm) {
   }
 }
 
-obs::ProfileAnalysis starved_analysis(
-    std::unique_ptr<mpi::World>* out_world = nullptr) {
+std::unique_ptr<mpi::World> starved_world() {
   auto world = std::make_unique<mpi::World>(prof_config(2, 2));
-  world->profiler().enable();
-  world->recorder().enable(obs::FlightRecorder::kDefaultCapacity);
+  world->recorder().enable(obs::FlightRecorder::kUnbounded);
   world->run(starved_flood);
-  obs::ProfileAnalysis a = world->prof_analysis();
-  if (out_world != nullptr) *out_world = std::move(world);
-  return a;
+  return world;
 }
 
-/// The deterministic join/causal key: (src, dst, per-connection sequence),
-/// the same packing mpi::Device uses for the engine's causal token and the
-/// flow-arrow ids.
-std::uint64_t chain_id(std::int16_t src, std::int16_t dst,
-                       std::uint64_t seq) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint16_t>(src)) << 48) |
-         (static_cast<std::uint64_t>(static_cast<std::uint16_t>(dst)) << 32) |
-         (seq & 0xffffffffull);
+obs::ProfileAnalysis starved_analysis() {
+  return starved_world()->prof_analysis();
+}
+
+std::uint64_t fnv1a(std::string_view s) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// Every `latency.*` value of a metrics snapshot, by name.
+std::map<std::string, double> latency_values(const obs::Snapshot& snap) {
+  std::map<std::string, double> out;
+  for (const auto& [name, v] : snap.values) {
+    if (name.rfind("latency.", 0) == 0) out[name] = v;
+  }
+  return out;
+}
+
+bool audit_stream(mpi::World& world, std::span<const obs::TraceEvent> events) {
+  return obs::audit_against(obs::analyze(events), obs::latency_view(events),
+                            world.counter_books());
+}
+
+/// `events` without its first instant of `kind` that satisfies `pick`.
+template <typename Pick>
+std::vector<obs::TraceEvent> drop_first(std::span<const obs::TraceEvent> events,
+                                        obs::Ev kind, Pick pick) {
+  std::vector<obs::TraceEvent> out(events.begin(), events.end());
+  const auto it = std::find_if(out.begin(), out.end(),
+                               [&](const obs::TraceEvent& e) {
+                                 return e.kind == kind && pick(e);
+                               });
+  if (it != out.end()) out.erase(it);
+  return out;
 }
 
 }  // namespace
@@ -82,9 +115,8 @@ std::uint64_t chain_id(std::int16_t src, std::int16_t dst,
 // ------------------------------------------------------------ attribution --
 
 TEST(ProfAttribution, SegmentsSumExactlyToE2e) {
-  std::unique_ptr<mpi::World> world;
-  obs::ProfileAnalysis a = starved_analysis(&world);
-  ASSERT_NE(world, nullptr);
+  const std::unique_ptr<mpi::World> world = starved_world();
+  const obs::ProfileAnalysis a = world->prof_analysis();
   EXPECT_TRUE(a.exact);
   ASSERT_GT(a.messages.size(), 0u);
   for (const obs::MessageProfile& m : a.messages) {
@@ -99,9 +131,8 @@ TEST(ProfAttribution, SegmentsSumExactlyToE2e) {
   EXPECT_GT(a.payload.seg[static_cast<int>(obs::Segment::credit_stall)] +
                 a.payload.seg[static_cast<int>(obs::Segment::ecm_rtt)],
             0);
-  // Cross-subsystem audit: the latency view equals the ring's instants.
-  EXPECT_TRUE(obs::audit_against(
-      obs::latency_view(world->profiler().records()), world->recorder()));
+  // The analysis cross-foots against the counters the stream does not feed.
+  EXPECT_TRUE(audit_stream(*world, world->recorder().stream()));
 }
 
 TEST(ProfAttribution, CriticalPathAndConnectionsPopulated) {
@@ -127,92 +158,311 @@ TEST(ProfAttribution, CriticalPathAndConnectionsPopulated) {
 TEST(ProfAttribution, DisarmedProfilerRecordsNothing) {
   mpi::World world(prof_config(2, 2));
   world.run(starved_flood);
-  EXPECT_FALSE(world.profiler().enabled());
-  EXPECT_TRUE(world.profiler().records().empty());
+  EXPECT_FALSE(world.recorder().enabled());
+  EXPECT_EQ(world.recorder().recorded(), 0u);
+  EXPECT_TRUE(world.recorder().stream().empty());
   EXPECT_TRUE(world.prof_analysis().messages.empty());
 }
 
-TEST(ProfAttribution, DevRecvCarriesDeterministicChainId) {
-  mpi::World world(prof_config(2, 2));
-  world.profiler().enable();
-  world.run(starved_flood);
-  std::size_t checked = 0;
-  for (const obs::ProfRecord& r : world.profiler().records()) {
-    if (r.family != obs::ProfFamily::dev_recv) continue;
-    if (r.msg_kind != static_cast<std::uint8_t>(mpi::MsgKind::eager_data))
-      continue;
-    ASSERT_NE(r.seq, obs::kProfNoSeq);
-    // The receive-side record's aux is the engine causal token at arrival,
-    // which the sender stamped as its own chain id at post_send.
-    EXPECT_EQ(r.aux, chain_id(r.src, r.dst, r.seq));
-    ++checked;
-  }
-  // At least the whole flood (the teardown handshake may add a couple).
-  EXPECT_GE(checked, static_cast<std::size_t>(kFloodCount));
+// ---------------------------------------------- profiles pinned at parent --
+
+// FNV-1a of profile_to_json(analysis, "run"), recorded from the online
+// per-message bookkeeping the offline replay replaced (device zero-credit
+// ledger, QP lifecycle stamps, receive records). The replay must
+// reproduce those documents byte for byte.
+constexpr std::uint64_t kStarvedFloodProfileHash = 0xb5ef61fb63aedc21ull;
+constexpr std::uint64_t kReconnectAllPairsProfileHash = 0x57d982739819c444ull;
+
+TEST(ProfGolden, StarvedFloodMatchesPinnedProfile) {
+  const obs::ProfileAnalysis a = starved_analysis();
+  EXPECT_TRUE(a.exact);
+  EXPECT_EQ(a.incomplete, 0u);
+  const std::string doc = obs::profile_to_json(a, "run");
+  EXPECT_EQ(fnv1a(doc), kStarvedFloodProfileHash) << doc;
 }
 
-// ------------------------------------------------------------ latency view --
+TEST(ProfGolden, ReconnectAllPairsMatchesPinnedProfile) {
+  // The chaos campaign's reconnect profile (5% loss, two transport retries,
+  // auto_reconnect) on a 3-rank all-pairs world at static prepost 2; this
+  // seed loses a QP mid-run, so the replay meets a replayed wr_id.
+  mpi::WorldConfig cfg = prof_config(3, 2);
+  cfg.run.audit = true;
+  cfg.run.watchdog_horizon_us = 100000;
+  cfg.fabric.transport_timeout = sim::microseconds(40);
+  cfg.fabric.transport_retry_limit = 2;
+  cfg.fabric.rnr_retry_limit = -1;
+  cfg.fabric.fault.seed = 22;
+  cfg.fabric.fault.loss_prob = 0.05;
+  cfg.device.auto_reconnect = true;
+  mpi::World world(cfg);
+  mpi::WorkloadSpec w;
+  w.name = "allpairs";
+  w.params["bytes"] = 1024;
+  w.params["rounds"] = 20;
+  world.set_workload(w);
+  world.recorder().enable(obs::FlightRecorder::kUnbounded);
+  world.run_workload();
+
+  std::uint64_t reconnects = 0;
+  std::uint64_t replayed = 0;
+  for (const mpi::DeviceStats& d : world.collect_stats().devices) {
+    reconnects += d.reconnects;
+    replayed += d.replayed_wire_msgs;
+  }
+  ASSERT_GT(reconnects, 0u) << "the pinned world must reconnect";
+  ASSERT_GT(replayed, 0u) << "and replay a wire message";
+
+  const obs::ProfileAnalysis a = world.prof_analysis();
+  EXPECT_TRUE(a.exact);
+  EXPECT_EQ(a.incomplete, 0u);
+  const std::string doc = obs::profile_to_json(a, "run");
+  EXPECT_EQ(fnv1a(doc), kReconnectAllPairsProfileHash) << doc;
+}
+
+// --------------------------------------------------------------- arming --
+
+TEST(ProfArming, ProfileAndLatencyIgnoreTraceCapacity) {
+  // $MVFLOW_PROF records the whole stream whatever ring a trace export
+  // asks for, so arming a 16-slot trace beside it changes nothing.
+  mpi::WorldConfig alone = prof_config(2, 2);
+  alone.run.prof_path = "prof_test_arming_alone.json";
+  mpi::WorldConfig traced = prof_config(2, 2);
+  traced.run.prof_path = "prof_test_arming_traced.json";
+  traced.run.trace_path = "prof_test_arming_traced.trace.json";
+  traced.run.trace_capacity = 16;
+
+  mpi::World a(alone);
+  a.run(starved_flood);
+  mpi::World b(traced);
+  b.run(starved_flood);
+  EXPECT_TRUE(b.recorder().unbounded());
+  EXPECT_EQ(b.recorder().dropped(), 0u);
+
+  const obs::ProfileAnalysis pa = a.prof_analysis();
+  ASSERT_GT(pa.messages.size(), 0u);
+  EXPECT_EQ(obs::profile_to_json(pa, "run"),
+            obs::profile_to_json(b.prof_analysis(), "run"));
+  const auto la = latency_values(a.metrics().snapshot());
+  EXPECT_EQ(la.size(), 21u);
+  EXPECT_GT(la.at("latency.backlog_residency.count"), 0.0);
+  EXPECT_EQ(la, latency_values(b.metrics().snapshot()));
+  for (const char* path :
+       {"prof_test_arming_alone.json", "prof_test_arming_traced.json",
+        "prof_test_arming_traced.trace.json"}) {
+    std::remove(path);
+  }
+}
+
+TEST(ProfArming, TraceOnlyRingWrapsAndYieldsNoProfile) {
+  mpi::WorldConfig cfg = prof_config(2, 2);
+  cfg.run.trace_path = "prof_test_arming_ring.trace.json";
+  cfg.run.trace_capacity = 16;
+  mpi::World world(cfg);
+  world.run(starved_flood);
+  EXPECT_FALSE(world.recorder().unbounded());
+  EXPECT_GT(world.recorder().dropped(), 0u);
+  EXPECT_TRUE(world.recorder().stream().empty());
+  const obs::ProfileAnalysis a = world.prof_analysis();
+  EXPECT_TRUE(a.messages.empty());
+  EXPECT_EQ(a.incomplete, 0u);
+  const obs::Snapshot snap = world.metrics().snapshot();
+  const auto lat = latency_values(snap);
+  EXPECT_EQ(lat.size(), 21u);
+  for (const auto& [name, v] : lat) EXPECT_EQ(v, 0.0) << name;
+  for (const auto& [name, v] : snap.values) {
+    EXPECT_NE(name.rfind("prof.", 0), 0u) << name;
+  }
+  std::remove("prof_test_arming_ring.trace.json");
+}
+
+// ----------------------------------------------- replay on hand-built data --
 
 namespace {
 
-obs::ProfRecord qp_send(std::int16_t src, std::uint64_t tx_id,
-                        std::int64_t post, std::int64_t first_tx,
-                        std::int64_t acked) {
-  obs::ProfRecord r;
-  r.family = obs::ProfFamily::qp_send;
-  r.src = src;
-  r.aux = tx_id;
-  r.t0 = sim::TimePoint(post);
-  r.t1 = sim::TimePoint(first_tx);
-  r.t2 = sim::TimePoint(first_tx);
-  r.t3 = sim::TimePoint(acked);
-  return r;
-}
+constexpr std::uint8_t kEager = static_cast<std::uint8_t>(
+    (static_cast<unsigned>(mpi::MsgKind::eager_data) << obs::kMsgKindShift) |
+    obs::kProfPayload);
+constexpr std::uint8_t kEcm = static_cast<std::uint8_t>(
+    static_cast<unsigned>(mpi::MsgKind::credit) << obs::kMsgKindShift);
 
-obs::ProfRecord dev_send(std::int64_t post, std::int64_t dispatch,
-                         bool backlogged) {
-  obs::ProfRecord r;
-  r.family = obs::ProfFamily::dev_send;
-  r.src = 0;
-  r.t0 = sim::TimePoint(post);
-  r.t1 = sim::TimePoint(dispatch);
-  if (backlogged) {
-    r.t2 = sim::TimePoint(dispatch);
-    r.flags = obs::kProfBacklogged;
+/// A hand-built stream, kept in time order like a recorded one.
+struct Stream {
+  std::vector<obs::TraceEvent> ev;
+
+  void add(std::int64_t t, obs::Ev kind, int rank, int peer, std::uint64_t a,
+           std::int64_t b, std::uint64_t key = 0, std::uint8_t flags = 0,
+           std::uint32_t qpn = 0) {
+    obs::TraceEvent e;
+    e.t = sim::TimePoint(t);
+    e.kind = kind;
+    e.rank = static_cast<std::int16_t>(rank);
+    e.peer = static_cast<std::int16_t>(peer);
+    e.a = a;
+    e.b = b;
+    e.key = key;
+    e.flags = flags;
+    e.qpn = qpn;
+    ev.push_back(e);
   }
-  return r;
-}
-
-/// Replay `from`'s ring into a fresh recorder of `capacity` slots, with
-/// the first msg_on_wire instant moved `late_ns` later.
-obs::FlightRecorder replay_ring(const obs::FlightRecorder& from,
-                                std::size_t capacity, std::int64_t late_ns) {
-  obs::FlightRecorder to;
-  to.enable(capacity);
-  bool shifted = false;
-  for (const obs::TraceEvent& e : from.events()) {
-    sim::TimePoint t = e.t;
-    if (!shifted && e.kind == obs::Ev::msg_on_wire) {
-      t += sim::Duration(late_ns);
-      shifted = true;
+  /// One WQE's requester lifecycle on `qpn` (msn, wr_id), `retx`
+  /// retransmissions spread between first_tx and last_tx.
+  void qp(int rank, int peer, std::uint32_t qpn, std::uint64_t msn,
+          std::uint64_t wr_id, std::int64_t posted, std::int64_t first_tx,
+          std::int64_t acked, std::int64_t last_tx = -1) {
+    add(posted, obs::Ev::msg_posted, rank, peer, msn, 0, wr_id, 0, qpn);
+    add(first_tx, obs::Ev::msg_on_wire, rank, peer, msn, 0, wr_id, 0, qpn);
+    if (last_tx >= 0) {
+      add(last_tx, obs::Ev::retransmit, rank, peer, msn, 0, wr_id, 0, qpn);
     }
-    to.record(t, e.kind, e.rank, e.peer, e.qpn, e.a, e.b);
+    add(acked, obs::Ev::msg_acked, rank, peer, msn, 0, wr_id, 0, qpn);
   }
-  return to;
+  std::span<const obs::TraceEvent> sorted() {
+    std::stable_sort(ev.begin(), ev.end(),
+                     [](const obs::TraceEvent& x, const obs::TraceEvent& y) {
+                       return x.t < y.t;
+                     });
+    return ev;
+  }
+};
+
+const obs::MessageProfile* find_message(const obs::ProfileAnalysis& a,
+                                        int src, int dst, std::uint64_t seq) {
+  for (const obs::MessageProfile& m : a.messages) {
+    if (m.src == src && m.dst == dst && m.seq == seq) return &m;
+  }
+  return nullptr;
+}
+
+std::int64_t seg(const obs::MessageProfile& m, obs::Segment s) {
+  return m.seg[static_cast<std::size_t>(s)];
 }
 
 }  // namespace
 
+TEST(ProfReplay, EcmGrantSplitsStallAndNamesGrantSeq) {
+  Stream s;
+  // r0 spends its last credit at t=0 (a zero-credit episode opens), and a
+  // send queues at t=100. r1's ECM (seq 5) leaves at 300 and lands at 700:
+  // its grant ends the famine and releases the send, which posts as seq 1.
+  s.add(0, obs::Ev::credit_consume, 0, 1, 1, 0);
+  s.add(100, obs::Ev::backlog_enter, 0, 1, 1, 0);
+  s.add(300, obs::Ev::wire_post, 1, 0, /*wr_id=*/9, 0, /*seq=*/5, kEcm);
+  s.qp(1, 0, 11, 0, 9, 300, 320, 1000);
+  s.add(700, obs::Ev::wire_arrive, 0, 1, 0, 0, 5, kEcm);
+  s.add(700, obs::Ev::credit_grant, 0, 1, 2, 2, 5, obs::kProfGrantEcm);
+  s.add(700, obs::Ev::credit_consume, 0, 1, 1, 1);
+  s.add(700, obs::Ev::backlog_dispatch, 0, 1, 0, 1);
+  s.add(700, obs::Ev::wire_post, 0, 1, /*wr_id=*/2, 4, /*seq=*/1,
+        kEager | obs::kProfBacklogged);
+  s.qp(0, 1, 10, 0, 2, 700, 750, 2000);
+  s.add(1200, obs::Ev::wire_arrive, 1, 0, 0, 4, 1, kEager);
+  s.add(1300, obs::Ev::msg_matched, 1, 0, 0, 4, 1, kEager);
+
+  const obs::ProfileAnalysis a = obs::analyze(s.sorted());
+  EXPECT_TRUE(a.exact);
+  EXPECT_EQ(a.incomplete, 0u);
+  const obs::MessageProfile* m = find_message(a, 0, 1, 1);
+  ASSERT_NE(m, nullptr);
+  EXPECT_EQ(m->grant_seq, 5u);
+  EXPECT_NE(m->flags & obs::kProfGrantEcm, 0);
+  EXPECT_NE(m->flags & obs::kProfBacklogged, 0);
+  EXPECT_EQ(m->e2e(), 1200);
+  // Waiting 100 -> 700, all of it with no credit: the ECM was in flight
+  // from its dispatch (300) to its arrival (700), the rest is plain stall.
+  EXPECT_EQ(seg(*m, obs::Segment::ecm_rtt), 400);
+  EXPECT_EQ(seg(*m, obs::Segment::credit_stall), 200);
+  EXPECT_EQ(seg(*m, obs::Segment::backlog), 0);
+  EXPECT_EQ(seg(*m, obs::Segment::wire), 50 + 450);
+  EXPECT_EQ(seg(*m, obs::Segment::match_wait), 100);
+  // The ECM is a control message, complete at its arrival.
+  const obs::MessageProfile* ecm = find_message(a, 1, 0, 5);
+  ASSERT_NE(ecm, nullptr);
+  EXPECT_EQ(ecm->flags & obs::kProfPayload, 0);
+  EXPECT_EQ(ecm->e2e(), 400);
+  EXPECT_EQ(a.critical_path.front().seq, 5u) << "the grant chain roots at the ECM";
+
+  const obs::LatencyBreakdown v = obs::latency_view(s.sorted());
+  EXPECT_EQ(v.backlog_residency.count(), 1u);
+  EXPECT_EQ(v.backlog_residency.min(), 600.0);
+}
+
+TEST(ProfReplay, CreditResetMidEpisodeClosesTheEpisode) {
+  Stream s;
+  // An ECM grant (seq 7) ends a first episode at 50; the pool empties
+  // again at 60 and a send queues at 100. A reconnect resets the credits
+  // to 3 at 400 and the send leaves at 500: its zero-credit overlap ends
+  // at the reset (400 - 100), and the stale grant names nothing.
+  s.add(0, obs::Ev::credit_consume, 0, 1, 1, 0);
+  s.add(50, obs::Ev::credit_grant, 0, 1, 1, 1, 7, obs::kProfGrantEcm);
+  s.add(60, obs::Ev::credit_consume, 0, 1, 1, 0);
+  s.add(100, obs::Ev::backlog_enter, 0, 1, 1, 0);
+  s.add(400, obs::Ev::credit_reset, 0, 1, 0, 3);
+  s.add(500, obs::Ev::credit_consume, 0, 1, 1, 2);
+  s.add(500, obs::Ev::backlog_dispatch, 0, 1, 0, 2);
+  s.add(500, obs::Ev::wire_post, 0, 1, 2, 4, 1, kEager | obs::kProfBacklogged);
+  s.qp(0, 1, 10, 0, 2, 500, 520, 900);
+  s.add(600, obs::Ev::wire_arrive, 1, 0, 0, 4, 1, kEager);
+  s.add(600, obs::Ev::msg_matched, 1, 0, 0, 4, 1, kEager);
+
+  const obs::ProfileAnalysis a = obs::analyze(s.sorted());
+  const obs::MessageProfile* m = find_message(a, 0, 1, 1);
+  ASSERT_NE(m, nullptr);
+  EXPECT_EQ(m->grant_seq, obs::kProfNoSeq);
+  EXPECT_EQ(m->flags & obs::kProfGrantEcm, 0);
+  EXPECT_EQ(seg(*m, obs::Segment::credit_stall), 300);
+  EXPECT_EQ(seg(*m, obs::Segment::ecm_rtt), 0);
+  EXPECT_EQ(seg(*m, obs::Segment::backlog), 100);
+  EXPECT_TRUE(a.exact);
+}
+
+TEST(ProfReplay, ReplayedWrIdCountsOnce) {
+  Stream s;
+  // wr 2 goes out on QP 10 with one retransmission and is ACKed at 300; a
+  // reconnect replays the same wr_id on QP 20, ACKed again at 900. Only
+  // the first ACK-retired lifecycle counts, in the profile and the view.
+  s.add(0, obs::Ev::wire_post, 0, 1, 2, 4, 0, kEager);
+  s.qp(0, 1, 10, 0, 2, 0, 10, 300, /*last_tx=*/110);
+  s.qp(0, 1, 20, 0, 2, 500, 510, 900);
+  s.add(200, obs::Ev::wire_arrive, 1, 0, 0, 4, 0, kEager);
+  s.add(250, obs::Ev::msg_matched, 1, 0, 0, 4, 0, kEager);
+  s.add(700, obs::Ev::wire_arrive, 1, 0, 0, 4, 0, kEager);  // duplicate
+
+  const obs::ProfileAnalysis a = obs::analyze(s.sorted());
+  ASSERT_EQ(a.messages.size(), 1u);
+  const obs::MessageProfile& m = a.messages.front();
+  EXPECT_EQ(m.n_retx, 1u);
+  EXPECT_EQ(m.t_first_tx, 10);
+  EXPECT_EQ(m.t_acked, 300);
+  EXPECT_EQ(m.t_recv, 200);
+  EXPECT_EQ(seg(m, obs::Segment::retransmit), 100);
+  EXPECT_TRUE(a.exact);
+
+  const obs::LatencyBreakdown v = obs::latency_view(s.sorted());
+  EXPECT_EQ(v.post_to_wire.count(), 1u);
+  EXPECT_EQ(v.wire_to_ack.count(), 1u);
+  EXPECT_EQ(v.wire_to_ack.max(), 290.0);
+}
+
+// ------------------------------------------------------------ latency view --
+
 TEST(LatencyView, FoldsFirstQpSendAndBackloggedDevSend) {
-  const std::vector<obs::ProfRecord> records = {
-      qp_send(0, 1, 100, 300, 5'300),       // 200 ns to wire, 5 000 to ACK
-      qp_send(0, 2, 1'000, 3'600, 153'600),  // 2 600 ns, 150 000 ns
-      qp_send(0, 1, 0, 45'000, 245'000),    // recovery replay of tx 1: skipped
-      dev_send(10'000, 80'000, true),       // 70 000 ns in the backlog
-      dev_send(0, 500, false),              // never backlogged: skipped
-  };
+  Stream s;
+  s.qp(0, 1, 1, 0, /*wr_id=*/1, 100, 300, 5'300);    // 200 ns, 5 000 ns
+  s.qp(0, 1, 1, 1, /*wr_id=*/2, 1'000, 3'600, 153'600);  // 2 600, 150 000
+  s.qp(0, 1, 2, 0, /*wr_id=*/1, 6'000, 51'000, 251'000);  // replay of wr 1
+  s.add(500, obs::Ev::wire_post, 0, 1, 3, 4, 0, kEager);  // never backlogged
+  // Two sends queue (10 000, 20 000) and leave in order (80 000, 90 000):
+  // the backlog is FIFO, so each spent 70 000 ns in it.
+  s.add(10'000, obs::Ev::backlog_enter, 0, 1, 1, 0);
+  s.add(20'000, obs::Ev::backlog_enter, 0, 1, 2, 0);
+  s.add(80'000, obs::Ev::backlog_dispatch, 0, 1, 1, 0);
+  s.add(80'000, obs::Ev::wire_post, 0, 1, 4, 4, 1,
+        kEager | obs::kProfBacklogged);
+  s.add(90'000, obs::Ev::backlog_dispatch, 0, 1, 0, 0);
+  s.add(90'000, obs::Ev::wire_post, 0, 1, 5, 4, 2,
+        kEager | obs::kProfBacklogged);
   std::vector<std::pair<std::string, double>> got;
-  obs::latency_view(records).visit(
+  obs::latency_view(s.sorted()).visit(
       [&got](const std::string& name, double v) { got.emplace_back(name, v); });
   ASSERT_EQ(got.size(), 21u);
   const auto value = [&got](const std::string& name) {
@@ -237,7 +487,7 @@ TEST(LatencyView, FoldsFirstQpSendAndBackloggedDevSend) {
   EXPECT_EQ(value("wire_to_ack.p50_ns"), 150'000.0);
   EXPECT_EQ(value("wire_to_ack.p90_ns"), 150'000.0);
   EXPECT_EQ(value("wire_to_ack.p99_ns"), 150'000.0);
-  EXPECT_EQ(value("backlog_residency.count"), 1.0);
+  EXPECT_EQ(value("backlog_residency.count"), 2.0);
   EXPECT_EQ(value("backlog_residency.min_ns"), 70'000.0);
   EXPECT_EQ(value("backlog_residency.max_ns"), 70'000.0);
   EXPECT_EQ(value("backlog_residency.p50_ns"), 60'000.0);
@@ -246,39 +496,106 @@ TEST(LatencyView, FoldsFirstQpSendAndBackloggedDevSend) {
   EXPECT_EQ(obs::latency_view({}).post_to_wire.count(), 0u);
 }
 
-TEST(ProfAudit, ViewAgreesWithTraceRingOnStarvedFlood) {
-  std::unique_ptr<mpi::World> world;
-  (void)starved_analysis(&world);
-  ASSERT_NE(world, nullptr);
-  const obs::LatencyBreakdown view =
-      obs::latency_view(world->profiler().records());
-  ASSERT_GT(view.backlog_residency.count(), 0u) << "flood must backlog";
-  EXPECT_TRUE(obs::audit_against(view, world->recorder()));
-  // An exact copy of the ring is the same book.
-  const obs::FlightRecorder& rec = world->recorder();
-  EXPECT_TRUE(obs::audit_against(view, replay_ring(rec, rec.size(), 0)));
+// ------------------------------------------------------------- cross-foot --
+
+TEST(ProfAudit, AnalysisCrossFootsCountersOnStarvedFlood) {
+  const std::unique_ptr<mpi::World> world = starved_world();
+  const std::span<const obs::TraceEvent> stream = world->recorder().stream();
+  ASSERT_GT(obs::latency_view(stream).backlog_residency.count(), 0u)
+      << "flood must backlog";
+  EXPECT_TRUE(audit_stream(*world, stream));
 }
 
-TEST(ProfAudit, OneLateOnWireInstantFailsTheAudit) {
-  std::unique_ptr<mpi::World> world;
-  (void)starved_analysis(&world);
-  ASSERT_NE(world, nullptr);
-  const obs::FlightRecorder& rec = world->recorder();
-  EXPECT_FALSE(
-      obs::audit_against(obs::latency_view(world->profiler().records()),
-                         replay_ring(rec, rec.size(), 1)));
+TEST(ProfAudit, AnalysisCrossFootsCountersOnLuPrepost1) {
+  nas::NasParams params;
+  params.iterations = 2;
+  mpi::WorldConfig cfg = prof_config(nas::default_ranks(nas::App::lu), 1);
+  mpi::World world(cfg);
+  world.recorder().enable(obs::FlightRecorder::kUnbounded);
+  bool verified = false;
+  world.run([&](mpi::Communicator& comm) {
+    const nas::AppOutcome out = nas::run_lu(comm, params);
+    if (comm.rank() == 0) verified = out.verified;
+  });
+  EXPECT_TRUE(verified);
+  const std::span<const obs::TraceEvent> stream = world.recorder().stream();
+  EXPECT_GT(obs::analyze(stream).messages.size(), 0u);
+  EXPECT_TRUE(audit_stream(world, stream));
+}
+
+TEST(ProfAudit, AnalysisCrossFootsCountersUnderFamineConversion) {
+  // At prepost >= 4 a credit-starved backlog head leaves as an uncredited
+  // rendezvous RTS (paper §4.2); it is one wire post, counted as credited.
+  mpi::World world(prof_config(2, 4));
+  world.recorder().enable(obs::FlightRecorder::kUnbounded);
+  world.run([](mpi::Communicator& comm) {
+    constexpr int kWindow = 64;
+    std::vector<std::byte> buf(kWindow * kMsgBytes);
+    for (int rep = 0; rep < 3; ++rep) {
+      std::vector<mpi::RequestPtr> reqs;
+      for (int i = 0; i < kWindow; ++i) {
+        std::byte* p = buf.data() + i * kMsgBytes;
+        reqs.push_back(
+            comm.rank() == 0
+                ? comm.isend(std::span<const std::byte>(p, kMsgBytes), 1, 0)
+                : comm.irecv(std::span<std::byte>(p, kMsgBytes), 0, 0));
+      }
+      comm.wait_all(reqs);
+    }
+  });
+  std::uint64_t converted = 0;
+  for (const mpi::DeviceStats& d : world.collect_stats().devices) {
+    converted += d.small_converted_to_rndv;
+  }
+  ASSERT_GT(converted, 0u) << "the window must starve into famine RTSes";
+  EXPECT_TRUE(audit_stream(world, world.recorder().stream()));
+}
+
+TEST(ProfAudit, DroppedBackloggedWirePostFailsTheAudit) {
+  const std::unique_ptr<mpi::World> world = starved_world();
+  const std::span<const obs::TraceEvent> stream = world->recorder().stream();
+  ASSERT_TRUE(audit_stream(*world, stream));
+  const std::vector<obs::TraceEvent> cut =
+      drop_first(stream, obs::Ev::wire_post, [](const obs::TraceEvent& e) {
+        return (e.flags & obs::kProfBacklogged) != 0;
+      });
+  ASSERT_EQ(cut.size() + 1, stream.size());
+  EXPECT_FALSE(audit_stream(*world, cut));
+}
+
+TEST(ProfAudit, DroppedBacklogDispatchFailsTheAudit) {
+  // The wire post stays, so every message is still analyzed; only the
+  // backlog residency goes missing against backlog_dispatched.
+  const std::unique_ptr<mpi::World> world = starved_world();
+  const std::span<const obs::TraceEvent> stream = world->recorder().stream();
+  const std::vector<obs::TraceEvent> cut =
+      drop_first(stream, obs::Ev::backlog_dispatch,
+                 [](const obs::TraceEvent&) { return true; });
+  ASSERT_EQ(cut.size() + 1, stream.size());
+  EXPECT_EQ(obs::analyze(cut).messages.size(),
+            obs::analyze(stream).messages.size());
+  EXPECT_FALSE(audit_stream(*world, cut));
+}
+
+TEST(ProfAudit, DroppedAckedInstantFailsTheAudit) {
+  const std::unique_ptr<mpi::World> world = starved_world();
+  const std::span<const obs::TraceEvent> stream = world->recorder().stream();
+  const std::vector<obs::TraceEvent> cut = drop_first(
+      stream, obs::Ev::msg_acked, [](const obs::TraceEvent&) { return true; });
+  ASSERT_EQ(cut.size() + 1, stream.size());
+  EXPECT_FALSE(audit_stream(*world, cut));
 }
 
 TEST(ProfAudit, WrappedRingFailsTheAudit) {
-  std::unique_ptr<mpi::World> world;
-  (void)starved_analysis(&world);
-  ASSERT_NE(world, nullptr);
-  const obs::FlightRecorder& rec = world->recorder();
-  ASSERT_GT(rec.size(), 1u);
-  const obs::FlightRecorder wrapped = replay_ring(rec, rec.size() - 1, 0);
-  ASSERT_GT(wrapped.dropped(), 0u);
-  EXPECT_FALSE(obs::audit_against(
-      obs::latency_view(world->profiler().records()), wrapped));
+  // A ring keeps only its newest instants, so it offers no stream to
+  // replay: the views come out empty and cannot foot against the counters.
+  mpi::World world(prof_config(2, 2));
+  world.recorder().enable(64);
+  world.run(starved_flood);
+  ASSERT_GT(world.recorder().dropped(), 0u);
+  EXPECT_FALSE(audit_stream(world, world.recorder().stream()));
+  const std::vector<obs::TraceEvent> ring = world.recorder().events();
+  EXPECT_FALSE(audit_stream(world, ring));
 }
 
 // ----------------------------------------------------------------- exports --
@@ -325,9 +642,7 @@ TEST(ProfExport, FlowArrowsPairUpAcrossRanks) {
 }
 
 TEST(ProfExport, MetricsRegistryExposesBlameAndQuantiles) {
-  std::unique_ptr<mpi::World> world;
-  (void)starved_analysis(&world);
-  ASSERT_NE(world, nullptr);
+  const std::unique_ptr<mpi::World> world = starved_world();
   const obs::Snapshot snap = world->metrics().snapshot();
   EXPECT_EQ(snap.get("prof.exact", -1.0), 1.0);
   EXPECT_GT(snap.get("prof.messages"), 0.0);
@@ -337,7 +652,7 @@ TEST(ProfExport, MetricsRegistryExposesBlameAndQuantiles) {
   EXPECT_TRUE(snap.has("prof.link.up.r0.e2e_ns"));
   EXPECT_TRUE(snap.has("prof.link.down.r1.e2e_ns"));
   // Histogram quantiles are derived gauges in the same snapshot (the
-  // profile's latency view), p50/p90/p99 all present.
+  // stream's latency view), p50/p90/p99 all present.
   EXPECT_GT(snap.count_suffix(".p50_ns"), 0u);
   EXPECT_GT(snap.count_suffix(".p90_ns"), 0u);
   EXPECT_GT(snap.count_suffix(".p99_ns"), 0u);

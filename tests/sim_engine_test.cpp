@@ -287,33 +287,6 @@ TEST(EngineStress, RandomizedScheduleCancelRunMatchesReferenceModel) {
   EXPECT_GT(eng.perf_stats().pool_hit_rate(), 0.9);
 }
 
-TEST(Engine, CausalTokenInheritedThroughScheduling) {
-  // DESIGN.md §16: an event inherits the causal token current at its
-  // schedule_at call; dispatch re-establishes it for the callback (so
-  // nested schedules propagate it) and restores the scheduler's token
-  // afterwards. The profiler's whole chain-walking rests on this.
-  Engine eng;
-  std::uint64_t seen_direct = 0;
-  std::uint64_t seen_nested = 0;
-  std::uint64_t seen_uncaused = ~0ull;
-  eng.set_cause(42);
-  eng.schedule_at(TimePoint(10), [&] {
-    seen_direct = eng.cause();
-    // Nested event scheduled with no explicit token: inherits 42 from the
-    // firing callback's re-established context.
-    eng.schedule_after(Duration(5), [&] { seen_nested = eng.cause(); });
-  });
-  eng.set_cause(0);
-  // Scheduled after the token was cleared: must observe "no cause", not a
-  // stale 42 leaking across unrelated events.
-  eng.schedule_at(TimePoint(20), [&] { seen_uncaused = eng.cause(); });
-  eng.run();
-  EXPECT_EQ(seen_direct, 42u);
-  EXPECT_EQ(seen_nested, 42u);
-  EXPECT_EQ(seen_uncaused, 0u);
-  EXPECT_EQ(eng.cause(), 0u) << "dispatch must restore the scheduler token";
-}
-
 TEST(Resource, SerializesOverlappingReservations) {
   Resource r;
   EXPECT_EQ(r.reserve(TimePoint(0), Duration(10)), TimePoint(0));

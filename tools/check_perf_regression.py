@@ -40,9 +40,10 @@ SPECS = {
     "prof_attribution": {
         # Causal-profiler correctness verdicts (DESIGN.md §16). All are
         # exact: Σ segments == e2e is an invariant, a repeated run must
-        # reproduce the profile byte for byte, the cross-audit of the
-        # latency view against the flight recorder's own instants is
-        # equality of integer sums and counts, and the fig3 gap
+        # reproduce the profile byte for byte, the cross-foot of the
+        # profile and latency view (both replayed from the recorder's
+        # stream) against the flow-control and QP counters is equality of
+        # integer counts, and the fig3 gap
         # attribution is a deterministic function of the simulated runs.
         # The per-point segment totals are exact for the same reason — any
         # change here is a protocol/timing change, not noise.
