@@ -1,10 +1,14 @@
 // Numerical spot checks of the NAS proxies beyond their built-in
 // verification: cross-scheme metric equality (flow control must never
-// change answers), scale/iteration behaviour, and census expectations.
+// change answers), scale/iteration behaviour, census expectations, and a
+// pin of every proxy's simulated results at Fig 10's prepost=1.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "exp/runner.hpp"
@@ -54,6 +58,75 @@ TEST(NasNumerics, MetricsIdenticalAcrossSchemes) {
     EXPECT_EQ(a.metric, b.metric) << to_string(app);
     EXPECT_EQ(a.metric, c.metric) << to_string(app);
     EXPECT_TRUE(a.verified && b.verified && c.verified) << to_string(app);
+  }
+}
+
+TEST(NasNumerics, LuReferenceMemoKeysOnIterations) {
+  // LU verifies against a serial reference that is computed once per
+  // (grid, iterations) and kept for the life of the process. A reference
+  // reused across iteration counts would fail the 3-iteration run.
+  const auto two = quick(App::lu, flowctl::Scheme::user_static, 100, 2);
+  const auto three = quick(App::lu, flowctl::Scheme::user_static, 100, 3);
+  const auto two_again = quick(App::lu, flowctl::Scheme::user_static, 100, 2);
+  EXPECT_TRUE(two.verified);
+  EXPECT_TRUE(three.verified);
+  EXPECT_TRUE(two_again.verified);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(two.metric),
+            std::bit_cast<std::uint64_t>(two_again.metric));
+  EXPECT_NE(two.metric, three.metric);
+}
+
+TEST(NasGolden, SimulationMatchesParent) {
+  // Every proxy at its default NasParams under the static scheme at
+  // prepost=1 (Fig 10's stress regime). The numbers were recorded before
+  // the proxies' host-side math was tabulated (LU's sin table and memoized
+  // serial reference, FT's phase table, IS's counting sort): that work
+  // must change neither simulated time nor traffic. IS's and CG's metrics
+  // are libm-free, so their bits are pinned too; the others go through
+  // sin/cos, whose last bit may differ between CPUs.
+  struct Golden {
+    App app;
+    std::int64_t elapsed_ns;
+    std::uint64_t messages;
+    std::uint64_t ecm;
+    int max_posted;
+    std::optional<std::uint64_t> metric_bits;
+  };
+  const Golden golden[] = {
+      {App::is, 7207608, 5236, 1918, 1, 0x40f4172000000000ull},
+      {App::ft, 10166356, 3436, 934, 1, std::nullopt},
+      {App::lu, 9603651, 30824, 15412, 1, std::nullopt},
+      {App::cg, 1530926, 2288, 1144, 1, 0x3cc88c792421242eull},
+      {App::mg, 7323561, 14644, 5930, 1, std::nullopt},
+      {App::bt, 4257719, 7928, 3964, 1, std::nullopt},
+      {App::sp, 3923301, 7928, 3964, 1, std::nullopt},
+  };
+  std::vector<std::function<KernelResult()>> jobs;
+  for (const Golden& g : golden) {
+    jobs.push_back([app = g.app] {
+      mpi::WorldConfig cfg;
+      cfg.num_ranks = 0;
+      cfg.flow.scheme = flowctl::Scheme::user_static;
+      cfg.flow.prepost = 1;
+      cfg.run = cfg.run.quiet();
+      return run_app(app, cfg, NasParams{});
+    });
+  }
+  const exp::SweepRunner runner;
+  const auto results = runner.run<KernelResult>(jobs);
+
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const Golden& g = golden[i];
+    const KernelResult& r = results[i];
+    EXPECT_TRUE(r.verified) << to_string(g.app);
+    EXPECT_EQ(r.elapsed.count(), g.elapsed_ns) << to_string(g.app);
+    EXPECT_EQ(r.stats.total_messages(), g.messages) << to_string(g.app);
+    EXPECT_EQ(r.stats.total_ecm(), g.ecm) << to_string(g.app);
+    EXPECT_EQ(r.stats.max_posted_buffers(), g.max_posted) << to_string(g.app);
+    if (g.metric_bits) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(r.metric), *g.metric_bits)
+          << to_string(g.app);
+    }
   }
 }
 

@@ -30,8 +30,10 @@
 #include "nas/kernel.hpp"
 #include "obs/prof.hpp"
 #include "obs/recorder.hpp"
+#include "fnv1a.hpp"
 
 using namespace mvflow;
+using mvflow::test::fnv1a;
 
 namespace {
 
@@ -72,15 +74,6 @@ std::unique_ptr<mpi::World> starved_world() {
 
 obs::ProfileAnalysis starved_analysis() {
   return starved_world()->prof_analysis();
-}
-
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 /// Every `latency.*` value of a metrics snapshot, by name.
@@ -166,12 +159,12 @@ TEST(ProfAttribution, DisarmedProfilerRecordsNothing) {
 
 // ---------------------------------------------- profiles pinned at parent --
 
-// FNV-1a of profile_to_json(analysis, "run"), recorded from the online
-// per-message bookkeeping the offline replay replaced (device zero-credit
-// ledger, QP lifecycle stamps, receive records). The replay must
-// reproduce those documents byte for byte.
-constexpr std::uint64_t kStarvedFloodProfileHash = 0xb5ef61fb63aedc21ull;
-constexpr std::uint64_t kReconnectAllPairsProfileHash = 0x57d982739819c444ull;
+// Standard 64-bit FNV-1a of profile_to_json(analysis, "run"). The
+// documents were first recorded from the online per-message bookkeeping
+// the offline replay replaced (device zero-credit ledger, QP lifecycle
+// stamps, receive records); the replay must reproduce them byte for byte.
+constexpr std::uint64_t kStarvedFloodProfileHash = 0xd88f7a0b734ad9dbull;
+constexpr std::uint64_t kReconnectAllPairsProfileHash = 0x95ea41a11caed076ull;
 
 TEST(ProfGolden, StarvedFloodMatchesPinnedProfile) {
   const obs::ProfileAnalysis a = starved_analysis();
