@@ -172,17 +172,22 @@ AppOutcome run_ft(mpi::Communicator& comm, const NasParams& p) {
       }
   };
 
-  // Unit-modulus evolution factor applied in spectral (x-slab) space.
+  // Unit-modulus evolution factor applied in spectral (x-slab) space. The
+  // phase depends on kx + y + z only, an integer below nx + ny + nz (the
+  // double sum it stands for is exact), so each factor is computed once per
+  // call from that sum.
+  std::vector<Cx> factor(g.nx + g.ny + g.nz);
   auto evolve = [&](double direction) {
+    for (std::size_t s = 0; s < factor.size(); ++s) {
+      const double phase =
+          direction * 2 * std::numbers::pi * static_cast<double>(s) / 64.0;
+      factor[s] = Cx(std::cos(phase), std::sin(phase));
+    }
     for (std::size_t xl = 0; xl < g.nx_loc; ++xl) {
-      const auto kx = static_cast<double>(me * g.nx_loc + xl);
+      const std::size_t kx = me * g.nx_loc + xl;
       for (std::size_t y = 0; y < g.ny; ++y)
-        for (std::size_t z = 0; z < g.nz; ++z) {
-          const double phase = direction * 2 * std::numbers::pi *
-                               (kx + static_cast<double>(y) + static_cast<double>(z)) /
-                               64.0;
-          b[idx_b(xl, y, z)] *= Cx(std::cos(phase), std::sin(phase));
-        }
+        for (std::size_t z = 0; z < g.nz; ++z)
+          b[idx_b(xl, y, z)] *= factor[kx + y + z];
     }
   };
 

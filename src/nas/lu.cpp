@@ -13,9 +13,14 @@
 // Verified bitwise-modulo-reduction-order against a serial reference:
 // every u[k][j][i] is a pure function of already-assigned values, so the
 // parallel and serial fields agree to the last bit; only the final
-// checksum reduction order differs.
+// checksum reduction order differs. The reference is a pure function of
+// (grid, iterations), so it is computed once per key and kept for the life
+// of the process; every run still reduces its own distributed field.
+#include <array>
 #include <cmath>
 #include <deque>
+#include <map>
+#include <mutex>
 #include <vector>
 
 #include "mpi/communicator.hpp"
@@ -35,10 +40,20 @@ struct LuGrid {
   std::size_t gi0, gj0;          // global offsets
 };
 
-double rhs_at(std::size_t gi, std::size_t gj, std::size_t k) {
+/// sin(0.1 n) for every n = gi + 2 gj + 3 k the grid reaches: rhs_at's only
+/// transcendental, filled with the expression it replaces.
+std::vector<double> sin_table(const LuGrid& g) {
+  std::vector<double> t(g.nx + 2 * g.ny + 3 * g.nz);
+  for (std::size_t n = 0; n < t.size(); ++n)
+    t[n] = std::sin(0.1 * static_cast<double>(n));
+  return t;
+}
+
+double rhs_at(const std::vector<double>& sin_tab, std::size_t gi,
+              std::size_t gj, std::size_t k) {
   return 1.0 + 0.001 * static_cast<double>(gi) +
          0.002 * static_cast<double>(gj) + 0.003 * static_cast<double>(k) +
-         0.1 * std::sin(0.1 * static_cast<double>(gi + 2 * gj + 3 * k));
+         0.1 * sin_tab[gi + 2 * gj + 3 * k];
 }
 
 double boundary_at(std::size_t ga, std::size_t gb) {
@@ -85,6 +100,65 @@ constexpr mpi::Tag kTagNorth = 202;  // south -> north boundary rows
 constexpr mpi::Tag kTagWest = 203;   // east -> west (upper sweep)
 constexpr mpi::Tag kTagSouth = 204;  // north -> south (upper sweep)
 
+/// The whole-grid serial replay of `iterations` SSOR iterations, reduced to
+/// its checksum. Pure in (nx, ny, nz, iterations).
+double serial_reference_sum(const LuGrid& g, int iterations,
+                            const std::vector<double>& sin_tab) {
+  std::vector<double> ref(g.nz * g.ny * g.nx);
+  auto rat = [&](std::size_t k, std::size_t j, std::size_t i) {
+    return (k * g.ny + j) * g.nx + i;
+  };
+  for (std::size_t k = 0; k < g.nz; ++k)
+    for (std::size_t j = 0; j < g.ny; ++j)
+      for (std::size_t i = 0; i < g.nx; ++i)
+        ref[rat(k, j, i)] = boundary_at(i, j) + 0.01 * static_cast<double>(k);
+  for (int it = 0; it < iterations; ++it) {
+    for (std::size_t k = 0; k < g.nz; ++k)
+      for (std::size_t j = 0; j < g.ny; ++j)
+        for (std::size_t i = 0; i < g.nx; ++i) {
+          const double west = i > 0 ? ref[rat(k, j, i - 1)] : boundary_at(j, k);
+          const double south = j > 0 ? ref[rat(k, j - 1, i)] : boundary_at(i, k);
+          const double below = k > 0 ? ref[rat(k - 1, j, i)] : boundary_at(i, j);
+          ref[rat(k, j, i)] = lower_update(ref[rat(k, j, i)],
+                                           rhs_at(sin_tab, i, j, k), west,
+                                           south, below);
+        }
+    for (std::size_t k = g.nz; k-- > 0;)
+      for (std::size_t j = g.ny; j-- > 0;)
+        for (std::size_t i = g.nx; i-- > 0;) {
+          const double east =
+              i + 1 < g.nx ? ref[rat(k, j, i + 1)] : boundary_at(j + 1, k);
+          const double north =
+              j + 1 < g.ny ? ref[rat(k, j + 1, i)] : boundary_at(i + 1, k);
+          const double above =
+              k + 1 < g.nz ? ref[rat(k + 1, j, i)] : boundary_at(i, j);
+          ref[rat(k, j, i)] = upper_update(ref[rat(k, j, i)], east, north, above);
+        }
+  }
+  double ref_sum = 0;
+  for (double v : ref) ref_sum += v;
+  return ref_sum;
+}
+
+/// serial_reference_sum, computed once per key for the life of the
+/// process. The value is a pure function of the key, so concurrent worlds
+/// (SweepRunner workers) read the same bits whichever computes it first,
+/// and -j1 == -jN holds. The lock is held across the computation, so each
+/// key is computed exactly once.
+double memoized_reference_sum(const LuGrid& g, int iterations,
+                              const std::vector<double>& sin_tab) {
+  using Key = std::array<std::size_t, 4>;
+  static std::mutex mu;
+  static std::map<Key, double> sums;
+  const Key key{g.nx, g.ny, g.nz, static_cast<std::size_t>(iterations)};
+  const std::lock_guard<std::mutex> lock(mu);
+  const auto it = sums.find(key);
+  if (it != sums.end()) return it->second;
+  const double sum = serial_reference_sum(g, iterations, sin_tab);
+  sums.emplace(key, sum);
+  return sum;
+}
+
 }  // namespace
 
 AppOutcome run_lu(mpi::Communicator& comm, const NasParams& p) {
@@ -96,6 +170,7 @@ AppOutcome run_lu(mpi::Communicator& comm, const NasParams& p) {
   auto at = [&](std::size_t k, std::size_t j, std::size_t i) {
     return (k * g.nyl + j) * g.nxl + i;
   };
+  const std::vector<double> sin_tab = sin_table(g);
   std::vector<double> u(g.nz * g.nyl * g.nxl);
   for (std::size_t k = 0; k < g.nz; ++k)
     for (std::size_t j = 0; j < g.nyl; ++j)
@@ -129,8 +204,9 @@ AppOutcome run_lu(mpi::Communicator& comm, const NasParams& p) {
                                : g.pj > 0 ? ghost_s[i]
                                           : boundary_at(gi, k);
           const double below = k > 0 ? u[at(k - 1, j, i)] : boundary_at(gi, gj);
-          u[at(k, j, i)] =
-              lower_update(u[at(k, j, i)], rhs_at(gi, gj, k), west, south, below);
+          u[at(k, j, i)] = lower_update(u[at(k, j, i)],
+                                        rhs_at(sin_tab, gi, gj, k), west,
+                                        south, below);
         }
       }
       // SSOR does tens of flops per cell (block solves); the factor keeps
@@ -190,45 +266,14 @@ AppOutcome run_lu(mpi::Communicator& comm, const NasParams& p) {
     flush_sends();
   }
 
-  // ---- verification: serial replay on rank 0 (un-charged) ----
+  // ---- verification: against the serial replay, on rank 0 (un-charged) ----
   double local_sum = 0;
   for (double v : u) local_sum += v;
   const double par_sum = comm.allreduce_sum(local_sum);
 
   bool ok = true;
   if (comm.rank() == 0) {
-    std::vector<double> ref(g.nz * g.ny * g.nx);
-    auto rat = [&](std::size_t k, std::size_t j, std::size_t i) {
-      return (k * g.ny + j) * g.nx + i;
-    };
-    for (std::size_t k = 0; k < g.nz; ++k)
-      for (std::size_t j = 0; j < g.ny; ++j)
-        for (std::size_t i = 0; i < g.nx; ++i)
-          ref[rat(k, j, i)] = boundary_at(i, j) + 0.01 * static_cast<double>(k);
-    for (int it = 0; it < iterations; ++it) {
-      for (std::size_t k = 0; k < g.nz; ++k)
-        for (std::size_t j = 0; j < g.ny; ++j)
-          for (std::size_t i = 0; i < g.nx; ++i) {
-            const double west = i > 0 ? ref[rat(k, j, i - 1)] : boundary_at(j, k);
-            const double south = j > 0 ? ref[rat(k, j - 1, i)] : boundary_at(i, k);
-            const double below = k > 0 ? ref[rat(k - 1, j, i)] : boundary_at(i, j);
-            ref[rat(k, j, i)] =
-                lower_update(ref[rat(k, j, i)], rhs_at(i, j, k), west, south, below);
-          }
-      for (std::size_t k = g.nz; k-- > 0;)
-        for (std::size_t j = g.ny; j-- > 0;)
-          for (std::size_t i = g.nx; i-- > 0;) {
-            const double east =
-                i + 1 < g.nx ? ref[rat(k, j, i + 1)] : boundary_at(j + 1, k);
-            const double north =
-                j + 1 < g.ny ? ref[rat(k, j + 1, i)] : boundary_at(i + 1, k);
-            const double above =
-                k + 1 < g.nz ? ref[rat(k + 1, j, i)] : boundary_at(i, j);
-            ref[rat(k, j, i)] = upper_update(ref[rat(k, j, i)], east, north, above);
-          }
-    }
-    double ref_sum = 0;
-    for (double v : ref) ref_sum += v;
+    const double ref_sum = memoized_reference_sum(g, iterations, sin_tab);
     ok = std::abs(par_sum - ref_sum) <= 1e-9 * std::abs(ref_sum);
   }
 
