@@ -21,10 +21,13 @@ int main(int argc, char** argv) {
   const exp::SweepRunner runner = sweep_runner(opts);
   const int kThresholds[] = {1, 2, 5, 10, 20, 40, 64};
   std::vector<std::function<nas::KernelResult()>> cells;
+  std::vector<std::string> labels;
   for (int threshold : kThresholds) {
     auto cfg = base_config(flowctl::Scheme::user_static, 100, 0);
     cfg.flow.ecm_threshold = threshold;
     quiet_if_parallel(cfg, runner);
+    labels.push_back(nas_cell_label(nas::App::lu, cfg) + " ecm_threshold=" +
+                     std::to_string(threshold));
     cells.push_back(
         [cfg, params] { return nas::run_app(nas::App::lu, cfg, params); });
   }
@@ -43,5 +46,5 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   std::puts("\n# Expectation: ECM count ~ 1/threshold; runtime improves as the");
   std::puts("# threshold grows until credit starvation starts to backlog sends.");
-  return 0;
+  return nas_exit_status(results, labels);
 }

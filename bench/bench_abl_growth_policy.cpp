@@ -19,10 +19,13 @@ int main(int argc, char** argv) {
   const exp::SweepRunner runner = sweep_runner(opts);
   const int kSteps[] = {1, 2, 4, 8};
   std::vector<std::function<nas::KernelResult()>> cells;
+  std::vector<std::string> labels;
   for (int step : kSteps) {
     auto cfg = base_config(flowctl::Scheme::user_dynamic, 1, 0);
     cfg.flow.growth_step = step;
     quiet_if_parallel(cfg, runner);
+    labels.push_back(nas_cell_label(nas::App::lu, cfg) + " linear step=" +
+                     std::to_string(step));
     cells.push_back(
         [cfg, params] { return nas::run_app(nas::App::lu, cfg, params); });
   }
@@ -30,6 +33,7 @@ int main(int argc, char** argv) {
     auto cfg = base_config(flowctl::Scheme::user_dynamic, 1, 0);
     cfg.flow.exponential_growth = true;
     quiet_if_parallel(cfg, runner);
+    labels.push_back(nas_cell_label(nas::App::lu, cfg) + " exponential");
     cells.push_back(
         [cfg, params] { return nas::run_app(nas::App::lu, cfg, params); });
   }
@@ -55,5 +59,5 @@ int main(int argc, char** argv) {
   std::puts("\n# Expectation: larger steps adapt faster (fewer growth events)");
   std::puts("# at the cost of over-allocating buffers; exponential converges");
   std::puts("# in the fewest events but overshoots the most.");
-  return 0;
+  return nas_exit_status(results, labels);
 }

@@ -11,6 +11,7 @@
 #include "flowctl/flowctl.hpp"
 #include "mpi/communicator.hpp"
 #include "mpi/world.hpp"
+#include "nas/kernel.hpp"
 #include "obs/metrics.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
@@ -129,6 +130,29 @@ struct EngineMode {
     if (audit) cfg.run.audit = true;
   }
 };
+
+/// "<app> <scheme> prepost=<n>": names one NAS sweep cell in
+/// nas_exit_status's report. Benches with a further axis append it.
+inline std::string nas_cell_label(nas::App app, const mpi::WorldConfig& cfg) {
+  return std::string(nas::to_string(app)) + " " +
+         std::string(flowctl::to_string(cfg.flow.scheme)) +
+         " prepost=" + std::to_string(cfg.flow.prepost);
+}
+
+/// Exit status of a NAS sweep, whose `labels[i]` names `results[i]`: 0 when
+/// every cell verified; otherwise every failing cell is named on stderr
+/// (stdout keeps only the table) and the status is 2, as examples/nas_demo
+/// returns.
+inline int nas_exit_status(const std::vector<nas::KernelResult>& results,
+                           const std::vector<std::string>& labels) {
+  int status = 0;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    if (results[i].verified) continue;
+    std::fprintf(stderr, "verification FAILED: %s\n", labels[i].c_str());
+    status = 2;
+  }
+  return status;
+}
 
 struct BwResult {
   double million_msgs_per_s = 0;

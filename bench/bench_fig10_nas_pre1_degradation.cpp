@@ -22,11 +22,13 @@ int main(int argc, char** argv) {
   // Each (app, scheme, prepost) run is its own job: 42 independent worlds.
   const exp::SweepRunner runner = sweep_runner(opts);
   std::vector<std::function<nas::KernelResult()>> cells;
+  std::vector<std::string> labels;
   for (auto app : nas::kAllApps) {
     for (auto scheme : kSchemes) {
       for (int prepost : {100, 1}) {
         auto cfg = base_config(scheme, prepost, 0);
         quiet_if_parallel(cfg, runner);
+        labels.push_back(nas_cell_label(app, cfg));
         cells.push_back(
             [app, cfg, params] { return nas::run_app(app, cfg, params); });
       }
@@ -49,5 +51,5 @@ int main(int argc, char** argv) {
   std::puts("\n# Expectation (paper): most apps <= ~2%; hardware drops hard on");
   std::puts("# LU and MG (RNR retries); static drops ~13% on LU, ~6% on CG;");
   std::puts("# dynamic shows almost no degradation anywhere.");
-  return 0;
+  return nas_exit_status(results, labels);
 }

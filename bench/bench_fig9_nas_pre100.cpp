@@ -22,10 +22,12 @@ int main(int argc, char** argv) {
   std::puts("# IS/FT/LU/CG/MG on 8 ranks; BT/SP on 16 ranks");
   const exp::SweepRunner runner = sweep_runner(opts);
   std::vector<std::function<nas::KernelResult()>> cells;
+  std::vector<std::string> labels;
   for (auto app : nas::kAllApps) {
     for (auto scheme : kSchemes) {
       auto cfg = base_config(scheme, 100, 0);
       quiet_if_parallel(cfg, runner);
+      labels.push_back(nas_cell_label(app, cfg));
       cells.push_back(
           [app, cfg, params] { return nas::run_app(app, cfg, params); });
     }
@@ -48,5 +50,5 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   std::puts("\n# Expectation (paper): ratios ~1.00 +/- 0.03 everywhere except");
   std::puts("# LU, where user-level schemes run ~5-6% slower than hardware.");
-  return 0;
+  return nas_exit_status(results, labels);
 }

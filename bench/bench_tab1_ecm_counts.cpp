@@ -28,10 +28,12 @@ int main(int argc, char** argv) {
   // from the main thread so METRICS_tab1_*.json writes never race.
   const exp::SweepRunner runner = sweep_runner(opts);
   std::vector<std::function<nas::KernelResult()>> cells;
+  std::vector<std::string> labels;
   for (auto app : nas::kAllApps) {
     auto cfg = base_config(flowctl::Scheme::user_static, 100, 0);
     cfg.flow.ecm_threshold = threshold;
     quiet_if_parallel(cfg, runner);
+    labels.push_back(nas_cell_label(app, cfg));
     cells.push_back([app, cfg, params] { return nas::run_app(app, cfg, params); });
   }
   const auto results = runner.run<nas::KernelResult>(cells);
@@ -58,5 +60,5 @@ int main(int argc, char** argv) {
   }
   t.print(std::cout);
   std::puts("\n# Expectation (paper): LU ~18% ECMs; all other apps ~0%.");
-  return 0;
+  return nas_exit_status(results, labels);
 }

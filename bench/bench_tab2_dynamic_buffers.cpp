@@ -23,10 +23,12 @@ int main(int argc, char** argv) {
               "(start=%d, linear step=%d)\n", start, step);
   const exp::SweepRunner runner = sweep_runner(opts);
   std::vector<std::function<nas::KernelResult()>> cells;
+  std::vector<std::string> labels;
   for (auto app : nas::kAllApps) {
     auto cfg = base_config(flowctl::Scheme::user_dynamic, start, 0);
     cfg.flow.growth_step = step;
     quiet_if_parallel(cfg, runner);
+    labels.push_back(nas_cell_label(app, cfg));
     cells.push_back([app, cfg, params] { return nas::run_app(app, cfg, params); });
   }
   const auto results = runner.run<nas::KernelResult>(cells);
@@ -43,5 +45,5 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   std::puts("\n# Expectation (paper): IS 4, FT 4, LU 63, CG 3, MG 6, BT 7, SP 7");
   std::puts("# — i.e. everything small except LU, which needs tens of buffers.");
-  return 0;
+  return nas_exit_status(results, labels);
 }
