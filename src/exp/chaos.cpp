@@ -102,6 +102,8 @@ CellResult run_cell(const CellSpec& spec, bool record_faults) {
   res.metrics_crc = util::serial::crc32(json.data(), json.size());
   res.metrics_n = snap.values.size();
   res.events = static_cast<std::uint64_t>(snap.get("engine.executed", 0.0));
+  res.reconnects =
+      static_cast<std::uint64_t>(snap.sum_suffix(".device.reconnects"));
   if (record_faults) res.recorded = world.fabric().recorded_faults();
   return res;
 }
@@ -144,6 +146,11 @@ std::vector<FaultProfile> default_profiles() {
     p.loss = 0.05;
     p.transport_retry_limit = 2;  // drops escalate to QP errors
     p.auto_reconnect = true;
+    // Node 1 goes dark for longer than the retry budget (40 µs timeout,
+    // two retries), so its QPs error out and every cell reconnects: the
+    // campaign runs the reconnect handshake, the replay and its dedup.
+    p.flaps.push_back({1, sim::TimePoint{sim::microseconds(10)},
+                       sim::TimePoint{sim::microseconds(150)}});
     out.push_back(std::move(p));
   }
   return out;

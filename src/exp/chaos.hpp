@@ -65,6 +65,8 @@ struct CellResult {
   std::int64_t elapsed_ns = 0;
   std::uint32_t metrics_crc = 0;
   std::size_t metrics_n = 0;
+  /// Connections rebuilt after a QP error (not part of the RESULT line).
+  std::uint64_t reconnects = 0;
   bool violation = false;
   std::string kind;  ///< "audit" | "watchdog" | "deadlock" | "error".
   std::string what;  ///< Full diagnostic (not part of the RESULT line).
