@@ -119,18 +119,6 @@ inline mpi::WorldConfig base_config(flowctl::Scheme scheme, int prepost,
   return cfg;
 }
 
-/// Optional engine-configuration override for a sweep. `audit` arms the
-/// invariant auditor (DESIGN.md §15); false leaves the world's
-/// env-derived setting untouched. The audit test drives the fig tables
-/// with it armed to pin that auditing never changes results.
-struct EngineMode {
-  bool audit = false;
-
-  void apply(mpi::WorldConfig& cfg) const {
-    if (audit) cfg.run.audit = true;
-  }
-};
-
 /// "<app> <scheme> prepost=<n>": names one NAS sweep cell in
 /// nas_exit_status's report. Benches with a further axis append it.
 inline std::string nas_cell_label(nas::App app, const mpi::WorldConfig& cfg) {

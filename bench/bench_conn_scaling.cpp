@@ -3,7 +3,7 @@
 // design space:
 //
 //   allpairs — R ranks eagerly wired all-to-all (R^2 connections, all of
-//              them active): the dense-table / incremental-aggregate path.
+//              them active): the dense connection-table path.
 //              R in {4, 8, 16, 32} sweeps 16 -> 1024 connections.
 //   hotspot  — up to 1024 *configured* ranks under on-demand wiring with a
 //              constant 8-spoke active set: the O(active)-progress path.

@@ -20,15 +20,17 @@ inline constexpr int kBwWindows[] = {1, 2, 4, 8, 10, 16, 25, 50, 75, 100};
 /// the sweep runs on exp::SweepRunner with `jobs` workers; results come
 /// back in job order and the table is bit-identical for every `jobs`
 /// value (1 = the pre-runner serial loop).
+/// `audit` arms the invariant auditor (DESIGN.md §15) in every cell;
+/// false leaves each world's env-derived setting untouched.
 inline util::Table build_bw_table(std::size_t msg_bytes, int prepost,
                                   bool blocking, BenchJson* json = nullptr,
-                                  int jobs = 1, EngineMode mode = {}) {
+                                  int jobs = 1, bool audit = false) {
   const exp::SweepRunner runner(jobs);
   std::vector<std::function<BwResult()>> cells;
   for (const int window : kBwWindows) {
     for (const auto scheme : kSchemes) {
       mpi::WorldConfig cfg = base_config(scheme, prepost);
-      mode.apply(cfg);
+      if (audit) cfg.run.audit = true;
       quiet_if_parallel(cfg, runner);
       cells.push_back([cfg, msg_bytes, window, blocking] {
         return run_bandwidth(cfg, msg_bytes, window, blocking);

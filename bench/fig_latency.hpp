@@ -41,14 +41,16 @@ inline constexpr std::size_t kFig2Sizes[] = {4,   16,   64,   256,
 /// parallel runner (`jobs` workers; 1 = the pre-runner serial loop) with
 /// results gathered in job order — the table is bit-identical for any
 /// `jobs` value.
+/// `audit` arms the invariant auditor (DESIGN.md §15) in every cell;
+/// false leaves each world's env-derived setting untouched.
 inline util::Table build_fig2_table(int iters, BenchJson* json = nullptr,
-                                    int jobs = 1, EngineMode mode = {}) {
+                                    int jobs = 1, bool audit = false) {
   const exp::SweepRunner runner(jobs);
   std::vector<std::function<double()>> cells;
   for (const std::size_t bytes : kFig2Sizes) {
     for (const auto scheme : kSchemes) {
       mpi::WorldConfig cfg = base_config(scheme, /*prepost=*/100);
-      mode.apply(cfg);
+      if (audit) cfg.run.audit = true;
       quiet_if_parallel(cfg, runner);
       cells.push_back([cfg, bytes, iters] {
         return pingpong_us(cfg, bytes, iters);

@@ -1,6 +1,10 @@
 #include "exp/run_config.hpp"
 
+#include <charconv>
 #include <cstdlib>
+#include <system_error>
+
+#include "util/log.hpp"
 
 namespace mvflow::exp {
 
@@ -11,13 +15,24 @@ std::string env_or_empty(const char* name) {
   return v != nullptr ? std::string(v) : std::string();
 }
 
-std::size_t env_capacity(const char* name) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s) return 0;
-  return static_cast<std::size_t>(v);
+/// One error line for a variable whose value does not parse in full; the
+/// caller then treats the variable as unset.
+void report_malformed(const char* name, const std::string& value) {
+  util::Logger::write(util::LogLevel::error, "env",
+                      std::string(name) + "=" + value +
+                          " is malformed; treated as unset");
+}
+
+/// A non-negative decimal count; unset, empty or malformed reads as 0.
+std::uint64_t env_count(const char* name) {
+  const std::string s = env_or_empty(name);
+  if (s.empty()) return 0;
+  std::uint64_t v = 0;
+  const char* last = s.data() + s.size();
+  const auto [end, ec] = std::from_chars(s.data(), last, v);
+  if (ec == std::errc{} && end == last) return v;
+  report_malformed(name, s);
+  return 0;
 }
 
 }  // namespace
@@ -51,14 +66,16 @@ RunConfig RunConfig::from_env() {
   cfg.metrics_path = env_or_empty("MVFLOW_METRICS");
   cfg.trace_path = env_or_empty("MVFLOW_TRACE");
   cfg.trace_csv_path = env_or_empty("MVFLOW_TRACE_CSV");
-  cfg.trace_capacity = env_capacity("MVFLOW_TRACE_CAPACITY");
+  cfg.trace_capacity =
+      static_cast<std::size_t>(env_count("MVFLOW_TRACE_CAPACITY"));
   cfg.prof_path = env_or_empty("MVFLOW_PROF");
   const std::string ck = env_or_empty("MVFLOW_CHECKPOINT");
-  if (!ck.empty()) cfg.parse_checkpoint(ck);
+  if (!ck.empty() && !cfg.parse_checkpoint(ck))
+    report_malformed("MVFLOW_CHECKPOINT", ck);
   const std::string audit = env_or_empty("MVFLOW_AUDIT");
   cfg.audit = !audit.empty() && audit != "0";
   cfg.watchdog_horizon_us =
-      static_cast<std::int64_t>(env_capacity("MVFLOW_WATCHDOG_US"));
+      static_cast<std::int64_t>(env_count("MVFLOW_WATCHDOG_US"));
   cfg.watchdog_dump_path = env_or_empty("MVFLOW_WATCHDOG_DUMP");
   cfg.watchdog_ckpt_path = env_or_empty("MVFLOW_WATCHDOG_CKPT");
   return cfg;

@@ -80,7 +80,10 @@ struct RunConfig {
 
   bool watchdog_enabled() const noexcept { return watchdog_horizon_us > 0; }
 
-  /// Read the MVFLOW_* variables right now (no caching).
+  /// Read the MVFLOW_* variables right now (no caching). A value that does
+  /// not parse in full (a count that is not all digits, a checkpoint
+  /// request parse_checkpoint rejects) is reported with one error line on
+  /// stderr and treated as unset.
   static RunConfig from_env();
 
   /// The one-time process snapshot: captured on first call and immutable

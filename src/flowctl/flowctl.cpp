@@ -42,14 +42,12 @@ bool ConnectionFlow::credit_available() const noexcept {
 bool ConnectionFlow::try_acquire_credit() {
   if (!user_level()) {
     ++counters_.credited_sent;
-    if (agg_ != nullptr) ++agg_->credited_sent;
     return true;
   }
   if (credits_ <= 0) return false;
   --credits_;
   ++aud_consumed_;
   ++counters_.credited_sent;
-  if (agg_ != nullptr) ++agg_->credited_sent;
   return true;
 }
 
@@ -59,7 +57,6 @@ void ConnectionFlow::add_credits(int n) {
   credits_ += n;
   aud_received_ += static_cast<std::uint64_t>(n);
   counters_.credits_received += static_cast<std::uint64_t>(n);
-  if (agg_ != nullptr) agg_->credits_received += static_cast<std::uint64_t>(n);
 }
 
 int ConnectionFlow::initial_posted() const noexcept { return config_.prepost; }
@@ -85,7 +82,6 @@ bool ConnectionFlow::take_decay_slot() {
     --current_posted_;
     ++aud_delivered_;  // the message was delivered; its buffer retires
     ++counters_.decay_events;
-    if (agg_ != nullptr) ++agg_->decay_events;
     return true;
   }
   if (++idle_msgs_ >= config_.decay_idle_msgs &&
@@ -115,10 +111,6 @@ int ConnectionFlow::on_backlogged_flag() {
   current_posted_ += step;
   counters_.max_posted = std::max(counters_.max_posted, current_posted_);
   ++counters_.growth_events;
-  if (agg_ != nullptr) {
-    agg_->max_posted = std::max(agg_->max_posted, counters_.max_posted);
-    ++agg_->growth_events;
-  }
   // The fresh buffers are immediately returnable credits for the sender.
   accumulated_ += step;
   return step;

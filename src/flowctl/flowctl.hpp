@@ -88,6 +88,22 @@ struct Counters {
     return credited_sent + control_sent + ecm_sent;
   }
 
+  /// Fold another connection's counters into this one (world totals,
+  /// DESIGN.md §17). max_posted is a peak, so it folds as a max.
+  void accumulate(const Counters& o) {
+    credited_sent += o.credited_sent;
+    control_sent += o.control_sent;
+    ecm_sent += o.ecm_sent;
+    backlog_entered += o.backlog_entered;
+    backlog_dispatched += o.backlog_dispatched;
+    backlog_failed += o.backlog_failed;
+    optimistic_rts += o.optimistic_rts;
+    credits_received += o.credits_received;
+    growth_events += o.growth_events;
+    decay_events += o.decay_events;
+    if (o.max_posted > max_posted) max_posted = o.max_posted;
+  }
+
   /// Enumerate every counter as (name, value) for a metrics sink. Kept as a
   /// template so flowctl does not depend on the obs layer.
   template <typename Fn>
@@ -149,37 +165,20 @@ class ConnectionFlow {
 
   int credits() const noexcept { return credits_; }
 
-  void note_backlogged() {
-    ++counters_.backlog_entered;
-    if (agg_ != nullptr) ++agg_->backlog_entered;
-  }
-  void note_backlog_dispatched() {
-    ++counters_.backlog_dispatched;
-    if (agg_ != nullptr) ++agg_->backlog_dispatched;
-  }
+  void note_backlogged() { ++counters_.backlog_entered; }
+  void note_backlog_dispatched() { ++counters_.backlog_dispatched; }
   /// Backlogged sends discarded because the connection died (QP error with
   /// auto-reconnect off). Closes the backlog books: entered always equals
   /// dispatched + failed + current depth (the auditor's liveness check).
   void note_backlog_failed(std::size_t n) {
     counters_.backlog_failed += static_cast<std::uint64_t>(n);
-    if (agg_ != nullptr) agg_->backlog_failed += static_cast<std::uint64_t>(n);
   }
   void note_optimistic_rts() {
     ++counters_.optimistic_rts;
     ++counters_.credited_sent;  // it is still an unexpected-class message
-    if (agg_ != nullptr) {
-      ++agg_->optimistic_rts;
-      ++agg_->credited_sent;
-    }
   }
-  void note_control_sent() {
-    ++counters_.control_sent;
-    if (agg_ != nullptr) ++agg_->control_sent;
-  }
-  void note_ecm_sent() {
-    ++counters_.ecm_sent;
-    if (agg_ != nullptr) ++agg_->ecm_sent;
-  }
+  void note_control_sent() { ++counters_.control_sent; }
+  void note_ecm_sent() { ++counters_.ecm_sent; }
 
   // ---- receiver role: buffer pool for the peer ----
 
@@ -258,30 +257,6 @@ class ConnectionFlow {
 
   const Counters& counters() const noexcept { return counters_; }
 
-  /// Install an incremental aggregate sink (DESIGN.md §17): every counter
-  /// mutation from here on is mirrored into `agg` at the point of change,
-  /// and anything already accumulated is folded in now, so the sink always
-  /// equals the sum over installed connections without re-summing them.
-  /// max_posted is a peak, so it folds as a max, not a sum. The sink is
-  /// owned by the device. Pass nullptr to detach.
-  void set_counters_sink(Counters* agg) noexcept {
-    agg_ = agg;
-    if (agg == nullptr) return;
-    agg->credited_sent += counters_.credited_sent;
-    agg->control_sent += counters_.control_sent;
-    agg->ecm_sent += counters_.ecm_sent;
-    agg->backlog_entered += counters_.backlog_entered;
-    agg->backlog_dispatched += counters_.backlog_dispatched;
-    agg->backlog_failed += counters_.backlog_failed;
-    agg->optimistic_rts += counters_.optimistic_rts;
-    agg->credits_received += counters_.credits_received;
-    agg->growth_events += counters_.growth_events;
-    agg->decay_events += counters_.decay_events;
-    if (counters_.max_posted > agg->max_posted) {
-      agg->max_posted = counters_.max_posted;
-    }
-  }
-
   /// Apply a mid-run tuning delta (checkpoint-fork sweep). Only the
   /// policy knobs move; credits, pools, and counters are untouched.
   void retune(const TuneDelta& d);
@@ -311,7 +286,6 @@ class ConnectionFlow {
   std::uint64_t aud_granted_ = 0;    // receiver: credits handed to the wire
   std::uint64_t aud_received_ = 0;   // sender: credits learned from the peer
   Counters counters_;
-  Counters* agg_ = nullptr;  ///< device-owned aggregate; see set_counters_sink
 };
 
 }  // namespace mvflow::flowctl

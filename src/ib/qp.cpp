@@ -163,10 +163,6 @@ void QueuePair::transmit_message(PendingSend& ps) {
   if (ps.retransmission) {
     ++stats_.retransmitted_messages;
     stats_.retransmitted_bytes += ps.data->length;
-    if (agg_ != nullptr) {
-      ++agg_->retransmitted_messages;
-      agg_->retransmitted_bytes += ps.data->length;
-    }
   } else {
     ++stats_.messages_sent;
     stats_.bytes_sent += ps.data->length;
@@ -610,7 +606,6 @@ void QueuePair::retire_acked_() {
 
 void QueuePair::handle_rnr_nak(const Packet& pkt) {
   ++stats_.rnr_naks_received;
-  if (agg_ != nullptr) ++agg_->rnr_naks_received;
   if (rnr_waiting_) return;  // already rewinding
 
   // Find the NAK'd message among the unacked; it may already be gone if a

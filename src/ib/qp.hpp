@@ -87,14 +87,6 @@ class QueuePair {
 
   const QpStats& stats() const noexcept { return stats_; }
 
-  /// Install an incremental aggregate sink (DESIGN.md §17). The QP mirrors
-  /// the two counters world-level stat totals need — rnr_naks_received and
-  /// retransmitted_messages/bytes — into `agg` at the point of change, so
-  /// metric snapshots stop re-summing every connection. The sink is owned
-  /// by the device; reconnect installs it on the replacement QP. Pass
-  /// nullptr to detach.
-  void set_stats_sink(QpStats* agg) noexcept { agg_ = agg; }
-
   /// Serialize the QP's complete protocol state for the snapshot restore
   /// audit (DESIGN.md §13): connection identity, message sequence windows,
   /// the send pipeline (queued + unacked entries with their MSNs, sizes and
@@ -198,7 +190,6 @@ class QueuePair {
   std::optional<RxAssembly> rx_cur_;
 
   QpStats stats_;
-  QpStats* agg_ = nullptr;  ///< world-aggregate sink; see set_stats_sink
 };
 
 }  // namespace mvflow::ib

@@ -59,8 +59,6 @@ ib::QueuePair& Device::create_endpoint(Rank peer) {
   auto ep = std::make_unique<Endpoint>(world_.config().flow);
   ep->peer = peer;
   ep->qp = hca_->create_qp(cq_, cq_);
-  ep->flow.set_counters_sink(&flow_agg_);
-  ep->qp->set_stats_sink(&qp_agg_);
   ib::QueuePair& qp = *ep->qp;
   const std::uint32_t slot = static_cast<std::uint32_t>(conn_.size());
   conn_.push_back(std::move(ep));
@@ -636,14 +634,10 @@ void Device::prepare_reconnect(Rank peer) {
   allow_charge_ = false;
   while (auto wc = cq_->poll()) handle_completion(*wc);
   allow_charge_ = true;
-  // The retired QP's counters were already mirrored into qp_agg_ as they
-  // happened, so accumulate only into the per-connection retired block;
-  // the replacement QP re-attaches to the same aggregate sink.
   ep.retired_qp.accumulate(ep.qp->stats());
   ep.qp->modify_error();
   hca_->destroy_qp(ep.qp->qpn());  // unbinds the QPN index entry + cookie
   ep.qp = hca_->create_qp(cq_, cq_);
-  ep.qp->set_stats_sink(&qp_agg_);
   world_.fabric().set_qpn_cookie(
       ep.qp->qpn(),
       static_cast<std::uint32_t>(peer_index_[static_cast<std::size_t>(peer)]));

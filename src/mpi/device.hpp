@@ -166,13 +166,6 @@ class Device {
   /// auditor, the watchdog, and serialization).
   std::vector<Rank> peers() const;
 
-  /// Incremental aggregates over every connection this device owns
-  /// (DESIGN.md §17): flow-control counters and QP reliability counters
-  /// (live + retired-by-reconnect), mirrored at the point of change, so
-  /// world-level stat totals are O(ranks) instead of O(connections).
-  const flowctl::Counters& flow_totals() const noexcept { return flow_agg_; }
-  const ib::QpStats& qp_totals() const noexcept { return qp_agg_; }
-
   /// Apply a flow-control tuning delta to every live connection (the
   /// checkpoint-fork sweep's branch point — DESIGN.md §13).
   void retune(const flowctl::TuneDelta& d);
@@ -362,10 +355,6 @@ class Device {
   std::vector<Rank> peer_ranks_;
 
   MatchQueue match_;
-
-  /// Device-level incremental aggregates (see flow_totals/qp_totals).
-  flowctl::Counters flow_agg_;
-  ib::QpStats qp_agg_;
 
   // Bounce-buffer pool for outgoing wire messages (headers + eager data).
   std::vector<Arena> bounce_arenas_;

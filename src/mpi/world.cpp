@@ -89,15 +89,11 @@ obs::ProfileAnalysis World::prof_analysis() const {
 }
 
 obs::CounterBooks World::counter_books() const {
+  const WorldStats st = collect_stats();
   obs::CounterBooks b;
-  for (const auto& dev : devices_) {
-    const flowctl::Counters& f = dev->flow_totals();
-    b.wire_msgs += f.total_messages();
-    b.backlog_dispatched += f.backlog_dispatched;
-    for (const Rank peer : dev->peers()) {
-      b.qp_sends += dev->qp_stats(peer).messages_sent;
-    }
-  }
+  b.wire_msgs = st.flow_totals.total_messages();
+  b.backlog_dispatched = st.flow_totals.backlog_dispatched;
+  b.qp_sends = st.qp_totals.messages_sent;
   return b;
 }
 
@@ -485,67 +481,10 @@ WorldStats World::collect_stats() const {
       cr.peer = peer;
       cr.flow = dev->flow(peer).counters();
       cr.qp = dev->qp_stats(peer);
+      out.flow_totals.accumulate(cr.flow);
+      out.qp_totals.accumulate(cr.qp);
       out.connections.push_back(cr);
     }
-    // World totals fold one pre-aggregated block per device: O(ranks).
-    const flowctl::Counters& f = dev->flow_totals();
-    out.flow_totals.credited_sent += f.credited_sent;
-    out.flow_totals.control_sent += f.control_sent;
-    out.flow_totals.ecm_sent += f.ecm_sent;
-    out.flow_totals.backlog_entered += f.backlog_entered;
-    out.flow_totals.backlog_dispatched += f.backlog_dispatched;
-    out.flow_totals.backlog_failed += f.backlog_failed;
-    out.flow_totals.optimistic_rts += f.optimistic_rts;
-    out.flow_totals.credits_received += f.credits_received;
-    out.flow_totals.growth_events += f.growth_events;
-    out.flow_totals.decay_events += f.decay_events;
-    out.flow_totals.max_posted = std::max(out.flow_totals.max_posted,
-                                          f.max_posted);
-    const ib::QpStats& q = dev->qp_totals();
-    out.qp_totals.retransmitted_messages += q.retransmitted_messages;
-    out.qp_totals.retransmitted_bytes += q.retransmitted_bytes;
-    out.qp_totals.rnr_naks_received += q.rnr_naks_received;
-  }
-  if (cfg_.run.audit) {
-    // Cross-check the incremental aggregates against a full O(connections)
-    // re-sum of the per-connection reports. A mismatch means a counter
-    // mutation somewhere skipped its sink mirror (DESIGN.md §17).
-    flowctl::Counters rf;
-    ib::QpStats rq;
-    for (const ConnectionReport& c : out.connections) {
-      rf.credited_sent += c.flow.credited_sent;
-      rf.control_sent += c.flow.control_sent;
-      rf.ecm_sent += c.flow.ecm_sent;
-      rf.backlog_entered += c.flow.backlog_entered;
-      rf.backlog_dispatched += c.flow.backlog_dispatched;
-      rf.backlog_failed += c.flow.backlog_failed;
-      rf.optimistic_rts += c.flow.optimistic_rts;
-      rf.credits_received += c.flow.credits_received;
-      rf.growth_events += c.flow.growth_events;
-      rf.decay_events += c.flow.decay_events;
-      rf.max_posted = std::max(rf.max_posted, c.flow.max_posted);
-      rq.retransmitted_messages += c.qp.retransmitted_messages;
-      rq.retransmitted_bytes += c.qp.retransmitted_bytes;
-      rq.rnr_naks_received += c.qp.rnr_naks_received;
-    }
-    util::require(rf.credited_sent == out.flow_totals.credited_sent &&
-                      rf.control_sent == out.flow_totals.control_sent &&
-                      rf.ecm_sent == out.flow_totals.ecm_sent &&
-                      rf.backlog_entered == out.flow_totals.backlog_entered &&
-                      rf.backlog_dispatched ==
-                          out.flow_totals.backlog_dispatched &&
-                      rf.backlog_failed == out.flow_totals.backlog_failed &&
-                      rf.optimistic_rts == out.flow_totals.optimistic_rts &&
-                      rf.credits_received == out.flow_totals.credits_received &&
-                      rf.growth_events == out.flow_totals.growth_events &&
-                      rf.decay_events == out.flow_totals.decay_events &&
-                      rf.max_posted == out.flow_totals.max_posted,
-                  "flow aggregate drifted from per-connection re-sum");
-    util::require(
-        rq.retransmitted_messages == out.qp_totals.retransmitted_messages &&
-            rq.retransmitted_bytes == out.qp_totals.retransmitted_bytes &&
-            rq.rnr_naks_received == out.qp_totals.rnr_naks_received,
-        "QP aggregate drifted from per-connection re-sum");
   }
   return out;
 }

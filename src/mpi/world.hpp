@@ -69,10 +69,9 @@ struct WorldStats {
   std::vector<DeviceStats> devices;
   ib::FabricStats fabric;
 
-  /// World totals, folded from each device's incremental aggregate at
-  /// collect time — O(ranks), not O(connections). The accessors below read
-  /// these; under MVFLOW_AUDIT collect_stats() cross-checks them against a
-  /// full per-connection re-sum (DESIGN.md §17).
+  /// World totals: the fold of `connections`, made as collect_stats()
+  /// builds each report (counts sum, max_posted is a max; DESIGN.md §17).
+  /// The accessors below read these.
   flowctl::Counters flow_totals;
   ib::QpStats qp_totals;
 
@@ -184,7 +183,7 @@ class World {
   /// analyze() over the recorder's stream — the full causal attribution
   /// (DESIGN.md §16); empty unless the stream is unbounded.
   obs::ProfileAnalysis prof_analysis() const;
-  /// The flow-control and QP counters summed over every device: the books
+  /// collect_stats()'s flow-control and QP totals: the books
   /// obs::audit_against cross-foots the profile against.
   obs::CounterBooks counter_books() const;
 

@@ -1,8 +1,6 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "obs/json.hpp"
 
@@ -85,65 +83,12 @@ bool Snapshot::write_json(const std::string& path) const {
   return json::write_file(path, to_json());
 }
 
-namespace {
-
-/// Find-or-create in a Named<T> vector (registration is rare and the lists
-/// are short; no map needed).
-template <typename Vec, typename Make>
-auto& find_or_create(Vec& vec, const std::string& name, Make&& make) {
-  for (auto& e : vec) {
-    if (e.name == name) return *e.value;
-  }
-  vec.push_back({name, make()});
-  return *vec.back().value;
-}
-
-}  // namespace
-
-std::uint64_t& MetricsRegistry::counter(const std::string& name) {
-  return find_or_create(counters_, name,
-                        [] { return std::make_unique<std::uint64_t>(0); });
-}
-
-double& MetricsRegistry::gauge(const std::string& name) {
-  return find_or_create(gauges_, name,
-                        [] { return std::make_unique<double>(0.0); });
-}
-
-util::RunningStats& MetricsRegistry::running_stats(const std::string& name) {
-  return find_or_create(stats_, name,
-                        [] { return std::make_unique<util::RunningStats>(); });
-}
-
-util::Histogram& MetricsRegistry::histogram(const std::string& name, double lo,
-                                            double hi, std::size_t buckets) {
-  return find_or_create(histograms_, name, [&] {
-    return std::make_unique<util::Histogram>(lo, hi, buckets);
-  });
-}
-
-std::uint64_t MetricsRegistry::add_source(std::string prefix, SourceFn fn) {
-  const std::uint64_t id = next_source_id_++;
-  sources_.push_back(Source{id, std::move(prefix), std::move(fn)});
-  return id;
-}
-
-void MetricsRegistry::remove_source(std::uint64_t id) {
-  sources_.erase(std::remove_if(sources_.begin(), sources_.end(),
-                                [id](const Source& s) { return s.id == id; }),
-                 sources_.end());
+void MetricsRegistry::add_source(std::string prefix, SourceFn fn) {
+  sources_.push_back(Source{std::move(prefix), std::move(fn)});
 }
 
 Snapshot MetricsRegistry::snapshot() const {
   Snapshot out;
-  for (const auto& c : counters_)
-    out.values.emplace_back(c.name, static_cast<double>(*c.value));
-  for (const auto& g : gauges_) out.values.emplace_back(g.name, *g.value);
-  const auto push = [&out](std::string name, double v) {
-    out.values.emplace_back(std::move(name), v);
-  };
-  for (const auto& s : stats_) emit_running_stats(s.name, *s.value, push);
-  for (const auto& h : histograms_) emit_histogram(h.name, *h.value, push);
   for (const auto& src : sources_) {
     const EmitFn emit = [&out, &src](std::string_view name, double v) {
       out.values.emplace_back(src.prefix + std::string(name), v);

@@ -4,26 +4,23 @@
 // FabricStats, DeviceStats, MessageDataPool::Stats, EnginePerfStats, ...).
 // Before this layer existed each bench hand-aggregated the structs it knew
 // about; the registry inverts that: components register *sources* (a prefix
-// plus a callback that enumerates name/value pairs at snapshot time) or own
-// *instruments* (counters/gauges/RunningStats/Histograms written in place),
-// and one snapshot() walks everything and serializes to a single flat JSON
-// document — `MVFLOW_METRICS=out.json` on any World-based program.
+// plus a callback that enumerates name/value pairs at snapshot time), and
+// one snapshot() walks them all and serializes to a single flat JSON
+// document — `MVFLOW_METRICS=out.json` on any World-based program. Every
+// value stays in the component that changes it; the registry keeps none.
 //
 // Snapshots are flat (dotted names, double values) on purpose: they diff
 // trivially across runs, round-trip through JSON bit-exactly (%.17g), and
 // need no schema negotiation between writer and reader.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
-
-#include "util/stats.hpp"
 
 namespace mvflow::obs {
 
@@ -48,32 +45,6 @@ struct Snapshot {
   bool write_json(const std::string& path) const;
 };
 
-/// Flatten helpers shared by snapshot() and source callbacks: a stats
-/// object becomes a handful of `<name>.<field>` scalars.
-template <typename Fn>
-void emit_running_stats(std::string_view name, const util::RunningStats& rs,
-                        Fn&& emit) {
-  const std::string base(name);
-  emit(base + ".count", static_cast<double>(rs.count()));
-  emit(base + ".mean", rs.mean());
-  emit(base + ".min", rs.min());
-  emit(base + ".max", rs.max());
-  emit(base + ".stddev", rs.stddev());
-  emit(base + ".sum", rs.sum());
-}
-
-template <typename Fn>
-void emit_histogram(std::string_view name, const util::Histogram& h,
-                    Fn&& emit) {
-  const std::string base(name);
-  emit(base + ".count", static_cast<double>(h.total()));
-  emit(base + ".underflow", static_cast<double>(h.underflow()));
-  emit(base + ".overflow", static_cast<double>(h.overflow()));
-  emit(base + ".p50", h.quantile(0.50));
-  emit(base + ".p90", h.quantile(0.90));
-  emit(base + ".p99", h.quantile(0.99));
-}
-
 class MetricsRegistry {
  public:
   /// Snapshot-time sink: receives one fully-qualified (name, value) pair.
@@ -86,46 +57,23 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  // ---- owned instruments (register once, write directly) ----
-  // References are stable for the registry's lifetime. Requesting an
-  // existing name returns the same instrument.
-  std::uint64_t& counter(const std::string& name);
-  double& gauge(const std::string& name);
-  util::RunningStats& running_stats(const std::string& name);
-  util::Histogram& histogram(const std::string& name, double lo, double hi,
-                             std::size_t buckets);
+  /// Register a live source (component-owned state, read at snapshot
+  /// time). The callback's emitted names are prefixed with `prefix`; the
+  /// source must stay valid until the registry dies.
+  void add_source(std::string prefix, SourceFn fn);
 
-  // ---- live sources (component-owned state, read at snapshot time) ----
-  /// The callback's emitted names are prefixed with `prefix`. The source
-  /// must stay valid until removed or the registry dies; returns an id for
-  /// remove_source.
-  std::uint64_t add_source(std::string prefix, SourceFn fn);
-  void remove_source(std::uint64_t id);
-  std::size_t source_count() const noexcept { return sources_.size(); }
-
-  /// Flatten every instrument and source into one capture. ($MVFLOW_METRICS
-  /// export goes through exp::RunConfig now — the registry itself never
-  /// reads the environment.)
+  /// Flatten every source, in registration order, into one capture.
+  /// ($MVFLOW_METRICS export goes through exp::RunConfig — the registry
+  /// itself never reads the environment.)
   Snapshot snapshot() const;
 
  private:
-  template <typename T>
-  struct Named {
-    std::string name;
-    std::unique_ptr<T> value;  // stable address across registry growth
-  };
   struct Source {
-    std::uint64_t id = 0;
     std::string prefix;
     SourceFn fn;
   };
 
-  std::vector<Named<std::uint64_t>> counters_;
-  std::vector<Named<double>> gauges_;
-  std::vector<Named<util::RunningStats>> stats_;
-  std::vector<Named<util::Histogram>> histograms_;
   std::vector<Source> sources_;
-  std::uint64_t next_source_id_ = 1;
 };
 
 }  // namespace mvflow::obs

@@ -47,14 +47,14 @@ constexpr std::uint64_t kFig3GoldenHash = 312572578602472281ull;
 // ---- 1. differential: audit-on is bit-identical to audit-off ----------
 
 TEST(AuditDifferential, Fig2GoldenWithAuditorArmed) {
-  const bench::EngineMode mode{.audit = true};
-  EXPECT_EQ(fnv1a(bench::build_fig2_table(200, nullptr, 1, mode).to_string()),
+  EXPECT_EQ(fnv1a(bench::build_fig2_table(200, nullptr, 1, /*audit=*/true)
+                      .to_string()),
             kFig2GoldenHash);
 }
 
 TEST(AuditDifferential, Fig3GoldenWithAuditorArmed) {
-  const bench::EngineMode mode{.audit = true};
-  EXPECT_EQ(fnv1a(bench::build_bw_table(4, 100, true, nullptr, 1, mode)
+  EXPECT_EQ(fnv1a(bench::build_bw_table(4, 100, true, nullptr, 1,
+                                        /*audit=*/true)
                       .to_string()),
             kFig3GoldenHash);
 }

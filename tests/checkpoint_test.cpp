@@ -406,6 +406,57 @@ TEST(CheckpointEnv, ParseCheckpointRequest) {
   EXPECT_TRUE(rc.checkpoint_path.empty());
 }
 
+// A value that does not parse in full is reported once, by name and
+// value, and reads as unset; it never half-applies.
+TEST(CheckpointEnv, FromEnvReportsMalformedValuesAsUnset) {
+  struct Case {
+    const char* var;
+    const char* value;
+  };
+  const Case cases[] = {{"MVFLOW_CHECKPOINT", "bad.ck@500,x"},
+                        {"MVFLOW_CHECKPOINT", "bad.ck"},
+                        {"MVFLOW_WATCHDOG_US", "abc"},
+                        {"MVFLOW_WATCHDOG_US", "10x"},
+                        {"MVFLOW_TRACE_CAPACITY", "4k"},
+                        {"MVFLOW_TRACE_CAPACITY", "-1"}};
+  for (const Case& c : cases) {
+    const std::string var = c.var;
+    ::setenv(c.var, c.value, 1);
+    testing::internal::CaptureStderr();
+    const exp::RunConfig rc = exp::RunConfig::from_env();
+    const std::string err = testing::internal::GetCapturedStderr();
+    ::unsetenv(c.var);
+
+    const std::string named = var + "=" + c.value;
+    const std::size_t at = err.find(named);
+    EXPECT_NE(at, std::string::npos) << named << " -> " << err;
+    EXPECT_EQ(err.find(named, at + 1), std::string::npos) << err;
+    EXPECT_NE(err.find("ERROR"), std::string::npos) << err;
+    if (var == "MVFLOW_CHECKPOINT") {
+      EXPECT_TRUE(rc.checkpoint_path.empty()) << named;
+      EXPECT_TRUE(rc.checkpoint_events.empty()) << named;
+    } else if (var == "MVFLOW_WATCHDOG_US") {
+      EXPECT_EQ(rc.watchdog_horizon_us, 0) << named;
+    } else {
+      EXPECT_EQ(rc.trace_capacity, 0u) << named;
+    }
+  }
+
+  // Well-formed values still read, silently.
+  ::setenv("MVFLOW_WATCHDOG_US", "250", 1);
+  ::setenv("MVFLOW_CHECKPOINT", "good.ck@500", 1);
+  testing::internal::CaptureStderr();
+  const exp::RunConfig rc = exp::RunConfig::from_env();
+  const std::string err = testing::internal::GetCapturedStderr();
+  ::unsetenv("MVFLOW_WATCHDOG_US");
+  ::unsetenv("MVFLOW_CHECKPOINT");
+  EXPECT_EQ(err.find("MVFLOW_"), std::string::npos) << err;
+  EXPECT_EQ(rc.watchdog_horizon_us, 250);
+  EXPECT_EQ(rc.checkpoint_path, "good.ck");
+  ASSERT_EQ(rc.checkpoint_events.size(), 1u);
+  EXPECT_EQ(rc.checkpoint_events[0], 500u);
+}
+
 TEST(CheckpointEnv, WorkloadRegistry) {
   EXPECT_TRUE(mpi::workload_registered("pingpong"));
   EXPECT_TRUE(mpi::workload_registered("soak"));

@@ -1,14 +1,16 @@
 // Connection-count scaling coverage (DESIGN.md §17): the flat lazy
 // connection table must keep idle connections at literally zero progress
 // cost, the dense QP slot table must survive reconnect churn without
-// fragmenting, the incremental world aggregates must agree with a full
-// per-connection re-sum, and the on-demand × checkpoint/restore ×
+// fragmenting, the world totals must be the fold of the per-connection
+// reports (reconnects included), and the on-demand × checkpoint/restore ×
 // auto-reconnect combination must stay bit-exact at N >= 256 ranks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "exp/run_config.hpp"
@@ -56,7 +58,7 @@ TEST(ConnScaling, HotspotAt256RanksOnlyActiveConnectionsExist) {
   constexpr int kRanks = 256;
   constexpr int kActives = 6;
   mpi::WorldConfig cfg = big_world(kRanks);
-  cfg.run.audit = true;  // arms the aggregate cross-check in collect_stats
+  cfg.run.audit = true;
   mpi::World world(cfg);
   world.run(mpi::make_workload(hotspot_spec(kActives, /*rounds=*/12)));
 
@@ -75,9 +77,8 @@ TEST(ConnScaling, HotspotAt256RanksOnlyActiveConnectionsExist) {
   EXPECT_GE(stats.total_messages(), 12u * kActives * 2u);
 }
 
-// The cached world totals must be exactly the per-connection re-sum (the
-// same identity MVFLOW_AUDIT checks inside collect_stats, restated here
-// from the public report so the accessors themselves are covered).
+// The world-total accessors must read exactly the per-connection re-sum,
+// restated here with plain loops over the public report.
 TEST(ConnScaling, CachedTotalsMatchPerConnectionResum) {
   mpi::WorldConfig cfg;
   cfg.run = exp::RunConfig{};
@@ -109,6 +110,62 @@ TEST(ConnScaling, CachedTotalsMatchPerConnectionResum) {
   EXPECT_EQ(stats.total_retransmitted_messages(), retx);
   EXPECT_EQ(stats.max_posted_buffers(), max_posted);
   EXPECT_GT(msgs, 0u);
+}
+
+// Every field of the world totals is the Counters/QpStats fold of the
+// per-connection reports, on a world that reconnects: each endpoint's QP
+// counters then span a retired QP and its replacement. The world is the
+// chaos campaign's `reconnect` profile (node 1 dark past the retry budget).
+TEST(ConnScaling, WorldTotalsFoldEveryCounterAcrossReconnect) {
+  mpi::WorldConfig cfg;
+  cfg.run = exp::RunConfig{};
+  cfg.num_ranks = 3;
+  cfg.flow.scheme = flowctl::Scheme::user_static;
+  cfg.flow.prepost = 8;
+  cfg.fabric.transport_timeout = sim::microseconds(40);
+  cfg.fabric.transport_retry_limit = 2;
+  cfg.fabric.rnr_retry_limit = -1;
+  cfg.fabric.fault.seed = 7;
+  cfg.fabric.fault.loss_prob = 0.05;
+  cfg.fabric.fault.flaps.push_back({1, sim::TimePoint{sim::microseconds(10)},
+                                    sim::TimePoint{sim::microseconds(150)}});
+  cfg.device.auto_reconnect = true;
+  mpi::World world(cfg);
+  mpi::WorkloadSpec spec;
+  spec.name = "allpairs";
+  spec.params["rounds"] = 5;
+  spec.params["bytes"] = 1024;
+  world.run(mpi::make_workload(spec));
+
+  const mpi::WorldStats stats = world.collect_stats();
+  std::uint64_t reconnects = 0;
+  for (const mpi::DeviceStats& d : stats.devices) reconnects += d.reconnects;
+  ASSERT_GT(reconnects, 0u);
+
+  flowctl::Counters flow;
+  ib::QpStats qp;
+  for (const mpi::ConnectionReport& c : stats.connections) {
+    flow.accumulate(c.flow);
+    qp.accumulate(c.qp);
+  }
+  ASSERT_GT(qp.transport_retries, 0u);
+  // accumulate() leaves the newest-ACK snapshot alone: it is not a count.
+  using Fields = std::vector<std::pair<std::string, double>>;
+  const auto fields = [](const auto& counters) {
+    Fields out;
+    counters.visit([&out](std::string_view name, double v) {
+      if (name != "last_advertised_credits") out.emplace_back(name, v);
+    });
+    return out;
+  };
+  for (const auto& [totals, fold] :
+       {std::pair{fields(stats.flow_totals), fields(flow)},
+        std::pair{fields(stats.qp_totals), fields(qp)}}) {
+    ASSERT_EQ(totals.size(), fold.size());
+    for (std::size_t i = 0; i < totals.size(); ++i) {
+      EXPECT_EQ(totals[i].second, fold[i].second) << totals[i].first;
+    }
+  }
 }
 
 // ---- dense QP slots under churn --------------------------------------
@@ -155,7 +212,7 @@ TEST(ConnScaling, QpSlotsStayDenseAfterChurn) {
 // under packet loss with auto-reconnect, snapshotted mid-run, killed, and
 // resumed. The resumed run must match the uninterrupted faulted run
 // bit-for-bit (metrics registry JSON equality), proving the lazy table,
-// the QPN index rebind on reconnect, and the incremental aggregates all
+// the QPN index rebind on reconnect, and the per-connection counters all
 // survive capture/replay at a connection count the eager path never sees.
 TEST(ConnScaling, OnDemandCheckpointReconnectAt256Ranks) {
   constexpr int kRanks = 256;
