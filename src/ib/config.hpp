@@ -111,15 +111,6 @@ struct FabricConfig {
   bool transport_enabled() const {
     return transport_timeout > sim::Duration{0};
   }
-
-  /// Strict end-to-end credit pacing at the requester (IBA's optional
-  /// credit mechanism): hold channel sends once unacked sends reach the
-  /// last advertised credit count (+2 staleness allowance). Off by
-  /// default — the paper's testbed demonstrably let senders race ahead
-  /// (its dynamic scheme observed ~63 outstanding messages and its
-  /// hardware scheme suffered RNR timeout storms); enable to study a
-  /// stricter-pacing HCA.
-  bool e2e_credit_pacing = false;
 };
 
 }  // namespace mvflow::ib

@@ -40,10 +40,7 @@ void Fabric::connect_loopback(QueuePair& q) {
 std::uint32_t Fabric::wire_bytes(const Packet& pkt) const {
   switch (pkt.kind) {
     case PacketKind::data:
-    case PacketKind::rdma_read_resp:
       return pkt.payload_bytes + config_.data_header_bytes;
-    case PacketKind::rdma_read_req:
-      return config_.data_header_bytes + 16;  // reth: addr + rkey + len
     case PacketKind::ack:
     case PacketKind::rnr_nak:
     case PacketKind::access_nak:
@@ -148,12 +145,10 @@ void Fabric::transmit(int src_node, int dst_node, Packet pkt,
 
   ++stats_.packets;
   stats_.wire_bytes += wire;
-  if (pkt.kind == PacketKind::ack || pkt.kind == PacketKind::rnr_nak ||
-      pkt.kind == PacketKind::access_nak ||
-      pkt.kind == PacketKind::seq_nak) {
-    ++stats_.control_packets;
-  } else {
+  if (pkt.kind == PacketKind::data) {
     ++stats_.data_packets;
+  } else {
+    ++stats_.control_packets;
   }
 
   const bool faults = config_.fault.active();

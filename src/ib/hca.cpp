@@ -24,10 +24,10 @@ std::shared_ptr<CompletionQueue> Hca::create_cq() {
 
 std::shared_ptr<QueuePair> Hca::create_qp(
     std::shared_ptr<CompletionQueue> send_cq,
-    std::shared_ptr<CompletionQueue> recv_cq, QpType type) {
+    std::shared_ptr<CompletionQueue> recv_cq) {
   const QpNumber qpn = fabric_.alloc_qpn();
   auto qp = std::make_shared<QueuePair>(*this, qpn, std::move(send_cq),
-                                        std::move(recv_cq), type);
+                                        std::move(recv_cq));
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();

@@ -29,12 +29,10 @@ class Hca {
 
   std::shared_ptr<CompletionQueue> create_cq();
 
-  /// Create a queue pair bound to the given CQs (they may be the same
-  /// object — the paper's MPI uses one CQ for everything). RC by default;
-  /// pass QpType::ud for a connectionless datagram QP.
+  /// Create a Reliable Connection queue pair bound to the given CQs (they
+  /// may be the same object — the paper's MPI uses one CQ for everything).
   std::shared_ptr<QueuePair> create_qp(std::shared_ptr<CompletionQueue> send_cq,
-                                       std::shared_ptr<CompletionQueue> recv_cq,
-                                       QpType type = QpType::rc);
+                                       std::shared_ptr<CompletionQueue> recv_cq);
   void destroy_qp(QpNumber qpn);
 
   QueuePair* find_qp(QpNumber qpn);
@@ -46,8 +44,8 @@ class Hca {
   MemoryRegistry& memory() noexcept { return memory_; }
   const MemoryRegistry& memory() const noexcept { return memory_; }
 
-  /// Pool backing every message this HCA originates (sends, UD datagrams,
-  /// RDMA-read responses). Buffers recycle only after final completion.
+  /// Pool backing every message this HCA originates (sends and RDMA
+  /// writes). Messages recycle only after final completion.
   MessageDataPool& msg_pool() noexcept { return *msg_pool_; }
   const MessageDataPool& msg_pool() const noexcept { return *msg_pool_; }
 

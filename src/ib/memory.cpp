@@ -45,17 +45,6 @@ bool MemoryRegistry::check_local(const std::byte* addr, std::size_t len,
   return static_cast<std::size_t>(addr - r->base) + len <= r->length;
 }
 
-std::byte* MemoryRegistry::local_write_ptr(const std::byte* addr,
-                                           std::size_t len,
-                                           std::uint32_t lkey) const {
-  const RegionInfo* r = find_lkey(lkey);
-  if (r == nullptr) return nullptr;
-  if (!has_access(r->access, Access::local_write)) return nullptr;
-  if (addr < r->base) return nullptr;
-  if (static_cast<std::size_t>(addr - r->base) + len > r->length) return nullptr;
-  return r->base + (addr - r->base);
-}
-
 std::optional<RegionInfo> MemoryRegistry::find_rkey(std::uint32_t rkey) const {
   for (const RegionInfo& r : regions_) {
     if (r.rkey == rkey) return r;

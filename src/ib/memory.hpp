@@ -33,14 +33,6 @@ class MemoryRegistry {
   bool check_local(const std::byte* addr, std::size_t len, std::uint32_t lkey,
                    Access needed) const;
 
-  /// Resolve a validated local-write destination (e.g. an RDMA-read landing
-  /// buffer) to its mutable pointer inside the registered region; nullptr
-  /// if the (addr, len, lkey) triple fails the local_write check. The
-  /// registry owns the mutable view of every registered region, so this is
-  /// where const-ness is legitimately dropped.
-  std::byte* local_write_ptr(const std::byte* addr, std::size_t len,
-                             std::uint32_t lkey) const;
-
   /// Look up a region by rkey for a remote (RDMA) access; nullopt if the
   /// key is unknown or was deregistered.
   std::optional<RegionInfo> find_rkey(std::uint32_t rkey) const;

@@ -1,10 +1,9 @@
-// Pooled message payloads for the packet hot path.
+// Pooled message descriptors for the packet hot path.
 //
-// Every in-flight message used to be a fresh `make_shared<MessageData>`
-// plus a payload vector allocation; at millions of packet-hop events per
-// run that is the dominant allocator traffic. Messages now live in a
-// per-HCA pool: acquire() recycles a node whose payload vector keeps its
-// capacity, and MsgRef counts references intrusively (single-threaded
+// Every in-flight message used to be a fresh `make_shared<MessageData>`;
+// at millions of packet-hop events per run that is the dominant allocator
+// traffic. Messages now live in a per-HCA pool: acquire() recycles a
+// node, and MsgRef counts references intrusively (single-threaded
 // simulation — no atomics). A message returns to its pool only when the
 // last reference dies, i.e. after final ACK/completion retires the send —
 // so retransmissions always replay the original bytes and pooling cannot
@@ -30,28 +29,17 @@ class MessageDataPool;
 
 /// One in-flight message; data packets of the same message share it.
 ///
-/// RC send/write payloads are zero-copy: `src` points into the sender's
-/// registered region, which verbs rules require to stay untouched until
-/// the WQE completes — and every consumer (delivery, retransmission) runs
-/// before the completion is generated, so reading through the pointer is
-/// equivalent to the eager deep-copy it replaces. Two paths instead
-/// snapshot into `payload`, because their bytes have no such stability
-/// contract: RDMA-read responses (responder memory can change after the
-/// response is streamed) and UD sends (the completion is generated at post
-/// time, before delivery, so the app may reuse the buffer while the
-/// datagram is still in flight).
+/// Payloads are zero-copy: `src` points into the sender's registered
+/// region, which verbs rules require to stay untouched until the WQE
+/// completes — and every consumer (delivery, retransmission) runs before
+/// the completion is generated, so reading through the pointer is
+/// equivalent to the eager deep-copy it replaces.
 struct MessageData {
   WrOpcode opcode = WrOpcode::send;
   const std::byte* src = nullptr;      // send / rdma_write source (borrowed)
-  std::vector<std::byte> payload;      // rdma_read response snapshot
-  std::byte* remote_addr = nullptr;    // rdma_write / rdma_read target
+  std::byte* remote_addr = nullptr;    // rdma_write target
   std::uint32_t rkey = 0;
   std::uint32_t length = 0;            // total message length
-
-  /// The message bytes, wherever they live.
-  const std::byte* bytes() const noexcept {
-    return src != nullptr ? src : payload.data();
-  }
 };
 
 /// Pool node: the message plus its intrusive refcount and owner linkage.
@@ -128,8 +116,6 @@ class MessageDataPool
   };
 
   /// Check out a message; `fill()` it before putting packets on the wire.
-  /// The payload vector arrives empty but keeps the capacity of its last
-  /// use, so steady-state traffic never reallocates.
   MsgRef acquire() {
     ++stats_.acquires;
     PooledMessage* m;
@@ -159,7 +145,6 @@ class MessageDataPool
  private:
   friend class MsgRef;
   void release(PooledMessage* m) noexcept {
-    m->data.payload.clear();  // capacity retained for the next acquire
     m->data.src = nullptr;
     m->data.remote_addr = nullptr;
     free_.push_back(m);

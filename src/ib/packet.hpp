@@ -15,8 +15,6 @@ namespace mvflow::ib {
 
 enum class PacketKind : std::uint8_t {
   data,             ///< send or rdma_write payload packet
-  rdma_read_req,    ///< single-packet read request
-  rdma_read_resp,   ///< read response payload packet
   ack,              ///< positive acknowledgment, cumulative per message
   rnr_nak,          ///< receiver not ready: no recv WQE posted
   access_nak,       ///< remote access violation (bad rkey / bounds)
@@ -32,7 +30,7 @@ struct Packet {
   std::uint32_t pkt_index = 0;  ///< Position within the message.
   std::uint32_t pkt_count = 1;  ///< Packets in the message.
   std::uint32_t payload_bytes = 0;
-  MsgRef msg;                 ///< Data/read packets only.
+  MsgRef msg;                 ///< Data packets only.
   std::int64_t credits = -1;  ///< ACK: responder's posted recv WQE count.
   bool corrupted = false;     ///< Fault injector: delivered but CRC-failed.
 };

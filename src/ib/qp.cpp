@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "ib/cq.hpp"
 #include "ib/fabric.hpp"
@@ -21,16 +22,19 @@ std::uint32_t packet_count(std::uint32_t len, std::uint32_t mtu) {
   return (len + mtu - 1) / mtu;
 }
 
+WcOpcode completion_opcode(const SendWr& wr) {
+  return wr.opcode == WrOpcode::rdma_write ? WcOpcode::rdma_write
+                                           : WcOpcode::send;
+}
+
 }  // namespace
 
 QueuePair::QueuePair(Hca& hca, QpNumber qpn,
                      std::shared_ptr<CompletionQueue> send_cq,
-                     std::shared_ptr<CompletionQueue> recv_cq, QpType type)
-    : hca_(hca), qpn_(qpn), type_(type), send_cq_(std::move(send_cq)),
+                     std::shared_ptr<CompletionQueue> recv_cq)
+    : hca_(hca), qpn_(qpn), send_cq_(std::move(send_cq)),
       recv_cq_(std::move(recv_cq)) {
   util::require(send_cq_ && recv_cq_, "QP needs send and recv CQs");
-  // UD queue pairs are connectionless and usable immediately.
-  if (type_ == QpType::ud) state_ = QpState::ready;
 }
 
 void QueuePair::set_remote(int node, QpNumber qpn) {
@@ -41,10 +45,6 @@ void QueuePair::set_remote(int node, QpNumber qpn) {
 }
 
 void QueuePair::post_send(const SendWr& wr) {
-  if (type_ == QpType::ud) {
-    post_send_ud(wr);
-    return;
-  }
   util::require(state_ != QpState::reset, "post_send on unconnected QP");
   if (state_ == QpState::error) {
     if (wr.signaled)
@@ -53,19 +53,9 @@ void QueuePair::post_send(const SendWr& wr) {
     return;
   }
 
-  // Local protection: the source of send/rdma_write needs local_read; the
-  // destination of an rdma_read needs local_write (and we resolve its
-  // mutable pointer here, where the registry legitimately owns it).
-  std::byte* read_dst = nullptr;
-  bool local_ok;
-  if (wr.opcode == WrOpcode::rdma_read) {
-    read_dst = hca_.memory().local_write_ptr(wr.local_addr, wr.length, wr.lkey);
-    local_ok = read_dst != nullptr;
-  } else {
-    local_ok = hca_.memory().check_local(wr.local_addr, wr.length, wr.lkey,
-                                         Access::local_read);
-  }
-  if (!local_ok) {
+  // Local protection: the source of a send or RDMA write needs local_read.
+  if (!hca_.memory().check_local(wr.local_addr, wr.length, wr.lkey,
+                                 Access::local_read)) {
     if (wr.signaled)
       send_cq_->push(Completion{wr.wr_id, WcStatus::local_protection_error,
                                 WcOpcode::send, 0, qpn_, remote_qpn_});
@@ -76,18 +66,15 @@ void QueuePair::post_send(const SendWr& wr) {
   PendingSend ps;
   ps.wr = wr;
   ps.msn = next_msn_++;
-  ps.read_dst = read_dst;
   ps.rnr_retries_left = hca_.fabric().config().rnr_retry_limit;
   MsgRef data = hca_.msg_pool().acquire();
   MessageData& d = data.fill();
   d.opcode = wr.opcode;
+  d.src = wr.local_addr;  // zero-copy: registered buffer is stable until
+                          // this WQE completes (verbs ownership rule)
   d.length = wr.length;
   d.remote_addr = wr.remote_addr;
   d.rkey = wr.rkey;
-  if (wr.opcode != WrOpcode::rdma_read) {
-    d.src = wr.local_addr;  // zero-copy: registered buffer is stable until
-                            // this WQE completes (verbs ownership rule)
-  }
   ps.data = std::move(data);
   if (auto& rec = hca_.fabric().recorder(); rec.enabled()) {
     rec.record(hca_.engine().now(), obs::Ev::msg_posted, hca_.node_id(),
@@ -121,35 +108,9 @@ void QueuePair::post_recv(const RecvWr& wr) {
 
 void QueuePair::pump_tx() {
   while (state_ == QpState::ready && !rnr_waiting_ && !pending_tx_.empty()) {
-    // End-to-end credit pacing (channel sends only): with credit
-    // information, keep at most advertised+2 unacked sends outstanding.
-    // The two-message allowance reflects that credit information is a
-    // round trip stale; the optimistic extra messages race the receiver's
-    // reposts, and a lost race takes the RNR NAK + timeout path — which is
-    // exactly how the paper's hardware scheme degrades on bursty patterns.
-    if (hca_.fabric().config().e2e_credit_pacing &&
-        pending_tx_.front().wr.opcode == WrOpcode::send &&
-        advertised_credits_ >= 0) {
-      std::int64_t unacked_sends = 0;
-      for (const auto& u : unacked_)
-        if (u.wr.opcode == WrOpcode::send) ++unacked_sends;
-      if (unacked_sends > advertised_credits_ + 1) break;
-    }
     PendingSend ps = std::move(pending_tx_.front());
     pending_tx_.pop_front();
     transmit_message(ps);
-    if (ps.wr.opcode == WrOpcode::rdma_read) {
-      // Register (or restart) the reassembly slot. A rewind erases the
-      // slot, so a replayed read must re-create it or its response would
-      // be dropped as stale and the read could never complete.
-      auto it = std::find_if(reads_.begin(), reads_.end(),
-                             [&](const auto& p) { return p.first == ps.msn; });
-      if (it == reads_.end()) {
-        reads_.emplace_back(ps.msn, ReadPending{ps.wr, ps.read_dst, 0});
-      } else {
-        it->second.received = 0;
-      }
-    }
     unacked_.push_back(std::move(ps));
   }
   arm_retx_timer();
@@ -168,9 +129,7 @@ void QueuePair::transmit_message(PendingSend& ps) {
     stats_.bytes_sent += ps.data->length;
   }
 
-  const std::uint32_t count =
-      ps.wr.opcode == WrOpcode::rdma_read ? 1
-                                          : packet_count(ps.data->length, cfg.mtu);
+  const std::uint32_t count = packet_count(ps.data->length, cfg.mtu);
   if (auto& rec = fabric.recorder(); rec.enabled()) {
     const int me = hca_.node_id();
     const std::uint64_t wr_id = ps.wr.wr_id;
@@ -188,15 +147,13 @@ void QueuePair::transmit_message(PendingSend& ps) {
   std::uint32_t remaining = ps.data->length;
   for (std::uint32_t i = 0; i < count; ++i) {
     Packet pkt;
-    pkt.kind = ps.wr.opcode == WrOpcode::rdma_read ? PacketKind::rdma_read_req
-                                                   : PacketKind::data;
+    pkt.kind = PacketKind::data;
     pkt.src_qpn = qpn_;
     pkt.dst_qpn = remote_qpn_;
     pkt.msn = ps.msn;
     pkt.pkt_index = i;
     pkt.pkt_count = count;
-    pkt.payload_bytes =
-        pkt.kind == PacketKind::rdma_read_req ? 0 : std::min(remaining, cfg.mtu);
+    pkt.payload_bytes = std::min(remaining, cfg.mtu);
     remaining -= pkt.payload_bytes;
     pkt.msg = ps.data;
     fabric.transmit(hca_.node_id(), remote_node_, std::move(pkt),
@@ -223,101 +180,20 @@ void QueuePair::complete_send(const PendingSend& ps, WcStatus status,
                             ps.data ? ps.data->length : 0, qpn_, remote_qpn_});
 }
 
-void QueuePair::post_send_ud(const SendWr& wr) {
-  // Unreliable Datagram (paper §2.1): connectionless — every work request
-  // names its destination; messages are at most one MTU; delivery is
-  // best-effort with no ACK, no retry, and silent drops when the target
-  // has no receive posted. The send completes as soon as it leaves.
-  const auto& cfg = hca_.fabric().config();
-  util::require(wr.opcode == WrOpcode::send, "UD supports send only");
-  util::require(wr.length <= cfg.mtu, "UD message exceeds one MTU");
-  util::require(wr.dest_node >= 0, "UD send needs a destination");
-  if (!hca_.memory().check_local(wr.local_addr, wr.length, wr.lkey,
-                                 Access::local_read)) {
-    if (wr.signaled)
-      send_cq_->push(Completion{wr.wr_id, WcStatus::local_protection_error,
-                                WcOpcode::send, 0, qpn_, wr.dest_qpn});
-    return;  // UD QPs do not transition to error for a bad post
-  }
-  MsgRef data = hca_.msg_pool().acquire();
-  MessageData& d = data.fill();
-  d.opcode = WrOpcode::send;
-  d.length = wr.length;
-  // The UD send completion is pushed below, at post time — so the app may
-  // legally reuse or deregister the buffer before the datagram is delivered
-  // by a later engine event. Snapshot the (≤ one MTU) payload instead of
-  // borrowing the registered buffer; the pooled vector keeps its capacity,
-  // so steady-state UD traffic still never touches the allocator.
-  d.payload.assign(wr.local_addr, wr.local_addr + wr.length);
-
-  Packet pkt;
-  pkt.kind = PacketKind::data;
-  pkt.src_qpn = qpn_;
-  pkt.dst_qpn = wr.dest_qpn;
-  pkt.msn = next_msn_++;
-  pkt.payload_bytes = wr.length;
-  pkt.msg = std::move(data);
-  hca_.fabric().transmit(hca_.node_id(), wr.dest_node, std::move(pkt),
-                         hca_.engine().now() + cfg.tx_wqe_process);
-  ++stats_.messages_sent;
-  stats_.bytes_sent += wr.length;
-  ++stats_.packets_sent;
-  if (wr.signaled)
-    send_cq_->push(Completion{wr.wr_id, WcStatus::success, WcOpcode::send,
-                              wr.length, qpn_, wr.dest_qpn});
-}
-
-void QueuePair::rx_packet_ud(const Packet& pkt) {
-  if (pkt.kind != PacketKind::data) return;  // UD carries datagrams only
-  if (pkt.corrupted) {
-    // CRC failure on an unreliable datagram: dropped, nobody is told.
-    ++stats_.corrupt_packets_received;
-    ++stats_.packets_dropped;
-    return;
-  }
-  if (recvq_.empty()) {
-    // No buffer: the datagram is silently dropped — the defining contrast
-    // with RC's RNR NAK + retry that the paper's flow-control study
-    // builds on.
-    ++stats_.packets_dropped;
-    return;
-  }
-  const RecvWr wr = recvq_.front();
-  recvq_.pop_front();
-  ++stats_.recv_wqes_completed;
-  if (pkt.msg->length > wr.length) {
-    recv_cq_->push(Completion{wr.wr_id, WcStatus::length_error, WcOpcode::recv,
-                              pkt.msg->length, qpn_, pkt.src_qpn});
-    return;
-  }
-  if (pkt.msg->length > 0)
-    std::memmove(wr.local_addr, pkt.msg->bytes(), pkt.msg->length);
-  ++stats_.messages_received;
-  recv_cq_->push(Completion{wr.wr_id, WcStatus::success, WcOpcode::recv,
-                            pkt.msg->length, qpn_, pkt.src_qpn});
-}
-
 void QueuePair::rx_packet(const Packet& pkt) {
-  if (type_ == QpType::ud) {
-    rx_packet_ud(pkt);
-    return;
-  }
   if (state_ != QpState::ready) return;  // drop on errored QP
   if (pkt.corrupted) {
-    // CRC failure at the receiving HCA: drop the packet. For payload-
-    // bearing kinds the responder NAKs its expected MSN so the requester
-    // recovers immediately; corrupted ACKs/NAKs and read responses are
-    // recovered by the requester's transport timer instead.
+    // CRC failure at the receiving HCA: drop the packet. For a data packet
+    // the responder NAKs its expected MSN so the requester recovers
+    // immediately; corrupted ACKs/NAKs are recovered by the requester's
+    // transport timer instead.
     ++stats_.corrupt_packets_received;
     ++stats_.packets_dropped;
-    if (pkt.kind == PacketKind::data || pkt.kind == PacketKind::rdma_read_req)
-      maybe_send_seq_nak();
+    if (pkt.kind == PacketKind::data) maybe_send_seq_nak();
     return;
   }
   switch (pkt.kind) {
     case PacketKind::data: handle_data(pkt); break;
-    case PacketKind::rdma_read_req: handle_read_req(pkt); break;
-    case PacketKind::rdma_read_resp: handle_read_resp(pkt); break;
     case PacketKind::ack: handle_ack(pkt); break;
     case PacketKind::rnr_nak: handle_rnr_nak(pkt); break;
     case PacketKind::access_nak: handle_access_nak(pkt); break;
@@ -435,7 +311,7 @@ void QueuePair::responder_accept_send(const Packet& pkt) {
   }
   if (pkt.msg->length > 0) {
     // memmove: a loopback send may name overlapping registered buffers.
-    std::memmove(wr.local_addr, pkt.msg->bytes(), pkt.msg->length);
+    std::memmove(wr.local_addr, pkt.msg->src, pkt.msg->length);
   }
   ++stats_.messages_received;
   if (auto& rec = hca_.fabric().recorder(); rec.enabled()) {
@@ -476,7 +352,7 @@ void QueuePair::responder_accept_write(const Packet& pkt) {
   rx_cur_.reset();
   ++expected_msn_;
   if (pkt.msg->length > 0)
-    std::memmove(pkt.msg->remote_addr, pkt.msg->bytes(), pkt.msg->length);
+    std::memmove(pkt.msg->remote_addr, pkt.msg->src, pkt.msg->length);
   ++stats_.messages_received;
   if (auto& rec = hca_.fabric().recorder(); rec.enabled()) {
     rec.record(hca_.engine().now(), obs::Ev::msg_delivered,
@@ -486,96 +362,16 @@ void QueuePair::responder_accept_write(const Packet& pkt) {
                static_cast<std::int64_t>(recvq_.size()));
 }
 
-void QueuePair::handle_read_req(const Packet& pkt) {
-  if (pkt.msn != expected_msn_) {
-    const bool transport = hca_.fabric().config().transport_enabled();
-    if (transport && pkt.msn < expected_msn_ &&
-        hca_.memory().check_remote(pkt.msg->remote_addr, pkt.msg->length,
-                                   pkt.msg->rkey, Access::remote_read)) {
-      // Duplicate of an already-executed read (the response was lost or a
-      // timeout replay raced it): reads are idempotent, so re-execute and
-      // re-stream without advancing the sequence.
-      stream_read_response(pkt);
-      return;
-    }
-    ++stats_.packets_dropped;
-    if (transport && pkt.msn > expected_msn_ &&
-        dropping_msn_ == static_cast<Msn>(-1)) {
-      maybe_send_seq_nak();
-    }
-    return;
-  }
-  if (!hca_.memory().check_remote(pkt.msg->remote_addr, pkt.msg->length,
-                                  pkt.msg->rkey, Access::remote_read)) {
-    send_control(PacketKind::access_nak, pkt.msn);
-    return;
-  }
-  ++expected_msn_;
-  ++stats_.messages_received;
-  stream_read_response(pkt);
-}
-
-void QueuePair::stream_read_response(const Packet& pkt) {
-  // Stream the response back: snapshot the requested bytes now.
-  Fabric& fabric = hca_.fabric();
-  const auto& cfg = fabric.config();
-  MsgRef resp = hca_.msg_pool().acquire();
-  MessageData& d = resp.fill();
-  d.opcode = WrOpcode::rdma_read;
-  d.length = pkt.msg->length;
-  d.payload.assign(pkt.msg->remote_addr, pkt.msg->remote_addr + pkt.msg->length);
-  const std::uint32_t count = packet_count(d.length, cfg.mtu);
-  std::uint32_t remaining = d.length;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    Packet out;
-    out.kind = PacketKind::rdma_read_resp;
-    out.src_qpn = qpn_;
-    out.dst_qpn = remote_qpn_;
-    out.msn = pkt.msn;
-    out.pkt_index = i;
-    out.pkt_count = count;
-    out.payload_bytes = std::min(remaining, cfg.mtu);
-    remaining -= out.payload_bytes;
-    out.msg = resp;
-    fabric.transmit(hca_.node_id(), remote_node_, std::move(out),
-                    hca_.engine().now());
-  }
-}
-
-void QueuePair::handle_read_resp(const Packet& pkt) {
-  auto it = std::find_if(reads_.begin(), reads_.end(),
-                         [&](const auto& p) { return p.first == pkt.msn; });
-  if (it == reads_.end()) {
-    ++stats_.packets_dropped;  // stale response after a rewind
-    return;
-  }
-  ReadPending& rp = it->second;
-  ++rp.received;
-  if (rp.received < pkt.pkt_count) return;
-
-  if (pkt.msg->length > 0)
-    std::memcpy(rp.dst, pkt.msg->bytes(), pkt.msg->length);
-  // Mark the matching unacked entry complete and retire in order.
-  for (auto& ps : unacked_) {
-    if (ps.msn == pkt.msn) {
-      ps.acked = true;
-    }
-  }
-  reads_.erase(it);
-  retire_acked_();
-}
-
 void QueuePair::handle_ack(const Packet& pkt) {
   stats_.last_advertised_credits = pkt.credits;
-  advertised_credits_ = pkt.credits;
   // unacked_ is a sliding window in msn order, so a cumulative ACK marks a
   // prefix — stop at the first entry past it instead of scanning the rest.
   for (auto& ps : unacked_) {
     if (ps.msn > pkt.msn) break;
-    if (ps.wr.opcode != WrOpcode::rdma_read) ps.acked = true;
+    ps.acked = true;
   }
   retire_acked_();
-  pump_tx();  // freed window and fresh credit information
+  pump_tx();  // freed window
 }
 
 void QueuePair::retire_acked_() {
@@ -590,10 +386,7 @@ void QueuePair::retire_acked_() {
                  remote_node_, qpn_, ps.msn, ps.data ? ps.data->length : 0,
                  ps.wr.wr_id);
     }
-    WcOpcode op = WcOpcode::send;
-    if (ps.wr.opcode == WrOpcode::rdma_write) op = WcOpcode::rdma_write;
-    if (ps.wr.opcode == WrOpcode::rdma_read) op = WcOpcode::rdma_read;
-    complete_send(ps, WcStatus::success, op);
+    complete_send(ps, WcStatus::success, completion_opcode(ps.wr));
     progressed = true;
   }
   if (progressed) {
@@ -640,21 +433,17 @@ void QueuePair::handle_rnr_nak(const Packet& pkt) {
 }
 
 void QueuePair::rewind_unacked_from(Msn msn) {
-  std::deque<PendingSend> rewound;
-  while (!unacked_.empty() && unacked_.back().msn >= msn) {
-    PendingSend ps = std::move(unacked_.back());
-    unacked_.pop_back();
-    ps.retransmission = true;
-    ps.acked = false;  // will be re-ACKed (possibly as a duplicate)
-    // Drop any half-assembled read response; it will be re-requested.
-    reads_.erase(std::remove_if(reads_.begin(), reads_.end(),
-                                [&](const auto& p) { return p.first == ps.msn; }),
-                 reads_.end());
-    rewound.push_front(std::move(ps));
+  // unacked_ is msn-ordered, so the entries to replay are one suffix; it
+  // moves to the head of pending_tx_ in one bulk step, keeping its order.
+  auto first = unacked_.end();
+  while (first != unacked_.begin() && std::prev(first)->msn >= msn) --first;
+  for (auto it = first; it != unacked_.end(); ++it) {
+    it->retransmission = true;
+    it->acked = false;  // will be re-ACKed (possibly as a duplicate)
   }
-  for (auto rit = rewound.rbegin(); rit != rewound.rend(); ++rit) {
-    pending_tx_.push_front(std::move(*rit));
-  }
+  pending_tx_.prepend(std::make_move_iterator(first),
+                      std::make_move_iterator(unacked_.end()));
+  unacked_.erase(first, unacked_.end());
 }
 
 void QueuePair::arm_retx_timer() {
@@ -694,10 +483,8 @@ void QueuePair::handle_transport_timeout() {
       retx_attempts_ >= cfg.transport_retry_limit) {
     PendingSend failed = std::move(unacked_.front());
     unacked_.pop_front();
-    WcOpcode op = WcOpcode::send;
-    if (failed.wr.opcode == WrOpcode::rdma_write) op = WcOpcode::rdma_write;
-    if (failed.wr.opcode == WrOpcode::rdma_read) op = WcOpcode::rdma_read;
-    complete_send(failed, WcStatus::transport_retry_exceeded, op);
+    complete_send(failed, WcStatus::transport_retry_exceeded,
+                  completion_opcode(failed.wr));
     enter_error();
     return;
   }
@@ -733,20 +520,15 @@ void QueuePair::handle_access_nak(const Packet& pkt) {
   auto it = std::find_if(unacked_.begin(), unacked_.end(),
                          [&](const PendingSend& p) { return p.msn == pkt.msn; });
   if (it != unacked_.end()) {
+    // Only an RDMA write is checked against the responder's registry.
     const PendingSend failed = std::move(*it);
     unacked_.erase(it);
-    const WcOpcode op = failed.wr.opcode == WrOpcode::rdma_read
-                            ? WcOpcode::rdma_read
-                            : WcOpcode::rdma_write;
-    complete_send(failed, WcStatus::remote_access_error, op);
+    complete_send(failed, WcStatus::remote_access_error, WcOpcode::rdma_write);
   }
   enter_error();
 }
 
-void QueuePair::modify_error() {
-  if (type_ == QpType::ud) return;
-  enter_error();
-}
+void QueuePair::modify_error() { enter_error(); }
 
 void QueuePair::enter_error() {
   if (state_ == QpState::error) return;
@@ -763,7 +545,6 @@ void QueuePair::enter_error() {
     complete_send(ps, WcStatus::flushed, WcOpcode::send);
   pending_tx_.clear();
   unacked_.clear();
-  reads_.clear();
   stats_.recv_wqes_flushed += recvq_.size();
   for (const auto& wr : recvq_)
     recv_cq_->push(Completion{wr.wr_id, WcStatus::flushed, WcOpcode::recv, 0,
@@ -773,14 +554,13 @@ void QueuePair::enter_error() {
 
 void QueuePair::serialize_state(util::serial::BufWriter& w) const {
   w.u32(qpn_);
-  w.u8(static_cast<std::uint8_t>(type_));
   w.u8(static_cast<std::uint8_t>(state_));
   w.i32(remote_node_);
   w.u32(remote_qpn_);
 
-  // Requester pipeline. Payload bytes are not captured (they are either
-  // borrowed app memory or pool snapshots that replay reconstructs); the
-  // protocol identity of each in-flight message is.
+  // Requester pipeline. Payload bytes are not captured (they are borrowed
+  // app memory that replay reconstructs); the protocol identity of each
+  // in-flight message is.
   const auto put_pending = [&w](const PendingSend& ps) {
     w.u64(ps.wr.wr_id);
     w.u64(ps.msn);
@@ -796,17 +576,10 @@ void QueuePair::serialize_state(util::serial::BufWriter& w) const {
   for (const PendingSend& ps : unacked_) put_pending(ps);
   w.u64(next_msn_);
   w.b(rnr_waiting_);
-  w.i64(advertised_credits_);
   w.b(rnr_timer_.valid());
   w.b(retx_armed_);
   w.b(retx_timer_.valid());
   w.i32(retx_attempts_);
-  w.u64(reads_.size());
-  for (const auto& [msn, rp] : reads_) {
-    w.u64(msn);
-    w.u32(rp.wr.length);
-    w.u32(rp.received);
-  }
 
   // Responder window.
   w.u64(recvq_.size());

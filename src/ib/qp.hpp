@@ -11,7 +11,7 @@
 //     RNR timer, and replays — subsequent pipelined messages that were
 //     already on the wire are dropped as out-of-sequence (wasted
 //     bandwidth, exactly the hardware-scheme cost the paper discusses);
-//   * RDMA write/read bypass recv WQEs (memory semantics) and are bounds-
+//   * RDMA writes bypass recv WQEs (memory semantics) and are bounds-
 //     checked against the responder's registry;
 //   * with FabricConfig::transport_timeout set, the requester also runs the
 //     ACK-timeout half of the RC state machine: unacked sends are rewound
@@ -23,7 +23,6 @@
 //     transport_retry_exceeded and errors the QP.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <optional>
 
@@ -46,10 +45,8 @@ enum class QpState : std::uint8_t { reset, ready, error };
 class QueuePair {
  public:
   QueuePair(Hca& hca, QpNumber qpn, std::shared_ptr<CompletionQueue> send_cq,
-            std::shared_ptr<CompletionQueue> recv_cq,
-            QpType type = QpType::rc);
+            std::shared_ptr<CompletionQueue> recv_cq);
 
-  QpType type() const noexcept { return type_; }
   QueuePair(const QueuePair&) = delete;
   QueuePair& operator=(const QueuePair&) = delete;
 
@@ -106,7 +103,6 @@ class QueuePair {
     SendWr wr;
     Msn msn = 0;
     MsgRef data;
-    std::byte* read_dst = nullptr;  ///< rdma_read landing buffer (mutable)
     int rnr_retries_left = 0;
     bool retransmission = false;
     bool acked = false;
@@ -122,11 +118,8 @@ class QueuePair {
   void handle_access_nak(const Packet& pkt);
   void handle_seq_nak(const Packet& pkt);
   void handle_data(const Packet& pkt);
-  void handle_read_req(const Packet& pkt);
-  void handle_read_resp(const Packet& pkt);
   void responder_accept_send(const Packet& pkt);
   void responder_accept_write(const Packet& pkt);
-  void stream_read_response(const Packet& pkt);
   void enter_error();
 
   // Transport (ACK-timeout) reliability; all no-ops unless
@@ -137,12 +130,8 @@ class QueuePair {
   void rewind_unacked_from(Msn msn);
   void maybe_send_seq_nak();
 
-  void post_send_ud(const SendWr& wr);
-  void rx_packet_ud(const Packet& pkt);
-
   Hca& hca_;
   QpNumber qpn_;
-  QpType type_;
   std::shared_ptr<CompletionQueue> send_cq_;
   std::shared_ptr<CompletionQueue> recv_cq_;
   QpState state_ = QpState::reset;
@@ -155,26 +144,12 @@ class QueuePair {
   util::FlatFifo<PendingSend> unacked_;     // on the wire, awaiting ACK
   Msn next_msn_ = 0;
   bool rnr_waiting_ = false;
-  /// IBA end-to-end flow control: the responder's last advertised recv-WQE
-  /// count (piggybacked on ACKs). < 0 = no information yet (unlimited).
-  /// The requester paces channel sends against it, keeping one "probe"
-  /// message allowance so stale information cannot deadlock the flow —
-  /// a probe that loses the race takes the RNR NAK path.
-  std::int64_t advertised_credits_ = -1;
   sim::EventHandle rnr_timer_;
   // ACK-timeout retransmission: the timer covers the oldest unacked send;
   // attempts reset whenever the ACK clock makes forward progress.
   sim::EventHandle retx_timer_;
   bool retx_armed_ = false;
   int retx_attempts_ = 0;
-  // RDMA read reassembly (one outstanding read at a time is enough for us,
-  // but multiple are supported keyed by msn).
-  struct ReadPending {
-    SendWr wr;
-    std::byte* dst = nullptr;  ///< validated mutable local landing buffer
-    std::uint32_t received = 0;
-  };
-  std::deque<std::pair<Msn, ReadPending>> reads_;
 
   // Responder side.
   util::FlatFifo<RecvWr> recvq_;

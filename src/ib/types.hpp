@@ -39,17 +39,10 @@ struct MemoryRegionHandle {
   bool valid() const { return lkey != 0; }
 };
 
-enum class WrOpcode : std::uint8_t { send, rdma_write, rdma_read };
-
-/// Transport service type of a queue pair (the two services implemented by
-/// the paper's era of hardware).
-enum class QpType : std::uint8_t {
-  rc,  ///< Reliable Connection: connected, acked, in-order, RNR-retried.
-  ud,  ///< Unreliable Datagram: connectionless, one MTU max, silent drops.
-};
+enum class WrOpcode : std::uint8_t { send, rdma_write };
 
 /// Work request posted to a send queue. Channel semantics (send) describe
-/// only the source; memory semantics (rdma_*) also name the remote side.
+/// only the source; memory semantics (rdma_write) also name the remote side.
 struct SendWr {
   std::uint64_t wr_id = 0;
   WrOpcode opcode = WrOpcode::send;
@@ -60,9 +53,6 @@ struct SendWr {
   std::byte* remote_addr = nullptr;
   std::uint32_t rkey = 0;
   bool signaled = true;  ///< Generate a CQE on completion.
-  // UD only: destination "address handle" (node + QPN per work request).
-  int dest_node = -1;
-  QpNumber dest_qpn = 0;
 };
 
 /// Work request posted to a receive queue (channel semantics destination).
@@ -83,7 +73,7 @@ enum class WcStatus : std::uint8_t {
   flushed,                  ///< QP entered error state; WR flushed
 };
 
-enum class WcOpcode : std::uint8_t { send, recv, rdma_write, rdma_read };
+enum class WcOpcode : std::uint8_t { send, recv, rdma_write };
 
 /// Work completion reported through a CQ.
 struct Completion {

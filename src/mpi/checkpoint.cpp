@@ -61,7 +61,6 @@ void encode_config(serial::BufWriter& w, const WorldConfig& cfg,
   w.i64(fb.transport_timeout.count());
   w.i64(fb.transport_timeout_cap.count());
   w.i32(fb.transport_retry_limit);
-  w.b(fb.e2e_credit_pacing);
 
   const ib::FaultConfig& ft = fb.fault;
   w.u64(ft.seed);
@@ -135,7 +134,6 @@ void decode_config(serial::BufReader& r, WorldConfig& cfg, bool& trace_armed,
   fb.transport_timeout_cap =
       sim::Duration(r.i64("fabric.transport_timeout_cap"));
   fb.transport_retry_limit = r.i32("fabric.transport_retry_limit");
-  fb.e2e_credit_pacing = r.b("fabric.e2e_credit_pacing");
 
   ib::FaultConfig& ft = fb.fault;
   ft.seed = r.u64("fault.seed");

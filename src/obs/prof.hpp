@@ -30,7 +30,7 @@
 //   ecm_rtt      — waiting for a credit while the releasing ECM was in flight
 //   backlog      — queued behind other backlogged sends with credits > 0
 //   retransmit   — first transmission start → last transmission start
-//   wire         — QP queueing/pacing + serialization + flight of the final
+//   wire         — QP queueing + serialization + flight of the final
 //                  transmission (dispatch → first tx, last tx → arrival)
 //   match_wait   — arrival → matched to a posted receive
 //

@@ -17,7 +17,9 @@
 // a ring buffer would.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -60,13 +62,18 @@ class FlatFifo {
     if (head_ == buf_.size()) clear();
   }
 
-  /// Re-queue at the head (retransmission rewind). Reuses a dead slot in
-  /// front of the cursor when one exists.
-  void push_front(T v) {
-    if (head_ > 0) {
-      buf_[--head_] = std::move(v);
+  /// Re-queue [first, last) at the head, in order (retransmission rewind;
+  /// pass move iterators to move). Reuses the dead prefix in front of the
+  /// cursor when it is long enough, else makes one insert, so n entries
+  /// cost O(n + size()) element moves.
+  template <typename It>
+  void prepend(It first, It last) {
+    const auto n = static_cast<std::size_t>(std::distance(first, last));
+    if (n <= head_) {
+      head_ -= n;
+      std::copy(first, last, buf_.begin() + static_cast<std::ptrdiff_t>(head_));
     } else {
-      buf_.insert(buf_.begin(), std::move(v));
+      buf_.insert(buf_.begin() + static_cast<std::ptrdiff_t>(head_), first, last);
     }
   }
 

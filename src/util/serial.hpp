@@ -171,7 +171,10 @@ inline constexpr char kMagic[8] = {'M', 'V', 'F', 'L', 'O', 'W', 'C', 'K'};
 // "unbounded"; the config section drops two device switches no caller
 // flipped (the control reserve and the famine-conversion toggle); a
 // backlog entry drops its enqueue time.
-inline constexpr std::uint32_t kVersion = 6;
+// v7: RC send/recv and RDMA write only — a QP entry drops its service-type
+// byte, the requester's copy of the advertised credits and the RDMA-read
+// reassembly list; the config section drops the end-to-end pacing switch.
+inline constexpr std::uint32_t kVersion = 7;
 inline constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 8 + 4;
 
 struct Section {

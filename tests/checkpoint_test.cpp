@@ -212,6 +212,34 @@ TEST(CheckpointDeterminism, RestoreBitIdenticalAtSeveralK) {
   }
 }
 
+// The same property on a world whose QP is mid-RNR-rewind at the splits:
+// the hardware scheme at prepost 1 keeps the sender's QP full of rewound
+// retransmissions, so the snapshots carry them in the QP section and the
+// restored run must replay the bulk rewind exactly.
+TEST(CheckpointDeterminism, RestoreMidRnrRewindIsBitIdentical) {
+  mpi::WorldConfig cfg = small_world();
+  cfg.flow.scheme = flowctl::Scheme::hardware;
+  cfg.flow.prepost = 1;
+  mpi::WorkloadSpec spec;
+  spec.name = "bw";
+  spec.params["bytes"] = 4;
+  spec.params["window"] = 32;
+  spec.params["reps"] = 6;
+  spec.params["blocking"] = 0;
+
+  const ckpt::RunResult ref = ckpt::run_reference(cfg, spec);
+  ASSERT_GE(ref.metrics.get("rank0.peer1.qp.rnr_naks_received", 0.0), 100.0);
+  const std::uint64_t total = executed_events(ref.metrics);
+  ASSERT_GT(total, 100u);
+
+  for (const std::uint64_t k : {total / 5, total / 2, (total * 4) / 5}) {
+    const std::string path =
+        write_checkpoint(cfg, spec, k, "rnr_split_" + std::to_string(k));
+    const ckpt::RunResult resumed = ckpt::restore_run(ckpt::read_snapshot(path));
+    expect_identical(ref, resumed);
+  }
+}
+
 // Same property with the flight recorder armed: the trace ring is part of
 // the audited state, so replay must reproduce it event-for-event.
 TEST(CheckpointDeterminism, RestoreWithTraceArmed) {

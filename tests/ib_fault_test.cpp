@@ -223,35 +223,6 @@ TEST_F(FaultFixture, LostAckRecoveredByTimer) {
   EXPECT_EQ(std::memcmp(dst_.data(), src_.data(), 512), 0);
 }
 
-TEST_F(FaultFixture, LostReadResponseRecoveredByTimer) {
-  FabricConfig cfg = reliable_config();
-  ScriptedFault f;
-  f.src_node = 1;
-  f.dst_node = 0;
-  f.kind = static_cast<int>(PacketKind::rdma_read_resp);
-  cfg.fault.scripted.push_back(f);
-  reset(cfg);
-  for (int i = 0; i < 4000; ++i) dst_[i] = static_cast<std::byte>(i % 249);
-
-  SendWr wr;
-  wr.wr_id = 45;
-  wr.opcode = WrOpcode::rdma_read;
-  wr.local_addr = src_.data() + 100000;
-  wr.length = 4000;
-  wr.lkey = mr_src_.lkey;
-  wr.remote_addr = dst_.data();
-  wr.rkey = mr_dst_.rkey;
-  qp_a_->post_send(wr);
-  engine_->run();
-
-  const auto wcs_a = drain(*cq_a_);
-  ASSERT_EQ(wcs_a.size(), 1u);
-  EXPECT_TRUE(wcs_a[0].ok());
-  EXPECT_EQ(wcs_a[0].opcode, WcOpcode::rdma_read);
-  EXPECT_EQ(std::memcmp(src_.data() + 100000, dst_.data(), 4000), 0);
-  EXPECT_GE(qp_a_->stats().transport_retries, 1u);
-}
-
 // ---------------------------------------------------------- corruption --
 
 TEST_F(FaultFixture, CorruptedPacketDroppedAndNacked) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <set>
+#include <vector>
 
 #include "util/check.hpp"
 #include "util/flat_fifo.hpp"
@@ -25,16 +27,42 @@ TEST(FlatFifo, FifoOrderAcrossFillDrainCycles) {
   EXPECT_EQ(next_pop, next_push);
 }
 
-TEST(FlatFifo, PushFrontReusesDeadSlotAndKeepsOrder) {
+namespace {
+
+std::vector<int> contents(const mu::FlatFifo<int>& q) {
+  return std::vector<int>(q.begin(), q.end());
+}
+
+}  // namespace
+
+TEST(FlatFifo, PrependKeepsOrderWithAndWithoutDeadPrefix) {
+  // Dead prefix long enough: the range lands in front of the cursor.
   mu::FlatFifo<int> q;
-  q.push_back(1);
-  q.push_back(2);
-  q.pop_front();    // dead slot in front of the cursor
-  q.push_front(9);  // rewind into it
-  EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.front(), 9);
+  for (int v : {1, 2, 3, 4}) q.push_back(v);
   q.pop_front();
-  EXPECT_EQ(q.front(), 2);
+  q.pop_front();  // two dead slots, live {3, 4}
+  const std::vector<int> two{8, 9};
+  q.prepend(two.begin(), two.end());
+  EXPECT_EQ(contents(q), (std::vector<int>{8, 9, 3, 4}));
+
+  // No dead prefix: one insert at the head.
+  mu::FlatFifo<int> r;
+  r.push_back(5);
+  const std::vector<int> three{1, 2, 3};
+  r.prepend(three.begin(), three.end());
+  EXPECT_EQ(contents(r), (std::vector<int>{1, 2, 3, 5}));
+
+  // A dead prefix shorter than the range is kept, and the range goes in
+  // right after it.
+  r.pop_front();  // one dead slot, live {2, 3, 5}
+  r.prepend(two.begin(), two.end());
+  EXPECT_EQ(contents(r), (std::vector<int>{8, 9, 2, 3, 5}));
+  for (int v : {8, 9, 2, 3, 5}) {
+    ASSERT_FALSE(r.empty());
+    EXPECT_EQ(r.front(), v);
+    r.pop_front();
+  }
+  EXPECT_TRUE(r.empty());
 }
 
 namespace {
@@ -52,6 +80,21 @@ struct Counted {
   ~Counted() { --live; }
 };
 int Counted::live = 0;
+
+/// Counts move-constructions and move-assignments, so a test can bound the
+/// element moves one FlatFifo operation makes.
+struct MoveCounted {
+  static long moves;
+  int v = 0;
+  explicit MoveCounted(int x) : v(x) {}
+  MoveCounted(MoveCounted&& o) noexcept : v(o.v) { ++moves; }
+  MoveCounted& operator=(MoveCounted&& o) noexcept {
+    v = o.v;
+    ++moves;
+    return *this;
+  }
+};
+long MoveCounted::moves = 0;
 
 }  // namespace
 
@@ -71,6 +114,30 @@ TEST(FlatFifo, PersistentlyNonEmptyQueueStaysBounded) {
     EXPECT_EQ(q.size(), 1u);
   }
   EXPECT_EQ(Counted::live, 0);
+}
+
+TEST(FlatFifo, PrependMovesAreLinear) {
+  // The retransmission rewind prepends N unacked entries to a queue of L
+  // live ones with no dead prefix. One bulk prepend costs O(N + L) moves;
+  // a loop of front inserts would cost about N*L + N*N/2 (1.5 M here).
+  constexpr int kLive = 1000;
+  constexpr int kRewound = 1000;
+  mu::FlatFifo<MoveCounted> q;
+  for (int i = 0; i < kLive; ++i) q.emplace_back(kRewound + i);
+  std::vector<MoveCounted> rewound;
+  rewound.reserve(kRewound);
+  for (int i = 0; i < kRewound; ++i) rewound.emplace_back(i);
+
+  MoveCounted::moves = 0;
+  q.prepend(std::make_move_iterator(rewound.begin()),
+            std::make_move_iterator(rewound.end()));
+  EXPECT_LE(MoveCounted::moves, 4L * (kLive + kRewound));
+
+  ASSERT_EQ(q.size(), static_cast<std::size_t>(kLive + kRewound));
+  int expect = 0;
+  bool in_order = true;
+  for (const MoveCounted& m : q) in_order = in_order && m.v == expect++;
+  EXPECT_TRUE(in_order);
 }
 
 TEST(Check, CheckThrowsLogicError) {
