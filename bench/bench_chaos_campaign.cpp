@@ -18,6 +18,7 @@
 // AND the minimizer to shrink the recorded fault log to a <= 10-event
 // scripted reproducer. Exit codes: 0 ok, 4 violations, 5 transcript
 // mismatch, 6 inject-bug pipeline failure.
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -40,6 +41,41 @@ double audit_wall_seconds(bool audit) {
   bench::WallTimer t;
   (void)bench::run_bandwidth(cfg, 4096, 64, /*blocking=*/false, 40);
   return t.seconds();
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+struct AuditOverhead {
+  double off_s = 0;  ///< Median audit-off wall time.
+  double on_s = 0;   ///< Median audit-on wall time.
+  double ratio = 0;  ///< Median of the per-pair on/off ratios.
+};
+
+/// Each side's run lasts milliseconds, so a single on/off ratio swings
+/// with whatever else the host does in that window. Five pairs, with the
+/// side that runs first alternating so neither always meets a warmer
+/// cache, and the median of the per-pair ratios.
+AuditOverhead measure_audit_overhead() {
+  constexpr int kPairs = 5;
+  std::vector<double> off, on, ratio;
+  for (int i = 0; i < kPairs; ++i) {
+    double off_s = 0;
+    double on_s = 0;
+    if (i % 2 == 0) {
+      off_s = audit_wall_seconds(false);
+      on_s = audit_wall_seconds(true);
+    } else {
+      on_s = audit_wall_seconds(true);
+      off_s = audit_wall_seconds(false);
+    }
+    off.push_back(off_s);
+    on.push_back(on_s);
+    ratio.push_back(off_s > 0 ? on_s / off_s : 0.0);
+  }
+  return {median(off), median(on), median(ratio)};
 }
 
 int run_inject_bug(std::uint64_t base_seed) {
@@ -136,20 +172,19 @@ int main(int argc, char** argv) {
                     {"violation", serial[i].violation ? 1.0 : 0.0}});
   }
 
-  const double off_s = audit_wall_seconds(false);
-  const double on_s = audit_wall_seconds(true);
+  const AuditOverhead audit = measure_audit_overhead();
   json.add_meta("cells", static_cast<double>(cells.size()));
   json.add_meta("violations", static_cast<double>(violations));
   json.add_meta("identical", identical ? 1.0 : 0.0);
-  json.add_meta("audit_off_wall_s", off_s);
-  json.add_meta("audit_on_wall_s", on_s);
-  json.add_meta("audit_overhead_ratio", off_s > 0 ? on_s / off_s : 0.0);
+  json.add_meta("audit_off_wall_s", audit.off_s);
+  json.add_meta("audit_on_wall_s", audit.on_s);
+  json.add_meta("audit_overhead_ratio", audit.ratio);
   json.write(wall.seconds());
 
   std::printf("campaign: %zu cells, %d violations, transcripts %s, "
               "audit overhead x%.2f\n",
               cells.size(), violations, identical ? "identical" : "DIVERGED",
-              off_s > 0 ? on_s / off_s : 0.0);
+              audit.ratio);
   if (violations > 0) return 4;
   if (!identical) return 5;
   return 0;

@@ -72,7 +72,6 @@ int main(int argc, char** argv) {
   base.flow.prepost = 10;
   base.max_sim_time = sim::milliseconds(60000);
   base.device.auto_reconnect = true;
-  base.device.reconnect_delay = sim::microseconds(50);
 
   // Phase 1 — calibrate: a faultless pass tells us how long the soak runs
   // in sim time, so the flap windows land mid-run at any --rounds.

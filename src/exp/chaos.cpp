@@ -63,7 +63,6 @@ CellResult run_cell(const CellSpec& spec, bool record_faults) {
   // every drop into a deadlock instead of a retransmit.
   cfg.fabric.transport_timeout = sim::microseconds(40);
   cfg.fabric.transport_retry_limit = spec.profile.transport_retry_limit;
-  cfg.fabric.rnr_retry_limit = -1;
   cfg.fabric.fault.seed = spec.seed;
   cfg.fabric.fault.loss_prob = spec.profile.loss;
   cfg.fabric.fault.corrupt_prob = spec.profile.corrupt;

@@ -74,25 +74,6 @@ bool ConnectionFlow::on_credited_repost() {
   return accumulated_ >= effective_ecm_threshold();
 }
 
-bool ConnectionFlow::take_decay_slot() {
-  if (config_.scheme != Scheme::user_dynamic || !config_.allow_decay)
-    return false;
-  if (pending_decay_ > 0) {
-    --pending_decay_;
-    --current_posted_;
-    ++aud_delivered_;  // the message was delivered; its buffer retires
-    ++counters_.decay_events;
-    return true;
-  }
-  if (++idle_msgs_ >= config_.decay_idle_msgs &&
-      current_posted_ > config_.prepost) {
-    idle_msgs_ = 0;
-    pending_decay_ =
-        std::min(config_.growth_step, current_posted_ - config_.prepost);
-  }
-  return false;
-}
-
 int ConnectionFlow::take_return_credits() {
   if (!user_level()) return 0;
   const int out = accumulated_;
@@ -103,8 +84,6 @@ int ConnectionFlow::take_return_credits() {
 
 int ConnectionFlow::on_backlogged_flag() {
   if (config_.scheme != Scheme::user_dynamic) return 0;
-  idle_msgs_ = 0;
-  pending_decay_ = 0;  // pressure is back: cancel any planned shrink
   if (current_posted_ >= config_.max_prepost) return 0;
   int step = config_.exponential_growth ? current_posted_ : config_.growth_step;
   step = std::min(step, config_.max_prepost - current_posted_);
@@ -116,31 +95,6 @@ int ConnectionFlow::on_backlogged_flag() {
   return step;
 }
 
-std::string TuneDelta::to_string() const {
-  std::string out;
-  const auto add = [&out](const std::string& kv) {
-    if (!out.empty()) out += ",";
-    out += kv;
-  };
-  if (ecm_threshold) add("ecm_threshold=" + std::to_string(*ecm_threshold));
-  if (growth_step) add("growth_step=" + std::to_string(*growth_step));
-  if (exponential_growth)
-    add(std::string("exponential_growth=") + (*exponential_growth ? "1" : "0"));
-  if (max_prepost) add("max_prepost=" + std::to_string(*max_prepost));
-  if (allow_decay) add(std::string("allow_decay=") + (*allow_decay ? "1" : "0"));
-  if (decay_idle_msgs) add("decay_idle_msgs=" + std::to_string(*decay_idle_msgs));
-  return out.empty() ? "baseline" : out;
-}
-
-void ConnectionFlow::retune(const TuneDelta& d) {
-  if (d.ecm_threshold) config_.ecm_threshold = *d.ecm_threshold;
-  if (d.growth_step) config_.growth_step = *d.growth_step;
-  if (d.exponential_growth) config_.exponential_growth = *d.exponential_growth;
-  if (d.max_prepost) config_.max_prepost = *d.max_prepost;
-  if (d.allow_decay) config_.allow_decay = *d.allow_decay;
-  if (d.decay_idle_msgs) config_.decay_idle_msgs = *d.decay_idle_msgs;
-}
-
 void ConnectionFlow::serialize_state(util::serial::BufWriter& w) const {
   w.u8(static_cast<std::uint8_t>(config_.scheme));
   w.i32(config_.prepost);
@@ -148,13 +102,9 @@ void ConnectionFlow::serialize_state(util::serial::BufWriter& w) const {
   w.i32(config_.growth_step);
   w.b(config_.exponential_growth);
   w.i32(config_.max_prepost);
-  w.b(config_.allow_decay);
-  w.i32(config_.decay_idle_msgs);
   w.i32(credits_);
   w.i32(accumulated_);
   w.i32(current_posted_);
-  w.i32(idle_msgs_);
-  w.i32(pending_decay_);
   w.u64(counters_.credited_sent);
   w.u64(counters_.control_sent);
   w.u64(counters_.ecm_sent);
@@ -164,7 +114,6 @@ void ConnectionFlow::serialize_state(util::serial::BufWriter& w) const {
   w.u64(counters_.optimistic_rts);
   w.u64(counters_.credits_received);
   w.u64(counters_.growth_events);
-  w.u64(counters_.decay_events);
   w.i32(counters_.max_posted);
 }
 

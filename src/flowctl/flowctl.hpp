@@ -11,6 +11,8 @@
 //   * user_dynamic  — static machinery plus feedback: each message carries
 //                     a went-through-backlog bit, and the receiver grows its
 //                     pre-posted pool (linear by default) when it sees one.
+//                     The pool only grows: shrinking is the paper's future
+//                     work (§4.3).
 //
 // ConnectionFlow holds both roles of one connection endpoint: the sender
 // role (credits toward the peer) and the receiver role (buffer pool for the
@@ -19,9 +21,9 @@
 // be unit- and property-tested in isolation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <string_view>
 
 namespace mvflow::util::serial {
@@ -57,15 +59,6 @@ struct Config {
 
   /// user_dynamic: growth cap.
   int max_prepost = 1024;
-
-  /// user_dynamic extension (the paper's stated future work, §4.3): allow
-  /// the pool to shrink back toward `prepost` when the communication
-  /// pattern calms down — useful for long-running multi-phase codes.
-  bool allow_decay = false;
-
-  /// Decay trigger: this many credited messages processed with no backlog
-  /// feedback means the enlarged pool is no longer needed.
-  int decay_idle_msgs = 512;
 };
 
 /// Per-connection counters; aggregated by the benchmarks into the paper's
@@ -80,7 +73,6 @@ struct Counters {
   std::uint64_t optimistic_rts = 0;     ///< Famine RTSes sent without a credit.
   std::uint64_t credits_received = 0;   ///< Via piggyback + ECM.
   std::uint64_t growth_events = 0;      ///< Dynamic feedback firings.
-  std::uint64_t decay_events = 0;       ///< Buffers retired by idle decay.
   int max_posted = 0;                   ///< Peak credited pool (receiver role).
 
   /// Total MPI-level messages this side originated on the connection.
@@ -100,7 +92,6 @@ struct Counters {
     optimistic_rts += o.optimistic_rts;
     credits_received += o.credits_received;
     growth_events += o.growth_events;
-    decay_events += o.decay_events;
     if (o.max_posted > max_posted) max_posted = o.max_posted;
   }
 
@@ -117,30 +108,9 @@ struct Counters {
     f("optimistic_rts", static_cast<double>(optimistic_rts));
     f("credits_received", static_cast<double>(credits_received));
     f("growth_events", static_cast<double>(growth_events));
-    f("decay_events", static_cast<double>(decay_events));
     f("max_posted", static_cast<double>(max_posted));
     f("total_messages", static_cast<double>(total_messages()));
   }
-};
-
-/// Runtime-adjustable subset of Config: the tunables that can change on a
-/// live connection without restructuring it (the checkpoint-fork sweep
-/// applies these at the warm barrier — DESIGN.md §13). Structural fields
-/// (scheme, prepost) stay fixed: they define the connection's wired state.
-struct TuneDelta {
-  std::optional<int> ecm_threshold;
-  std::optional<int> growth_step;
-  std::optional<bool> exponential_growth;
-  std::optional<int> max_prepost;
-  std::optional<bool> allow_decay;
-  std::optional<int> decay_idle_msgs;
-
-  bool any() const noexcept {
-    return ecm_threshold || growth_step || exponential_growth || max_prepost ||
-           allow_decay || decay_idle_msgs;
-  }
-  /// Stable description for labeling sweep branches / JSON output.
-  std::string to_string() const;
 };
 
 class ConnectionFlow {
@@ -203,12 +173,6 @@ class ConnectionFlow {
   /// buffers immediately become returnable credits.
   int on_backlogged_flag();
 
-  /// Decay (receiver role): called before reposting a credited message's
-  /// buffer. Returns true when the buffer should be *retired* instead of
-  /// reposted — the pool shrinks by one and the credit is never returned,
-  /// so the sender's total shrinks in step.
-  bool take_decay_slot();
-
   /// Current credited pool size at this receiver.
   int current_posted() const noexcept { return current_posted_; }
 
@@ -223,8 +187,6 @@ class ConnectionFlow {
   void reconnect_reset(int credits, int replayed_credited = 0) {
     credits_ = credits < 0 ? 0 : credits;
     accumulated_ = 0;
-    idle_msgs_ = 0;
-    pending_decay_ = 0;
     aud_consumed_ = static_cast<std::uint64_t>(
         replayed_credited < 0 ? 0 : replayed_credited);
     aud_received_ = 0;
@@ -257,13 +219,9 @@ class ConnectionFlow {
 
   const Counters& counters() const noexcept { return counters_; }
 
-  /// Apply a mid-run tuning delta (checkpoint-fork sweep). Only the
-  /// policy knobs move; credits, pools, and counters are untouched.
-  void retune(const TuneDelta& d);
-
   /// Serialize the complete per-connection flow-control state — config,
-  /// credits, accumulators, pool size, decay bookkeeping, and counters —
-  /// for the snapshot's restore audit.
+  /// credits, accumulators, pool size, and counters — for the snapshot's
+  /// restore audit.
   void serialize_state(util::serial::BufWriter& w) const;
 
  private:
@@ -276,8 +234,6 @@ class ConnectionFlow {
   int credits_ = 0;         // sender role
   int accumulated_ = 0;     // receiver role: returnable credits
   int current_posted_ = 0;  // receiver role: credited pool size
-  int idle_msgs_ = 0;       // credited reposts since the last growth event
-  int pending_decay_ = 0;   // buffers queued for retirement
   // Audit ledger (see the aud_* accessors). Deliberately absent from
   // serialize_state: a restore's deterministic replay rebuilds them, and
   // the snapshot format stays stable.

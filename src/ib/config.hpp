@@ -1,9 +1,11 @@
-// Fabric calibration constants.
+// Fabric calibration constants and the fabric's settings.
 //
-// Defaults approximate the paper's testbed: Mellanox InfiniHost 4X HCAs
-// (10 Gb/s signalling, 8 Gb/s data) behind PCI-X 64/133 (the practical
+// The constants approximate the paper's testbed: Mellanox InfiniHost 4X
+// HCAs (10 Gb/s signalling, 8 Gb/s data) behind PCI-X 64/133 (the practical
 // bottleneck, ~800 MB/s), one InfiniScale switch hop, 2 KB path MTU.
-// See DESIGN.md §4 for the derivation.
+// DESIGN.md §4 tabulates them with their derivation. FabricConfig keeps
+// only what an experiment varies: the RNR timer, the transport timer and
+// its retry limit, and the fault plan.
 #pragma once
 
 #include <cstdint>
@@ -49,44 +51,45 @@ struct FaultConfig {
   }
 };
 
+/// Effective per-direction bandwidth in bytes/second: the PCI-X DMA rate,
+/// below the 4X link's 1 GB/s data rate.
+inline constexpr double kBandwidthBps = 800e6;
+
+/// Propagation delay per hop (node <-> switch cable + PHY).
+inline constexpr sim::Duration kWireLatency = sim::nanoseconds(250);
+
+/// Switch forwarding latency (InfiniScale class, cut-through ~200 ns; we
+/// model store-and-forward plus this constant).
+inline constexpr sim::Duration kSwitchLatency = sim::nanoseconds(200);
+
+/// Path MTU: maximum payload bytes per packet.
+inline constexpr std::uint32_t kMtu = 2048;
+
+/// Per-data-packet wire overhead (LRH+BTH+CRCs and friends).
+inline constexpr std::uint32_t kDataHeaderBytes = 48;
+
+/// Wire size of ACK / NAK packets.
+inline constexpr std::uint32_t kAckBytes = 64;
+
+/// HCA work-request fetch/processing time per message at the sender.
+inline constexpr sim::Duration kTxWqeProcess = sim::nanoseconds(500);
+
+/// Additional TX engine occupancy per packet (descriptor, DMA setup).
+inline constexpr sim::Duration kPerPacketTx = sim::nanoseconds(150);
+
+/// Receiver-side processing from last packet to CQE visibility.
+inline constexpr sim::Duration kRxProcess = sim::nanoseconds(400);
+
+/// Ceiling for the exponential backoff applied to transport_timeout on
+/// consecutive unacknowledged retries (doubles each attempt).
+inline constexpr sim::Duration kTransportTimeoutCap = sim::milliseconds(5);
+
 struct FabricConfig {
-  /// Effective per-direction bandwidth in bytes/second (min of 4X link and
-  /// PCI-X DMA).
-  double bandwidth_bps = 800e6;
-
-  /// Propagation delay per hop (node <-> switch cable + PHY).
-  sim::Duration wire_latency = sim::nanoseconds(250);
-
-  /// Switch forwarding latency (InfiniScale class, cut-through ~200 ns;
-  /// we model store-and-forward plus this constant).
-  sim::Duration switch_latency = sim::nanoseconds(200);
-
-  /// Path MTU: maximum payload bytes per packet.
-  std::uint32_t mtu = 2048;
-
-  /// Per-data-packet wire overhead (LRH+BTH+CRCs and friends).
-  std::uint32_t data_header_bytes = 48;
-
-  /// Wire size of ACK / NAK packets.
-  std::uint32_t ack_bytes = 64;
-
-  /// HCA work-request fetch/processing time per message at the sender.
-  sim::Duration tx_wqe_process = sim::nanoseconds(500);
-
-  /// Additional TX engine occupancy per packet (descriptor, DMA setup).
-  sim::Duration per_packet_tx = sim::nanoseconds(150);
-
-  /// Receiver-side processing from last packet to CQE visibility.
-  sim::Duration rx_process = sim::nanoseconds(400);
-
   /// Receiver-Not-Ready retry timer: how long a requester waits after an
   /// RNR NAK before replaying the message. IB encodes discrete values from
-  /// 10 us up to 655 ms; MPI implementations pick small ones.
+  /// 10 us up to 655 ms; MPI implementations pick small ones. RNR retries
+  /// are unlimited, as the paper's hardware-based scheme sets them (§4).
   sim::Duration rnr_timeout = sim::microseconds(20);
-
-  /// RNR retries before the QP errors out. < 0 means infinite (the paper's
-  /// hardware-based scheme sets "retry count to infinite" for reliability).
-  int rnr_retry_limit = -1;
 
   /// Transport (ACK) retransmission timeout: how long a requester waits
   /// for acknowledgment of the oldest unacked send before rewinding and
@@ -95,10 +98,6 @@ struct FabricConfig {
   /// the recovery protocol (sequence NAKs, duplicate re-ACKs) off too,
   /// so the calibrated happy path is bit-identical with it unset.
   sim::Duration transport_timeout = sim::Duration{0};
-
-  /// Ceiling for the exponential backoff applied to transport_timeout on
-  /// consecutive unacknowledged retries (doubles each attempt).
-  sim::Duration transport_timeout_cap = sim::milliseconds(5);
 
   /// Transport retries before the QP errors out with
   /// WcStatus::transport_retry_exceeded. < 0 means infinite; 7 mirrors the

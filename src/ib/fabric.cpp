@@ -16,7 +16,6 @@ Fabric::Fabric(sim::Engine& engine, FabricConfig config, int num_nodes)
       fault_rng_(config_.fault.seed),
       scripted_(config_.fault.scripted.size()) {
   util::require(num_nodes > 0, "fabric needs at least one node");
-  util::require(config_.mtu >= 256, "MTU too small");
   nodes_.reserve(num_nodes);
   for (int i = 0; i < num_nodes; ++i) {
     nodes_.push_back(std::make_unique<Hca>(*this, i));
@@ -40,14 +39,14 @@ void Fabric::connect_loopback(QueuePair& q) {
 std::uint32_t Fabric::wire_bytes(const Packet& pkt) const {
   switch (pkt.kind) {
     case PacketKind::data:
-      return pkt.payload_bytes + config_.data_header_bytes;
+      return pkt.payload_bytes + kDataHeaderBytes;
     case PacketKind::ack:
     case PacketKind::rnr_nak:
     case PacketKind::access_nak:
     case PacketKind::seq_nak:
-      return config_.ack_bytes;
+      return kAckBytes;
   }
-  return config_.ack_bytes;
+  return kAckBytes;
 }
 
 bool Fabric::link_down(int node, sim::TimePoint t) const {
@@ -141,7 +140,7 @@ void Fabric::transmit(int src_node, int dst_node, Packet pkt,
                 "transmit to unknown node");
   const std::uint32_t wire = wire_bytes(pkt);
   const sim::Duration ser =
-      config_.per_packet_tx + sim::transfer_time(wire, config_.bandwidth_bps);
+      kPerPacketTx + sim::transfer_time(wire, kBandwidthBps);
 
   ++stats_.packets;
   stats_.wire_bytes += wire;
@@ -160,7 +159,7 @@ void Fabric::transmit(int src_node, int dst_node, Packet pkt,
       ++stats_.flap_dropped_packets;
       return;
     }
-    const sim::TimePoint arrive = start + ser + config_.rx_process;
+    const sim::TimePoint arrive = start + ser + kRxProcess;
     if (faults && !apply_faults(src_node, dst_node, pkt, start)) return;
     auto delivery =
         [this, dst_node, p = std::move(pkt)] { deliver(dst_node, p); };
@@ -172,13 +171,13 @@ void Fabric::transmit(int src_node, int dst_node, Packet pkt,
   }
 
   const sim::TimePoint up_start = up_[src_node].reserve(earliest, ser);
-  const sim::TimePoint at_switch = up_start + ser + config_.wire_latency;
+  const sim::TimePoint at_switch = up_start + ser + kWireLatency;
 
   // A dark link eats the packet: the sender still serialized it onto its
   // uplink (it cannot know the link state), but nothing reaches the
   // switch's output port, so the downlink is not reserved.
   if (faults && (link_down(src_node, up_start) ||
-                 link_down(dst_node, at_switch + config_.switch_latency))) {
+                 link_down(dst_node, at_switch + kSwitchLatency))) {
     ++stats_.flap_dropped_packets;
     return;
   }
@@ -186,9 +185,8 @@ void Fabric::transmit(int src_node, int dst_node, Packet pkt,
   // fully received, plus its forwarding latency, subject to the output
   // port being free.
   const sim::TimePoint down_start =
-      down_[dst_node].reserve(at_switch + config_.switch_latency, ser);
-  const sim::TimePoint arrive =
-      down_start + ser + config_.wire_latency + config_.rx_process;
+      down_[dst_node].reserve(at_switch + kSwitchLatency, ser);
+  const sim::TimePoint arrive = down_start + ser + kWireLatency + kRxProcess;
 
   if (faults && !apply_faults(src_node, dst_node, pkt, up_start)) return;
 

@@ -17,9 +17,9 @@ namespace {
 
 /// Number of MTU-sized packets a message of `len` bytes occupies (at least
 /// one even for zero-length messages).
-std::uint32_t packet_count(std::uint32_t len, std::uint32_t mtu) {
+std::uint32_t packet_count(std::uint32_t len) {
   if (len == 0) return 1;
-  return (len + mtu - 1) / mtu;
+  return (len + kMtu - 1) / kMtu;
 }
 
 WcOpcode completion_opcode(const SendWr& wr) {
@@ -66,7 +66,6 @@ void QueuePair::post_send(const SendWr& wr) {
   PendingSend ps;
   ps.wr = wr;
   ps.msn = next_msn_++;
-  ps.rnr_retries_left = hca_.fabric().config().rnr_retry_limit;
   MsgRef data = hca_.msg_pool().acquire();
   MessageData& d = data.fill();
   d.opcode = wr.opcode;
@@ -118,7 +117,6 @@ void QueuePair::pump_tx() {
 
 void QueuePair::transmit_message(PendingSend& ps) {
   Fabric& fabric = hca_.fabric();
-  const auto& cfg = fabric.config();
   const auto now = hca_.engine().now();
 
   if (ps.retransmission) {
@@ -129,7 +127,7 @@ void QueuePair::transmit_message(PendingSend& ps) {
     stats_.bytes_sent += ps.data->length;
   }
 
-  const std::uint32_t count = packet_count(ps.data->length, cfg.mtu);
+  const std::uint32_t count = packet_count(ps.data->length);
   if (auto& rec = fabric.recorder(); rec.enabled()) {
     const int me = hca_.node_id();
     const std::uint64_t wr_id = ps.wr.wr_id;
@@ -153,11 +151,11 @@ void QueuePair::transmit_message(PendingSend& ps) {
     pkt.msn = ps.msn;
     pkt.pkt_index = i;
     pkt.pkt_count = count;
-    pkt.payload_bytes = std::min(remaining, cfg.mtu);
+    pkt.payload_bytes = std::min(remaining, kMtu);
     remaining -= pkt.payload_bytes;
     pkt.msg = ps.data;
     fabric.transmit(hca_.node_id(), remote_node_, std::move(pkt),
-                    now + cfg.tx_wqe_process);
+                    now + kTxWqeProcess);
     ++stats_.packets_sent;
   }
 }
@@ -407,18 +405,6 @@ void QueuePair::handle_rnr_nak(const Packet& pkt) {
                          [&](const PendingSend& p) { return p.msn == pkt.msn; });
   if (it == unacked_.end()) return;
 
-  const int limit = hca_.fabric().config().rnr_retry_limit;
-  if (limit >= 0) {
-    if (it->rnr_retries_left <= 0) {
-      const PendingSend failed = std::move(*it);
-      unacked_.erase(it);
-      complete_send(failed, WcStatus::rnr_retry_exceeded, WcOpcode::send);
-      enter_error();
-      return;
-    }
-    --it->rnr_retries_left;
-  }
-
   // Rewind: everything from the NAK'd message back to the pending queue,
   // marked as retransmissions. The wire copies already sent will be dropped
   // as out-of-sequence at the responder.
@@ -454,10 +440,10 @@ void QueuePair::arm_retx_timer() {
   const auto& cfg = hca_.fabric().config();
   if (!cfg.transport_enabled()) return;
   sim::Duration d = cfg.transport_timeout;
-  for (int i = 0; i < retx_attempts_ && d < cfg.transport_timeout_cap; ++i) {
+  for (int i = 0; i < retx_attempts_ && d < kTransportTimeoutCap; ++i) {
     d += d;
   }
-  d = std::min(d, cfg.transport_timeout_cap);
+  d = std::min(d, kTransportTimeoutCap);
   retx_armed_ = true;
   retx_timer_ = hca_.engine().schedule_after(d, [this] {
     retx_armed_ = false;
@@ -566,7 +552,6 @@ void QueuePair::serialize_state(util::serial::BufWriter& w) const {
     w.u64(ps.msn);
     w.u8(static_cast<std::uint8_t>(ps.wr.opcode));
     w.u32(ps.wr.length);
-    w.i32(ps.rnr_retries_left);
     w.b(ps.retransmission);
     w.b(ps.acked);
   };

@@ -86,8 +86,8 @@ class QueuePair {
 
   /// Serialize the QP's complete protocol state for the snapshot restore
   /// audit (DESIGN.md §13): connection identity, message sequence windows,
-  /// the send pipeline (queued + unacked entries with their MSNs, sizes and
-  /// retry budgets), the RNR / ACK-timeout retransmission machinery
+  /// the send pipeline (queued + unacked entries with their MSNs and
+  /// sizes), the RNR / ACK-timeout retransmission machinery
   /// (including whether each timer is armed), the responder's receive
   /// window and reassembly cursor, and the per-QP counters.
   void serialize_state(util::serial::BufWriter& w) const;
@@ -103,7 +103,6 @@ class QueuePair {
     SendWr wr;
     Msn msn = 0;
     MsgRef data;
-    int rnr_retries_left = 0;
     bool retransmission = false;
     bool acked = false;
   };

@@ -67,7 +67,6 @@ enum class WcStatus : std::uint8_t {
   success,
   local_protection_error,   ///< lkey/bounds check failed at this HCA
   remote_access_error,      ///< rkey/bounds check failed at the responder
-  rnr_retry_exceeded,       ///< receiver-not-ready retries exhausted
   transport_retry_exceeded, ///< ACK-timeout retransmissions exhausted
   length_error,             ///< inbound message larger than the posted buffer
   flushed,                  ///< QP entered error state; WR flushed

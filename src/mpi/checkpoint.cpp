@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "exp/runner.hpp"
 #include "util/check.hpp"
 
 namespace mvflow::mpi::ckpt {
@@ -43,23 +42,10 @@ void encode_config(serial::BufWriter& w, const WorldConfig& cfg,
   w.i32(f.growth_step);
   w.b(f.exponential_growth);
   w.i32(f.max_prepost);
-  w.b(f.allow_decay);
-  w.i32(f.decay_idle_msgs);
 
   const ib::FabricConfig& fb = cfg.fabric;
-  w.f64(fb.bandwidth_bps);
-  w.i64(fb.wire_latency.count());
-  w.i64(fb.switch_latency.count());
-  w.u32(fb.mtu);
-  w.u32(fb.data_header_bytes);
-  w.u32(fb.ack_bytes);
-  w.i64(fb.tx_wqe_process.count());
-  w.i64(fb.per_packet_tx.count());
-  w.i64(fb.rx_process.count());
   w.i64(fb.rnr_timeout.count());
-  w.i32(fb.rnr_retry_limit);
   w.i64(fb.transport_timeout.count());
-  w.i64(fb.transport_timeout_cap.count());
   w.i32(fb.transport_retry_limit);
 
   const ib::FaultConfig& ft = fb.fault;
@@ -81,23 +67,7 @@ void encode_config(serial::BufWriter& w, const WorldConfig& cfg,
     w.b(sf.corrupt);
   }
 
-  const DeviceConfig& d = cfg.device;
-  w.u32(d.buffer_size);
-  w.i64(d.send_overhead.count());
-  w.i64(d.recv_post_overhead.count());
-  w.i64(d.eager_handle_overhead.count());
-  w.i64(d.rts_handle_overhead.count());
-  w.i64(d.ctrl_handle_overhead.count());
-  w.i64(d.ctrl_send_overhead.count());
-  w.f64(d.copy_bandwidth_bps);
-  w.i64(d.reg_base.count());
-  w.i64(d.reg_per_page.count());
-  w.u64(d.page_size);
-  w.b(d.reg_cache);
-  w.u64(d.reg_cache_capacity);
-  w.i64(d.connect_setup.count());
-  w.b(d.auto_reconnect);
-  w.i64(d.reconnect_delay.count());
+  w.b(cfg.device.auto_reconnect);
 }
 
 void decode_config(serial::BufReader& r, WorldConfig& cfg, bool& trace_armed,
@@ -115,24 +85,10 @@ void decode_config(serial::BufReader& r, WorldConfig& cfg, bool& trace_armed,
   f.growth_step = r.i32("flow.growth_step");
   f.exponential_growth = r.b("flow.exponential_growth");
   f.max_prepost = r.i32("flow.max_prepost");
-  f.allow_decay = r.b("flow.allow_decay");
-  f.decay_idle_msgs = r.i32("flow.decay_idle_msgs");
 
   ib::FabricConfig& fb = cfg.fabric;
-  fb.bandwidth_bps = r.f64("fabric.bandwidth_bps");
-  fb.wire_latency = sim::Duration(r.i64("fabric.wire_latency"));
-  fb.switch_latency = sim::Duration(r.i64("fabric.switch_latency"));
-  fb.mtu = r.u32("fabric.mtu");
-  fb.data_header_bytes = r.u32("fabric.data_header_bytes");
-  fb.ack_bytes = r.u32("fabric.ack_bytes");
-  fb.tx_wqe_process = sim::Duration(r.i64("fabric.tx_wqe_process"));
-  fb.per_packet_tx = sim::Duration(r.i64("fabric.per_packet_tx"));
-  fb.rx_process = sim::Duration(r.i64("fabric.rx_process"));
   fb.rnr_timeout = sim::Duration(r.i64("fabric.rnr_timeout"));
-  fb.rnr_retry_limit = r.i32("fabric.rnr_retry_limit");
   fb.transport_timeout = sim::Duration(r.i64("fabric.transport_timeout"));
-  fb.transport_timeout_cap =
-      sim::Duration(r.i64("fabric.transport_timeout_cap"));
   fb.transport_retry_limit = r.i32("fabric.transport_retry_limit");
 
   ib::FaultConfig& ft = fb.fault;
@@ -160,25 +116,7 @@ void decode_config(serial::BufReader& r, WorldConfig& cfg, bool& trace_armed,
     ft.scripted.push_back(sf);
   }
 
-  DeviceConfig& d = cfg.device;
-  d.buffer_size = r.u32("device.buffer_size");
-  d.send_overhead = sim::Duration(r.i64("device.send_overhead"));
-  d.recv_post_overhead = sim::Duration(r.i64("device.recv_post_overhead"));
-  d.eager_handle_overhead =
-      sim::Duration(r.i64("device.eager_handle_overhead"));
-  d.rts_handle_overhead = sim::Duration(r.i64("device.rts_handle_overhead"));
-  d.ctrl_handle_overhead =
-      sim::Duration(r.i64("device.ctrl_handle_overhead"));
-  d.ctrl_send_overhead = sim::Duration(r.i64("device.ctrl_send_overhead"));
-  d.copy_bandwidth_bps = r.f64("device.copy_bandwidth_bps");
-  d.reg_base = sim::Duration(r.i64("device.reg_base"));
-  d.reg_per_page = sim::Duration(r.i64("device.reg_per_page"));
-  d.page_size = r.u64("device.page_size");
-  d.reg_cache = r.b("device.reg_cache");
-  d.reg_cache_capacity = r.u64("device.reg_cache_capacity");
-  d.connect_setup = sim::Duration(r.i64("device.connect_setup"));
-  d.auto_reconnect = r.b("device.auto_reconnect");
-  d.reconnect_delay = sim::Duration(r.i64("device.reconnect_delay"));
+  cfg.device.auto_reconnect = r.b("device.auto_reconnect");
 }
 
 // ---- state sections ---------------------------------------------------
@@ -377,11 +315,6 @@ RunResult run_world(World& world, const WorkloadSpec& spec,
                                   [&world, audit_against, &opts, &audited] {
       audit(world, *audit_against);
       audited = true;
-      if (opts.tune.any()) {
-        for (Rank rk = 0; rk < world.num_ranks(); ++rk) {
-          world.device(rk).retune(opts.tune);
-        }
-      }
       if (!opts.checkpoint_path.empty()) {
         arm_checkpoints(world, opts.checkpoint_path, opts.checkpoint_events);
       }
@@ -426,25 +359,6 @@ RunResult run_reference(const WorldConfig& cfg, const WorkloadSpec& spec,
                         const RestoreOptions& opts) {
   World world(cfg);
   return run_world(world, spec, opts, nullptr);
-}
-
-std::vector<ForkOutcome> fork_sweep(const std::string& path,
-                                    const std::vector<ForkBranch>& branches,
-                                    int jobs) {
-  // One decode up front: each branch replays from its own private copy of
-  // the parsed snapshot, so concurrent branches share no mutable state.
-  const WorldSnapshot snap = read_snapshot(path);
-  std::vector<std::function<ForkOutcome()>> work;
-  work.reserve(branches.size());
-  for (const ForkBranch& br : branches) {
-    work.push_back([snap, br]() -> ForkOutcome {
-      RestoreOptions opts;
-      opts.tune = br.tune;
-      const RunResult rr = restore_run(snap, opts);
-      return ForkOutcome{br.label, rr.elapsed, rr.metrics};
-    });
-  }
-  return exp::SweepRunner(jobs).run<ForkOutcome>(work);
 }
 
 }  // namespace mvflow::mpi::ckpt

@@ -1,7 +1,7 @@
 // World checkpoint/restart (DESIGN.md §13).
 //
-// A snapshot records (a) how to rebuild the world — the full WorldConfig
-// and the registered WorkloadSpec, (b) where to stop — the executed-event
+// A snapshot records (a) how to rebuild the world — the WorldConfig
+// settings and the registered WorkloadSpec, (b) where to stop — the executed-event
 // barrier, and (c) the complete serialized state of every layer at that
 // barrier (engine scheduler, fabric + fault injector, per-rank devices with
 // flow control and QPs, metrics, flight recorder).
@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "flowctl/flowctl.hpp"
 #include "mpi/workload.hpp"
 #include "mpi/world.hpp"
 #include "obs/metrics.hpp"
@@ -75,9 +74,6 @@ void arm_checkpoints(World& world, const std::string& path,
                      const std::vector<std::uint64_t>& events);
 
 struct RestoreOptions {
-  /// Flow-control tuning applied to every connection at the barrier —
-  /// the checkpoint-fork sweep's branch point.
-  flowctl::TuneDelta tune;
   /// Write further checkpoints from the resumed run (same path rules as
   /// arm_checkpoints). Counts are absolute executed-event counts and must
   /// exceed the snapshot's barrier.
@@ -105,23 +101,5 @@ RunResult restore_run(const WorldSnapshot& snap,
 /// or a seed run writing checkpoints / being killed via `opts`.
 RunResult run_reference(const WorldConfig& cfg, const WorkloadSpec& spec,
                         const RestoreOptions& opts = {});
-
-/// A fork-sweep branch: one warm snapshot resumed under one tuning delta.
-struct ForkBranch {
-  std::string label;
-  flowctl::TuneDelta tune;
-};
-struct ForkOutcome {
-  std::string label;
-  sim::Duration elapsed{0};
-  obs::Snapshot metrics;
-};
-
-/// Checkpoint-fork sweep: restore the snapshot at `path` once per branch
-/// (>= 1), each under its own TuneDelta, on `jobs` SweepRunner threads.
-/// Results come back in branch order — byte-identical for any job count.
-std::vector<ForkOutcome> fork_sweep(const std::string& path,
-                                    const std::vector<ForkBranch>& branches,
-                                    int jobs = 1);
 
 }  // namespace mvflow::mpi::ckpt

@@ -97,25 +97,24 @@ Device::Endpoint& Device::ensure_endpoint(Rank peer) {
   }
   util::check(world_.config().on_demand_connections,
               "endpoint missing outside on-demand mode");
-  charge(world_.config().device.connect_setup);
+  charge(kConnectSetup);
   world_.wire_pair(me_, peer);
   return ep_at(peer);
 }
 
 void Device::grow_recv_slots(Endpoint& ep, int count) {
   util::require(count > 0, "grow by zero");
-  const auto slot_size = world_.config().device.buffer_size;
   Arena arena;
   arena.storage = std::make_unique<std::vector<std::byte>>(
-      static_cast<std::size_t>(count) * slot_size);
+      static_cast<std::size_t>(count) * kBufferSize);
   arena.mr = hca_->register_memory(*arena.storage,
                                    ib::Access::local_read | ib::Access::local_write);
   std::byte* base = arena.storage->data();
   const std::uint32_t lkey = arena.mr.lkey;
   ep.recv_arenas.push_back(std::move(arena));
   for (int i = 0; i < count; ++i) {
-    ep.slots.push_back(RecvSlot{base + static_cast<std::size_t>(i) * slot_size, lkey});
-    ep.slot_retired.push_back(0);
+    ep.slots.push_back(
+        RecvSlot{base + static_cast<std::size_t>(i) * kBufferSize, lkey});
     post_slot(ep, ep.slots.size() - 1);
   }
 }
@@ -125,7 +124,7 @@ void Device::post_slot(Endpoint& ep, std::size_t slot_idx) {
   ib::RecvWr wr;
   wr.wr_id = slot_idx;
   wr.local_addr = slot.addr;
-  wr.length = world_.config().device.buffer_size;
+  wr.length = kBufferSize;
   wr.lkey = slot.lkey;
   ep.qp->post_recv(wr);
 }
@@ -134,17 +133,16 @@ void Device::post_slot(Endpoint& ep, std::size_t slot_idx) {
 
 std::size_t Device::acquire_bounce_slot() {
   if (bounce_free_.empty()) {
-    const auto slot_size = world_.config().device.buffer_size;
     Arena arena;
     arena.storage =
-        std::make_unique<std::vector<std::byte>>(kBounceChunk * slot_size);
+        std::make_unique<std::vector<std::byte>>(kBounceChunk * kBufferSize);
     arena.mr = hca_->register_memory(
         *arena.storage, ib::Access::local_read | ib::Access::local_write);
     std::byte* base = arena.storage->data();
     const std::uint32_t lkey = arena.mr.lkey;
     bounce_arenas_.push_back(std::move(arena));
     for (std::size_t i = 0; i < kBounceChunk; ++i) {
-      bounce_slots_.push_back(RecvSlot{base + i * slot_size, lkey});
+      bounce_slots_.push_back(RecvSlot{base + i * kBufferSize, lkey});
       bounce_free_.push_back(bounce_slots_.size() - 1);
     }
   }
@@ -160,21 +158,17 @@ std::uint32_t Device::bounce_lkey(std::size_t idx) { return bounce_slots_[idx].l
 // ------------------------------------------------------------- pin cache --
 
 ib::MemoryRegionHandle Device::pin(std::byte* addr, std::size_t len) {
-  const auto& dcfg = world_.config().device;
-  if (dcfg.reg_cache) {
-    for (auto it = reg_cache_.begin(); it != reg_cache_.end(); ++it) {
-      if (it->addr == addr && it->len >= len) {
-        ++stats_.reg_cache_hits;
-        reg_cache_.splice(reg_cache_.begin(), reg_cache_, it);  // LRU bump
-        return reg_cache_.front().mr;
-      }
+  for (auto it = reg_cache_.begin(); it != reg_cache_.end(); ++it) {
+    if (it->addr == addr && it->len >= len) {
+      ++stats_.reg_cache_hits;
+      reg_cache_.splice(reg_cache_.begin(), reg_cache_, it);  // LRU bump
+      return reg_cache_.front().mr;
     }
   }
   ++stats_.reg_cache_misses;
   const auto mr = register_region(addr, len);
-  if (!dcfg.reg_cache) return mr;
   reg_cache_.push_front(CacheEntry{addr, len, mr});
-  if (reg_cache_.size() > dcfg.reg_cache_capacity) {
+  if (reg_cache_.size() > kRegCacheCapacity) {
     hca_->deregister_memory(reg_cache_.back().mr);
     reg_cache_.pop_back();
   }
@@ -183,9 +177,8 @@ ib::MemoryRegionHandle Device::pin(std::byte* addr, std::size_t len) {
 
 ib::MemoryRegionHandle Device::register_region(std::byte* addr,
                                                std::size_t len) {
-  const auto& dcfg = world_.config().device;
-  const auto pages = (len + dcfg.page_size - 1) / dcfg.page_size;
-  charge(dcfg.reg_base + dcfg.reg_per_page * static_cast<std::int64_t>(pages));
+  const auto pages = (len + kPageSize - 1) / kPageSize;
+  charge(kRegBase + kRegPerPage * static_cast<std::int64_t>(pages));
   return hca_->register_memory(
       std::span<std::byte>(addr, len),
       ib::Access::local_read | ib::Access::local_write | ib::Access::remote_read |
@@ -206,7 +199,7 @@ void Device::charge(sim::Duration d) {
 
 void Device::charge_copy(std::size_t bytes) {
   if (bytes == 0) return;
-  charge(sim::transfer_time(bytes, world_.config().device.copy_bandwidth_bps));
+  charge(sim::transfer_time(bytes, kCopyBandwidthBps));
 }
 
 // ------------------------------------------------------------ send paths --
@@ -214,8 +207,7 @@ void Device::charge_copy(std::size_t bytes) {
 RequestPtr Device::isend(Rank dst, Tag tag, std::span<const std::byte> data,
                          SendMode mode) {
   progress();  // every MPI entry point advances the engine (as MPICH does)
-  const auto& dcfg = world_.config().device;
-  charge(dcfg.send_overhead);
+  charge(kSendOverhead);
   Endpoint& ep = ensure_endpoint(dst);
   auto req = std::make_shared<Request>(RequestKind::send, next_rndv_id_++);
   if (ep.failed) {
@@ -233,11 +225,11 @@ RequestPtr Device::isend(Rank dst, Tag tag, std::span<const std::byte> data,
     return req;
   }
   if (mode == SendMode::buffered) {
-    util::require(data.size() <= dcfg.eager_max_payload(),
+    util::require(data.size() <= DeviceConfig::eager_max_payload(),
                   "buffered send exceeds the attached buffer size");
   }
   // standard / buffered / ready: eager whenever the payload fits.
-  if (data.size() <= dcfg.eager_max_payload()) {
+  if (data.size() <= DeviceConfig::eager_max_payload()) {
     ++stats_.eager_sent;
     charge_copy(data.size());
     WireHeader hdr;
@@ -387,14 +379,14 @@ void Device::send_ecm(Endpoint& ep) {
 
 void Device::post_wire(Endpoint& ep, WireHeader hdr,
                        std::span<const std::byte> payload) {
-  util::check(payload.size() + kHeaderBytes <= world_.config().device.buffer_size,
+  util::check(payload.size() + kHeaderBytes <= kBufferSize,
               "wire message exceeds buffer size");
   hdr.src_rank = me_;
   hdr.seq = ep.tx_seq++;
   hdr.piggyback_credits = ep.flow.take_return_credits();
   if (hdr.kind == MsgKind::rndv_cts || hdr.kind == MsgKind::rndv_fin)
     ep.flow.note_control_sent();
-  if (!is_credited(hdr.kind)) charge(world_.config().device.ctrl_send_overhead);
+  if (!is_credited(hdr.kind)) charge(kCtrlSendOverhead);
 
   const std::size_t slot = acquire_bounce_slot();
   std::byte* addr = bounce_addr(slot);
@@ -430,8 +422,7 @@ void Device::post_wire(Endpoint& ep, WireHeader hdr,
 
 RequestPtr Device::irecv(Rank src, Tag tag, std::span<std::byte> buffer) {
   progress();  // every MPI entry point advances the engine (as MPICH does)
-  const auto& dcfg = world_.config().device;
-  charge(dcfg.recv_post_overhead);
+  charge(kRecvPostOverhead);
   auto req = std::make_shared<Request>(RequestKind::recv, next_rndv_id_++);
 
   if (src != kAnySource) {
@@ -618,9 +609,8 @@ void Device::fail_endpoint(Endpoint& ep) {
 void Device::begin_recovery(Endpoint& ep) {
   ep.recovering = true;
   const Rank peer = ep.peer;
-  engine().schedule_after(
-      world_.config().device.reconnect_delay,
-      [this, peer] { world_.recover_pair(me_, peer); });
+  engine().schedule_after(kReconnectDelay,
+                          [this, peer] { world_.recover_pair(me_, peer); });
 }
 
 void Device::prepare_reconnect(Rank peer) {
@@ -647,10 +637,8 @@ void Device::finish_reconnect(Rank peer, int peer_posted) {
   Endpoint& ep = ep_at(peer);
   util::check(ep.qp->connected(), "finish_reconnect before connect");
   // Repost the receive pool on the fresh QP (the old QP flushed or lost
-  // every posted buffer) — except slots retired by dynamic decay, which
-  // must stay retired or the pool silently grows past current_posted.
-  for (std::size_t i = 0; i < ep.slots.size(); ++i)
-    if (!ep.slot_retired[i]) post_slot(ep, i);
+  // every posted buffer).
+  for (std::size_t i = 0; i < ep.slots.size(); ++i) post_slot(ep, i);
   // Replay every wire message the old QP never acknowledged, in original
   // post order (tx ids are monotonic). Piggybacked credits are zeroed: the
   // credit exchange restarts from the reposted pool, and a stale grant
@@ -687,7 +675,6 @@ void Device::finish_reconnect(Rank peer, int peer_posted) {
 void Device::handle_inbound(Endpoint& ep, std::uint64_t slot_idx,
                             std::uint32_t byte_len) {
   (void)byte_len;
-  const auto& dcfg = world_.config().device;
   // Copy, not reference: growing the pool below reallocates ep.slots.
   const RecvSlot slot = ep.slots.at(slot_idx);
   const WireHeader hdr = read_header(slot.addr);
@@ -700,9 +687,9 @@ void Device::handle_inbound(Endpoint& ep, std::uint64_t slot_idx,
                msg_flags(hdr.kind));
   }
   switch (hdr.kind) {
-    case MsgKind::eager_data: charge(dcfg.eager_handle_overhead); break;
-    case MsgKind::rndv_rts: charge(dcfg.rts_handle_overhead); break;
-    default: charge(dcfg.ctrl_handle_overhead); break;
+    case MsgKind::eager_data: charge(kEagerHandleOverhead); break;
+    case MsgKind::rndv_rts: charge(kRtsHandleOverhead); break;
+    default: charge(kCtrlHandleOverhead); break;
   }
 
   if (hdr.seq != ep.rx_seq) {
@@ -750,20 +737,11 @@ void Device::handle_inbound(Endpoint& ep, std::uint64_t slot_idx,
   }
 
   // Re-post the buffer immediately (paper §3.2), return the credit, and
-  // fire an ECM if the accumulation threshold is reached. Under dynamic
-  // decay the buffer may instead be retired, shrinking the pool.
-  if (is_credited(hdr.kind) && hdr.optimistic == 0) {
-    if (!ep.flow.take_decay_slot()) {
-      post_slot(ep, slot_idx);
-      if (ep.flow.on_credited_repost()) send_ecm(ep);
-    } else {
-      // Dynamic decay retires this buffer: it never goes back on the QP,
-      // not even across a reconnect.
-      ep.slot_retired[slot_idx] = 1;
-      ++ep.retired_count;
-    }
-  } else {
-    post_slot(ep, slot_idx);
+  // fire an ECM if the accumulation threshold is reached.
+  post_slot(ep, slot_idx);
+  if (is_credited(hdr.kind) && hdr.optimistic == 0 &&
+      ep.flow.on_credited_repost()) {
+    send_ecm(ep);
   }
   stats_.max_unexpected = std::max(stats_.max_unexpected, match_.unexpected_count());
   drain_backlog(ep);
@@ -909,7 +887,6 @@ Device::EndpointProbe Device::probe(Rank peer) const {
   p.tx_seq = ep.tx_seq;
   p.rx_seq = ep.rx_seq;
   p.slots = ep.slots.size();
-  p.retired_slots = ep.retired_count;
   if (ep.qp) {
     const ib::QpStats& qs = ep.qp->stats();
     p.wqes_posted = qs.recv_wqes_posted;
@@ -932,10 +909,6 @@ ib::QpStats Device::qp_stats(Rank peer) const {
 }
 
 std::vector<Rank> Device::peers() const { return peer_ranks_; }
-
-void Device::retune(const flowctl::TuneDelta& d) {
-  for (const std::unique_ptr<Endpoint>& ep : conn_) ep->flow.retune(d);
-}
 
 void Device::serialize_state(util::serial::BufWriter& w) const {
   w.i32(me_);

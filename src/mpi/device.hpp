@@ -143,8 +143,7 @@ class Device {
     std::size_t backlog_depth = 0;
     std::uint64_t tx_seq = 0;
     std::uint64_t rx_seq = 0;
-    std::size_t slots = 0;          ///< Receive pool size (incl. retired).
-    std::size_t retired_slots = 0;  ///< Slots removed by dynamic decay.
+    std::size_t slots = 0;  ///< Receive pool size.
     // Live QP recv-WQE ledger (zeroed while a reconnect is rebuilding it).
     std::uint64_t wqes_posted = 0;
     std::uint64_t wqes_completed = 0;
@@ -165,10 +164,6 @@ class Device {
   /// Live peers in ascending rank order (deterministic iteration for the
   /// auditor, the watchdog, and serialization).
   std::vector<Rank> peers() const;
-
-  /// Apply a flow-control tuning delta to every live connection (the
-  /// checkpoint-fork sweep's branch point — DESIGN.md §13).
-  void retune(const flowctl::TuneDelta& d);
 
   /// Serialize the rank's complete device state for the snapshot restore
   /// audit: counters, tag-matching queues, every endpoint (flow control,
@@ -197,11 +192,6 @@ class Device {
     std::deque<BacklogEntry> backlog;
     std::vector<Arena> recv_arenas;
     std::vector<RecvSlot> slots;  // index == recv wr_id
-    /// Slots retired by dynamic-decay (take_decay_slot): their buffers are
-    /// never reposted — not even by a reconnect, which would silently grow
-    /// the pool past current_posted and break credit conservation.
-    std::vector<std::uint8_t> slot_retired;
-    std::size_t retired_count = 0;
     bool active = false;
     /// A famine (optimistic) RTS is outstanding: its CTS has not arrived
     /// yet. Throttles optimistic sends to one at a time per connection.
@@ -320,7 +310,7 @@ class Device {
 
   /// Pin-down cache: returns a registration covering [addr, addr+len).
   ib::MemoryRegionHandle pin(std::byte* addr, std::size_t len);
-  /// Register [addr, addr+len) uncached, charging reg_base + reg_per_page
+  /// Register [addr, addr+len) uncached, charging kRegBase + kRegPerPage
   /// per page.
   ib::MemoryRegionHandle register_region(std::byte* addr, std::size_t len);
   /// Drop a rendezvous send, deregistering its device-owned copy if any.

@@ -318,7 +318,6 @@ void World::audit_pair(Rank a, Rank b) {
     eb.owner = owner;
     eb.peer = peer;
     eb.slots = p.slots;
-    eb.retired = p.retired_slots;
     eb.current_posted = posted;
     eb.wqes_posted = p.wqes_posted;
     eb.wqes_completed = p.wqes_completed;
@@ -426,8 +425,8 @@ void World::handle_stall(const sim::WatchdogStall& stall) {
   const auto describe = [&os](const char* label,
                               const Device::EndpointProbe& p) {
     os << "; " << label << ": backlog=" << p.backlog_depth
-       << " recvq=" << p.recvq_depth << " retired=" << p.retired_slots << "/"
-       << p.slots << (p.famine_rts_inflight ? " famine-rts" : "")
+       << " recvq=" << p.recvq_depth << " slots=" << p.slots
+       << (p.famine_rts_inflight ? " famine-rts" : "")
        << (p.retx_armed ? " retx-armed" : "")
        << (p.rnr_waiting ? " rnr-waiting" : "")
        << (p.recovering ? " recovering" : "") << (p.failed ? " failed" : "");

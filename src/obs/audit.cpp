@@ -78,20 +78,16 @@ void audit_delivery_window(const DeliveryWindow& d) {
 void audit_buffer_accounting(const EndpointBuffers& e) {
   const auto fail = [&](const std::string& what) {
     std::ostringstream os;
-    os << what << " (slots=" << e.slots << " retired=" << e.retired
-       << " current_posted=" << e.current_posted
+    os << what << " (slots=" << e.slots << " current_posted=" << e.current_posted
        << " wqes_posted=" << e.wqes_posted
        << " recvq_depth=" << e.recvq_depth << " assembly_holds="
        << (e.assembly_holds_wqe ? 1 : 0) << " completed=" << e.wqes_completed
        << " flushed=" << e.wqes_flushed << ")";
     throw AuditError("buffer-accounting", e.owner, e.peer, os.str());
   };
-  if (e.retired > e.slots) fail("more slots retired than ever existed");
-  const std::int64_t live =
-      static_cast<std::int64_t>(e.slots) - static_cast<std::int64_t>(e.retired);
-  if (live != e.current_posted) {
+  if (static_cast<std::int64_t>(e.slots) != e.current_posted) {
     std::ostringstream os;
-    os << "receive pool shape broken: slots - retired = " << live
+    os << "receive pool shape broken: slots = " << e.slots
        << " != current_posted = " << e.current_posted;
     fail(os.str());
   }

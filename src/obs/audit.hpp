@@ -80,17 +80,16 @@ struct DeliveryWindow {
 void audit_delivery_window(const DeliveryWindow& d);
 
 /// Buffer accounting for one endpoint (owner's pool toward peer):
-///   slots − retired == current_posted                       (pool shape)
+///   slots == current_posted                                 (pool shape)
 ///   wqes_posted == recvq_depth + holds + completed + flushed (QP ledger)
 /// The first catches a pre-posted buffer leaked or double-consumed across
-/// decay / retransmit / reconnect; the second catches the QP losing or
+/// growth / retransmit / reconnect; the second catches the QP losing or
 /// duplicating a recv WQE. Callers skip endpoints mid-reconnect (the
 /// fresh QP's ledger restarts at zero while the pool carries over).
 struct EndpointBuffers {
   int owner = -1;
   int peer = -1;
   std::size_t slots = 0;
-  std::size_t retired = 0;
   std::int64_t current_posted = 0;
   std::uint64_t wqes_posted = 0;
   std::uint64_t wqes_completed = 0;

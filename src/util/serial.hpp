@@ -174,7 +174,12 @@ inline constexpr char kMagic[8] = {'M', 'V', 'F', 'L', 'O', 'W', 'C', 'K'};
 // v7: RC send/recv and RDMA write only — a QP entry drops its service-type
 // byte, the requester's copy of the advertised credits and the RDMA-read
 // reassembly list; the config section drops the end-to-end pacing switch.
-inline constexpr std::uint32_t kVersion = 7;
+// v8: a setting survives only if an experiment sets it — the config
+// section keeps the flow settings, the RNR and transport timers, the
+// transport retry limit, the fault plan and auto_reconnect (calibration
+// values are compile-time constants); a connection's flow state drops the
+// decay fields and counter; a queued send drops its RNR retry budget.
+inline constexpr std::uint32_t kVersion = 8;
 inline constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 8 + 4;
 
 struct Section {

@@ -126,6 +126,51 @@ TEST(AuditNegative, ReverseDirectionNamesTheOtherEndpoint) {
   }
 }
 
+// Both failure branches of the buffer check, on hand-built endpoints: a
+// pool whose slot count disagrees with the flow's posted count, and a QP
+// whose recv-WQE ledger does not close. Each names its connection.
+TEST(AuditNegative, BufferAccountingNamesPoolShapeAndLedger) {
+  obs::EndpointBuffers ok;
+  ok.owner = 2;
+  ok.peer = 5;
+  ok.slots = 8;
+  ok.current_posted = 8;
+  ok.wqes_posted = 20;
+  ok.recvq_depth = 7;
+  ok.assembly_holds_wqe = true;
+  ok.wqes_completed = 10;
+  ok.wqes_flushed = 2;
+  ASSERT_NO_THROW(obs::audit_buffer_accounting(ok));
+
+  obs::EndpointBuffers shape = ok;
+  shape.slots = 9;  // a buffer posted that the flow never counted
+  try {
+    obs::audit_buffer_accounting(shape);
+    FAIL() << "a pool larger than current_posted must not pass";
+  } catch (const obs::AuditError& e) {
+    EXPECT_EQ(e.section(), "buffer-accounting");
+    EXPECT_EQ(e.src(), 2);
+    EXPECT_EQ(e.dst(), 5);
+    EXPECT_NE(std::string(e.what()).find("receive pool shape broken"),
+              std::string::npos)
+        << e.what();
+  }
+
+  obs::EndpointBuffers ledger = ok;
+  ledger.wqes_completed = 9;  // one recv WQE vanished inside the QP
+  try {
+    obs::audit_buffer_accounting(ledger);
+    FAIL() << "an unbalanced recv-WQE ledger must not pass";
+  } catch (const obs::AuditError& e) {
+    EXPECT_EQ(e.section(), "buffer-accounting");
+    EXPECT_EQ(e.src(), 2);
+    EXPECT_EQ(e.dst(), 5);
+    EXPECT_NE(std::string(e.what()).find("recv WQE ledger unbalanced"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ---- satellite: failed backlog returns its slots to the books ----------
 
 // When retry exhaustion kills a connection with sends still backlogged

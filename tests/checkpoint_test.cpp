@@ -3,9 +3,8 @@
 // bad-magic files must be rejected with a diagnostic, never half-applied),
 // the golden checkpoint-determinism property (uninterrupted run ==
 // checkpoint-at-k + restore, in-process and across processes via the
-// mvflow_ckpt binary), the checkpoint-fork sweep, the churn
-// kill->restore->reconnect path, and the restore audit's divergence
-// detection.
+// mvflow_ckpt binary), the churn kill->restore->reconnect path, and the
+// restore audit's divergence detection.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -98,6 +97,71 @@ TEST(CheckpointContainer, EncodeDecodeRoundTrip) {
 
   // decode() must be lossless: re-encoding reproduces the file byte-exactly.
   EXPECT_EQ(ckpt::encode(snap), file);
+}
+
+// Every setting the config section carries survives encode/decode. Each
+// is set away from its default, so a field the encoder drops, or the
+// decoder reads into the wrong slot, shows up as a mismatch.
+TEST(CheckpointContainer, ConfigRoundTripsEverySetting) {
+  ckpt::WorldSnapshot snap;
+  mpi::WorldConfig& cfg = snap.config;
+  cfg.num_ranks = 5;
+  cfg.on_demand_connections = true;
+  cfg.max_sim_time = sim::milliseconds(1234);
+  cfg.flow.scheme = flowctl::Scheme::hardware;
+  cfg.flow.prepost = 7;
+  cfg.flow.ecm_threshold = 3;
+  cfg.flow.growth_step = 4;
+  cfg.flow.exponential_growth = true;
+  cfg.flow.max_prepost = 99;
+  cfg.fabric.rnr_timeout = sim::microseconds(77);
+  cfg.fabric.transport_timeout = sim::microseconds(31);
+  cfg.fabric.transport_retry_limit = -1;
+  cfg.fabric.fault.seed = 0x1234abcd;
+  cfg.fabric.fault.loss_prob = 0.125;
+  cfg.fabric.fault.corrupt_prob = 0.0625;
+  cfg.fabric.fault.flaps.push_back(
+      {3, sim::TimePoint{sim::microseconds(10)},
+       sim::TimePoint{sim::microseconds(20)}});
+  cfg.fabric.fault.scripted.push_back({1, 2, 0, 6, true});
+  cfg.device.auto_reconnect = true;
+  snap.trace_armed = true;
+  snap.trace_capacity = 4096;
+  snap.workload = pingpong_spec();
+  snap.barrier = 42;
+  snap.state.push_back({ckpt::kSecEngine, std::vector<std::byte>(3)});
+
+  const ckpt::WorldSnapshot got = ckpt::decode(ckpt::encode(snap));
+  const mpi::WorldConfig& c = got.config;
+  EXPECT_EQ(c.num_ranks, 5);
+  EXPECT_TRUE(c.on_demand_connections);
+  EXPECT_EQ(c.max_sim_time, sim::milliseconds(1234));
+  EXPECT_TRUE(got.trace_armed);
+  EXPECT_EQ(got.trace_capacity, 4096u);
+  EXPECT_EQ(c.flow.scheme, flowctl::Scheme::hardware);
+  EXPECT_EQ(c.flow.prepost, 7);
+  EXPECT_EQ(c.flow.ecm_threshold, 3);
+  EXPECT_EQ(c.flow.growth_step, 4);
+  EXPECT_TRUE(c.flow.exponential_growth);
+  EXPECT_EQ(c.flow.max_prepost, 99);
+  EXPECT_EQ(c.fabric.rnr_timeout, sim::microseconds(77));
+  EXPECT_EQ(c.fabric.transport_timeout, sim::microseconds(31));
+  EXPECT_EQ(c.fabric.transport_retry_limit, -1);
+  EXPECT_EQ(c.fabric.fault.seed, 0x1234abcdu);
+  EXPECT_EQ(c.fabric.fault.loss_prob, 0.125);
+  EXPECT_EQ(c.fabric.fault.corrupt_prob, 0.0625);
+  ASSERT_EQ(c.fabric.fault.flaps.size(), 1u);
+  EXPECT_EQ(c.fabric.fault.flaps[0].node, 3);
+  EXPECT_EQ(c.fabric.fault.flaps[0].down, sim::microseconds(10));
+  EXPECT_EQ(c.fabric.fault.flaps[0].up, sim::microseconds(20));
+  ASSERT_EQ(c.fabric.fault.scripted.size(), 1u);
+  const ib::ScriptedFault& sf = c.fabric.fault.scripted[0];
+  EXPECT_EQ(sf.src_node, 1);
+  EXPECT_EQ(sf.dst_node, 2);
+  EXPECT_EQ(sf.kind, 0);
+  EXPECT_EQ(sf.skip, 6u);
+  EXPECT_TRUE(sf.corrupt);
+  EXPECT_TRUE(c.device.auto_reconnect);
 }
 
 TEST(CheckpointContainer, InspectablePerSectionNames) {
@@ -330,53 +394,6 @@ TEST(CheckpointAudit, UnknownWorkloadRejected) {
   }
 }
 
-// ---- fork sweep -------------------------------------------------------
-
-// One warm snapshot, three flow-control tunings branched at the barrier.
-// Results must be identical whether the branches run serially or on four
-// SweepRunner threads (job-order contract), and retuning must actually
-// change the downstream outcome for at least one branch.
-TEST(CheckpointFork, ThreeBranchesSerialEqualsParallel) {
-  mpi::WorldConfig cfg = small_world();
-  cfg.flow.ecm_threshold = 5;
-  cfg.flow.growth_step = 1;
-  mpi::WorkloadSpec spec;
-  spec.name = "bw";
-  spec.params["bytes"] = 256;
-  spec.params["window"] = 24;
-  spec.params["reps"] = 30;
-
-  const ckpt::RunResult ref = ckpt::run_reference(cfg, spec);
-  const std::uint64_t warm = executed_events(ref.metrics) / 4;
-  const std::string path =
-      write_checkpoint(cfg, spec, warm, "fork.ck");
-
-  std::vector<ckpt::ForkBranch> branches(3);
-  branches[0].label = "baseline";
-  branches[1].label = "eager-growth";
-  branches[1].tune.ecm_threshold = 1;
-  branches[1].tune.growth_step = 8;
-  branches[2].label = "exp-growth";
-  branches[2].tune.exponential_growth = true;
-  branches[2].tune.ecm_threshold = 2;
-
-  const auto serial = ckpt::fork_sweep(path, branches, /*jobs=*/1);
-  const auto parallel = ckpt::fork_sweep(path, branches, /*jobs=*/4);
-  ASSERT_EQ(serial.size(), 3u);
-  ASSERT_EQ(parallel.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(serial[i].label, branches[i].label);
-    EXPECT_EQ(serial[i].label, parallel[i].label);
-    EXPECT_EQ(serial[i].elapsed.count(), parallel[i].elapsed.count());
-    EXPECT_EQ(serial[i].metrics.to_json(), parallel[i].metrics.to_json());
-  }
-  // The untouched branch reproduces the uninterrupted reference...
-  EXPECT_EQ(serial[0].elapsed.count(), ref.elapsed.count());
-  EXPECT_EQ(serial[0].metrics.to_json(), ref.metrics.to_json());
-  // ...and the retuned branches genuinely diverge from it.
-  EXPECT_NE(serial[1].metrics.to_json(), serial[0].metrics.to_json());
-}
-
 // ---- churn ------------------------------------------------------------
 
 // Mid-flight kill, then restore from the snapshot written before the
@@ -578,6 +595,13 @@ TEST(CheckpointProcess, CliRejectsUnreadOptionWithExit1) {
   // pending-set structure, so --scheduler has nothing left to select.
   EXPECT_EQ(run_cli("run --workload=pingpong --scheduler=heap4", out), 1);
   EXPECT_NE(slurp(out).find("--scheduler"), std::string::npos) << slurp(out);
+
+  // So are the dynamic-decay and fork-sweep tuning flags. The restore is
+  // refused before its (missing) snapshot is read: exit 1, not 3.
+  EXPECT_EQ(run_cli("run --workload=pingpong --decay=1", out), 1);
+  EXPECT_NE(slurp(out).find("--decay"), std::string::npos) << slurp(out);
+  EXPECT_EQ(run_cli("restore " + ck + " --tune-ecm=1", out), 1);
+  EXPECT_NE(slurp(out).find("--tune-ecm"), std::string::npos) << slurp(out);
 }
 
 #endif  // MVFLOW_CKPT_BIN

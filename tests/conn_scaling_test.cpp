@@ -124,7 +124,6 @@ TEST(ConnScaling, WorldTotalsFoldEveryCounterAcrossReconnect) {
   cfg.flow.prepost = 8;
   cfg.fabric.transport_timeout = sim::microseconds(40);
   cfg.fabric.transport_retry_limit = 2;
-  cfg.fabric.rnr_retry_limit = -1;
   cfg.fabric.fault.seed = 7;
   cfg.fabric.fault.loss_prob = 0.05;
   cfg.fabric.fault.flaps.push_back({1, sim::TimePoint{sim::microseconds(10)},

@@ -221,20 +221,6 @@ TEST_F(RcFixture, PipelinedMessagesAfterRnrAreDroppedAndReplayed) {
   EXPECT_GE(qp_a_->stats().retransmitted_messages, 5u);
 }
 
-TEST_F(RcFixture, RnrRetryLimitErrorsQpWhenExceeded) {
-  FabricConfig cfg;
-  cfg.rnr_retry_limit = 2;
-  reset(cfg);
-  post_send_a(64);
-  engine_->run();  // receiver never posts
-
-  const auto wcs_a = drain(*cq_a_);
-  ASSERT_EQ(wcs_a.size(), 1u);
-  EXPECT_EQ(wcs_a[0].status, WcStatus::rnr_retry_exceeded);
-  EXPECT_EQ(qp_a_->state(), QpState::error);
-  EXPECT_EQ(qp_a_->stats().rnr_naks_received, 3u);  // initial + 2 retries
-}
-
 TEST_F(RcFixture, InfiniteRetryNeverErrors) {
   post_send_a(64);
   engine_->run_until(TimePoint(milliseconds(5)));
@@ -405,5 +391,5 @@ TEST_F(RcFixture, FabricStatsCountPacketsAndBytes) {
   EXPECT_EQ(fabric_->stats().data_packets, 1u);
   EXPECT_EQ(fabric_->stats().control_packets, 1u);
   EXPECT_EQ(fabric_->stats().wire_bytes,
-            100u + fabric_->config().data_header_bytes + fabric_->config().ack_bytes);
+            100u + kDataHeaderBytes + kAckBytes);
 }

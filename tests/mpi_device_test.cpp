@@ -39,38 +39,27 @@ TEST(RegCache, RepeatedRendezvousFromSameBufferHitsCache) {
   EXPECT_EQ(s.reg_cache_hits, 9u);
 }
 
-TEST(RegCache, DisabledCacheRegistersEveryTime) {
-  WorldConfig cfg = two_ranks();
-  cfg.device.reg_cache = false;
-  World world(cfg);
-  world.run([&](Communicator& comm) {
-    std::vector<std::byte> buf(64 * 1024);
-    for (int i = 0; i < 5; ++i) {
-      if (comm.rank() == 0) comm.send(buf, 1, 0);
-      else comm.recv(buf, 0, 0);
-    }
-  });
-  EXPECT_EQ(world.device(0).stats().reg_cache_misses, 5u);
-  EXPECT_EQ(world.device(0).stats().reg_cache_hits, 0u);
-}
-
 TEST(RegCache, PinCostShowsUpInSimulatedTime) {
-  auto run_once = [&](bool cache) {
-    WorldConfig cfg = two_ranks();
-    cfg.device.reg_cache = cache;
-    World world(cfg);
-    return world.run([&](Communicator& comm) {
-      std::vector<std::byte> buf(256 * 1024);
-      for (int i = 0; i < 8; ++i) {
+  // Eight rendezvous sends of one buffer pin it once; eight sends of eight
+  // buffers pin every time, and each pin costs simulated time.
+  auto run_once = [&](std::size_t buffers) {
+    World world(two_ranks());
+    const auto elapsed = world.run([&](Communicator& comm) {
+      std::vector<std::vector<std::byte>> bufs(
+          buffers, std::vector<std::byte>(256 * 1024));
+      for (std::size_t i = 0; i < 8; ++i) {
+        std::vector<std::byte>& buf = bufs[i % buffers];
         if (comm.rank() == 0) comm.send(buf, 1, 0);
         else comm.recv(buf, 0, 0);
       }
     });
+    EXPECT_EQ(world.device(0).stats().reg_cache_misses, buffers);
+    return elapsed;
   };
-  const auto with_cache = run_once(true);
-  const auto without = run_once(false);
-  EXPECT_GT(without.count(), with_cache.count())
-      << "re-pinning every transfer must cost simulated time";
+  const auto one_buffer = run_once(1);
+  const auto eight_buffers = run_once(8);
+  EXPECT_GT(eight_buffers.count(), one_buffer.count())
+      << "pinning every transfer must cost simulated time";
 }
 
 TEST(FamineConversion, CountsSmallSendsTurnedRendezvous) {

@@ -1,5 +1,4 @@
-// MPI send modes (paper §3.1 lists Standard, Synchronous, Buffered, Ready)
-// and the dynamic scheme's decay extension (paper §4.3 future work).
+// MPI send modes (paper §3.1 lists Standard, Synchronous, Buffered, Ready).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -98,94 +97,4 @@ TEST(SendModes, ReadyAndBufferedDeliverCorrectly) {
       EXPECT_EQ(b, v);
     }
   });
-}
-
-TEST(DynamicDecay, PoolShrinksAfterBurstSubsides) {
-  WorldConfig cfg = two_ranks(2);
-  cfg.flow.scheme = flowctl::Scheme::user_dynamic;
-  cfg.flow.allow_decay = true;
-  cfg.flow.decay_idle_msgs = 50;
-  World world(cfg);
-  int posted_after_burst = 0;
-  int posted_at_end = 0;
-  world.run([&](Communicator& comm) {
-    std::vector<std::int64_t> vals(200);
-    if (comm.rank() == 0) {
-      // Phase 1: a burst that forces the pool to grow.
-      std::vector<RequestPtr> reqs;
-      for (int i = 0; i < 200; ++i) {
-        vals[static_cast<std::size_t>(i)] = i;
-        reqs.push_back(comm.isend_n(&vals[static_cast<std::size_t>(i)], 1, 1, 0));
-      }
-      comm.wait_all(reqs);
-      // Phase 2: a long, calm ping-pong phase.
-      std::int64_t v = 0;
-      for (int i = 0; i < 400; ++i) {
-        comm.send_n(&v, 1, 1, 1);
-        comm.recv_n(&v, 1, 1, 1);
-      }
-    } else {
-      std::int64_t v = -1;
-      for (int i = 0; i < 200; ++i) comm.recv_n(&v, 1, 0, 0);
-      posted_after_burst = world.device(1).flow(0).current_posted();
-      for (int i = 0; i < 400; ++i) {
-        comm.recv_n(&v, 1, 0, 1);
-        comm.send_n(&v, 1, 0, 1);
-      }
-      posted_at_end = world.device(1).flow(0).current_posted();
-    }
-  });
-  EXPECT_GT(posted_after_burst, 2) << "burst must grow the pool";
-  EXPECT_LT(posted_at_end, posted_after_burst) << "idle phase must shrink it";
-  std::uint64_t decays = 0;
-  for (const auto& c : world.collect_stats().connections)
-    decays += c.flow.decay_events;
-  EXPECT_GT(decays, 0u);
-}
-
-TEST(DynamicDecay, DisabledByDefault) {
-  WorldConfig cfg = two_ranks(1);
-  cfg.flow.scheme = flowctl::Scheme::user_dynamic;
-  World world(cfg);
-  world.run([&](Communicator& comm) {
-    std::vector<std::int64_t> vals(100);
-    if (comm.rank() == 0) {
-      std::vector<RequestPtr> reqs;
-      for (int i = 0; i < 100; ++i)
-        reqs.push_back(comm.isend_n(&vals[static_cast<std::size_t>(i)], 1, 1, 0));
-      comm.wait_all(reqs);
-      std::int64_t v = 0;
-      for (int i = 0; i < 300; ++i) {
-        comm.send_n(&v, 1, 1, 1);
-        comm.recv_n(&v, 1, 1, 1);
-      }
-    } else {
-      std::int64_t v = -1;
-      for (int i = 0; i < 100; ++i) comm.recv_n(&v, 1, 0, 0);
-      for (int i = 0; i < 300; ++i) {
-        comm.recv_n(&v, 1, 0, 1);
-        comm.send_n(&v, 1, 0, 1);
-      }
-    }
-  });
-  std::uint64_t decays = 0;
-  for (const auto& c : world.collect_stats().connections)
-    decays += c.flow.decay_events;
-  EXPECT_EQ(decays, 0u) << "decay is the paper's future work: off by default";
-}
-
-TEST(DynamicDecay, GrowthCancelsPendingDecay) {
-  flowctl::Config cfg;
-  cfg.scheme = flowctl::Scheme::user_dynamic;
-  cfg.prepost = 1;
-  cfg.allow_decay = true;
-  cfg.decay_idle_msgs = 3;
-  flowctl::ConnectionFlow f(cfg);
-  f.on_backlogged_flag();  // pool 1 -> 2
-  EXPECT_FALSE(f.take_decay_slot());
-  EXPECT_FALSE(f.take_decay_slot());
-  EXPECT_FALSE(f.take_decay_slot());  // decay armed for the next repost
-  f.on_backlogged_flag();             // pressure returns: pool 2 -> 3
-  EXPECT_FALSE(f.take_decay_slot()) << "growth must cancel the armed decay";
-  EXPECT_EQ(f.current_posted(), 3);
 }

@@ -183,7 +183,6 @@ TEST(ProfGolden, ReconnectAllPairsMatchesPinnedProfile) {
   cfg.run.watchdog_horizon_us = 100000;
   cfg.fabric.transport_timeout = sim::microseconds(40);
   cfg.fabric.transport_retry_limit = 2;
-  cfg.fabric.rnr_retry_limit = -1;
   cfg.fabric.fault.seed = 22;
   cfg.fabric.fault.loss_prob = 0.05;
   cfg.device.auto_reconnect = true;

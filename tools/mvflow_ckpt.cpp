@@ -3,7 +3,6 @@
 //   mvflow_ckpt run      --workload=NAME [workload/world options]
 //                        [--checkpoint=PATH@K[,K2...]] [--kill=K] [--trace]
 //   mvflow_ckpt restore  SNAPSHOT [--checkpoint=PATH@K...] [--kill=K]
-//                        [--tune-ecm=N --tune-growth=N ...]
 //   mvflow_ckpt inspect  SNAPSHOT
 //
 // `run` executes a registered workload from scratch, optionally writing
@@ -65,9 +64,6 @@ mpi::WorldConfig config_from_options(const util::Options& opt) {
   cfg.flow.growth_step = static_cast<int>(opt.get_int("growth", 1));
   cfg.flow.exponential_growth = opt.get_bool("expgrowth", false);
   cfg.flow.max_prepost = static_cast<int>(opt.get_int("maxprepost", 1024));
-  cfg.flow.allow_decay = opt.get_bool("decay", false);
-  cfg.flow.decay_idle_msgs =
-      static_cast<int>(opt.get_int("decayidle", 512));
   cfg.on_demand_connections = opt.get_bool("ondemand", false);
   cfg.max_sim_time = sim::milliseconds(opt.get_int("maxsim-ms", 30000));
   cfg.fabric.fault.seed =
@@ -107,21 +103,6 @@ void parse_checkpoint_arg(const util::Options& opt,
   ro.kill_at = static_cast<std::uint64_t>(opt.get_int("kill", 0));
 }
 
-flowctl::TuneDelta tune_from_options(const util::Options& opt) {
-  flowctl::TuneDelta d;
-  if (opt.get("tune-ecm")) d.ecm_threshold = (int)opt.get_int("tune-ecm", 0);
-  if (opt.get("tune-growth"))
-    d.growth_step = static_cast<int>(opt.get_int("tune-growth", 0));
-  if (opt.get("tune-expgrowth"))
-    d.exponential_growth = opt.get_bool("tune-expgrowth", false);
-  if (opt.get("tune-maxprepost"))
-    d.max_prepost = static_cast<int>(opt.get_int("tune-maxprepost", 0));
-  if (opt.get("tune-decay")) d.allow_decay = opt.get_bool("tune-decay", false);
-  if (opt.get("tune-decayidle"))
-    d.decay_idle_msgs = static_cast<int>(opt.get_int("tune-decayidle", 0));
-  return d;
-}
-
 void print_result(const mpi::ckpt::RunResult& rr) {
   // The metrics CRC fingerprints the whole flattened registry; two runs
   // print the same line iff every counter, stat, and histogram matches.
@@ -147,19 +128,7 @@ int cmd_run(const util::Options& opt) {
   const auto metrics_path = opt.get("metrics");
   reject_unused(opt);
 
-  mpi::World world(cfg);
-  world.set_workload(spec);
-  if (!ro.checkpoint_path.empty()) {
-    mpi::ckpt::arm_checkpoints(world, ro.checkpoint_path,
-                               ro.checkpoint_events);
-  }
-  if (ro.kill_at > 0) {
-    world.engine().set_watchpoint(ro.kill_at, [&world] { world.abort_run(); });
-  }
-  mpi::ckpt::RunResult rr;
-  rr.elapsed = world.run_workload();
-  rr.aborted = world.aborted();
-  rr.metrics = world.metrics().snapshot();
+  const mpi::ckpt::RunResult rr = mpi::ckpt::run_reference(cfg, spec, ro);
   if (metrics_path) rr.metrics.write_json(*metrics_path);
   print_result(rr);
   return 0;
@@ -172,7 +141,6 @@ int cmd_restore(const util::Options& opt) {
   }
   mpi::ckpt::RestoreOptions ro;
   parse_checkpoint_arg(opt, ro);
-  ro.tune = tune_from_options(opt);
   const auto metrics_path = opt.get("metrics");
   reject_unused(opt);
 
