@@ -14,7 +14,9 @@
 // at `rounds` and `2*rounds` and reports marginal events per wall second,
 // which cancels the N-dependent fixed cost of building the world and
 // spawning rank processes — exactly the per-poll cost the O(active) claim
-// is about. Three exact verdicts ride in the meta block and are gated
+// is about. Each side's wall time is the fastest of three runs, lo and hi
+// alternating: with one run each, a busy host can push the difference
+// below zero. Three exact verdicts ride in the meta block and are gated
 // bit-for-bit by check_perf_regression.py:
 //
 //   o_active_slope_invariant — marginal *simulated events* per round at
@@ -49,6 +51,12 @@ struct CellResult {
   std::uint64_t connections = 0;
   sim::EnginePerfStats perf;
 };
+
+/// Keep the faster of two runs of one cell; their simulated results are
+/// identical.
+void keep_fastest(CellResult& best, const CellResult& run) {
+  if (best.wall_s == 0 || run.wall_s < best.wall_s) best = run;
+}
 
 CellResult run_cell(mpi::WorldConfig cfg, const mpi::WorkloadSpec& spec) {
   mpi::World world(std::move(cfg));
@@ -139,8 +147,12 @@ int main(int argc, char** argv) {
   for (const int ranks : {16, 64, 256, 1024}) {
     mpi::WorldConfig cfg = scaling_config(ranks);
     cfg.on_demand_connections = true;
-    const CellResult lo = run_cell(cfg, hotspot_spec(hot_rounds));
-    const CellResult hi = run_cell(cfg, hotspot_spec(2 * hot_rounds));
+    CellResult lo;
+    CellResult hi;
+    for (int rep = 0; rep < 3; ++rep) {
+      keep_fastest(lo, run_cell(cfg, hotspot_spec(hot_rounds)));
+      keep_fastest(hi, run_cell(cfg, hotspot_spec(2 * hot_rounds)));
+    }
     // Marginal cost of `rounds` more rounds: fixed world-size costs
     // (spawning N rank processes, building N devices) cancel out.
     const std::uint64_t slope_events = hi.events - lo.events;

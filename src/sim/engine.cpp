@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <mutex>
+#include <utility>
 
 #include "sim/process.hpp"
 #include "util/check.hpp"
@@ -87,11 +88,8 @@ std::uint32_t Engine::acquire_slot_grow() {
 }
 
 void Engine::release_slot(std::uint32_t slot) noexcept {
-  Node& n = node(slot);
-  ++n.gen;  // every outstanding handle to this event is now invalid
-  n.fn.reset();
-  n.next_free = free_head_;
-  free_head_ = slot;
+  ++node(slot).gen;  // every outstanding handle to this event is now invalid
+  release_fired(slot);
 }
 
 void Engine::past_schedule_fail() const {
@@ -148,45 +146,33 @@ void Engine::fire_watchpoints() {
   for (auto& fn : due) fn();
 }
 
-std::size_t Engine::run() {
-  util::check(!running_, "Engine::run is not reentrant");
-  running_ = true;
-  stopped_ = false;
-  horizon_ = TimePoint::max();
-  const std::uint64_t start = perf_.executed;
-  SchedEntry top;
-  while (!stopped_ && peek_live(top)) {
-    fire_entry(top);
-    if (perf_.executed >= next_watch_) fire_watchpoints();
-  }
-  running_ = false;
-  if (first_error_) {
-    auto e = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(e);
-  }
-  return static_cast<std::size_t>(perf_.executed - start);
-}
+std::size_t Engine::run() { return dispatch(TimePoint::max()); }
 
 std::size_t Engine::run_until(TimePoint t) {
+  const std::size_t executed = dispatch(t);
+  if (!stopped_) now_ = std::max(now_, t);
+  return executed;
+}
+
+std::size_t Engine::dispatch(TimePoint horizon) {
   util::check(!running_, "Engine::run is not reentrant");
   running_ = true;
   stopped_ = false;
-  horizon_ = t;
+  horizon_ = horizon;
+  struct Running {
+    bool& flag;
+    ~Running() { flag = false; }
+  } running{running_};
   const std::uint64_t start = perf_.executed;
-  // peek_live() first: a zombie at the front must not gate (or satisfy)
-  // the time check — only the earliest *live* event's time matters.
-  SchedEntry top;
-  while (!stopped_ && peek_live(top) && top.t <= t) {
-    fire_entry(top);
+  // An event that wakes a process switches to it, and the processes then
+  // dispatch on their own stacks (Process::suspend). The thread comes back
+  // here, inside that event's callback, only when nothing may run, at a
+  // watchpoint, after an error, or when a body ends.
+  while (step()) {
     if (perf_.executed >= next_watch_) fire_watchpoints();
   }
-  if (!stopped_) now_ = std::max(now_, t);
-  running_ = false;
   if (first_error_) {
-    auto e = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(e);
+    std::rethrow_exception(std::exchange(first_error_, nullptr));
   }
   return static_cast<std::size_t>(perf_.executed - start);
 }

@@ -6,7 +6,9 @@
 // scheduling order, which makes runs bit-deterministic. A process delay
 // whose wake is provably the next event completes in place instead: it
 // takes its sequence number and counts as an event, but never enters the
-// heap (wake_inline).
+// heap (wake_inline). The dispatch loop runs on whichever stack holds the
+// thread: the run() caller's, or a blocked process's fiber (step(),
+// Process::suspend).
 //
 // The hot path is allocation-free in steady state: event nodes live in a
 // freelist-recycled slab, callbacks are stored inline (InplaceFunction),
@@ -36,6 +38,9 @@ namespace mvflow::sim {
 
 class Engine;
 class Process;
+/// A saved execution context the fiber switch resumes: a process's fiber
+/// stack, or a thread's own stack (process.cpp).
+struct SwitchContext;
 
 /// Engine self-observation counters: how much work the scheduler did and
 /// how well the event-node pool avoided the allocator. `pool_hit_rate()`
@@ -167,8 +172,9 @@ class Engine {
 
   /// Run events until the queue is empty or stop() is called. Returns the
   /// number of events executed, inline process wakes included. If a
-  /// process body threw, the exception is rethrown here after the engine
-  /// stops.
+  /// process body threw, or an event callback threw on a process's stack,
+  /// the exception is rethrown here after the engine stops; a callback
+  /// that throws on the caller's own stack propagates directly.
   std::size_t run();
 
   /// Run events with time <= t; leaves later events queued. Advances now()
@@ -187,15 +193,24 @@ class Engine {
 
   const EnginePerfStats& perf_stats() const noexcept { return perf_; }
 
+  /// Fiber switches made so far: one per handoff between the run caller
+  /// and a process or between two processes (DESIGN.md D1). A host-side
+  /// count, so it stays out of EnginePerfStats, metrics documents and
+  /// snapshots.
+  std::uint64_t fiber_switches() const noexcept { return switches_; }
+
   /// Run `fn` at the first event boundary at which executed_events() is at
   /// least `executed` (checked after each dispatch, so the callback
-  /// observes a consistent "between events" world). Inline process wakes
-  /// count as executed events but end no dispatch, so a count they cross
-  /// is seen at the next boundary, where executed_events() may already be
-  /// past it. Several watchpoints may share a count; each fires exactly
-  /// once, in registration order. The callback runs in engine context and
-  /// may capture state, register further watchpoints, or call stop(); the
-  /// inactive-path cost in the dispatch loop is a single integer compare.
+  /// observes a consistent "between events" world). An event that wakes a
+  /// process ends when that process next blocks or ends. Inline process
+  /// wakes count as executed events but end no dispatch, so a count they
+  /// cross is seen at the next boundary, where executed_events() may
+  /// already be past it. Several watchpoints may share a count; each fires
+  /// exactly once, in registration order. The callback runs in engine
+  /// context on the run() caller's stack (a dispatching process hands the
+  /// thread back first) and may capture state, register further
+  /// watchpoints, or call stop(); the inactive-path cost in the dispatch
+  /// loop is a single integer compare.
   /// This is the checkpoint hook (DESIGN.md §13): "checkpoint at k events"
   /// arms a watchpoint at k.
   void set_watchpoint(std::uint64_t executed, std::function<void()> fn);
@@ -221,6 +236,8 @@ class Engine {
   void register_process(Process* p);
   void unregister_process(Process* p);
   void record_error(std::exception_ptr e);
+  /// run() and run_until(): the dispatch loop on the caller's stack.
+  std::size_t dispatch(TimePoint horizon);
   /// One compare inline (schedule_at is the hottest entry point); the
   /// throw machinery stays out of line.
   void require_not_past(TimePoint t) const {
@@ -266,9 +283,9 @@ class Engine {
   /// not look at watchpoints: a count it crosses is seen at the next event
   /// boundary. Returns false, changing nothing, when the wake must queue.
   ///
-  /// Sound only if whoever resumed the calling process does nothing after
-  /// resume() returns, so that a queued wake would have been the very next
-  /// pop; Process::delay, the one caller, ensures it (DESIGN.md §10).
+  /// Sound only if whoever woke the calling process does nothing after
+  /// Process::wake(), so that a queued wake would have been the very next
+  /// pop; Process::delay, the one caller, relies on it (DESIGN.md §10).
   bool wake_inline(TimePoint t) noexcept {
     if (!running_ || stopped_ || t > horizon_) return false;
     const SchedEntry* top = pending_.peek();
@@ -320,6 +337,28 @@ class Engine {
   bool peek_live(SchedEntry& out);
   /// Pop `out` (the entry peek_live just surfaced) and run its callback.
   void fire_entry(const SchedEntry& top);
+  /// One dispatch step, callable from any context: the run loop on the
+  /// caller's stack, or a blocked process's fiber (Process::suspend). If
+  /// the run may go on (not stopped, and a live event is due within the
+  /// horizon), fire that event and return true; otherwise change nothing
+  /// and return false. Watchpoints are the caller's to check.
+  bool step() {
+    if (stopped_) return false;
+    // peek_live() first: a zombie at the front must not gate (or satisfy)
+    // the horizon check — only the earliest *live* event's time matters.
+    SchedEntry top;
+    if (!peek_live(top) || top.t > horizon_) return false;
+    fire_entry(top);
+    return true;
+  }
+  /// Return a fired event's slot to the freelist (its generation already
+  /// advanced when it fired).
+  void release_fired(std::uint32_t slot) noexcept {
+    Node& n = node(slot);
+    n.fn.reset();
+    n.next_free = free_head_;
+    free_head_ = slot;
+  }
   void fire_watchpoints();
   void recompute_next_watch() noexcept;
 
@@ -345,12 +384,30 @@ class Engine {
   /// dispatch loop pays one compare when no watchpoint is armed.
   std::vector<std::pair<std::uint64_t, std::function<void()>>> watchpoints_;
   std::uint64_t next_watch_ = ~0ull;
+
+  // ---- the rank handoff (process.cpp, DESIGN.md D1 and §10) ----
+  /// The process whose body is executing; null in engine context, which
+  /// includes an event running on a blocked process's stack.
+  Process* current_ = nullptr;
+  /// The process whose fiber stack is in use; null on a thread's own stack.
+  Process* stack_owner_ = nullptr;
+  /// Where a dispatching process hands the thread back: the run() caller,
+  /// parked in the Process::wake() that first switched away from it.
+  SwitchContext* caller_ = nullptr;
+  /// The slot of the callback now running, until that callback wakes a
+  /// process. The woken process then releases it when it next blocks or
+  /// ends, the boundary at which that event ends (set_watchpoint), so the
+  /// freelist and the pool counters follow the event order alone, not the
+  /// stack each callback ran on.
+  std::uint32_t firing_ = kNone;
+  std::uint64_t switches_ = 0;
 };
 
-// peek_live/fire_entry are defined here so they inline into the two
-// dispatch loops (run, run_until) — together they are the per-event
-// overhead floor, and keeping `top` in registers across the peek → fire
-// handoff is worth several percent of whole-sim throughput.
+// peek_live/fire_entry are defined here so they inline into step() and
+// the two dispatch loops that call it (Engine::dispatch and
+// Process::suspend) — together they are the per-event overhead floor, and
+// keeping `top` in registers across the peek → fire handoff is worth
+// several percent of whole-sim throughput.
 inline bool Engine::peek_live(SchedEntry& out) {
   for (;;) {
     const SchedEntry* top = pending_.peek();
@@ -367,15 +424,15 @@ inline bool Engine::peek_live(SchedEntry& out) {
 
 inline void Engine::fire_entry(const SchedEntry& top) {
   // Returns the fired slot to the freelist after its callback finishes —
-  // even if the callback throws (otherwise the slot would leak).
+  // even if the callback throws (otherwise the slot would leak) — unless
+  // the callback woke a process and so handed the slot on (firing_).
   struct FireGuard {
     Engine* e;
     std::uint32_t slot;
     ~FireGuard() {
-      Node& n = e->node(slot);
-      n.fn.reset();
-      n.next_free = e->free_head_;
-      e->free_head_ = slot;
+      if (e->firing_ != slot) return;
+      e->firing_ = kNone;
+      e->release_fired(slot);
     }
   };
   Node& n = node(top.slot);
@@ -387,9 +444,13 @@ inline void Engine::fire_entry(const SchedEntry& top) {
   // schedules events that grow the slab. The generation is bumped first so
   // the event's own handle already reads fired (cancelling yourself is a
   // no-op), but the slot joins the freelist only after the callback
-  // returns, so nothing can emplace over the still-executing closure.
+  // returns, so nothing can emplace over the still-executing closure. A
+  // callback that wakes a process does so as its last act and leaves the
+  // slot to that process, which may release it while the callback's frame
+  // is still parked on a stack: past wake(), the closure is never read.
   ++n.gen;
   ++perf_.executed;
+  firing_ = top.slot;
   FireGuard guard{this, top.slot};
   n.fn();
 }

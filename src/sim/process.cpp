@@ -8,6 +8,8 @@
 #include <cstdint>
 #include <new>
 #include <system_error>
+#include <utility>
+#include <vector>
 
 #include "util/check.hpp"
 
@@ -88,109 +90,135 @@ mvflow_fiber_start:
 
 namespace mvflow::sim {
 
+/// A saved execution context: a process's fiber stack, or a thread's own
+/// stack (the run() caller's, parked in Process::wake(), or a killer's
+/// outside any fiber, parked in Process::kill()). transfer() saves the
+/// running context into one and resumes another.
+struct SwitchContext {
+#if MVFLOW_FIBER_ASM
+  void* sp = nullptr;  // saved stack pointer
+#else
+  ucontext_t uc{};
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+  // ASan must know which stack is live, or the first exception thrown on a
+  // fiber reads as a stack-buffer overflow or underflow. A fiber's bounds
+  // are set when it is created; a thread stack's are learned from ASan on
+  // arrival at the context switched to from it.
+  void* fake_stack = nullptr;
+  const void* stack_lo = nullptr;
+  std::size_t stack_bytes = 0;
+  SwitchContext* came_from = nullptr;  // the context last switched from
+#endif
+#if defined(__SANITIZE_THREAD__)
+  // Switches synchronize, which gives TSan the happens-before edges between
+  // a fiber and whoever switches to it, on one thread or across threads.
+  void* tsan_fiber = nullptr;
+#endif
+};
+
 namespace {
 
 /// One stack size for every process, with no option: the measured
 /// high-water mark across fig3, fig9, fig10, bench_conn_scaling and the
-/// test suite is 6.2 KiB, and 47 KiB under ASan (the NAS kernels). Pages a
-/// fiber never touches cost address space only.
+/// test suite, event dispatch on rank stacks included, is 16.3 KiB in
+/// Release and 35.5 KiB under ASan (the NAS kernels; DESIGN.md D1). Pages
+/// a fiber never touches cost address space only.
 constexpr std::size_t kStackBytes = 256 * 1024;
+
+/// Stack mappings a thread keeps for its next processes; enough for the
+/// largest world (bench_conn_scaling's 1 024 ranks), so building a world
+/// after an equal or larger one on the same thread maps nothing.
+constexpr std::size_t kPooledStacks = 1024;
 
 std::size_t page_bytes() {
   static const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
   return page;
 }
 
-/// The process whose fiber this thread is executing; null in engine
-/// context. A blocking call checks it, so calling one from anywhere but the
-/// process's own body fails instead of switching away from the wrong stack.
-thread_local Process* t_current = nullptr;
+std::size_t map_bytes() { return page_bytes() + kStackBytes; }
+
+/// Mappings of destroyed processes' stacks, guard page intact, kept for
+/// this thread's next processes: they cost no mmap, mprotect or munmap.
+struct StackPool {
+  std::vector<void*> maps;
+  // Reserved up front, so returning a mapping never allocates.
+  StackPool() { maps.reserve(kPooledStacks); }
+  ~StackPool();
+};
+thread_local StackPool t_stack_pool;
+/// Set once this thread's pool is gone: a process destroyed later in the
+/// thread's exit unmaps its stack instead.
+thread_local bool t_stack_pool_gone = false;
+
+StackPool::~StackPool() {
+  t_stack_pool_gone = true;
+  for (void* map : maps) ::munmap(map, map_bytes());
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+/// First act on arrival in `self`: restore its fake stack (null for a
+/// fresh fiber) and learn the bounds of the stack just left.
+void arrived(SwitchContext& self, void* fake_stack) {
+  SwitchContext& from = *self.came_from;
+  __sanitizer_finish_switch_fiber(fake_stack, &from.stack_lo,
+                                  &from.stack_bytes);
+}
+#endif
+
+/// The one switch: save the running context into `from` and resume `to`;
+/// returns when something switches back to `from`. `from_finished` marks
+/// the last switch off a finished body (ASan then frees its fake stack).
+void transfer(SwitchContext& from, SwitchContext& to,
+              [[maybe_unused]] bool from_finished) {
+#if defined(__SANITIZE_ADDRESS__)
+  to.came_from = &from;
+  __sanitizer_start_switch_fiber(from_finished ? nullptr : &from.fake_stack,
+                                 to.stack_lo, to.stack_bytes);
+#endif
+#if defined(__SANITIZE_THREAD__)
+  from.tsan_fiber = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(to.tsan_fiber, 0);
+#endif
+#if MVFLOW_FIBER_ASM
+  mvflow_fiber_switch(&from.sp, to.sp);
+#else
+  swapcontext(&from.uc, &to.uc);
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+  arrived(from, from.fake_stack);
+#endif
+}
 
 }  // namespace
 
-/// A process's stack mapping and saved contexts. The mapping is one guard
+/// A process's stack mapping and saved context. The mapping is one guard
 /// page (PROT_NONE, so a runaway body faults instead of overwriting a
 /// neighbour) followed by the stack, with this block at its very top. A
-/// fiber resumes on whichever thread calls enter(); the caller's context is
-/// saved anew on every switch, so the thread that resumes it need not be
+/// fiber resumes on whichever thread switches to it; every switch saves
+/// the context it leaves, so the thread that resumes a fiber need not be
 /// the one it last ran on.
 struct Process::Fiber {
   void* map = nullptr;
-  std::size_t map_bytes = 0;
   std::byte* stack_lo = nullptr;  // usable stack, up to this block
   std::size_t stack_bytes = 0;
-#if MVFLOW_FIBER_ASM
-  void* sp = nullptr;         // the fiber's saved stack pointer
-  void* caller_sp = nullptr;  // and its last resumer's
-#else
-  ucontext_t ctx{};
-  ucontext_t caller{};
-#endif
-#if defined(__SANITIZE_ADDRESS__)
-  // ASan must know which stack is live, or the first exception thrown on a
-  // fiber reads as a stack-buffer overflow or underflow.
-  void* fake_stack = nullptr;
-  const void* caller_lo = nullptr;
-  std::size_t caller_bytes = 0;
-#endif
-#if defined(__SANITIZE_THREAD__)
-  // Switches synchronize, which gives TSan the happens-before edges between
-  // a fiber and whoever resumes it, on one thread or across threads.
-  void* tsan_fiber = nullptr;
-  void* tsan_caller = nullptr;
-#endif
+  SwitchContext ctx;
 
   static Fiber* create(Process* owner);
   static void destroy(Fiber* f) noexcept;
 
-  /// Resumer side: switch into the fiber until it leaves again.
-  void enter() {
-#if defined(__SANITIZE_ADDRESS__)
-    void* fake = nullptr;
-    __sanitizer_start_switch_fiber(&fake, stack_lo, stack_bytes);
-#endif
-#if defined(__SANITIZE_THREAD__)
-    tsan_caller = __tsan_get_current_fiber();
-    __tsan_switch_to_fiber(tsan_fiber, 0);
-#endif
-#if MVFLOW_FIBER_ASM
-    mvflow_fiber_switch(&caller_sp, sp);
-#else
-    swapcontext(&caller, &ctx);
-#endif
-#if defined(__SANITIZE_ADDRESS__)
-    __sanitizer_finish_switch_fiber(fake, nullptr, nullptr);
-#endif
-  }
-
-  /// Fiber side: switch back to the resumer. `last` is the final switch
-  /// of a finished body (ASan then frees the fiber's fake stack).
-  void leave([[maybe_unused]] bool last) {
-#if defined(__SANITIZE_ADDRESS__)
-    __sanitizer_start_switch_fiber(last ? nullptr : &fake_stack, caller_lo,
-                                   caller_bytes);
-#endif
-#if defined(__SANITIZE_THREAD__)
-    __tsan_switch_to_fiber(tsan_caller, 0);
-#endif
-#if MVFLOW_FIBER_ASM
-    mvflow_fiber_switch(&sp, caller_sp);
-#else
-    swapcontext(&ctx, &caller);
-#endif
-#if defined(__SANITIZE_ADDRESS__)
-    __sanitizer_finish_switch_fiber(fake_stack, &caller_lo, &caller_bytes);
-#endif
-  }
-
   /// First frame on a fresh fiber's stack.
   [[noreturn]] static void main(Process* p) {
 #if defined(__SANITIZE_ADDRESS__)
-    __sanitizer_finish_switch_fiber(nullptr, &p->fiber_->caller_lo,
-                                    &p->fiber_->caller_bytes);
+    arrived(p->fiber_->ctx, nullptr);
 #endif
+    Engine& e = p->engine_;
+    e.current_ = p;
     p->run_body();
-    p->fiber_->leave(true);
+    // The event that last woke the body ends here (Engine::firing_).
+    if (p->held_slot_ != Engine::kNone) e.release_fired(p->held_slot_);
+    e.current_ = nullptr;
+    p->leave_to(p->exit_to(), true);
     __builtin_unreachable();  // nothing resumes a finished fiber
   }
 
@@ -205,14 +233,21 @@ struct Process::Fiber {
 
 Process::Fiber* Process::Fiber::create(Process* owner) {
   const std::size_t guard = page_bytes();
-  const std::size_t bytes = guard + kStackBytes;
-  void* map = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
-  if (map == MAP_FAILED) throw std::bad_alloc();
-  if (::mprotect(map, guard, PROT_NONE) != 0) {
-    const int err = errno;
-    ::munmap(map, bytes);
-    throw std::system_error(err, std::generic_category(), "fiber guard page");
+  const std::size_t bytes = map_bytes();
+  void* map = nullptr;
+  if (!t_stack_pool.maps.empty()) {
+    map = t_stack_pool.maps.back();
+    t_stack_pool.maps.pop_back();
+  } else {
+    map = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+    if (map == MAP_FAILED) throw std::bad_alloc();
+    if (::mprotect(map, guard, PROT_NONE) != 0) {
+      const int err = errno;
+      ::munmap(map, bytes);
+      throw std::system_error(err, std::generic_category(),
+                              "fiber guard page");
+    }
   }
   auto* base = static_cast<std::byte*>(map);
   const std::uintptr_t block =
@@ -220,7 +255,6 @@ Process::Fiber* Process::Fiber::create(Process* owner) {
       ~std::uintptr_t{alignof(Fiber) - 1};
   Fiber* f = new (reinterpret_cast<void*>(block)) Fiber();
   f->map = map;
-  f->map_bytes = bytes;
   f->stack_lo = base + guard;
   // The ABI wants a 16-byte-aligned stack at every call.
   const std::uintptr_t top = block & ~std::uintptr_t{15};
@@ -243,36 +277,45 @@ Process::Fiber* Process::Fiber::create(Process* owner) {
   frame[5] = reinterpret_cast<std::uint64_t>(owner);            // rbx
   frame[6] = 0;                                                 // rbp
   frame[7] = reinterpret_cast<std::uint64_t>(&mvflow_fiber_start);
-  f->sp = frame;
+  f->ctx.sp = frame;
 #else
-  getcontext(&f->ctx);
-  f->ctx.uc_stack.ss_sp = f->stack_lo;
-  f->ctx.uc_stack.ss_size = f->stack_bytes;
-  f->ctx.uc_link = nullptr;
+  getcontext(&f->ctx.uc);
+  f->ctx.uc.uc_stack.ss_sp = f->stack_lo;
+  f->ctx.uc.uc_stack.ss_size = f->stack_bytes;
+  f->ctx.uc.uc_link = nullptr;
   const std::uint64_t bits = reinterpret_cast<std::uintptr_t>(owner);
-  makecontext(&f->ctx, reinterpret_cast<void (*)()>(&Fiber::trampoline), 2,
-              static_cast<unsigned>(bits >> 32), static_cast<unsigned>(bits));
+  makecontext(&f->ctx.uc, reinterpret_cast<void (*)()>(&Fiber::trampoline),
+              2, static_cast<unsigned>(bits >> 32),
+              static_cast<unsigned>(bits));
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+  f->ctx.stack_lo = f->stack_lo;
+  f->ctx.stack_bytes = f->stack_bytes;
 #endif
 #if defined(__SANITIZE_THREAD__)
-  f->tsan_fiber = __tsan_create_fiber(0);
-  __tsan_set_fiber_name(f->tsan_fiber, owner->name_.c_str());
+  f->ctx.tsan_fiber = __tsan_create_fiber(0);
+  __tsan_set_fiber_name(f->ctx.tsan_fiber, owner->name_.c_str());
 #endif
   return f;
 }
 
 void Process::Fiber::destroy(Fiber* f) noexcept {
 #if defined(__SANITIZE_THREAD__)
-  __tsan_destroy_fiber(f->tsan_fiber);
+  __tsan_destroy_fiber(f->ctx.tsan_fiber);
 #endif
 #if defined(__SANITIZE_ADDRESS__)
-  // Frames a fiber never returned from leave their redzones poisoned; a
-  // later mapping at the same address must not inherit them.
+  // Frames a fiber never returned from leave their redzones poisoned; the
+  // next fiber on this mapping, or a later mapping at the same address,
+  // must not inherit them.
   __asan_unpoison_memory_region(f->stack_lo, f->stack_bytes);
 #endif
   void* map = f->map;
-  const std::size_t bytes = f->map_bytes;
   f->~Fiber();
-  ::munmap(map, bytes);
+  if (!t_stack_pool_gone && t_stack_pool.maps.size() < kPooledStacks) {
+    t_stack_pool.maps.push_back(map);
+  } else {
+    ::munmap(map, map_bytes());
+  }
 }
 
 Process::Process(Engine& engine, std::string name, Body body)
@@ -281,9 +324,9 @@ Process::Process(Engine& engine, std::string name, Body body)
       body_(std::move(body)),
       fiber_(Fiber::create(this)) {
   engine_.register_process(this);
-  // First resume: enter the body at the current simulated time.
+  // First wake: enter the body at the current simulated time.
   engine_.schedule_at(engine_.now(), [this] {
-    if (!finished_) resume();
+    if (!finished_) wake();
   });
 }
 
@@ -304,46 +347,120 @@ void Process::run_body() noexcept {
   finished_ = true;
 }
 
-void Process::resume() {
+void Process::enter_from(SwitchContext& from) {
+  engine_.stack_owner_ = this;
+  ++engine_.switches_;
+  transfer(from, fiber_->ctx, false);
+}
+
+void Process::leave_to(SwitchContext& to, bool finished) {
+  engine_.stack_owner_ = nullptr;
+  ++engine_.switches_;
+  transfer(fiber_->ctx, to, finished);
+}
+
+SwitchContext& Process::exit_to() const noexcept {
+  return return_to_ != nullptr ? *return_to_ : *engine_.caller_;
+}
+
+void Process::wake() {
+  Engine& e = engine_;
   started_ = true;
-  Process* const resumer = t_current;  // null, or a process killing us
-  t_current = this;
-  fiber_->enter();
-  t_current = resumer;
+  woken_ = true;
+  held_slot_ = std::exchange(e.firing_, Engine::kNone);
+  Process* const owner = e.stack_owner_;
+  // Its own wake, fired on its own stack: the body carries on in place.
+  if (owner == this) return;
+  // Another process's stack: that process stays parked here, inside this
+  // event, until its own wake switches back to it.
+  if (owner != nullptr) {
+    enter_from(owner->fiber_->ctx);
+    return;
+  }
+  // The run() caller's stack: parked here until a process hands it back.
+  SwitchContext caller;
+  e.caller_ = &caller;
+  enter_from(caller);
 }
 
 void Process::suspend() {
-  fiber_->leave(false);
+  Engine& e = engine_;
+  // The event that woke this body ends here (Engine::firing_).
+  if (held_slot_ != Engine::kNone) {
+    e.release_fired(std::exchange(held_slot_, Engine::kNone));
+  }
+  e.current_ = nullptr;  // events on this stack run as engine context
+  woken_ = false;
+  if (kill_requested_) {
+    // Blocking while kill() unwinds it: back to the killer, which reports
+    // it.
+    leave_to(exit_to());
+  } else {
+    while (!woken_ && !kill_requested_) {
+      // The first pass is the boundary of the event that woke this body.
+      bool fired = false;
+      if (e.perf_.executed < e.next_watch_) {
+        try {
+          fired = e.step();
+        } catch (...) {
+          // A callback's exception leaves through Engine::run, never
+          // through this body.
+          e.record_error(std::current_exception());
+        }
+      }
+      // Nothing may run, a watchpoint is due or a callback threw: the run
+      // caller takes over. This returns once this process is woken or
+      // killed.
+      if (!fired) leave_to(*e.caller_);
+    }
+  }
+  e.current_ = this;
   if (kill_requested_) throw ProcessKilled{};
 }
 
 Process::Waker Process::begin_sleep() {
-  util::check(t_current == this,
+  util::check(engine_.current_ == this,
               "a process can only block inside its own body");
   return Waker{this, ++sleep_epoch_};
 }
 
 void Process::delay(Duration d) {
   util::require(d >= Duration::zero(), "negative delay");
-  const Waker wake = begin_sleep();
-  // kill() continues after its resume(), so a killed body that blocks
+  const Waker waker = begin_sleep();
+  // kill() continues after the victim ends, so a killed body that blocks
   // while unwinding takes the queued path (and kill() reports it).
   if (!kill_requested_ && engine_.wake_inline(engine_.now() + d)) return;
-  engine_.schedule_after(d, wake);
+  engine_.schedule_after(d, waker);
   suspend();
 }
 
 void Process::kill() {
   if (finished_) return;
   kill_requested_ = true;
+  Engine& e = engine_;
   // A process killing itself: unwind directly.
-  if (t_current == this) throw ProcessKilled{};
+  if (e.current_ == this) throw ProcessKilled{};
   ++sleep_epoch_;  // invalidate any pending wakers
   if (!started_) {
     finished_ = true;  // never entered: there is no body to unwind
     return;
   }
-  resume();
+  // An event on this process's own stack: the body unwinds once the event
+  // returns (suspend) and then hands the thread to the run() caller.
+  if (e.stack_owner_ == this) return;
+  // Switch to the victim from the context in use; it unwinds and switches
+  // back here when its body ends.
+  Process* const current = e.current_;
+  Process* const owner = e.stack_owner_;
+  const std::uint32_t firing = std::exchange(e.firing_, Engine::kNone);
+  SwitchContext thread_stack;
+  SwitchContext& here = owner != nullptr ? owner->fiber_->ctx : thread_stack;
+  return_to_ = &here;
+  enter_from(here);
+  return_to_ = nullptr;  // `here` dies with this call
+  e.current_ = current;
+  e.stack_owner_ = owner;
+  e.firing_ = firing;
   util::check(finished_, "killed process did not finish");
 }
 

@@ -1,17 +1,22 @@
 // Cooperative simulated processes.
 //
 // Each Process runs user code (an MPI rank body, a traffic generator) as a
-// stackful fiber: its own mmap'd stack, entered and left by a context switch
-// on whichever OS thread is dispatching its engine at the time. Exactly one
-// context — the engine's or one process's — executes on that thread at any
-// moment, and every wake-up takes its place in the engine's (time,
-// sequence) order, so execution order is fully determined and the
-// simulation is reproducible. A wake that goes through the event queue
-// costs a switch out and back; a delay whose wake is provably the next
-// event advances the clock in place and does not switch at all
+// stackful fiber: its own mmap'd stack, switched to on whichever OS thread
+// is dispatching its engine at the time. Exactly one context — engine
+// dispatch or one process's body — executes on that thread at any moment,
+// and every wake-up takes its place in the engine's (time, sequence)
+// order, so execution order is fully determined and the simulation is
+// reproducible.
+//
+// A process that blocks runs the engine's dispatch loop on its own stack,
+// as engine context, until its own wake comes up: that wake costs no
+// switch, another process's wake costs one switch straight to that
+// process, and the thread goes back to the run() caller only when nothing
+// may run, at a watchpoint, after an error, or when a body ends. A delay
+// whose wake is provably the next event advances the clock in place
 // (Engine::wake_inline). No kernel call sits on the switch path.
 //
-// Lifecycle: the constructor schedules the first resume at engine.now();
+// Lifecycle: the constructor schedules the first wake at engine.now();
 // the body runs until it returns, throws, or is kill()ed (which unwinds the
 // body with ProcessKilled at its next suspension point).
 #pragma once
@@ -50,7 +55,9 @@ class Process {
   // ---- API callable from engine context or other processes ----
 
   /// Unwind the body with ProcessKilled at its next (or current) suspension
-  /// point. Safe to call on a finished process (no-op).
+  /// point; returns once it has ended, except when called from an event
+  /// running on this process's own stack, where the body unwinds after
+  /// that event returns. Safe to call on a finished process (no-op).
   void kill();
 
   Engine& engine() noexcept { return engine_; }
@@ -65,33 +72,52 @@ class Process {
   /// A one-shot wake bound to one sleep epoch: invoking it after the
   /// process already woke for another reason is a harmless no-op. Two
   /// words, so it rides inline in an engine event. Whatever invokes it
-  /// must do nothing after it returns (the inline-wake proof in
-  /// Engine::wake_inline depends on it).
+  /// must do nothing after it returns: the wake may switch to the process
+  /// and park the invoker's stack until its own wake (DESIGN.md §10).
   struct Waker {
     Process* p;
     std::uint64_t epoch;
     void operator()() const {
-      if (!p->finished_ && epoch == p->sleep_epoch_) p->resume();
+      if (!p->finished_ && epoch == p->sleep_epoch_) p->wake();
     }
   };
 
   /// Start a new sleep, invalidating the wakers of earlier ones, and return
   /// its waker. Checks that the caller is this process's own body.
   Waker begin_sleep();
-  void suspend();   // body side: switch back to whoever resumed us
-  void resume();    // resumer side: run the body until it suspends or ends
+  /// Body side: block, dispatching events on this stack until this
+  /// process's wake fires or a kill() unwinds it.
+  void suspend();
+  /// Waker side, called by an event callback as its last act: run the
+  /// body, switching to it unless this is its own stack.
+  void wake();
+  /// Switch this engine's thread from `from`, the context in use, to this
+  /// process's fiber.
+  void enter_from(SwitchContext& from);
+  /// Switch from this process's fiber to the run() caller, or to a killer
+  /// (which restores its own state); `finished` marks the last switch.
+  void leave_to(SwitchContext& to, bool finished = false);
+  /// Where the thread goes when the body ends, or blocks while a kill()
+  /// unwinds it: the killer that switched here, else the run() caller.
+  SwitchContext& exit_to() const noexcept;
   void run_body() noexcept;  // the fiber's whole life
 
   Engine& engine_;
   std::string name_;
   Body body_;
-  /// Stack mapping and saved switch contexts; lives at the top of the
+  /// Stack mapping and saved switch context; lives at the top of the
   /// process's own stack mapping (process.cpp).
   Fiber* fiber_ = nullptr;
+  /// The context of the kill() that switched here to unwind this body.
+  SwitchContext* return_to_ = nullptr;
   std::uint64_t sleep_epoch_ = 0;
+  /// The slot of the event that last woke this process, released when the
+  /// process next blocks or ends (Engine::firing_).
+  std::uint32_t held_slot_ = Engine::kNone;
   bool started_ = false;
   bool finished_ = false;
   bool kill_requested_ = false;
+  bool woken_ = false;  // this sleep's wake has fired
 };
 
 }  // namespace mvflow::sim

@@ -11,9 +11,11 @@
 #include <utility>
 #include <vector>
 
+#include "fnv1a.hpp"
 #include "sim/condition.hpp"
 #include "sim/engine.hpp"
 #include "sim/process.hpp"
+#include "util/serial.hpp"
 
 using namespace mvflow::sim;
 
@@ -46,6 +48,26 @@ std::vector<std::pair<std::string, double>> perf_fields(const Engine& eng) {
   eng.perf_stats().visit(
       [&](const char* name, double v) { out.emplace_back(name, v); });
   return out;
+}
+
+/// Schedule `n` events at the current time, run, and count those that
+/// fired: fewer than `n` means the event slab's freelist was corrupted
+/// (a slot released twice hands out one node to two events).
+int fire_fresh_events(Engine& eng, int n) {
+  int fired = 0;
+  for (int i = 0; i < n; ++i) eng.schedule_at(eng.now(), [&fired] { ++fired; });
+  eng.run();
+  return fired;
+}
+
+/// FNV-1a of the engine's serialized dispatch state: clock, sequence
+/// counter, pending set, slot generations and the freelist's order.
+std::uint64_t state_hash(const Engine& eng) {
+  mvflow::util::serial::BufWriter w;
+  eng.serialize_state(w);
+  const std::vector<std::byte>& d = w.data();
+  return mvflow::test::fnv1a(
+      std::string_view(reinterpret_cast<const char*>(d.data()), d.size()));
 }
 
 /// This thread's id, read afresh. pthread_self is declared const, so the
@@ -368,6 +390,289 @@ TEST(InlineWake, WatchpointCrossedInlineFiresOnceAtNextBoundary) {
   EXPECT_EQ(fired, 1);
 }
 
+// ---- the rank handoff: a blocked process dispatches on its own stack ----
+
+TEST(Handoff, LoneProcessSwitchesOnlyAtItsStart) {
+  // A tick sits at every wake time, so no wake completes in place: each
+  // is queued, and the process fires it, and the tick, on its own stack.
+  constexpr int kDelays = 100;
+  Engine eng;
+  for (int i = 1; i <= kDelays; ++i) eng.schedule_at(TimePoint(i), [] {});
+  std::uint64_t switches_in_body = 0;
+  Process p(eng, "lone", [&](Process& self) {
+    for (int i = 0; i < kDelays; ++i) self.delay(Duration(1));
+    switches_in_body = eng.fiber_switches();
+  });
+  eng.run();
+  EXPECT_TRUE(p.finished());
+  EXPECT_EQ(eng.now(), TimePoint(kDelays));
+  EXPECT_EQ(inline_wakes(eng), 0u);
+  EXPECT_EQ(switches_in_body, 1u);      // the run caller's switch to it
+  EXPECT_EQ(eng.fiber_switches(), 2u);  // and back when the body ends
+}
+
+TEST(Handoff, PingPongSwitchesOncePerHandoff) {
+  constexpr int kRounds = 50;
+  Engine eng;
+  Condition turn_a(eng);
+  Condition turn_b(eng);
+  int turn = 0;
+  int handoffs = 0;
+  auto player = [&](int me, Condition& mine, Condition& theirs) {
+    return [&, me](Process& self) {
+      for (int i = 0; i < kRounds; ++i) {
+        while (turn != me) mine.wait(self);
+        turn = 1 - me;
+        ++handoffs;
+        theirs.notify_one();
+      }
+    };
+  };
+  Process a(eng, "a", player(0, turn_a, turn_b));
+  Process b(eng, "b", player(1, turn_b, turn_a));
+  eng.run();
+  EXPECT_TRUE(a.finished());
+  EXPECT_TRUE(b.finished());
+  EXPECT_EQ(handoffs, 2 * kRounds);
+  // One switch per handoff. The run caller adds one in at the start and
+  // two when a ends before b's last turn (a to the caller, the caller to
+  // b); b ends with the last handoff and hands the thread back.
+  EXPECT_EQ(eng.fiber_switches(), static_cast<std::uint64_t>(handoffs) + 2);
+}
+
+TEST(Handoff, EventOnABlockedProcessStackRunsAsEngineContext) {
+  Engine eng;
+  Condition cond(eng);
+  Process p(eng, "p", [&](Process& self) { self.delay(Duration(10)); });
+  std::uint64_t switches_in_event = 0;
+  int threw = 0;
+  // Queued before p's wake, so p, blocked in delay, fires it on its stack.
+  eng.schedule_at(TimePoint(5), [&] {
+    switches_in_event = eng.fiber_switches();
+    try {
+      p.delay(Duration(1));
+    } catch (const std::logic_error&) {
+      ++threw;
+    }
+    try {
+      p.yield();
+    } catch (const std::logic_error&) {
+      ++threw;
+    }
+    try {
+      cond.wait(p);
+    } catch (const std::logic_error&) {
+      ++threw;
+    }
+  });
+  eng.run();
+  EXPECT_EQ(switches_in_event, 1u);  // only the switch into p so far
+  EXPECT_EQ(threw, 3);
+  EXPECT_TRUE(p.finished());
+  EXPECT_EQ(eng.now(), TimePoint(10));
+  EXPECT_EQ(eng.pending_events(), 0u);
+  EXPECT_EQ(eng.fiber_switches(), 2u);
+}
+
+TEST(Handoff, EventKillingTheProcessItRunsOnUnwindsItAfterTheEvent) {
+  Engine eng;
+  bool unwound = false;
+  Process p(eng, "p", [&](Process& self) {
+    Cleanup c{&unwound};
+    self.delay(Duration(10));
+    ADD_FAILURE() << "a killed body woke";
+  });
+  std::uint64_t switches_in_event = 0;
+  bool alive_after_kill = false;
+  eng.schedule_at(TimePoint(5), [&] {
+    switches_in_event = eng.fiber_switches();
+    p.kill();  // p's own stack: it cannot unwind under this event
+    alive_after_kill = !p.finished() && !unwound;
+  });
+  eng.run();
+  EXPECT_EQ(switches_in_event, 1u);
+  EXPECT_TRUE(alive_after_kill);
+  EXPECT_TRUE(unwound);
+  EXPECT_TRUE(p.finished());
+  EXPECT_EQ(eng.fiber_switches(), 2u);  // p hands the thread back, ended
+  EXPECT_EQ(eng.now(), TimePoint(10));  // its stale wake fires harmlessly
+  EXPECT_EQ(eng.pending_events(), 0u);
+  EXPECT_EQ(fire_fresh_events(eng, 8), 8);
+}
+
+TEST(Handoff, CallbackExceptionOnAProcessStackLeavesThroughRun) {
+  Engine eng;
+  bool body_caught = false;
+  std::int64_t woke_at = -1;
+  Process p(eng, "p", [&](Process& self) {
+    try {
+      self.delay(Duration(10));
+    } catch (...) {
+      body_caught = true;
+    }
+    woke_at = eng.now().count();
+  });
+  std::uint64_t switches_in_event = 0;
+  eng.schedule_at(TimePoint(5), [&] {
+    switches_in_event = eng.fiber_switches();
+    throw std::runtime_error("callback failed");
+  });
+  EXPECT_THROW(eng.run(), std::runtime_error);
+  EXPECT_EQ(switches_in_event, 1u);  // it ran on p's stack
+  EXPECT_FALSE(body_caught);
+  EXPECT_FALSE(p.finished());
+  EXPECT_EQ(eng.now(), TimePoint(5));
+  eng.run();  // the engine goes on, and p wakes where it slept
+  EXPECT_TRUE(p.finished());
+  EXPECT_FALSE(body_caught);
+  EXPECT_EQ(woke_at, 10);
+  EXPECT_EQ(fire_fresh_events(eng, 8), 8);
+}
+
+TEST(Handoff, RunUntilHorizonStopsADispatchingProcess) {
+  // InlineWake.RunUntilHorizonBoundsInlineWakes with every wake queued: a
+  // tick sits at each wake time.
+  Engine eng;
+  for (const std::int64_t t : {10, 110}) eng.schedule_at(TimePoint(t), [] {});
+  std::vector<std::int64_t> stamps;
+  Process p(eng, "p", [&](Process& self) {
+    self.delay(Duration(10));
+    stamps.push_back(eng.now().count());
+    self.delay(Duration(100));  // past the horizon: stays queued
+    stamps.push_back(eng.now().count());
+  });
+  eng.run_until(TimePoint(50));
+  EXPECT_EQ(eng.now(), TimePoint(50));
+  EXPECT_FALSE(p.finished());
+  EXPECT_EQ(eng.pending_events(), 2u);  // the tick at 110 and p's wake
+  EXPECT_EQ(stamps, (std::vector<std::int64_t>{10}));
+  EXPECT_EQ(inline_wakes(eng), 0u);
+  EXPECT_EQ(eng.fiber_switches(), 2u);  // in at the start, back at 50
+  eng.run();
+  EXPECT_TRUE(p.finished());
+  EXPECT_EQ(stamps, (std::vector<std::int64_t>{10, 110}));
+  EXPECT_EQ(eng.now(), TimePoint(110));
+}
+
+TEST(Handoff, StopFromAnEventOnAProcessStackEndsTheRun) {
+  Engine eng;
+  Process p(eng, "p", [&](Process& self) { self.delay(Duration(100)); });
+  int ticks = 0;
+  for (int i = 1; i <= 3; ++i) {
+    eng.schedule_at(TimePoint(10 * i), [&] {
+      if (++ticks == 2) eng.stop();
+    });
+  }
+  eng.run();
+  EXPECT_EQ(ticks, 2);
+  EXPECT_EQ(eng.now(), TimePoint(20));
+  EXPECT_FALSE(p.finished());
+  EXPECT_EQ(eng.fiber_switches(), 2u);  // in at the start, back at stop()
+  eng.run();
+  EXPECT_EQ(ticks, 3);
+  EXPECT_TRUE(p.finished());
+  EXPECT_EQ(eng.now(), TimePoint(100));
+}
+
+TEST(Handoff, ProcessKilledParkedMidDispatchReturnsToItsKiller) {
+  Engine eng;
+  bool victim_unwound = false;
+  std::vector<std::string> trace;
+  Process victim(eng, "victim", [&](Process& self) {
+    Cleanup c{&victim_unwound};
+    // The killer's first wake is queued, so the victim fires it on its own
+    // stack and hands the thread on from inside that event.
+    self.delay(Duration(100));
+    ADD_FAILURE() << "a killed body woke";
+  });
+  Process killer(eng, "killer", [&](Process& self) {
+    const std::uint64_t before = eng.fiber_switches();
+    victim.kill();  // unwinds the victim before returning here
+    trace.push_back(victim_unwound ? "victim unwound" : "victim alive");
+    trace.push_back(std::to_string(eng.fiber_switches() - before) +
+                    " switches");
+    self.delay(Duration(5));
+    trace.push_back("killer done");
+  });
+  eng.run();
+  EXPECT_TRUE(victim.finished());
+  EXPECT_TRUE(killer.finished());
+  EXPECT_EQ(trace, (std::vector<std::string>{"victim unwound", "2 switches",
+                                             "killer done"}));
+  // Caller to victim, victim to killer, the kill's round trip, and the
+  // killer's hand-back when it ends.
+  EXPECT_EQ(eng.fiber_switches(), 5u);
+  EXPECT_EQ(eng.now(), TimePoint(100));  // the victim's stale wake
+  EXPECT_EQ(eng.pending_events(), 0u);
+  EXPECT_EQ(fire_fresh_events(eng, 8), 8);
+}
+
+TEST(Handoff, ProcessParkedMidDispatchUnwindsWhenKilledOutsideARun) {
+  Engine eng;
+  bool unwound = false;
+  Process parked(eng, "parked", [&](Process& self) {
+    Cleanup c{&unwound};
+    self.delay(Duration(100));  // fires other's first wake: hands on
+    ADD_FAILURE() << "a killed body woke";
+  });
+  Process other(eng, "other",
+                [&](Process& self) { self.delay(Duration(200)); });
+  eng.run_until(TimePoint(50));  // other hands the thread back at 50
+  EXPECT_EQ(eng.fiber_switches(), 3u);
+  parked.kill();  // from outside any run: there and back
+  EXPECT_TRUE(unwound);
+  EXPECT_TRUE(parked.finished());
+  EXPECT_EQ(eng.fiber_switches(), 5u);
+  eng.run();
+  EXPECT_TRUE(other.finished());
+  EXPECT_EQ(eng.now(), TimePoint(200));
+  EXPECT_EQ(fire_fresh_events(eng, 8), 8);
+}
+
+TEST(Handoff, SlabHistoryMatchesACallerOnlyLoop) {
+  // A ring with queued and inline wakes, yields and ticks. The hashes were
+  // recorded with the loop that ran every event on the run caller's stack
+  // and released each fired slot when its callback returned there. Slots
+  // handed to woken processes must be released at the same boundaries, or
+  // the freelist, the pool counters and every snapshot would differ.
+  constexpr int kProcs = 16;
+  constexpr int kLaps = 3;
+  Engine eng;
+  for (int t = 1; t <= 40; t += 3) eng.schedule_at(TimePoint(t), [] {});
+  std::vector<std::unique_ptr<Condition>> turn;
+  for (int i = 0; i < kProcs; ++i)
+    turn.push_back(std::make_unique<Condition>(eng));
+  int token = 0;
+  std::vector<std::unique_ptr<Process>> ring;
+  for (int i = 0; i < kProcs; ++i) {
+    ring.push_back(std::make_unique<Process>(
+        eng, std::to_string(i), [&, i](Process& self) {
+          for (int lap = 0; lap < kLaps; ++lap) {
+            while (token != i) turn[static_cast<std::size_t>(i)]->wait(self);
+            self.delay(Duration(1 + i % 3));
+            token = (i + 1) % kProcs;
+            turn[static_cast<std::size_t>(token)]->notify_one();
+            if (i % 5 == 0) self.yield();
+          }
+        }));
+  }
+  std::vector<std::uint64_t> hashes;
+  for (const std::uint64_t k : {5u, 17u, 40u, 77u, 101u}) {
+    eng.set_watchpoint(k, [&] { hashes.push_back(state_hash(eng)); });
+  }
+  eng.run();
+  const EnginePerfStats& perf = eng.perf_stats();
+  EXPECT_EQ(eng.now(), TimePoint(93));
+  EXPECT_EQ(perf.executed, 137u);
+  EXPECT_EQ(perf.pool_reuses, 79u);
+  EXPECT_EQ(perf.pool_allocs, 31u);
+  EXPECT_EQ(hashes, (std::vector<std::uint64_t>{
+                        0xf36fc0ac22157b08ull, 0x33d20ff30361141eull,
+                        0xd0b664197af0d8bdull, 0x0e12d1ed90800a2full,
+                        0x62cd3e081f56ffb9ull}));
+  EXPECT_EQ(state_hash(eng), 0xfddecdbb54298d06ull);
+}
+
 // ---- stack-resident condition waiters --------------------------------
 
 TEST(ConditionWaiter, KilledInWaitForLeavesNothingPending) {
@@ -467,6 +772,7 @@ TEST(Process, ThousandProcessRingRunsWithoutThreads) {
   int token = 0;
   int passes = 0;
   int threads_during = -1;
+  std::vector<std::uint64_t> at_lap;  // fiber_switches() as each lap starts
   std::vector<std::unique_ptr<Process>> ring;
   for (int i = 0; i < kProcs; ++i) {
     ring.push_back(std::make_unique<Process>(
@@ -474,6 +780,7 @@ TEST(Process, ThousandProcessRingRunsWithoutThreads) {
           for (int lap = 0; lap < kLaps; ++lap) {
             while (token != i) turn[static_cast<std::size_t>(i)]->wait(self);
             if (passes == kProcs * kLaps / 2) threads_during = os_threads();
+            if (passes % kProcs == 0) at_lap.push_back(eng.fiber_switches());
             ++passes;
             self.delay(Duration(1));
             token = (i + 1) % kProcs;
@@ -487,6 +794,11 @@ TEST(Process, ThousandProcessRingRunsWithoutThreads) {
   for (const auto& p : ring) EXPECT_TRUE(p->finished());
   EXPECT_EQ(threads_during, threads_before);
   EXPECT_EQ(os_threads(), threads_before);
+  // In the middle lap every process is woken on its predecessor's stack
+  // and blocks again after one pass: one switch per pass. (The first lap
+  // also starts every process, and in the last each body ends.)
+  ASSERT_EQ(at_lap.size(), static_cast<std::size_t>(kLaps));
+  EXPECT_EQ(at_lap[2] - at_lap[1], static_cast<std::uint64_t>(kProcs));
 }
 
 TEST(ProcessDeathTest, UnboundedRecursionDiesOnGuardPage) {
