@@ -18,9 +18,8 @@ std::string env_or_empty(const char* name) {
 /// One error line for a variable whose value does not parse in full; the
 /// caller then treats the variable as unset.
 void report_malformed(const char* name, const std::string& value) {
-  util::Logger::write(util::LogLevel::error, "env",
-                      std::string(name) + "=" + value +
-                          " is malformed; treated as unset");
+  util::Logger::error("env", std::string(name) + "=" + value +
+                                 " is malformed; treated as unset");
 }
 
 /// A non-negative decimal count; unset, empty or malformed reads as 0.

@@ -1,9 +1,9 @@
 // Experiment-run configuration (DESIGN.md §12).
 //
 // Everything a single simulation used to read from the environment at
-// arbitrary points (MVFLOW_LOG, MVFLOW_METRICS, MVFLOW_TRACE,
-// MVFLOW_TRACE_CSV, MVFLOW_TRACE_CAPACITY) is snapshotted here *once* and
-// passed explicitly to each World. Two reasons:
+// arbitrary points (MVFLOW_METRICS, MVFLOW_TRACE, MVFLOW_TRACE_CSV,
+// MVFLOW_TRACE_CAPACITY) is snapshotted here *once* and passed explicitly
+// to each World. Two reasons:
 //
 //  1. Concurrency: getenv() racing against setenv() is undefined, and two
 //     parallel worlds honouring $MVFLOW_METRICS would clobber one file.

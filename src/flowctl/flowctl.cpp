@@ -34,11 +34,6 @@ ConnectionFlow::ConnectionFlow(const Config& config) : config_(config) {
   counters_.max_posted = current_posted_;
 }
 
-bool ConnectionFlow::credit_available() const noexcept {
-  if (!user_level()) return true;
-  return credits_ > 0;
-}
-
 bool ConnectionFlow::try_acquire_credit() {
   if (!user_level()) {
     ++counters_.credited_sent;

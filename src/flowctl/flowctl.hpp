@@ -122,10 +122,6 @@ class ConnectionFlow {
 
   // ---- sender role: credits toward the peer ----
 
-  /// True when a fresh credited message may be sent right now. The
-  /// hardware scheme always says yes (no MPI-level flow control).
-  bool credit_available() const noexcept;
-
   /// Acquire a credit for a credited message. Returns false (and counts
   /// nothing) when none is available — the caller must backlog the send.
   bool try_acquire_credit();

@@ -1,7 +1,7 @@
 // Byte-level collective algorithms over the point-to-point layer:
-// dissemination barrier, binomial broadcast, ring allgather, pairwise
-// alltoall(v), linear gather/scatter. Typed reductions live in the header
-// (templates over the element type and operator).
+// dissemination barrier, binomial broadcast, ring allgather and pairwise
+// alltoall(v). Typed reductions live in the header (templates over the
+// element type and operator).
 #include <vector>
 
 #include "mpi/communicator.hpp"
@@ -134,50 +134,6 @@ void Communicator::alltoallv(const std::byte* send_data,
              static_cast<Rank>(to), tag,
              {recv_data + recv_displs[from], recv_counts[from]},
              static_cast<Rank>(from), tag);
-  }
-}
-
-void Communicator::gather(std::span<const std::byte> mine,
-                          std::span<std::byte> all, Rank root) {
-  const int p = size_;
-  const std::size_t block = mine.size();
-  const Tag tag = next_coll_tag();
-  if (rank() == root) {
-    util::require(all.size() == block * static_cast<std::size_t>(p),
-                  "gather output size mismatch");
-    std::copy(mine.begin(), mine.end(),
-              all.begin() + static_cast<std::ptrdiff_t>(block * rank()));
-    std::vector<RequestPtr> reqs;
-    for (Rank r = 0; r < p; ++r) {
-      if (r == root) continue;
-      reqs.push_back(
-          irecv(all.subspan(block * static_cast<std::size_t>(r), block), r, tag));
-    }
-    wait_all(reqs);
-  } else {
-    send(mine, root, tag);
-  }
-}
-
-void Communicator::scatter(std::span<const std::byte> all,
-                           std::span<std::byte> mine, Rank root) {
-  const int p = size_;
-  const std::size_t block = mine.size();
-  const Tag tag = next_coll_tag();
-  if (rank() == root) {
-    util::require(all.size() == block * static_cast<std::size_t>(p),
-                  "scatter input size mismatch");
-    std::vector<RequestPtr> reqs;
-    for (Rank r = 0; r < p; ++r) {
-      if (r == root) continue;
-      reqs.push_back(
-          isend(all.subspan(block * static_cast<std::size_t>(r), block), r, tag));
-    }
-    std::copy_n(all.begin() + static_cast<std::ptrdiff_t>(block * rank()), block,
-                mine.begin());
-    wait_all(reqs);
-  } else {
-    recv(mine, root, tag);
   }
 }
 

@@ -9,9 +9,9 @@ Communicator::Communicator(World& world, Device& dev, sim::Process& proc)
     : world_(world), dev_(dev), proc_(proc), size_(world.num_ranks()) {}
 
 RequestPtr Communicator::isend(std::span<const std::byte> data, Rank dst,
-                               Tag tag, SendMode mode) {
+                               Tag tag) {
   util::require(dst >= 0 && dst < size_, "invalid destination rank");
-  return dev_.isend(dst, tag, data, mode);
+  return dev_.isend(dst, tag, data);
 }
 
 RequestPtr Communicator::irecv(std::span<std::byte> buffer, Rank src, Tag tag) {
@@ -24,18 +24,6 @@ void Communicator::send(std::span<const std::byte> data, Rank dst, Tag tag) {
   wait(isend(data, dst, tag));
 }
 
-void Communicator::ssend(std::span<const std::byte> data, Rank dst, Tag tag) {
-  wait(isend(data, dst, tag, SendMode::synchronous));
-}
-
-void Communicator::bsend(std::span<const std::byte> data, Rank dst, Tag tag) {
-  wait(isend(data, dst, tag, SendMode::buffered));
-}
-
-void Communicator::rsend(std::span<const std::byte> data, Rank dst, Tag tag) {
-  wait(isend(data, dst, tag, SendMode::ready));
-}
-
 Status Communicator::recv(std::span<std::byte> buffer, Rank src, Tag tag) {
   const auto req = irecv(buffer, src, tag);
   wait(req);
@@ -43,8 +31,6 @@ Status Communicator::recv(std::span<std::byte> buffer, Rank src, Tag tag) {
 }
 
 void Communicator::wait(const RequestPtr& req) { dev_.wait(req); }
-
-bool Communicator::test(const RequestPtr& req) { return dev_.test(req); }
 
 void Communicator::wait_all(std::span<const RequestPtr> reqs) {
   for (const auto& r : reqs) dev_.wait(r);

@@ -39,19 +39,13 @@ class Communicator {
   int size() const noexcept { return size_; }
 
   // ---- point-to-point: raw bytes ----
-  RequestPtr isend(std::span<const std::byte> data, Rank dst, Tag tag,
-                   SendMode mode = SendMode::standard);
+  /// Standard-mode send: eager when the payload fits a pre-pinned buffer,
+  /// rendezvous otherwise (the only mode the paper's experiments post).
+  RequestPtr isend(std::span<const std::byte> data, Rank dst, Tag tag);
   RequestPtr irecv(std::span<std::byte> buffer, Rank src, Tag tag);
   void send(std::span<const std::byte> data, Rank dst, Tag tag);
-  /// Synchronous send: returns only after the matching receive was posted.
-  void ssend(std::span<const std::byte> data, Rank dst, Tag tag);
-  /// Buffered send: completes locally; payload must fit an eager buffer.
-  void bsend(std::span<const std::byte> data, Rank dst, Tag tag);
-  /// Ready send: the caller asserts the receive is already posted.
-  void rsend(std::span<const std::byte> data, Rank dst, Tag tag);
   Status recv(std::span<std::byte> buffer, Rank src, Tag tag);
   void wait(const RequestPtr& req);
-  bool test(const RequestPtr& req);
   void wait_all(std::span<const RequestPtr> reqs);
   void progress() { dev_.progress(); }
 
@@ -90,8 +84,6 @@ class Communicator {
                  std::span<const std::size_t> send_displs, std::byte* recv,
                  std::span<const std::size_t> recv_counts,
                  std::span<const std::size_t> recv_displs);
-  void gather(std::span<const std::byte> mine, std::span<std::byte> all, Rank root);
-  void scatter(std::span<const std::byte> all, std::span<std::byte> mine, Rank root);
 
   template <typename T>
   void bcast_n(T* data, std::size_t n, Rank root) {

@@ -34,8 +34,6 @@ Device::Device(World& world, Rank me) : world_(world), me_(me) {
 
 Device::~Device() = default;
 
-int Device::world_size() const { return world_.num_ranks(); }
-
 sim::Engine& Device::engine() const noexcept { return world_.engine(); }
 
 obs::FlightRecorder& Device::recorder() const noexcept {
@@ -204,8 +202,7 @@ void Device::charge_copy(std::size_t bytes) {
 
 // ------------------------------------------------------------ send paths --
 
-RequestPtr Device::isend(Rank dst, Tag tag, std::span<const std::byte> data,
-                         SendMode mode) {
+RequestPtr Device::isend(Rank dst, Tag tag, std::span<const std::byte> data) {
   progress();  // every MPI entry point advances the engine (as MPICH does)
   charge(kSendOverhead);
   Endpoint& ep = ensure_endpoint(dst);
@@ -218,17 +215,7 @@ RequestPtr Device::isend(Rank dst, Tag tag, std::span<const std::byte> data,
   }
   stats_.payload_bytes_sent += data.size();
 
-  if (mode == SendMode::synchronous) {
-    // Always rendezvous: the CTS proves the receive matched, so the send
-    // cannot complete before the receiver arrives.
-    start_send_rndv(ep, tag, data, req);
-    return req;
-  }
-  if (mode == SendMode::buffered) {
-    util::require(data.size() <= DeviceConfig::eager_max_payload(),
-                  "buffered send exceeds the attached buffer size");
-  }
-  // standard / buffered / ready: eager whenever the payload fits.
+  // Eager whenever the payload fits a pre-pinned buffer.
   if (data.size() <= DeviceConfig::eager_max_payload()) {
     ++stats_.eager_sent;
     charge_copy(data.size());
@@ -848,12 +835,6 @@ void Device::wait(const RequestPtr& req) {
     }
     cq_->nonempty().wait(*proc_);
   }
-}
-
-bool Device::test(const RequestPtr& req) {
-  util::require(req != nullptr, "test on null request");
-  progress();
-  return req->complete();
 }
 
 void Device::note_matched(Rank src, std::uint64_t seq, MsgKind kind,

@@ -83,7 +83,6 @@ class Device {
   ~Device();
 
   Rank rank() const noexcept { return me_; }
-  int world_size() const;
 
   /// The world's engine: the clock a device reads and schedules on.
   sim::Engine& engine() const noexcept;
@@ -92,11 +91,9 @@ class Device {
   void bind_process(sim::Process& proc) { proc_ = &proc; }
 
   // ---- point-to-point ----
-  RequestPtr isend(Rank dst, Tag tag, std::span<const std::byte> data,
-                   SendMode mode = SendMode::standard);
+  RequestPtr isend(Rank dst, Tag tag, std::span<const std::byte> data);
   RequestPtr irecv(Rank src, Tag tag, std::span<std::byte> buffer);
   void wait(const RequestPtr& req);
-  bool test(const RequestPtr& req);
   void progress();  ///< Non-blocking: drain the CQ, run protocol actions.
 
   // ---- setup (World / on-demand) ----

@@ -15,13 +15,6 @@ inline constexpr Tag kAnyTag = -1;
 inline constexpr Tag kMinUserTag = 0;
 inline constexpr Tag kFirstInternalTag = -10;  // internal tags go downward
 
-/// MPI's four point-to-point communication modes (the paper's §3.1).
-/// Standard picks Eager/Rendezvous by size; Synchronous always handshakes
-/// (completes only once the receive matched); Buffered always copies
-/// through the eager path (must fit a pre-pinned buffer); Ready asserts
-/// the receive is already posted and pushes eagerly when it fits.
-enum class SendMode : std::uint8_t { standard, synchronous, buffered, ready };
-
 /// Completion information for a receive.
 struct Status {
   Rank source = kAnySource;

@@ -165,15 +165,6 @@ bool workload_registered(const std::string& name) {
   return registry().count(name) != 0;
 }
 
-std::vector<std::string> workload_names() {
-  std::vector<std::string> out;
-  for (const auto& [name, f] : registry()) {
-    (void)f;
-    out.push_back(name);
-  }
-  return out;
-}
-
 RankBodyFn make_workload(const WorkloadSpec& spec) {
   const auto it = registry().find(spec.name);
   if (it == registry().end()) {

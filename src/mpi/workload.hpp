@@ -44,7 +44,6 @@ bool register_workload(const std::string& name, WorkloadFactory factory);
 RankBodyFn make_workload(const WorkloadSpec& spec);
 
 bool workload_registered(const std::string& name);
-std::vector<std::string> workload_names();
 
 // Built-in workloads (registered at static init):
 //   pingpong  — ranks 0/1 exchange `bytes`-sized messages `iters` times.

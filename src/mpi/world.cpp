@@ -246,8 +246,7 @@ void World::flush_exports() {
   // trace, and the credit/backlog CSV, each gated on its own path.
   if (!cfg_.run.metrics_path.empty() &&
       !metrics_.snapshot().write_json(cfg_.run.metrics_path)) {
-    util::Logger::write(util::LogLevel::error, "obs",
-                        "cannot write metrics " + cfg_.run.metrics_path);
+    util::Logger::error("obs", "cannot write metrics " + cfg_.run.metrics_path);
   }
   // The profile analysis feeds two artifacts: the $MVFLOW_PROF JSON and the
   // Chrome-trace flow arrows. Replay once, use for both.
@@ -257,8 +256,7 @@ void World::flush_exports() {
   if (cfg_.run.prof_enabled() || arrows) analysis = prof_analysis();
   if (cfg_.run.prof_enabled() &&
       !obs::write_profile(cfg_.run.prof_path, analysis, "run")) {
-    util::Logger::write(util::LogLevel::error, "obs",
-                        "cannot write profile " + cfg_.run.prof_path);
+    util::Logger::error("obs", "cannot write profile " + cfg_.run.prof_path);
   }
   if (!cfg_.run.trace_path.empty()) {
     // With a profile armed the trace gains sender→receiver flow arrows
@@ -268,13 +266,13 @@ void World::flush_exports() {
                                                 obs::flow_events(analysis))
                : recorder().export_chrome_trace(cfg_.run.trace_path);
     if (!ok) {
-      util::Logger::write(util::LogLevel::error, "obs",
+      util::Logger::error("obs",
                           "cannot write trace file " + cfg_.run.trace_path);
     }
   }
   if (!cfg_.run.trace_csv_path.empty() &&
       !recorder().export_credit_csv(cfg_.run.trace_csv_path)) {
-    util::Logger::write(util::LogLevel::error, "obs",
+    util::Logger::error("obs",
                         "cannot write credit CSV " + cfg_.run.trace_csv_path);
   }
 }
@@ -442,9 +440,9 @@ void World::handle_stall(const sim::WatchdogStall& stall) {
     os << " pending_return=" << dst_dev.flow(stall.src).pending_return_credits();
   }
   const std::string detail = os.str();
-  util::Logger::write(util::LogLevel::error, "watchdog",
-                      "stall on " + std::to_string(stall.src) + "->" +
-                          std::to_string(stall.dst) + ": " + detail);
+  util::Logger::error("watchdog", "stall on " + std::to_string(stall.src) +
+                                      "->" + std::to_string(stall.dst) +
+                                      ": " + detail);
 
   // Stall artifacts: a full metrics snapshot, and (when configured and the
   // workload is registered) a best-effort world checkpoint. The capture
@@ -453,14 +451,14 @@ void World::handle_stall(const sim::WatchdogStall& stall) {
   // applies only to checkpoints taken at a watchpoint (DESIGN.md §13).
   if (!cfg_.run.watchdog_dump_path.empty() &&
       !metrics_.snapshot().write_json(cfg_.run.watchdog_dump_path)) {
-    util::Logger::write(util::LogLevel::error, "watchdog",
+    util::Logger::error("watchdog",
                         "cannot write metrics " + cfg_.run.watchdog_dump_path);
   }
   if (!cfg_.run.watchdog_ckpt_path.empty() && workload_.has_value()) {
     try {
       ckpt::write_snapshot(ckpt::capture(*this), cfg_.run.watchdog_ckpt_path);
     } catch (const std::exception& e) {
-      util::Logger::write(util::LogLevel::error, "watchdog",
+      util::Logger::error("watchdog",
                           std::string("stall checkpoint failed: ") + e.what());
     }
   }

@@ -6,14 +6,13 @@ namespace mvflow::sim {
 
 /// A blocked process's place in the FIFO. It lives in the wait call's
 /// frame, and its destructor runs on every way out of the wait
-/// (notification, timeout, ProcessKilled), so nothing refers to the frame
-/// once it is gone.
+/// (notification or ProcessKilled), so nothing refers to the frame once it
+/// is gone.
 struct Condition::Waiter {
   Process::Waker wake;
   Condition* cond;  // linked into cond's FIFO while non-null
   Waiter* prev = nullptr;
   Waiter* next = nullptr;
-  EventHandle timeout;  // wait_for's pending timeout, if any
   bool notified = false;
 
   Waiter(Process::Waker w, Condition& c) : wake(w), cond(&c) {
@@ -22,7 +21,6 @@ struct Condition::Waiter {
   Waiter(const Waiter&) = delete;
   Waiter& operator=(const Waiter&) = delete;
   ~Waiter() {
-    timeout.cancel();
     if (cond != nullptr) cond->unlink(*this);
   }
 };
@@ -62,17 +60,6 @@ void Condition::wait(Process& p) {
   Waiter w(p.begin_sleep(), *this);
   p.suspend();
   util::check(w.notified, "condition wait woke without notification");
-}
-
-bool Condition::wait_for(Process& p, Duration timeout) {
-  Waiter w(p.begin_sleep(), *this);
-  w.timeout = engine_.schedule_after(timeout, [&w] {
-    if (w.notified) return;  // its wake is already queued
-    if (w.cond != nullptr) w.cond->unlink(w);
-    w.wake();
-  });
-  p.suspend();
-  return w.notified;
 }
 
 }  // namespace mvflow::sim

@@ -6,14 +6,12 @@
 // intrusive FIFO that lives in the wait call's own frame on the process's
 // stack. Notify unlinks the node and queues the process's two-word Waker
 // by value, so no queued wake refers to the frame; the frame unlinks
-// itself and cancels its timeout on every way out, ProcessKilled
-// included; and a Condition destroyed while processes still wait on it
-// detaches their nodes.
+// itself on every way out, ProcessKilled included; and a Condition
+// destroyed while processes still wait on it detaches their nodes.
 #pragma once
 
 #include "sim/engine.hpp"
 #include "sim/process.hpp"
-#include "sim/time.hpp"
 
 namespace mvflow::sim {
 
@@ -26,9 +24,6 @@ class Condition {
 
   /// Block `p` until notify_one/notify_all. Must be called from p's body.
   void wait(Process& p);
-
-  /// Block with a timeout; returns true if notified, false on timeout.
-  bool wait_for(Process& p, Duration timeout);
 
   /// Wake every currently blocked process (as events at the current time).
   /// The no-waiter case is the common one on the hot path (a completion

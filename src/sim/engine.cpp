@@ -1,83 +1,29 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
-#include <mutex>
 #include <utility>
 
-#include "sim/process.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
 #include "util/serial.hpp"
 
 namespace mvflow::sim {
 
-namespace {
-
-// Registry of constructed-and-not-yet-destroyed engines. EventHandle holds
-// a raw Engine* (no refcounting on the hot path); checking membership here
-// before dereferencing makes a handle that outlives its engine a safe
-// no-op regardless of destruction order. Each engine is single-threaded,
-// but the experiment layer runs *many* engines on a thread pool, so the
-// registry is shared across threads: it is sharded by engine address, one
-// mutex + tiny vector per shard. A thread touches only its engine's shard,
-// so concurrent worlds contend only on the (rare) hash collisions, and the
-// linear scan stays over the handful of engines that map to one shard.
-// Address reuse by a *new* engine at the same address is additionally
-// guarded by the slot bounds check and the generation stamp in
-// cancel()/handle_valid().
-struct RegistryShard {
-  std::mutex mu;
-  std::vector<Engine*> engines;
-};
-
-constexpr std::size_t kRegistryShards = 16;
-
-RegistryShard& shard_for(const Engine* e) noexcept {
-  // Heap-allocated and intentionally leaked: EventHandles held by
-  // static-lifetime objects may call is_live() during process teardown,
-  // after function-local statics would have been destroyed.
-  static auto* shards = new std::array<RegistryShard, kRegistryShards>();
-  // Engines are heap/stack objects; drop the alignment bits before mixing.
-  const auto p = reinterpret_cast<std::uintptr_t>(e) >> 6;
-  return (*shards)[(p ^ (p >> 7)) % kRegistryShards];
-}
-
-}  // namespace
-
 Engine::Engine() {
-  {
-    RegistryShard& s = shard_for(this);
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.engines.push_back(this);
-  }
-  // Give the logger simulated time while this engine exists, so MVFLOW_LOG
-  // lines correlate with trace/metrics timestamps. (The time-source stack
-  // is thread-local: this registers on the constructing thread. Rank
-  // fibers run on the thread dispatching their engine and share its
+  // Give the logger simulated time while this engine exists, so error
+  // lines correlate with trace and metrics timestamps. (The time-source
+  // stack is thread-local: this registers on the constructing thread.
+  // Rank fibers run on the thread dispatching their engine and share its
   // stack.)
-  util::Logger::push_time_source(&Engine::log_clock, this);
+  util::Logger::push_time_source(
+      [](const void* e) -> long long {
+        return static_cast<const Engine*>(e)->now().count();
+      },
+      this);
 }
 
-long long Engine::log_clock(const void* engine) noexcept {
-  return static_cast<long long>(
-      static_cast<const Engine*>(engine)->now().count());
-}
-
-Engine::~Engine() {
-  util::Logger::pop_time_source(this);
-  RegistryShard& s = shard_for(this);
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.engines.erase(std::remove(s.engines.begin(), s.engines.end(), this),
-                  s.engines.end());
-}
-
-bool Engine::is_live(const Engine* e) noexcept {
-  RegistryShard& s = shard_for(e);
-  std::lock_guard<std::mutex> lock(s.mu);
-  return std::find(s.engines.begin(), s.engines.end(), e) != s.engines.end();
-}
+Engine::~Engine() { util::Logger::pop_time_source(this); }
 
 std::uint32_t Engine::acquire_slot_grow() {
   ++perf_.pool_allocs;
@@ -223,21 +169,6 @@ void Engine::serialize_state(util::serial::BufWriter& w) const {
   for (std::uint32_t s = free_head_; s != kNone; s = node(s).next_free) {
     w.u32(s);
   }
-}
-
-std::vector<Process*> Engine::blocked_processes() const {
-  std::vector<Process*> out;
-  for (Process* p : processes_) {
-    if (!p->finished()) out.push_back(p);
-  }
-  return out;
-}
-
-void Engine::register_process(Process* p) { processes_.push_back(p); }
-
-void Engine::unregister_process(Process* p) {
-  processes_.erase(std::remove(processes_.begin(), processes_.end(), p),
-                   processes_.end());
 }
 
 void Engine::record_error(std::exception_ptr e) {

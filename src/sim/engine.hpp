@@ -93,10 +93,9 @@ struct EnginePerfStats {
 /// generation advances and every outstanding handle to it reads invalid —
 /// cancel-after-fire is a harmless no-op.
 ///
-/// Handles may outlive the engine: cancel()/valid() first check the
-/// process-wide live-engine registry, so a handle whose engine was already
-/// destroyed (e.g. a QP timer cancelled during teardown after the engine)
-/// degrades to a no-op instead of dereferencing a dangling pointer.
+/// A handle is used only while its engine lives: its holders, a QP's two
+/// timers, die with their fabric before the World's engine, and no
+/// destructor cancels a handle (DESIGN.md §10).
 class EventHandle {
  public:
   EventHandle() = default;
@@ -121,18 +120,7 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
   ~Engine();
 
-  /// True while `e` is a constructed, not-yet-destroyed Engine. Backed by a
-  /// process-wide registry sharded by engine address (mutex per shard), so
-  /// concurrent engines on an experiment thread pool register, die, and
-  /// check liveness without racing; EventHandle checks it before touching
-  /// its engine so stale handles are safe no matter the destruction order.
-  static bool is_live(const Engine* e) noexcept;
-
   TimePoint now() const noexcept { return now_; }
-
-  /// util::Logger time source: the simulated clock, in ns, of `engine` (a
-  /// const Engine*).
-  static long long log_clock(const void* engine) noexcept;
 
   /// Inline storage for event callbacks, sized for the largest hot-path
   /// closure (the fabric's packet-delivery lambda: a full Packet plus
@@ -225,16 +213,10 @@ class Engine {
   /// them.
   void serialize_state(util::serial::BufWriter& w) const;
 
-  /// Processes register themselves; used to detect "simulation ended with
-  /// blocked processes" (a deadlock in the modeled system).
-  std::vector<Process*> blocked_processes() const;
-
  private:
   friend class Process;
   friend class EventHandle;
 
-  void register_process(Process* p);
-  void unregister_process(Process* p);
   void record_error(std::exception_ptr e);
   /// run() and run_until(): the dispatch loop on the caller's stack.
   std::size_t dispatch(TimePoint horizon);
@@ -377,7 +359,6 @@ class Engine {
   bool running_ = false;
   /// Latest time the current run() / run_until() dispatches.
   TimePoint horizon_ = TimePoint::max();
-  std::vector<Process*> processes_;
   std::exception_ptr first_error_;
   /// Checkpoint hooks: (executed-count, callback), fired at event
   /// boundaries. `next_watch_` caches the minimum pending count so the
@@ -456,13 +437,11 @@ inline void Engine::fire_entry(const SchedEntry& top) {
 }
 
 inline void EventHandle::cancel() {
-  if (engine_ != nullptr && Engine::is_live(engine_))
-    engine_->cancel(slot_, gen_);
+  if (engine_ != nullptr) engine_->cancel(slot_, gen_);
 }
 
 inline bool EventHandle::valid() const {
-  return engine_ != nullptr && Engine::is_live(engine_) &&
-         engine_->handle_valid(slot_, gen_);
+  return engine_ != nullptr && engine_->handle_valid(slot_, gen_);
 }
 
 }  // namespace mvflow::sim

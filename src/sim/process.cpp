@@ -323,7 +323,6 @@ Process::Process(Engine& engine, std::string name, Body body)
       name_(std::move(name)),
       body_(std::move(body)),
       fiber_(Fiber::create(this)) {
-  engine_.register_process(this);
   // First wake: enter the body at the current simulated time.
   engine_.schedule_at(engine_.now(), [this] {
     if (!finished_) wake();
@@ -332,7 +331,6 @@ Process::Process(Engine& engine, std::string name, Body body)
 
 Process::~Process() {
   if (!finished_) kill();
-  engine_.unregister_process(this);
   Fiber::destroy(fiber_);
 }
 

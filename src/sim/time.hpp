@@ -4,7 +4,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <string>
 
 namespace mvflow::sim {
 
@@ -34,7 +33,5 @@ inline Duration transfer_time(std::uint64_t bytes, double bytes_per_second) {
   const double ns = static_cast<double>(bytes) / bytes_per_second * 1e9;
   return Duration(static_cast<std::int64_t>(ns) + 1);
 }
-
-std::string format_time(TimePoint t);  // "12.345us" style, for traces
 
 }  // namespace mvflow::sim

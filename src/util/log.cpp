@@ -1,43 +1,12 @@
 #include "util/log.hpp"
 
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iterator>
 #include <vector>
 
 namespace mvflow::util {
 
 namespace {
-
-LogLevel parse_level(const char* s) {
-  if (!s) return LogLevel::off;
-  if (std::strcmp(s, "error") == 0) return LogLevel::error;
-  if (std::strcmp(s, "warn") == 0) return LogLevel::warn;
-  if (std::strcmp(s, "info") == 0) return LogLevel::info;
-  if (std::strcmp(s, "debug") == 0) return LogLevel::debug;
-  if (std::strcmp(s, "trace") == 0) return LogLevel::trace;
-  return LogLevel::off;
-}
-
-const char* level_name(LogLevel lvl) {
-  switch (lvl) {
-    case LogLevel::error: return "ERROR";
-    case LogLevel::warn: return "WARN";
-    case LogLevel::info: return "INFO";
-    case LogLevel::debug: return "DEBUG";
-    case LogLevel::trace: return "TRACE";
-    default: return "OFF";
-  }
-}
-
-// Atomic because the level is read from every thread running a simulation
-// while tests (or a main thread configuring a sweep) may set it.
-std::atomic<LogLevel>& level_storage() {
-  static std::atomic<LogLevel> lvl = parse_level(std::getenv("MVFLOW_LOG"));
-  return lvl;
-}
 
 struct TimeSource {
   Logger::TimeSourceFn fn = nullptr;
@@ -53,8 +22,7 @@ std::vector<TimeSource>& time_sources() {
   return sources;
 }
 
-/// Human-readable simulated time, mirroring sim::format_time ("12.345us");
-/// duplicated locally because util sits below the sim layer.
+/// Human-readable simulated time ("12.345us").
 void format_ns(char* buf, std::size_t n, long long ns) {
   const double t = static_cast<double>(ns);
   if (ns < 1'000) std::snprintf(buf, n, "%lldns", ns);
@@ -65,16 +33,7 @@ void format_ns(char* buf, std::size_t n, long long ns) {
 
 }  // namespace
 
-LogLevel Logger::level() {
-  return level_storage().load(std::memory_order_relaxed);
-}
-
-void Logger::set_level(LogLevel lvl) {
-  level_storage().store(lvl, std::memory_order_relaxed);
-}
-
-void Logger::write(LogLevel lvl, std::string_view component,
-                   std::string_view message) {
+void Logger::error(std::string_view component, std::string_view message) {
   // Format the whole line first and emit it with a single stdio call:
   // stdio locks the stream per call, so concurrent writers interleave only
   // at line granularity, never mid-line.
@@ -84,12 +43,11 @@ void Logger::write(LogLevel lvl, std::string_view component,
   if (!sources.empty()) {
     char ts[32];
     format_ns(ts, sizeof ts, sources.back().fn(sources.back().ctx));
-    n = std::snprintf(line, sizeof line, "[%s] [%s] %.*s: %.*s\n",
-                      level_name(lvl), ts,
+    n = std::snprintf(line, sizeof line, "[ERROR] [%s] %.*s: %.*s\n", ts,
                       static_cast<int>(component.size()), component.data(),
                       static_cast<int>(message.size()), message.data());
   } else {
-    n = std::snprintf(line, sizeof line, "[%s] %.*s: %.*s\n", level_name(lvl),
+    n = std::snprintf(line, sizeof line, "[ERROR] %.*s: %.*s\n",
                       static_cast<int>(component.size()), component.data(),
                       static_cast<int>(message.size()), message.data());
   }

@@ -1,10 +1,23 @@
 #include "util/options.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
+#include <stdexcept>
 #include <string_view>
 
 namespace mvflow::util {
+
+namespace {
+
+[[noreturn]] void reject(const std::string& key, const std::string& value,
+                         const char* expected) {
+  const std::string dashes = key.size() == 1 ? "-" : "--";  // "-j four"
+  throw std::invalid_argument("option " + dashes + key + ": '" + value +
+                              "' is not " + expected);
+}
+
+}  // namespace
 
 Options::Options(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -52,19 +65,31 @@ std::string Options::get_or(const std::string& key, const std::string& fallback)
 std::int64_t Options::get_int(const std::string& key, std::int64_t fallback) const {
   const auto v = get(key);
   if (!v) return fallback;
-  return std::strtoll(v->c_str(), nullptr, 10);
+  char* end = nullptr;
+  errno = 0;
+  const long long n = std::strtoll(v->c_str(), &end, 10);
+  if (end == v->c_str() || *end != '\0' || errno == ERANGE)
+    reject(key, *v, "an integer");
+  return n;
 }
 
 double Options::get_double(const std::string& key, double fallback) const {
   const auto v = get(key);
   if (!v) return fallback;
-  return std::strtod(v->c_str(), nullptr);
+  char* end = nullptr;
+  errno = 0;
+  const double x = std::strtod(v->c_str(), &end);
+  if (end == v->c_str() || *end != '\0' || errno == ERANGE)
+    reject(key, *v, "a number");
+  return x;
 }
 
 bool Options::get_bool(const std::string& key, bool fallback) const {
   const auto v = get(key);
   if (!v) return fallback;
-  return *v == "true" || *v == "1" || *v == "yes" || *v == "on";
+  if (*v == "true" || *v == "1" || *v == "yes" || *v == "on") return true;
+  if (*v == "false" || *v == "0" || *v == "no" || *v == "off") return false;
+  reject(key, *v, "a boolean (true/false, 1/0, yes/no, on/off)");
 }
 
 std::vector<std::string> Options::unused() const {

@@ -13,6 +13,9 @@ namespace mvflow::util {
 /// Parses argv of the form: prog --key=value --flag -x4 -x val positional ...
 /// A bare "--flag" (or "-x" with no value) is stored with value "true";
 /// short options use the single letter as the key ("-j8" == "--j=8").
+/// A typed getter throws std::invalid_argument, naming the option and its
+/// value, unless the whole value parses as that type: "--reps=1O" is an
+/// error, not 1, and "--ondemand=ture" is an error, not false.
 class Options {
  public:
   Options(int argc, const char* const* argv);

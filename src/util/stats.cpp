@@ -1,7 +1,6 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/check.hpp"
 
@@ -16,35 +15,8 @@ void RunningStats::add(double x) noexcept {
   }
   ++n_;
   sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(n_);
 }
-
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double nt = na + nb;
-  mean_ += delta * nb / nt;
-  m2_ += other.m2_ + delta * delta * na * nb / nt;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double RunningStats::variance() const noexcept {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 Histogram::Histogram(double lo, double hi, std::size_t buckets)
     : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
@@ -99,24 +71,6 @@ double Histogram::quantile(double q) const noexcept {
     if (seen > target) return bucket_lo(i) + width_ / 2;
   }
   return hi_;
-}
-
-std::string Histogram::to_string(int max_width) const {
-  std::size_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    out += std::to_string(bucket_lo(i));
-    out += " | ";
-    const auto bar = static_cast<std::size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-        static_cast<double>(max_width));
-    out.append(bar, '#');
-    out += " ";
-    out += std::to_string(counts_[i]);
-    out += "\n";
-  }
-  return out;
 }
 
 }  // namespace mvflow::util

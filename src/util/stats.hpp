@@ -4,22 +4,18 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace mvflow::util {
 
-/// Welford streaming mean/variance plus min/max. O(1) per sample.
+/// Streaming mean (Welford's update), min, max and sum. O(1) per sample.
 class RunningStats {
  public:
   void add(double x) noexcept;
-  void merge(const RunningStats& other) noexcept;
   void reset() noexcept { *this = RunningStats{}; }
 
   std::size_t count() const noexcept { return n_; }
   double mean() const noexcept { return n_ ? mean_ : 0.0; }
-  double variance() const noexcept;  ///< Sample variance (n-1 denominator).
-  double stddev() const noexcept;
   double min() const noexcept { return n_ ? min_ : 0.0; }
   double max() const noexcept { return n_ ? max_ : 0.0; }
   double sum() const noexcept { return sum_; }
@@ -27,7 +23,6 @@ class RunningStats {
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
@@ -55,8 +50,6 @@ class Histogram {
   /// q >= 1 returns hi() only if a sample overflowed, else the midpoint of
   /// the highest occupied bucket (lo() when only underflow samples exist).
   double quantile(double q) const noexcept;
-
-  std::string to_string(int max_width = 40) const;
 
  private:
   double lo_;

@@ -602,6 +602,11 @@ TEST(CheckpointProcess, CliRejectsUnreadOptionWithExit1) {
   EXPECT_NE(slurp(out).find("--decay"), std::string::npos) << slurp(out);
   EXPECT_EQ(run_cli("restore " + ck + " --tune-ecm=1", out), 1);
   EXPECT_NE(slurp(out).find("--tune-ecm"), std::string::npos) << slurp(out);
+
+  // A value must parse in full: "1O" is not read as 1.
+  EXPECT_EQ(run_cli("run --workload=bw --reps=1O", out), 1);
+  EXPECT_NE(slurp(out).find("--reps: '1O'"), std::string::npos) << slurp(out);
+  EXPECT_EQ(slurp(out).find("RESULT"), std::string::npos) << slurp(out);
 }
 
 #endif  // MVFLOW_CKPT_BIN

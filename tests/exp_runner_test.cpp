@@ -1,9 +1,9 @@
 // exp::SweepRunner: the thread-pool sweep executor and the de-globalized
 // state it depends on. Covers the runner's ordering/exception contract, the
-// -j1 inline path, concurrent Worlds exercising the hash-bucketed
-// live-engine registry and world-owned flight recorders, and the headline
-// determinism claim: reduced figure sweeps and seeded fault-injection
-// sweeps are byte/count-identical at every thread count.
+// -j1 inline path, concurrent Worlds torn down with QP timers armed and
+// with world-owned flight recorders, and the headline determinism claim:
+// reduced figure sweeps and seeded fault-injection sweeps are
+// byte/count-identical at every thread count.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -157,42 +157,85 @@ TEST(SweepRunner, ParallelRethrowsLowestIndexedException) {
   }
 }
 
-// --------------------------------------- concurrent worlds, shared registry --
+// ------------------------------------ concurrent worlds, timers at teardown --
 
-TEST(SweepRunner, ConcurrentEnginesShareTheLiveRegistrySafely) {
-  // Two engines on two pool threads concurrently register, schedule,
-  // cancel, and die; stale handles are cancelled after their engine is
-  // gone. This is the regression test for the live-engine registry's
-  // per-bucket locking (a single unsynchronized registry corrupts under
-  // exactly this pattern).
-  std::atomic<int> arrived{0};
-  std::vector<std::function<sim::EventHandle()>> jobs;
-  for (int j = 0; j < 2; ++j) {
-    jobs.push_back([&arrived]() -> sim::EventHandle {
-      rendezvous(arrived, 2);
-      sim::EventHandle stale;
-      {
-        sim::Engine eng;
-        int fired = 0;
-        std::vector<sim::EventHandle> handles;
-        for (int i = 0; i < 200; ++i) {
-          handles.push_back(
-              eng.schedule_at(sim::TimePoint(i + 1), [&fired] { ++fired; }));
-        }
-        for (int i = 0; i < 200; i += 2) handles[i].cancel();
-        stale = handles[1];  // survives the engine
-        eng.run();
-        EXPECT_EQ(fired, 100);
-        EXPECT_FALSE(stale.valid());  // fired already
+/// What one aborted world saw before it died.
+struct ArmedTeardown {
+  /// At one event boundary, some endpoint waited out an RNR NAK while some
+  /// endpoint had its retransmit timer armed.
+  bool both_armed = false;
+  std::uint64_t stopped_at = 0;
+};
+
+/// A hardware-scheme world at prepost 1 with the transport timer on, so a
+/// window of 4 B sends draws RNR NAKs while unacknowledged sends keep the
+/// retransmit timer armed. A watchpoint re-armed every 25 events aborts
+/// the run once both QP timers hold live handles at one boundary; the
+/// world is then destroyed with those events still queued.
+ArmedTeardown abort_with_timers_armed() {
+  mpi::WorldConfig cfg;
+  cfg.num_ranks = 2;
+  cfg.flow.scheme = mvflow::flowctl::Scheme::hardware;
+  cfg.flow.prepost = 1;
+  cfg.fabric.transport_timeout = sim::microseconds(30);
+  cfg.run = cfg.run.quiet();
+  ArmedTeardown out;
+  mpi::World world(cfg);
+  std::uint64_t next = 25;
+  std::function<void()> watch = [&] {
+    bool rnr = false, retx = false;
+    for (mpi::Rank r = 0; r < world.num_ranks(); ++r) {
+      for (const mpi::Rank peer : world.device(r).peers()) {
+        const auto probe = world.device(r).probe(peer);
+        rnr = rnr || probe.rnr_waiting;
+        retx = retx || probe.retx_armed;
       }
-      return stale;  // engine destroyed: handle must degrade to a no-op
+    }
+    if (rnr && retx) {
+      out.both_armed = true;
+      world.abort_run();
+      return;
+    }
+    next += 25;
+    world.engine().set_watchpoint(next, watch);
+  };
+  world.engine().set_watchpoint(next, watch);
+  world.run([](mpi::Communicator& comm) {
+    constexpr int kWindow = 32;
+    std::byte buf[kWindow][4] = {};
+    std::vector<mpi::RequestPtr> reqs(kWindow);
+    for (int rep = 0; rep < 50; ++rep) {
+      for (int i = 0; i < kWindow; ++i) {
+        reqs[i] = comm.rank() == 0 ? comm.isend(buf[i], 1, 0)
+                                   : comm.irecv(buf[i], 0, 0);
+      }
+      comm.wait_all(reqs);
+    }
+  });
+  out.stopped_at = world.executed_events();
+  return out;
+}
+
+TEST(SweepRunner, ConcurrentWorldsTornDownWithTimersArmed) {
+  // A QP's timer handles die with the fabric that owns them, before the
+  // engine they point into (the World declares its engine first), and no
+  // destructor cancels one. Two worlds run at once and each is torn down
+  // with an RNR retry and a retransmit timer pending: ASan checks the
+  // teardown, TSan that the two engines share nothing.
+  std::atomic<int> arrived{0};
+  std::vector<std::function<ArmedTeardown()>> jobs;
+  for (int j = 0; j < 2; ++j) {
+    jobs.push_back([&arrived] {
+      rendezvous(arrived, 2);
+      return abort_with_timers_armed();
     });
   }
-  auto stale = exp::run_parallel(jobs, 2);
-  for (auto& h : stale) {
-    EXPECT_FALSE(h.valid());
-    h.cancel();  // dead-engine cancel: must not touch freed memory
+  const auto out = exp::SweepRunner(2).run<ArmedTeardown>(jobs);
+  for (const ArmedTeardown& t : out) {
+    EXPECT_TRUE(t.both_armed);
+    EXPECT_GT(t.stopped_at, 0u);
   }
+  EXPECT_EQ(out[0].stopped_at, out[1].stopped_at);
 }
 
 TEST(SweepRunner, TwoWorldsOnTwoThreadsStayDeterministic) {

@@ -196,26 +196,6 @@ TEST_P(Collectives, AlltoallvVariableSizes) {
   });
 }
 
-TEST_P(Collectives, GatherAndScatterRoundTrip) {
-  World world(make_config());
-  const int p = world.num_ranks();
-  world.run([&](Communicator& comm) {
-    const auto np = static_cast<std::size_t>(p);
-    std::vector<double> mine{comm.rank() + 0.25};
-    std::vector<double> all(np, -1);
-    comm.gather(std::as_bytes(std::span<const double>(mine)),
-                std::as_writable_bytes(std::span<double>(all)), 0);
-    if (comm.rank() == 0) {
-      for (int r = 0; r < p; ++r) EXPECT_DOUBLE_EQ(all[r], r + 0.25);
-      for (int r = 0; r < p; ++r) all[r] = r * 2.0;
-    }
-    std::vector<double> back(1, -1);
-    comm.scatter(std::as_bytes(std::span<const double>(all)),
-                 std::as_writable_bytes(std::span<double>(back)), 0);
-    EXPECT_DOUBLE_EQ(back[0], comm.rank() * 2.0);
-  });
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Schemes, Collectives,
     ::testing::Values(CollParam{1, flowctl::Scheme::user_static, 0x00},

@@ -190,27 +190,6 @@ TEST(MixedProtocols, EagerAndRendezvousInterleaveInOrder) {
   });
 }
 
-TEST(Requests, TestPollsWithoutBlocking) {
-  World world(two_ranks());
-  world.run([&](Communicator& comm) {
-    if (comm.rank() == 0) {
-      comm.compute(sim::microseconds(40));
-      const std::int64_t v = 11;
-      comm.send_n(&v, 1, 1, 0);
-    } else {
-      std::int64_t v = 0;
-      auto req = comm.irecv_n(&v, 1, 0, 0);
-      int polls = 0;
-      while (!comm.test(req)) {
-        ++polls;
-        comm.compute(sim::microseconds(1));
-      }
-      EXPECT_GT(polls, 5) << "message only lands after ~40us of polling";
-      EXPECT_EQ(v, 11);
-    }
-  });
-}
-
 TEST(WorldStats, ConnectionReportsCoverAllPairs) {
   WorldConfig cfg;
   cfg.num_ranks = 4;

@@ -180,68 +180,6 @@ TEST(Condition, NotifyOneWakesInFifoOrder) {
   EXPECT_EQ(woke, (std::vector<int>{0, 1}));
 }
 
-TEST(Condition, WaitForTimesOut) {
-  Engine eng;
-  Condition cond(eng);
-  bool notified = true;
-  Process p(eng, "p", [&](Process& self) {
-    notified = cond.wait_for(self, Duration(50));
-  });
-  eng.run();
-  EXPECT_FALSE(notified);
-  EXPECT_EQ(eng.now(), TimePoint(50));
-}
-
-TEST(Condition, WaitForReturnsTrueWhenNotifiedFirst) {
-  Engine eng;
-  Condition cond(eng);
-  bool notified = false;
-  std::int64_t woke_at = -1;
-  Process p(eng, "p", [&](Process& self) {
-    notified = cond.wait_for(self, Duration(1000));
-    woke_at = eng.now().count();
-  });
-  Process n(eng, "n", [&](Process& self) {
-    self.delay(Duration(20));
-    cond.notify_all();
-  });
-  eng.run();
-  EXPECT_TRUE(notified);
-  EXPECT_EQ(woke_at, 20);
-}
-
-TEST(Condition, TimedOutWaiterDoesNotConsumeNotifyOne) {
-  Engine eng;
-  Condition cond(eng);
-  std::vector<int> woke;
-  Process w0(eng, "w0", [&](Process& self) {
-    if (!cond.wait_for(self, Duration(10))) woke.push_back(-1);
-  });
-  Process w1(eng, "w1", [&](Process& self) {
-    cond.wait(self);
-    woke.push_back(1);
-  });
-  Process n(eng, "n", [&](Process& self) {
-    self.delay(Duration(100));  // after w0 timed out
-    cond.notify_one();          // must wake w1, not the dead w0 slot
-  });
-  eng.run();
-  EXPECT_EQ(woke, (std::vector<int>{-1, 1}));
-}
-
-TEST(Process, BlockedProcessesDetectedAsDeadlock) {
-  Engine eng;
-  Condition never(eng);
-  auto p = std::make_unique<Process>(eng, "stuck",
-                                     [&](Process& self) { never.wait(self); });
-  eng.run();  // queue drains with p still blocked
-  const auto blocked = eng.blocked_processes();
-  ASSERT_EQ(blocked.size(), 1u);
-  EXPECT_EQ(blocked[0]->name(), "stuck");
-  p.reset();  // kill + join cleanly
-  EXPECT_TRUE(eng.blocked_processes().empty());
-}
-
 TEST(Process, KillUnwindsWithRaii) {
   Engine eng;
   Condition never(eng);
@@ -675,26 +613,6 @@ TEST(Handoff, SlabHistoryMatchesACallerOnlyLoop) {
 
 // ---- stack-resident condition waiters --------------------------------
 
-TEST(ConditionWaiter, KilledInWaitForLeavesNothingPending) {
-  Engine eng;
-  Condition cond(eng);
-  bool returned = false;
-  Process p(eng, "p", [&](Process& self) {
-    cond.wait_for(self, Duration(100));
-    returned = true;
-  });
-  eng.run_until(TimePoint(10));
-  ASSERT_FALSE(p.finished());
-  EXPECT_EQ(eng.pending_events(), 1u);  // the timeout
-  p.kill();
-  EXPECT_TRUE(p.finished());
-  EXPECT_EQ(eng.pending_events(), 0u);
-  const std::size_t executed = eng.executed_events();
-  eng.run_until(TimePoint(1000));  // past the timeout: nothing to fire
-  EXPECT_EQ(eng.executed_events(), executed);
-  EXPECT_FALSE(returned);
-}
-
 TEST(ConditionWaiter, ConditionDestroyedBeforeKillDoesNotFault) {
   Engine eng;
   // A new condition takes the destroyed one's storage, so a waiter that
@@ -702,32 +620,26 @@ TEST(ConditionWaiter, ConditionDestroyedBeforeKillDoesNotFault) {
   // FIFO, visibly even without a sanitizer.
   std::optional<Condition> cond(std::in_place, eng);
   bool unwound = false;
-  int timed_out = 0;
   Process waiter(eng, "waiter", [&](Process& self) {
     Cleanup c{&unwound};
     cond->wait(self);
   });
-  Process timer(eng, "timer", [&](Process& self) {
-    if (!cond->wait_for(self, Duration(50))) ++timed_out;
-  });
   eng.run_until(TimePoint(10));
-  cond.reset();  // both processes still linked into it
+  cond.reset();  // the waiter is still linked into it
   cond.emplace(eng);
   bool late_woke = false;
   Process late(eng, "late", [&](Process& self) {
     cond->wait(self);
     late_woke = true;
   });
-  eng.run();  // the wait_for still times out
-  EXPECT_EQ(timed_out, 1);
-  EXPECT_TRUE(timer.finished());
+  eng.run();
   ASSERT_FALSE(waiter.finished());
   waiter.kill();
   EXPECT_TRUE(unwound);
   cond->notify_one();
   eng.run();
   EXPECT_TRUE(late_woke);
-  EXPECT_TRUE(eng.blocked_processes().empty());
+  EXPECT_TRUE(late.finished());
 }
 
 TEST(ConditionWaiter, NotifiedWaiterKilledBeforeWakeGetsStaleWake) {
@@ -754,7 +666,7 @@ TEST(ConditionWaiter, NotifiedWaiterKilledBeforeWakeGetsStaleWake) {
   EXPECT_EQ(woke, (std::vector<int>{1}));
   EXPECT_TRUE(w0.finished());
   EXPECT_TRUE(w1.finished());
-  EXPECT_TRUE(eng.blocked_processes().empty());
+  EXPECT_TRUE(n.finished());
   EXPECT_EQ(eng.pending_events(), 0u);
 }
 
@@ -820,7 +732,7 @@ TEST(Process, KillBeforeStartSkipsBody) {
   EXPECT_TRUE(p.finished());
   eng.run();  // the queued first resume finds the process finished
   EXPECT_FALSE(ran);
-  EXPECT_TRUE(eng.blocked_processes().empty());
+  EXPECT_TRUE(p.finished());
 }
 
 TEST(Process, BodyKillsAnotherProcess) {
