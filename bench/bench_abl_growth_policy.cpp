@@ -9,8 +9,9 @@
 using namespace mvflow;
 using namespace mvflow::bench;
 
-int main(int argc, char** argv) {
-  util::Options opts(argc, argv);
+namespace {
+
+int run(const util::Options& opts) {
   nas::NasParams params;
   params.iterations = static_cast<int>(opts.get_int("iters", 0));
   params.compute_ns_per_point = opts.get_double("cns", 1.0);
@@ -60,4 +61,10 @@ int main(int argc, char** argv) {
   std::puts("# at the cost of over-allocating buffers; exponential converges");
   std::puts("# in the fewest events but overshoots the most.");
   return nas_exit_status(results, labels);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, run);
 }

@@ -9,8 +9,9 @@
 using namespace mvflow;
 using namespace mvflow::bench;
 
-int main(int argc, char** argv) {
-  util::Options opts(argc, argv);
+namespace {
+
+int run(const util::Options& opts) {
   const int window = static_cast<int>(opts.get_int("window", 100));
   const int prepost = static_cast<int>(opts.get_int("prepost", 4));
 
@@ -42,4 +43,10 @@ int main(int argc, char** argv) {
   std::puts("# IB fixes this parameter at connection setup, which is exactly");
   std::puts("# the inflexibility the paper holds against the hardware scheme.");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, run);
 }

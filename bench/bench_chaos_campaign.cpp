@@ -129,10 +129,7 @@ int run_inject_bug(std::uint64_t base_seed) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Options opts(argc, argv);
+int run(const util::Options& opts) {
   const std::uint64_t base_seed =
       static_cast<std::uint64_t>(opts.get_int("base-seed", 1));
   if (opts.get_bool("inject-bug", false)) return run_inject_bug(base_seed);
@@ -188,4 +185,10 @@ int main(int argc, char** argv) {
   if (violations > 0) return 4;
   if (!identical) return 5;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, run);
 }

@@ -49,10 +49,7 @@ std::uint64_t sum_replayed(const mpi::WorldStats& s) {
   return n;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  util::Options opts(argc, argv);
+int run(const util::Options& opts) {
   const int ranks = static_cast<int>(opts.get_int("ranks", 4));
   const int rounds = static_cast<int>(opts.get_int("rounds", 120));
   const std::int64_t bytes = opts.get_int("bytes", 512);
@@ -175,4 +172,10 @@ int main(int argc, char** argv) {
   write_metrics("churn_soak", restored.metrics);
 
   return identical ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, run);
 }

@@ -99,10 +99,7 @@ mpi::WorkloadSpec hotspot_spec(int rounds) {
   return spec;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  util::Options opts(argc, argv);
+int run(const util::Options& opts) {
   // --rounds scales every cell's traffic.
   const int rounds =
       static_cast<int>(std::max<std::int64_t>(1, opts.get_int("rounds", 8)));
@@ -204,4 +201,10 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   json.write(wall.seconds());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, run);
 }

@@ -12,8 +12,9 @@
 using namespace mvflow;
 using namespace mvflow::bench;
 
-int main(int argc, char** argv) {
-  util::Options opts(argc, argv);
+namespace {
+
+int run(const util::Options& opts) {
   nas::NasParams params;
   params.iterations = static_cast<int>(opts.get_int("iters", 0));
   params.compute_ns_per_point = opts.get_double("cns", 1.0);
@@ -52,4 +53,10 @@ int main(int argc, char** argv) {
   std::puts("# LU and MG (RNR retries); static drops ~13% on LU, ~6% on CG;");
   std::puts("# dynamic shows almost no degradation anywhere.");
   return nas_exit_status(results, labels);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, run);
 }

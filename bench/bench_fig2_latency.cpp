@@ -9,8 +9,9 @@
 using namespace mvflow;
 using namespace mvflow::bench;
 
-int main(int argc, char** argv) {
-  util::Options opts(argc, argv);
+namespace {
+
+int run(const util::Options& opts) {
   const int iters = static_cast<int>(opts.get_int("iters", 200));
   const exp::SweepRunner runner = sweep_runner(opts);
 
@@ -24,4 +25,10 @@ int main(int argc, char** argv) {
   std::puts("\n# Expectation (paper): all three schemes within a few percent;");
   std::puts("# the hardware scheme has the least bookkeeping but the gap is noise.");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, run);
 }

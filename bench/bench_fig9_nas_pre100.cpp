@@ -12,8 +12,9 @@
 using namespace mvflow;
 using namespace mvflow::bench;
 
-int main(int argc, char** argv) {
-  util::Options opts(argc, argv);
+namespace {
+
+int run(const util::Options& opts) {
   nas::NasParams params;
   params.iterations = static_cast<int>(opts.get_int("iters", 0));
   params.compute_ns_per_point = opts.get_double("cns", 1.0);  // 0 = default
@@ -51,4 +52,10 @@ int main(int argc, char** argv) {
   std::puts("\n# Expectation (paper): ratios ~1.00 +/- 0.03 everywhere except");
   std::puts("# LU, where user-level schemes run ~5-6% slower than hardware.");
   return nas_exit_status(results, labels);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, run);
 }

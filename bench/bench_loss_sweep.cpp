@@ -50,10 +50,7 @@ LossCell run_cell(mpi::WorldConfig cfg, std::size_t bytes, int window,
 
 constexpr double kLossRates[] = {0.0, 0.001, 0.005, 0.01, 0.02, 0.05};
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  util::Options opts(argc, argv);
+int run(const util::Options& opts) {
   const int window = static_cast<int>(opts.get_int("window", 64));
   const int prepost = static_cast<int>(opts.get_int("prepost", 100));
   const int reps = static_cast<int>(opts.get_int("reps", 10));
@@ -105,4 +102,10 @@ int main(int argc, char** argv) {
   std::puts("# responder could not observe (tail packets, lost ACKs), each");
   std::puts("# costing a full timeout stall.");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, run);
 }

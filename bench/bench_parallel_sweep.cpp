@@ -31,10 +31,7 @@ std::string sweep_tables(int jobs, int iters, bool reduced) {
   return text;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  util::Options opts(argc, argv);
+int run(const util::Options& opts) {
   const bool reduced = opts.get_bool("reduced", false);
   const int iters = static_cast<int>(opts.get_int("iters", reduced ? 20 : 200));
   const int repeat =
@@ -95,4 +92,10 @@ int main(int argc, char** argv) {
   std::puts("# Speedup saturates at min(jobs, cores, cells-in-flight); on a");
   std::puts("# single-core host the curve stays flat by construction.");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, run);
 }

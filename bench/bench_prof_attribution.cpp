@@ -93,10 +93,7 @@ Cell run_cell(int prepost, const std::string& label) {
   return cell;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Options opts(argc, argv);
+int run(const util::Options& opts) {
   g_window = static_cast<int>(opts.get_int("window", g_window));
   g_reps = static_cast<int>(opts.get_int("reps", g_reps));
   bench::WallTimer timer;
@@ -181,4 +178,10 @@ int main(int argc, char** argv) {
   json.write(timer.seconds());
 
   return all_exact && all_identical && all_audit && gap_ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, run);
 }

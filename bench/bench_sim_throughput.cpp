@@ -113,10 +113,7 @@ RingResult run_ring(const Sweep& s, int reps) {
   return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  util::Options opts(argc, argv);
+int run(const util::Options& opts) {
   // --scale multiplies repetitions for longer, steadier measurements;
   // --passes sets how many timed passes each config gets (best one is
   // reported, rejecting scheduler noise on shared machines).
@@ -163,4 +160,10 @@ int main(int argc, char** argv) {
   std::printf("\n# aggregate: %.2f Mevents/s\n",
               total_events / total_wall / 1e6);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, run);
 }

@@ -15,8 +15,9 @@
 using namespace mvflow;
 using namespace mvflow::bench;
 
-int main(int argc, char** argv) {
-  util::Options opts(argc, argv);
+namespace {
+
+int run(const util::Options& opts) {
   nas::NasParams params;
   params.iterations = static_cast<int>(opts.get_int("iters", 0));
   params.compute_ns_per_point = opts.get_double("cns", 1.0);
@@ -61,4 +62,10 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   std::puts("\n# Expectation (paper): LU ~18% ECMs; all other apps ~0%.");
   return nas_exit_status(results, labels);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, run);
 }

@@ -11,8 +11,9 @@
 using namespace mvflow;
 using namespace mvflow::bench;
 
-int main(int argc, char** argv) {
-  util::Options opts(argc, argv);
+namespace {
+
+int run(const util::Options& opts) {
   nas::NasParams params;
   params.iterations = static_cast<int>(opts.get_int("iters", 0));
   params.compute_ns_per_point = opts.get_double("cns", 1.0);
@@ -46,4 +47,10 @@ int main(int argc, char** argv) {
   std::puts("\n# Expectation (paper): IS 4, FT 4, LU 63, CG 3, MG 6, BT 7, SP 7");
   std::puts("# — i.e. everything small except LU, which needs tens of buffers.");
   return nas_exit_status(results, labels);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, run);
 }

@@ -65,9 +65,8 @@ inline util::Table build_bw_table(std::size_t msg_bytes, int prepost,
 /// Print one bandwidth figure and write `BENCH_<json_name>.json` beside it.
 inline int run_bw_figure(const char* title, const char* json_name,
                          std::size_t msg_bytes, int prepost, bool blocking,
-                         const char* expectation, int argc = 0,
-                         const char* const* argv = nullptr) {
-  const util::Options opts(argc, argv);
+                         const char* expectation,
+                         const util::Options& opts) {
   const exp::SweepRunner runner = sweep_runner(opts);
   std::printf("# %s\n", title);
   std::printf("# msg=%zuB prepost=%d %s\n", msg_bytes, prepost,

@@ -60,10 +60,7 @@ Outcome run_one(flowctl::Scheme scheme, int prepost, int burst, int bursts) {
   return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  util::Options opts(argc, argv);
+int run(const util::Options& opts) {
   const int burst = static_cast<int>(opts.get_int("burst", 64));
   const int bursts = static_cast<int>(opts.get_int("bursts", 30));
   const auto nodes = opts.get_int("nodes", 1024);
@@ -96,4 +93,10 @@ int main(int argc, char** argv) {
       "# node on a %lld-node cluster.\n",
       static_cast<long long>(nodes));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, run);
 }

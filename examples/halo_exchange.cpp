@@ -16,8 +16,9 @@
 
 using namespace mvflow;
 
-int main(int argc, char** argv) {
-  util::Options opts(argc, argv);
+namespace {
+
+int run(const util::Options& opts) {
   const auto scheme = flowctl::parse_scheme(opts.get_or("scheme", "static"));
   if (!scheme) {
     std::fprintf(stderr, "unknown --scheme\n");
@@ -91,4 +92,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats.total_rnr_naks()));
   std::puts("expected: symmetric neighbor traffic needs no ECMs or backlog.");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, run);
 }

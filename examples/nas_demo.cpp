@@ -13,8 +13,9 @@
 
 using namespace mvflow;
 
-int main(int argc, char** argv) {
-  util::Options opts(argc, argv);
+namespace {
+
+int run(const util::Options& opts) {
   if (opts.positional().empty()) {
     std::fprintf(stderr,
                  "usage: nas_demo <is|ft|lu|cg|mg|bt|sp> [--scheme=...] "
@@ -57,4 +58,10 @@ int main(int argc, char** argv) {
   t.add("fabric wire bytes", r.stats.fabric.wire_bytes);
   t.print(std::cout);
   return r.verified ? 0 : 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, run);
 }

@@ -72,13 +72,12 @@ CellResult run_cell(const CellSpec& spec, bool record_faults) {
   cfg.device.debug_skew_reconnect_credit = spec.debug_skew_reconnect_credit;
 
   mpi::World world(cfg);
-  world.set_workload(spec.workload);
   if (record_faults) world.fabric().enable_fault_recording();
 
   CellResult res;
   res.label = spec.label();
   try {
-    res.elapsed_ns = world.run_workload().count();
+    res.elapsed_ns = world.run(mpi::make_workload(spec.workload)).count();
   } catch (const obs::AuditError& e) {
     res.violation = true;
     res.kind = "audit";

@@ -1,7 +1,12 @@
 #include "exp/run_config.hpp"
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <charconv>
 #include <cstdlib>
+#include <iterator>
+#include <string_view>
 #include <system_error>
 
 #include "util/log.hpp"
@@ -9,6 +14,11 @@
 namespace mvflow::exp {
 
 namespace {
+
+/// The variables from_env reads; any other set MVFLOW_* is reported.
+constexpr std::string_view kVariables[] = {
+    "MVFLOW_METRICS", "MVFLOW_TRACE", "MVFLOW_TRACE_CSV",
+    "MVFLOW_PROF",    "MVFLOW_AUDIT", "MVFLOW_WATCHDOG_US"};
 
 std::string env_or_empty(const char* name) {
   const char* v = std::getenv(name);
@@ -20,6 +30,20 @@ std::string env_or_empty(const char* name) {
 void report_malformed(const char* name, const std::string& value) {
   util::Logger::error("env", std::string(name) + "=" + value +
                                  " is malformed; treated as unset");
+}
+
+/// One error line per set MVFLOW_* variable that is not in kVariables: a
+/// misspelt or retired name would otherwise change nothing, silently.
+void report_unread() {
+  for (char** e = environ; *e != nullptr; ++e) {
+    const std::string_view kv = *e;
+    if (kv.rfind("MVFLOW_", 0) != 0) continue;
+    const std::string_view name = kv.substr(0, kv.find('='));
+    if (std::find(std::begin(kVariables), std::end(kVariables), name) ==
+        std::end(kVariables)) {
+      util::Logger::error("env", std::string(kv) + " is not read; ignored");
+    }
+  }
 }
 
 /// A non-negative decimal count; unset, empty or malformed reads as 0.
@@ -36,47 +60,17 @@ std::uint64_t env_count(const char* name) {
 
 }  // namespace
 
-bool RunConfig::parse_checkpoint(const std::string& request) {
-  checkpoint_path.clear();
-  checkpoint_events.clear();
-  const std::size_t at = request.rfind('@');
-  if (at == std::string::npos || at == 0 || at + 1 == request.size())
-    return false;
-  std::vector<std::uint64_t> events;
-  const std::string list = request.substr(at + 1);
-  std::size_t pos = 0;
-  while (pos <= list.size()) {
-    std::size_t comma = list.find(',', pos);
-    if (comma == std::string::npos) comma = list.size();
-    const std::string tok = list.substr(pos, comma - pos);
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-    if (tok.empty() || end == nullptr || *end != '\0') return false;
-    events.push_back(static_cast<std::uint64_t>(v));
-    pos = comma + 1;
-  }
-  checkpoint_path = request.substr(0, at);
-  checkpoint_events = std::move(events);
-  return true;
-}
-
 RunConfig RunConfig::from_env() {
   RunConfig cfg;
   cfg.metrics_path = env_or_empty("MVFLOW_METRICS");
   cfg.trace_path = env_or_empty("MVFLOW_TRACE");
   cfg.trace_csv_path = env_or_empty("MVFLOW_TRACE_CSV");
-  cfg.trace_capacity =
-      static_cast<std::size_t>(env_count("MVFLOW_TRACE_CAPACITY"));
   cfg.prof_path = env_or_empty("MVFLOW_PROF");
-  const std::string ck = env_or_empty("MVFLOW_CHECKPOINT");
-  if (!ck.empty() && !cfg.parse_checkpoint(ck))
-    report_malformed("MVFLOW_CHECKPOINT", ck);
   const std::string audit = env_or_empty("MVFLOW_AUDIT");
   cfg.audit = !audit.empty() && audit != "0";
   cfg.watchdog_horizon_us =
       static_cast<std::int64_t>(env_count("MVFLOW_WATCHDOG_US"));
-  cfg.watchdog_dump_path = env_or_empty("MVFLOW_WATCHDOG_DUMP");
-  cfg.watchdog_ckpt_path = env_or_empty("MVFLOW_WATCHDOG_CKPT");
+  report_unread();
   return cfg;
 }
 
@@ -88,17 +82,12 @@ const RunConfig& RunConfig::process() {
 }
 
 RunConfig RunConfig::quiet() const {
+  // The auditor and watchdog stay armed: they are checks, not exports.
   RunConfig cfg = *this;
   cfg.metrics_path.clear();
   cfg.trace_path.clear();
   cfg.trace_csv_path.clear();
   cfg.prof_path.clear();
-  cfg.checkpoint_path.clear();
-  cfg.checkpoint_events.clear();
-  // The auditor and watchdog stay armed (they are checks, not exports);
-  // only their file artifacts are silenced for parallel jobs.
-  cfg.watchdog_dump_path.clear();
-  cfg.watchdog_ckpt_path.clear();
   return cfg;
 }
 

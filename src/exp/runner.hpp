@@ -9,9 +9,9 @@
 // matter how many worker threads ran the sweep or how the OS scheduled
 // them. Determinism therefore needs no coordination beyond "each job's
 // world is self-contained" — which the de-globalization work guarantees
-// (fabric-owned flight recorder, thread-local logger clocks, event handles
-// that never outlive their engine; see DESIGN.md §12 for the full state
-// inventory).
+// (fabric-owned flight recorder, error lines stamped with their own
+// world's clock, event handles that never outlive their engine; see
+// DESIGN.md §12 for the full state inventory).
 //
 // Thread count contract:
 //   n_threads <= 0  -> hardware concurrency

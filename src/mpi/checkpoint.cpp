@@ -1,9 +1,8 @@
 #include "mpi/checkpoint.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <utility>
-
-#include "util/check.hpp"
 
 namespace mvflow::mpi::ckpt {
 
@@ -199,15 +198,12 @@ void audit(World& world, const WorldSnapshot& snap) {
 
 }  // namespace
 
-WorldSnapshot capture(World& world) {
+WorldSnapshot capture(World& world, const WorkloadSpec& spec) {
   WorldSnapshot snap;
   snap.config = world.config();
   snap.trace_armed = world.recorder().enabled();
   snap.trace_capacity = world.recorder().capacity();
-  util::require(world.workload().has_value(),
-                "checkpoint capture requires a registered workload "
-                "(World::set_workload)");
-  snap.workload = *world.workload();
+  snap.workload = spec;
   snap.barrier = world.executed_events();
   snap.state = capture_state_sections(world);
   return snap;
@@ -292,15 +288,40 @@ WorldSnapshot read_snapshot(const std::string& path) {
   return decode(serial::read_file(path));
 }
 
-void arm_checkpoints(World& world, const std::string& path,
+void arm_checkpoints(World& world, const WorkloadSpec& spec,
+                     const std::string& path,
                      const std::vector<std::uint64_t>& events) {
   const bool multiple = events.size() > 1;
   for (const std::uint64_t k : events) {
     const std::string file = checkpoint_file_path(path, k, multiple);
-    world.engine().set_watchpoint(k, [&world, file] {
-      write_snapshot(capture(world), file);
+    world.engine().set_watchpoint(k, [&world, spec, file] {
+      write_snapshot(capture(world, spec), file);
     });
   }
+}
+
+bool RestoreOptions::parse_checkpoint(const std::string& request) {
+  checkpoint_path.clear();
+  checkpoint_events.clear();
+  const std::size_t at = request.rfind('@');
+  if (at == std::string::npos || at == 0 || at + 1 == request.size())
+    return false;
+  std::vector<std::uint64_t> events;
+  const std::string list = request.substr(at + 1);
+  std::size_t pos = 0;
+  while (pos <= list.size()) {
+    std::size_t comma = list.find(',', pos);
+    if (comma == std::string::npos) comma = list.size();
+    const std::string tok = list.substr(pos, comma - pos);
+    char* end = nullptr;
+    const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
+    if (tok.empty() || end == nullptr || *end != '\0') return false;
+    events.push_back(static_cast<std::uint64_t>(v));
+    pos = comma + 1;
+  }
+  checkpoint_path = request.substr(0, at);
+  checkpoint_events = std::move(events);
+  return true;
 }
 
 namespace {
@@ -308,19 +329,19 @@ namespace {
 RunResult run_world(World& world, const WorkloadSpec& spec,
                     const RestoreOptions& opts,
                     const WorldSnapshot* audit_against) {
-  world.set_workload(spec);
   bool audited = false;
   if (audit_against != nullptr) {
-    world.engine().set_watchpoint(audit_against->barrier,
-                                  [&world, audit_against, &opts, &audited] {
-      audit(world, *audit_against);
-      audited = true;
-      if (!opts.checkpoint_path.empty()) {
-        arm_checkpoints(world, opts.checkpoint_path, opts.checkpoint_events);
-      }
-    });
+    world.engine().set_watchpoint(
+        audit_against->barrier, [&world, &spec, audit_against, &opts, &audited] {
+          audit(world, *audit_against);
+          audited = true;
+          if (!opts.checkpoint_path.empty()) {
+            arm_checkpoints(world, spec, opts.checkpoint_path,
+                            opts.checkpoint_events);
+          }
+        });
   } else if (!opts.checkpoint_path.empty()) {
-    arm_checkpoints(world, opts.checkpoint_path, opts.checkpoint_events);
+    arm_checkpoints(world, spec, opts.checkpoint_path, opts.checkpoint_events);
   }
   if (opts.kill_at > 0) {
     world.engine().set_watchpoint(opts.kill_at,
@@ -328,7 +349,7 @@ RunResult run_world(World& world, const WorkloadSpec& spec,
   }
 
   RunResult out;
-  out.elapsed = world.run_workload();
+  out.elapsed = world.run(make_workload(spec));
   if (audit_against != nullptr && !audited) {
     throw serial::SnapshotError(
         "restore replay finished after " +

@@ -1,5 +1,9 @@
 // World checkpoint/restart (DESIGN.md §13).
 //
+// This layer wraps a World from outside: it runs a registered workload
+// (mpi/workload.hpp) on it and arms capture, audit and kill as engine
+// watchpoints; World knows nothing of checkpoints or workloads.
+//
 // A snapshot records (a) how to rebuild the world — the WorldConfig
 // settings and the registered WorkloadSpec, (b) where to stop — the executed-event
 // barrier, and (c) the complete serialized state of every layer at that
@@ -52,9 +56,10 @@ struct WorldSnapshot {
   std::vector<util::serial::Section> state;
 };
 
-/// Capture the complete world state. Must run at an event boundary —
-/// inside an engine watchpoint — so no callback is mid-dispatch.
-WorldSnapshot capture(World& world);
+/// Capture the complete state of `world`, which is running the registered
+/// workload `spec`. Must run at an event boundary — inside an engine
+/// watchpoint — so no callback is mid-dispatch.
+WorldSnapshot capture(World& world, const WorkloadSpec& spec);
 
 /// Serialize to / parse from the framed, CRC-checked snapshot container.
 /// decode() throws util::serial::SnapshotError on any structural problem
@@ -67,18 +72,25 @@ WorldSnapshot decode(const std::vector<std::byte>& file);
 void write_snapshot(const WorldSnapshot& snap, const std::string& path);
 WorldSnapshot read_snapshot(const std::string& path);
 
-/// Arm engine watchpoints that write a snapshot of `world` at each listed
-/// executed-event count. One event writes exactly `path`; several write
-/// "<path>.<k>" each. The world must have a registered workload.
-void arm_checkpoints(World& world, const std::string& path,
+/// Arm engine watchpoints that write a snapshot of `world`, running the
+/// registered workload `spec`, at each listed executed-event count. One
+/// event writes exactly `path`; several write "<path>.<k>" each.
+void arm_checkpoints(World& world, const WorkloadSpec& spec,
+                     const std::string& path,
                      const std::vector<std::uint64_t>& events);
 
 struct RestoreOptions {
-  /// Write further checkpoints from the resumed run (same path rules as
-  /// arm_checkpoints). Counts are absolute executed-event counts and must
-  /// exceed the snapshot's barrier.
+  /// Write checkpoints from the run (same path rules as arm_checkpoints).
+  /// Counts are absolute executed-event counts; a restore's must exceed
+  /// the snapshot's barrier.
   std::string checkpoint_path;
   std::vector<std::uint64_t> checkpoint_events;
+
+  /// Parse a "path@k[,k...]" request (mvflow_ckpt --checkpoint) into the
+  /// two fields above. Returns false, and clears both, when the syntax is
+  /// malformed.
+  bool parse_checkpoint(const std::string& request);
+
   /// Simulated crash: abort the run at this executed-event count
   /// (0 = run to completion). Used by the churn harness.
   std::uint64_t kill_at = 0;

@@ -1,7 +1,7 @@
 // Registered, re-creatable rank bodies (DESIGN.md §13).
 //
 // A checkpoint cannot serialize a rank body: bodies are closures running on
-// OS-thread stacks. Resumable runs therefore describe their workload as a
+// fiber stacks. Resumable runs therefore describe their workload as a
 // *name plus integer parameters*; a restore looks the name up in the
 // registry and replays the exact same body. Every workload here must be
 // fully deterministic as a function of (WorldConfig, WorkloadSpec) — no

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "mpi/checkpoint.hpp"
 #include "mpi/communicator.hpp"
 #include "obs/audit.hpp"
 #include "obs/recorder.hpp"
@@ -39,14 +38,12 @@ World::World(WorldConfig cfg) : cfg_(cfg) {
   fabric_ = std::make_unique<ib::Fabric>(engine_, cfg_.fabric, cfg_.num_ranks);
 
   // Requested exports arm the fabric's recorder for this world's lifetime.
-  // The profile needs every instant, so it records an unbounded stream
-  // whatever ring capacity a trace export asked for.
+  // The profile needs every instant, so it records an unbounded stream in
+  // place of a trace export's ring.
   if (cfg_.run.prof_enabled()) {
     recorder().enable(obs::FlightRecorder::kUnbounded);
   } else if (cfg_.run.trace_enabled()) {
-    recorder().enable(cfg_.run.trace_capacity != 0
-                          ? cfg_.run.trace_capacity
-                          : obs::FlightRecorder::kDefaultCapacity);
+    recorder().enable();
   }
 
   metrics_.add_source("engine.", [this](const obs::MetricsRegistry::EmitFn& e) {
@@ -135,12 +132,6 @@ sim::Duration World::run(const RankBody& body) {
   return run(bodies);
 }
 
-sim::Duration World::run_workload() {
-  util::require(workload_.has_value(),
-                "run_workload requires set_workload first");
-  return run(make_workload(*workload_));
-}
-
 sim::Duration World::run(const std::vector<RankBody>& bodies) {
   util::check(!ran_, "World::run may only be called once");
   util::require(static_cast<int>(bodies.size()) == cfg_.num_ranks,
@@ -166,14 +157,6 @@ sim::Duration World::run(const std::vector<RankBody>& bodies) {
           // of spinning in hardware-level RNR retries forever.
           if (cfg_.num_ranks > 1 && !cfg_.on_demand_connections) comm.barrier();
         }));
-  }
-
-  // An MVFLOW_CHECKPOINT request is honoured only for registered
-  // workloads: a snapshot must record how to *replay* the run, and an
-  // ad-hoc closure body has no replayable identity.
-  if (cfg_.run.checkpoint_enabled() && workload_.has_value()) {
-    ckpt::arm_checkpoints(*this, cfg_.run.checkpoint_path,
-                          cfg_.run.checkpoint_events);
   }
 
   // Progress watchdog (DESIGN.md §15): a self-rescheduling poll event.
@@ -246,7 +229,8 @@ void World::flush_exports() {
   // trace, and the credit/backlog CSV, each gated on its own path.
   if (!cfg_.run.metrics_path.empty() &&
       !metrics_.snapshot().write_json(cfg_.run.metrics_path)) {
-    util::Logger::error("obs", "cannot write metrics " + cfg_.run.metrics_path);
+    util::Logger::error("obs", "cannot write metrics " + cfg_.run.metrics_path,
+                        engine_.now().count());
   }
   // The profile analysis feeds two artifacts: the $MVFLOW_PROF JSON and the
   // Chrome-trace flow arrows. Replay once, use for both.
@@ -256,24 +240,26 @@ void World::flush_exports() {
   if (cfg_.run.prof_enabled() || arrows) analysis = prof_analysis();
   if (cfg_.run.prof_enabled() &&
       !obs::write_profile(cfg_.run.prof_path, analysis, "run")) {
-    util::Logger::error("obs", "cannot write profile " + cfg_.run.prof_path);
+    util::Logger::error("obs", "cannot write profile " + cfg_.run.prof_path,
+                        engine_.now().count());
   }
   if (!cfg_.run.trace_path.empty()) {
     // With a profile armed the trace gains sender→receiver flow arrows
     // (ph:"s"/"f"), one per joined wire message.
-    const bool ok =
-        arrows ? recorder().export_chrome_trace(cfg_.run.trace_path,
-                                                obs::flow_events(analysis))
-               : recorder().export_chrome_trace(cfg_.run.trace_path);
-    if (!ok) {
+    if (!recorder().export_chrome_trace(
+            cfg_.run.trace_path,
+            arrows ? obs::flow_events(analysis)
+                   : std::vector<obs::FlowArrowEvent>{})) {
       util::Logger::error("obs",
-                          "cannot write trace file " + cfg_.run.trace_path);
+                          "cannot write trace file " + cfg_.run.trace_path,
+                          engine_.now().count());
     }
   }
   if (!cfg_.run.trace_csv_path.empty() &&
       !recorder().export_credit_csv(cfg_.run.trace_csv_path)) {
     util::Logger::error("obs",
-                        "cannot write credit CSV " + cfg_.run.trace_csv_path);
+                        "cannot write credit CSV " + cfg_.run.trace_csv_path,
+                        engine_.now().count());
   }
 }
 
@@ -440,28 +426,11 @@ void World::handle_stall(const sim::WatchdogStall& stall) {
     os << " pending_return=" << dst_dev.flow(stall.src).pending_return_credits();
   }
   const std::string detail = os.str();
-  util::Logger::error("watchdog", "stall on " + std::to_string(stall.src) +
-                                      "->" + std::to_string(stall.dst) +
-                                      ": " + detail);
+  util::Logger::error("watchdog",
+                      "stall on " + std::to_string(stall.src) + "->" +
+                          std::to_string(stall.dst) + ": " + detail,
+                      engine_.now().count());
 
-  // Stall artifacts: a full metrics snapshot, and (when configured and the
-  // workload is registered) a best-effort world checkpoint. The capture
-  // runs mid-event rather than at an armed watchpoint, so it is a
-  // diagnostic artifact — the restore audit's bit-exactness guarantee
-  // applies only to checkpoints taken at a watchpoint (DESIGN.md §13).
-  if (!cfg_.run.watchdog_dump_path.empty() &&
-      !metrics_.snapshot().write_json(cfg_.run.watchdog_dump_path)) {
-    util::Logger::error("watchdog",
-                        "cannot write metrics " + cfg_.run.watchdog_dump_path);
-  }
-  if (!cfg_.run.watchdog_ckpt_path.empty() && workload_.has_value()) {
-    try {
-      ckpt::write_snapshot(ckpt::capture(*this), cfg_.run.watchdog_ckpt_path);
-    } catch (const std::exception& e) {
-      util::Logger::error("watchdog",
-                          std::string("stall checkpoint failed: ") + e.what());
-    }
-  }
   flush_exports();
   throw sim::WatchdogError(stall.src, stall.dst, detail);
 }

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -18,7 +17,6 @@
 #include "ib/fabric.hpp"
 #include "mpi/config.hpp"
 #include "mpi/device.hpp"
-#include "mpi/workload.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
 #include "obs/recorder.hpp"
@@ -98,22 +96,11 @@ class World {
   /// Run one body per rank.
   sim::Duration run(const std::vector<RankBody>& bodies);
 
-  /// Declare the workload this world runs as a *registered* spec
-  /// (mpi/workload.hpp), making the run checkpointable: snapshots record
-  /// the spec and a restore replays it. Call before run().
-  void set_workload(WorkloadSpec spec) { workload_ = std::move(spec); }
-  const std::optional<WorkloadSpec>& workload() const noexcept {
-    return workload_;
-  }
-
-  /// Run the registered workload (set_workload must have been called).
-  sim::Duration run_workload();
-
   /// Crash the simulation at the next event boundary: run() kills every
   /// rank process still blocked mid-call and returns the elapsed time so
-  /// far (no deadlock diagnosis, no exports). This is the churn harness's
-  /// "kill -9 mid-flight" — the snapshot written *before* the abort is the
-  /// state a restart resumes from.
+  /// far (no deadlock diagnosis; the configured exports still flush). This
+  /// is the churn harness's "kill -9 mid-flight" — the snapshot written
+  /// *before* the abort is the state a restart resumes from.
   void abort_run() {
     abort_requested_ = true;
     engine_.stop();
@@ -195,8 +182,8 @@ class World {
   /// Self-rescheduling poll event. Stops once the queue is otherwise empty
   /// so runs still drain (and the DeadlockError diagnosis stays intact).
   void watchdog_poll(sim::Duration period);
-  /// Diagnose a detected stall: wait-for summary, metrics dump, optional
-  /// checkpoint capture, export flush — then throw sim::WatchdogError.
+  /// Diagnose a detected stall: wait-for summary on stderr, export flush —
+  /// then throw sim::WatchdogError.
   [[noreturn]] void handle_stall(const sim::WatchdogStall& stall);
 
   WorldConfig cfg_;
@@ -213,7 +200,6 @@ class World {
   bool abort_requested_ = false;
   bool exports_flushed_ = false;
   std::unique_ptr<sim::Watchdog> watchdog_;
-  std::optional<WorkloadSpec> workload_;
 };
 
 }  // namespace mvflow::mpi

@@ -1,12 +1,11 @@
 #include "obs/recorder.hpp"
 
 #include <cstdio>
-#include <fstream>
-#include <iostream>
 #include <map>
-#include <ostream>
 #include <set>
+#include <sstream>
 
+#include "obs/json.hpp"
 #include "util/serial.hpp"
 
 namespace mvflow::obs {
@@ -134,12 +133,8 @@ bool is_backlog_kind(Ev k) {
 
 }  // namespace
 
-void FlightRecorder::export_chrome_trace(std::ostream& os) const {
-  export_chrome_trace(os, {});
-}
-
-void FlightRecorder::export_chrome_trace(
-    std::ostream& os, const std::vector<FlowArrowEvent>& flows) const {
+std::string FlightRecorder::chrome_trace(
+    const std::vector<FlowArrowEvent>& flows) const {
   const std::vector<TraceEvent> evs = events();
   std::string out;
   out.reserve(evs.size() * 128 + flows.size() * 96 + 256);
@@ -236,28 +231,16 @@ void FlightRecorder::export_chrome_trace(
   }
   put_flows_until(sim::TimePoint{0}, true);
   out += "\n]}\n";
-  os << out;
-}
-
-bool FlightRecorder::export_chrome_trace(const std::string& path) const {
-  return export_chrome_trace(path, {});
+  return out;
 }
 
 bool FlightRecorder::export_chrome_trace(
     const std::string& path, const std::vector<FlowArrowEvent>& flows) const {
-  if (path == "-") {
-    export_chrome_trace(std::cout, flows);
-    std::cout.flush();
-    return static_cast<bool>(std::cout);
-  }
-  std::ofstream f(path);
-  if (!f) return false;
-  export_chrome_trace(f, flows);
-  f.close();  // a full device fails the final flush, not the write
-  return static_cast<bool>(f);
+  return json::write_file(path, chrome_trace(flows));
 }
 
-void FlightRecorder::export_credit_csv(std::ostream& os) const {
+std::string FlightRecorder::credit_csv() const {
+  std::ostringstream os;
   os << "time_ns,rank,peer,event,credits,backlog_depth\n";
   // Last-known (credits, backlog depth) per directed connection, so each
   // row is a complete sample even though an event updates only one column.
@@ -277,19 +260,11 @@ void FlightRecorder::export_credit_csv(std::ostream& os) const {
        << csv_escape(to_string(e.kind)) << ',' << credits << ',' << depth
        << '\n';
   }
+  return os.str();
 }
 
 bool FlightRecorder::export_credit_csv(const std::string& path) const {
-  if (path == "-") {
-    export_credit_csv(std::cout);
-    std::cout.flush();
-    return static_cast<bool>(std::cout);
-  }
-  std::ofstream f(path);
-  if (!f) return false;
-  export_credit_csv(f);
-  f.close();
-  return static_cast<bool>(f);
+  return json::write_file(path, credit_csv());
 }
 
 void FlightRecorder::serialize_state(util::serial::BufWriter& w) const {

@@ -34,7 +34,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <limits>
 #include <span>
 #include <string>
@@ -169,23 +168,22 @@ class FlightRecorder {
 
   /// Chrome trace_event JSON ({"traceEvents": [...]}) with rank process
   /// tracks, QP thread tracks, instant events for every kind, and counter
-  /// tracks for credits / backlog depth per connection. The overload taking
-  /// `flows` interleaves the profile's sender→receiver flow arrows by
-  /// timestamp (ph:"s"/"f"); `flows` must be time-sorted. A `path` of "-"
-  /// writes to stdout.
-  void export_chrome_trace(std::ostream& os) const;
-  void export_chrome_trace(std::ostream& os,
-                           const std::vector<FlowArrowEvent>& flows) const;
-  bool export_chrome_trace(const std::string& path) const;
-  bool export_chrome_trace(const std::string& path,
-                           const std::vector<FlowArrowEvent>& flows) const;
+  /// tracks for credits / backlog depth per connection. Non-empty `flows`
+  /// interleave the profile's sender→receiver flow arrows by timestamp
+  /// (ph:"s"/"f"); `flows` must be time-sorted.
+  std::string chrome_trace(const std::vector<FlowArrowEvent>& flows = {}) const;
 
   /// CSV time-series: time_ns,rank,peer,event,credits,backlog_depth —
   /// one row per credit/backlog event, carrying the last-known value of
   /// the other column for that connection. Free-text fields go through
-  /// csv_escape, so labels containing the separator round-trip. A `path`
-  /// of "-" writes to stdout.
-  void export_credit_csv(std::ostream& os) const;
+  /// csv_escape, so labels containing the separator round-trip.
+  std::string credit_csv() const;
+
+  /// Write chrome_trace(flows) / credit_csv() with json::write_file: a
+  /// `path` of "-" writes to stdout, and false means the file could not be
+  /// written in full.
+  bool export_chrome_trace(const std::string& path,
+                           const std::vector<FlowArrowEvent>& flows = {}) const;
   bool export_credit_csv(const std::string& path) const;
 
   /// Serialize the recorder for the snapshot restore audit: configuration,

@@ -5,25 +5,9 @@
 #include <utility>
 
 #include "util/check.hpp"
-#include "util/log.hpp"
 #include "util/serial.hpp"
 
 namespace mvflow::sim {
-
-Engine::Engine() {
-  // Give the logger simulated time while this engine exists, so error
-  // lines correlate with trace and metrics timestamps. (The time-source
-  // stack is thread-local: this registers on the constructing thread.
-  // Rank fibers run on the thread dispatching their engine and share its
-  // stack.)
-  util::Logger::push_time_source(
-      [](const void* e) -> long long {
-        return static_cast<const Engine*>(e)->now().count();
-      },
-      this);
-}
-
-Engine::~Engine() { util::Logger::pop_time_source(this); }
 
 std::uint32_t Engine::acquire_slot_grow() {
   ++perf_.pool_allocs;

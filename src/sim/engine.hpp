@@ -115,10 +115,9 @@ class EventHandle {
 
 class Engine {
  public:
-  Engine();
+  Engine() = default;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
-  ~Engine();
 
   TimePoint now() const noexcept { return now_; }
 

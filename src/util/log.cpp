@@ -1,26 +1,10 @@
 #include "util/log.hpp"
 
 #include <cstdio>
-#include <iterator>
-#include <vector>
 
 namespace mvflow::util {
 
 namespace {
-
-struct TimeSource {
-  Logger::TimeSourceFn fn = nullptr;
-  const void* ctx = nullptr;
-};
-
-// Thread-local: each experiment thread sees only the time sources pushed
-// on that thread, so concurrent engines never observe each other's clocks.
-// A sim::Engine registers on its constructing thread, and rank fibers log
-// through whichever thread is running them.
-std::vector<TimeSource>& time_sources() {
-  thread_local std::vector<TimeSource> sources;
-  return sources;
-}
 
 /// Human-readable simulated time ("12.345us").
 void format_ns(char* buf, std::size_t n, long long ns) {
@@ -33,16 +17,16 @@ void format_ns(char* buf, std::size_t n, long long ns) {
 
 }  // namespace
 
-void Logger::error(std::string_view component, std::string_view message) {
+void Logger::error(std::string_view component, std::string_view message,
+                   std::optional<std::int64_t> now_ns) {
   // Format the whole line first and emit it with a single stdio call:
   // stdio locks the stream per call, so concurrent writers interleave only
   // at line granularity, never mid-line.
   char line[1024];
   int n;
-  const auto& sources = time_sources();
-  if (!sources.empty()) {
+  if (now_ns) {
     char ts[32];
-    format_ns(ts, sizeof ts, sources.back().fn(sources.back().ctx));
+    format_ns(ts, sizeof ts, *now_ns);
     n = std::snprintf(line, sizeof line, "[ERROR] [%s] %.*s: %.*s\n", ts,
                       static_cast<int>(component.size()), component.data(),
                       static_cast<int>(message.size()), message.data());
@@ -59,20 +43,6 @@ void Logger::error(std::string_view component, std::string_view message) {
     n = static_cast<int>(sizeof line) - 1;
   }
   std::fwrite(line, 1, static_cast<std::size_t>(n), stderr);
-}
-
-void Logger::push_time_source(TimeSourceFn fn, const void* ctx) {
-  time_sources().push_back(TimeSource{fn, ctx});
-}
-
-void Logger::pop_time_source(const void* ctx) {
-  auto& sources = time_sources();
-  for (auto it = sources.rbegin(); it != sources.rend(); ++it) {
-    if (it->ctx == ctx) {
-      sources.erase(std::next(it).base());
-      return;
-    }
-  }
 }
 
 }  // namespace mvflow::util

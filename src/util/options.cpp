@@ -2,7 +2,9 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <stdexcept>
 #include <string_view>
 
@@ -99,6 +101,15 @@ std::vector<std::string> Options::unused() const {
     if (!used_.count(k)) out.push_back(k);
   }
   return out;
+}
+
+int run_main(int argc, const char* const* argv, int (*body)(const Options&)) {
+  try {
+    return body(Options(argc, argv));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }
 
 }  // namespace mvflow::util

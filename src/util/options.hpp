@@ -37,4 +37,10 @@ class Options {
   std::vector<std::string> positional_;
 };
 
+/// A program's main, guarded: parses argv into Options and returns
+/// body(options). An exception escaping either — a malformed option value,
+/// say — prints "error: <what>" on stderr and returns 1, where it would
+/// otherwise end the program in std::terminate.
+int run_main(int argc, const char* const* argv, int (*body)(const Options&));
+
 }  // namespace mvflow::util

@@ -274,9 +274,9 @@ std::vector<World::RankBody> stalled_bodies() {
 
 TEST(Watchdog, DiagnosesSilentStallSerial) {
   WorldConfig cfg = stalled_world_config();
-  const std::string dump = ::testing::TempDir() + "/watchdog_serial.json";
-  std::remove(dump.c_str());
-  cfg.run.watchdog_dump_path = dump;
+  const std::string metrics = ::testing::TempDir() + "/watchdog_serial.json";
+  std::remove(metrics.c_str());
+  cfg.run.metrics_path = metrics;
   World world(cfg);
   try {
     world.run(stalled_bodies());
@@ -287,8 +287,8 @@ TEST(Watchdog, DiagnosesSilentStallSerial) {
     EXPECT_NE(std::string(e.what()).find("backlog"), std::string::npos)
         << e.what();
   }
-  std::FILE* f = std::fopen(dump.c_str(), "r");
-  EXPECT_NE(f, nullptr) << "stall must dump the metrics registry";
+  std::FILE* f = std::fopen(metrics.c_str(), "r");
+  EXPECT_NE(f, nullptr) << "stall must flush the metrics export";
   if (f) std::fclose(f);
 }
 

@@ -435,20 +435,20 @@ TEST(CheckpointChurn, KillRestoreMatchesUninterrupted) {
 // ---- env plumbing -----------------------------------------------------
 
 TEST(CheckpointEnv, ParseCheckpointRequest) {
-  exp::RunConfig rc;
-  EXPECT_TRUE(rc.parse_checkpoint("/tmp/x.ck@100"));
-  EXPECT_EQ(rc.checkpoint_path, "/tmp/x.ck");
-  ASSERT_EQ(rc.checkpoint_events.size(), 1u);
-  EXPECT_EQ(rc.checkpoint_events[0], 100u);
+  ckpt::RestoreOptions ro;
+  EXPECT_TRUE(ro.parse_checkpoint("/tmp/x.ck@100"));
+  EXPECT_EQ(ro.checkpoint_path, "/tmp/x.ck");
+  ASSERT_EQ(ro.checkpoint_events.size(), 1u);
+  EXPECT_EQ(ro.checkpoint_events[0], 100u);
 
-  EXPECT_TRUE(rc.parse_checkpoint("/tmp/y.ck@10,20,30"));
-  EXPECT_EQ(rc.checkpoint_events.size(), 3u);
-  EXPECT_EQ(rc.checkpoint_events[2], 30u);
+  EXPECT_TRUE(ro.parse_checkpoint("/tmp/y.ck@10,20,30"));
+  EXPECT_EQ(ro.checkpoint_events.size(), 3u);
+  EXPECT_EQ(ro.checkpoint_events[2], 30u);
 
-  EXPECT_FALSE(rc.parse_checkpoint("no-at-sign"));
-  EXPECT_FALSE(rc.parse_checkpoint("/tmp/z.ck@"));
-  EXPECT_FALSE(rc.parse_checkpoint("/tmp/z.ck@12,junk"));
-  EXPECT_TRUE(rc.checkpoint_path.empty());
+  EXPECT_FALSE(ro.parse_checkpoint("no-at-sign"));
+  EXPECT_FALSE(ro.parse_checkpoint("/tmp/z.ck@"));
+  EXPECT_FALSE(ro.parse_checkpoint("/tmp/z.ck@12,junk"));
+  EXPECT_TRUE(ro.checkpoint_path.empty());
 }
 
 // A value that does not parse in full is reported once, by name and
@@ -458,12 +458,8 @@ TEST(CheckpointEnv, FromEnvReportsMalformedValuesAsUnset) {
     const char* var;
     const char* value;
   };
-  const Case cases[] = {{"MVFLOW_CHECKPOINT", "bad.ck@500,x"},
-                        {"MVFLOW_CHECKPOINT", "bad.ck"},
-                        {"MVFLOW_WATCHDOG_US", "abc"},
-                        {"MVFLOW_WATCHDOG_US", "10x"},
-                        {"MVFLOW_TRACE_CAPACITY", "4k"},
-                        {"MVFLOW_TRACE_CAPACITY", "-1"}};
+  const Case cases[] = {{"MVFLOW_WATCHDOG_US", "abc"},
+                        {"MVFLOW_WATCHDOG_US", "10x"}};
   for (const Case& c : cases) {
     const std::string var = c.var;
     ::setenv(c.var, c.value, 1);
@@ -477,29 +473,17 @@ TEST(CheckpointEnv, FromEnvReportsMalformedValuesAsUnset) {
     EXPECT_NE(at, std::string::npos) << named << " -> " << err;
     EXPECT_EQ(err.find(named, at + 1), std::string::npos) << err;
     EXPECT_NE(err.find("ERROR"), std::string::npos) << err;
-    if (var == "MVFLOW_CHECKPOINT") {
-      EXPECT_TRUE(rc.checkpoint_path.empty()) << named;
-      EXPECT_TRUE(rc.checkpoint_events.empty()) << named;
-    } else if (var == "MVFLOW_WATCHDOG_US") {
-      EXPECT_EQ(rc.watchdog_horizon_us, 0) << named;
-    } else {
-      EXPECT_EQ(rc.trace_capacity, 0u) << named;
-    }
+    EXPECT_EQ(rc.watchdog_horizon_us, 0) << named;
   }
 
   // Well-formed values still read, silently.
   ::setenv("MVFLOW_WATCHDOG_US", "250", 1);
-  ::setenv("MVFLOW_CHECKPOINT", "good.ck@500", 1);
   testing::internal::CaptureStderr();
   const exp::RunConfig rc = exp::RunConfig::from_env();
   const std::string err = testing::internal::GetCapturedStderr();
   ::unsetenv("MVFLOW_WATCHDOG_US");
-  ::unsetenv("MVFLOW_CHECKPOINT");
   EXPECT_EQ(err.find("MVFLOW_"), std::string::npos) << err;
   EXPECT_EQ(rc.watchdog_horizon_us, 250);
-  EXPECT_EQ(rc.checkpoint_path, "good.ck");
-  ASSERT_EQ(rc.checkpoint_events.size(), 1u);
-  EXPECT_EQ(rc.checkpoint_events[0], 500u);
 }
 
 TEST(CheckpointEnv, WorkloadRegistry) {

@@ -6,7 +6,9 @@
 // byte/count-identical at every thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <stdexcept>
@@ -354,18 +356,61 @@ TEST(SweepDeterminism, SeededFaultSweepIdenticalSerialAndParallel) {
 
 // ------------------------------------------------------------- run config --
 
-TEST(RunConfig, QuietClearsExportsButKeepsCapacity) {
+TEST(RunConfig, QuietClearsExportsButKeepsChecks) {
   exp::RunConfig cfg;
   cfg.metrics_path = "m.json";
   cfg.trace_path = "t.json";
   cfg.trace_csv_path = "t.csv";
-  cfg.trace_capacity = 1234;
+  cfg.audit = true;
+  cfg.watchdog_horizon_us = 1234;
   EXPECT_TRUE(cfg.trace_enabled());
   const exp::RunConfig q = cfg.quiet();
   EXPECT_FALSE(q.trace_enabled());
   EXPECT_TRUE(q.metrics_path.empty());
   EXPECT_TRUE(q.trace_path.empty());
   EXPECT_TRUE(q.trace_csv_path.empty());
-  EXPECT_EQ(q.trace_capacity, 1234u);
+  EXPECT_TRUE(q.audit);
+  EXPECT_EQ(q.watchdog_horizon_us, 1234);
   EXPECT_EQ(&exp::RunConfig::process(), &exp::RunConfig::process());
+}
+
+// A set MVFLOW_* variable that from_env does not read — a retired setting
+// or a typo — is named in one error line; the six it reads, well formed,
+// print nothing.
+TEST(RunConfig, FromEnvNamesEveryUnreadVariable) {
+  const char* const unread[] = {"MVFLOW_CHECKPOINT", "MVFLOW_TRACE_CAPACITY",
+                                "MVFLOW_WATCHDOG_DUMP", "MVFLOW_WATCHDOG_CKPT",
+                                "MVFLOW_METRIC"};
+  const char* const read[][2] = {{"MVFLOW_METRICS", "m.json"},
+                                 {"MVFLOW_TRACE", "t.json"},
+                                 {"MVFLOW_TRACE_CSV", "t.csv"},
+                                 {"MVFLOW_PROF", "p.json"},
+                                 {"MVFLOW_AUDIT", "1"},
+                                 {"MVFLOW_WATCHDOG_US", "250"}};
+  for (const auto& kv : read) ::setenv(kv[0], kv[1], 1);
+  testing::internal::CaptureStderr();
+  exp::RunConfig rc = exp::RunConfig::from_env();
+  std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_TRUE(err.empty()) << err;
+  EXPECT_EQ(rc.metrics_path, "m.json");
+  EXPECT_EQ(rc.prof_path, "p.json");
+  EXPECT_TRUE(rc.audit);
+  EXPECT_EQ(rc.watchdog_horizon_us, 250);
+
+  for (const char* name : unread) ::setenv(name, "x", 1);
+  testing::internal::CaptureStderr();
+  rc = exp::RunConfig::from_env();
+  err = testing::internal::GetCapturedStderr();
+  for (const auto& kv : read) ::unsetenv(kv[0]);
+  for (const char* name : unread) ::unsetenv(name);
+
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 5) << err;
+  for (const char* name : unread) {
+    const std::string named = std::string(name) + "=x";
+    const std::size_t at = err.find(named);
+    EXPECT_NE(at, std::string::npos) << named << " -> " << err;
+    EXPECT_EQ(err.find(named, at + 1), std::string::npos) << err;
+  }
+  EXPECT_EQ(err.find("MVFLOW_METRICS"), std::string::npos) << err;
+  EXPECT_EQ(rc.trace_path, "t.json");
 }

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -131,9 +130,7 @@ TEST(FlightRecorder, CsvCarriesLastKnownValues) {
   rec.record(sim::TimePoint(10), obs::Ev::credit_grant, 0, 1, 3, 5, 5);
   rec.record(sim::TimePoint(20), obs::Ev::backlog_enter, 0, 1, 3, 2, 0);
   rec.record(sim::TimePoint(30), obs::Ev::msg_posted, 0, 1, 3, 1, 64);  // not sampled
-  std::ostringstream csv;
-  rec.export_credit_csv(csv);
-  const std::string text = csv.str();
+  const std::string text = rec.credit_csv();
   EXPECT_NE(text.find("time_ns,rank,peer,event,credits,backlog_depth"),
             std::string::npos);
   EXPECT_NE(text.find("10,0,1,credit_grant,5,0"), std::string::npos);
@@ -162,9 +159,7 @@ TEST(ChromeTrace, PingPongProducesWellFormedTrace) {
 
   const obs::FlightRecorder& rec = world.recorder();
   ASSERT_GT(rec.size(), 0u);
-  std::ostringstream os;
-  rec.export_chrome_trace(os);
-  const auto doc = obs::json::parse(os.str());
+  const auto doc = obs::json::parse(rec.chrome_trace());
   ASSERT_TRUE(doc.has_value()) << "trace must be valid JSON";
   const obs::json::Value* events = doc->find("traceEvents");
   ASSERT_NE(events, nullptr);
@@ -246,9 +241,7 @@ TEST(ChromeTrace, LuEcmEventsMatchFlowCounters) {
             static_cast<double>(flow_ecm));
 
   // And the exported trace carries exactly that many ecm_sent instants.
-  std::ostringstream os;
-  world.recorder().export_chrome_trace(os);
-  const auto doc = obs::json::parse(os.str());
+  const auto doc = obs::json::parse(world.recorder().chrome_trace());
   ASSERT_TRUE(doc.has_value());
   const obs::json::Value* events = doc->find("traceEvents");
   ASSERT_NE(events, nullptr);
@@ -278,9 +271,8 @@ TEST(CreditTimeSeries, BacklogEpisodesOnlyUnderSmallPools) {
   const TracedLuRun small = run_lu_traced(small_world, params);
   ASSERT_TRUE(small.outcome.verified);
   EXPECT_GT(small_world.recorder().count(obs::Ev::backlog_enter), 0u);
-  std::ostringstream csv_small;
-  small_world.recorder().export_credit_csv(csv_small);
-  EXPECT_NE(csv_small.str().find("backlog_enter"), std::string::npos);
+  EXPECT_NE(small_world.recorder().credit_csv().find("backlog_enter"),
+            std::string::npos);
 
   auto roomy = two_rank_config(/*prepost=*/100);
   roomy.num_ranks = nas::default_ranks(nas::App::lu);
@@ -289,9 +281,8 @@ TEST(CreditTimeSeries, BacklogEpisodesOnlyUnderSmallPools) {
   const TracedLuRun big = run_lu_traced(big_world, params);
   ASSERT_TRUE(big.outcome.verified);
   EXPECT_EQ(big_world.recorder().count(obs::Ev::backlog_enter), 0u);
-  std::ostringstream csv_big;
-  big_world.recorder().export_credit_csv(csv_big);
-  EXPECT_EQ(csv_big.str().find("backlog_enter"), std::string::npos);
+  EXPECT_EQ(big_world.recorder().credit_csv().find("backlog_enter"),
+            std::string::npos);
 }
 
 TEST(WorldMetrics, SnapshotCoversEveryLayer) {

@@ -191,9 +191,8 @@ TEST(ProfGolden, ReconnectAllPairsMatchesPinnedProfile) {
   w.name = "allpairs";
   w.params["bytes"] = 1024;
   w.params["rounds"] = 20;
-  world.set_workload(w);
   world.recorder().enable(obs::FlightRecorder::kUnbounded);
-  world.run_workload();
+  world.run(mpi::make_workload(w));
 
   std::uint64_t reconnects = 0;
   std::uint64_t replayed = 0;
@@ -213,15 +212,14 @@ TEST(ProfGolden, ReconnectAllPairsMatchesPinnedProfile) {
 
 // --------------------------------------------------------------- arming --
 
-TEST(ProfArming, ProfileAndLatencyIgnoreTraceCapacity) {
-  // $MVFLOW_PROF records the whole stream whatever ring a trace export
-  // asks for, so arming a 16-slot trace beside it changes nothing.
+TEST(ProfArming, ProfileAndLatencyIgnoreTheTrace) {
+  // $MVFLOW_PROF records the whole stream in place of a trace export's
+  // ring, so arming a trace beside it changes nothing.
   mpi::WorldConfig alone = prof_config(2, 2);
   alone.run.prof_path = "prof_test_arming_alone.json";
   mpi::WorldConfig traced = prof_config(2, 2);
   traced.run.prof_path = "prof_test_arming_traced.json";
   traced.run.trace_path = "prof_test_arming_traced.trace.json";
-  traced.run.trace_capacity = 16;
 
   mpi::World a(alone);
   a.run(starved_flood);
@@ -248,8 +246,8 @@ TEST(ProfArming, ProfileAndLatencyIgnoreTraceCapacity) {
 TEST(ProfArming, TraceOnlyRingWrapsAndYieldsNoProfile) {
   mpi::WorldConfig cfg = prof_config(2, 2);
   cfg.run.trace_path = "prof_test_arming_ring.trace.json";
-  cfg.run.trace_capacity = 16;
   mpi::World world(cfg);
+  world.recorder().enable(16);
   world.run(starved_flood);
   EXPECT_FALSE(world.recorder().unbounded());
   EXPECT_GT(world.recorder().dropped(), 0u);

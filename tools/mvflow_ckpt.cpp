@@ -20,7 +20,7 @@
 // command does not read, which is named on stderr before anything runs.
 #include <cinttypes>
 #include <cstdio>
-#include <exception>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -92,13 +92,8 @@ mpi::WorkloadSpec workload_from_options(const util::Options& opt) {
 
 void parse_checkpoint_arg(const util::Options& opt,
                           mpi::ckpt::RestoreOptions& ro) {
-  if (const auto ck = opt.get("checkpoint")) {
-    exp::RunConfig rc;
-    if (!rc.parse_checkpoint(*ck)) {
-      throw std::runtime_error("malformed --checkpoint (want path@k[,k...])");
-    }
-    ro.checkpoint_path = rc.checkpoint_path;
-    ro.checkpoint_events = rc.checkpoint_events;
+  if (const auto ck = opt.get("checkpoint"); ck && !ro.parse_checkpoint(*ck)) {
+    throw std::runtime_error("malformed --checkpoint (want path@k[,k...])");
   }
   ro.kill_at = static_cast<std::uint64_t>(opt.get_int("kill", 0));
 }
@@ -180,10 +175,7 @@ int cmd_inspect(const util::Options& opt) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Options opt(argc, argv);
+int run(const util::Options& opt) {
   const std::string cmd =
       opt.positional().empty() ? "" : opt.positional()[0];
   try {
@@ -196,8 +188,11 @@ int main(int argc, char** argv) {
   } catch (const util::serial::SnapshotError& e) {
     std::fprintf(stderr, "SNAPSHOT_ERROR: %s\n", e.what());
     return 3;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
   }
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, run);
 }

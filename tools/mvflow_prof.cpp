@@ -287,13 +287,16 @@ int cmd_diff(const util::Options& opt) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Options opt(argc, argv);
+int run(const util::Options& opt) {
   const std::string cmd = opt.positional().empty() ? "" : opt.positional()[0];
   if (cmd == "analyze") return cmd_analyze(opt);
   if (cmd == "diff") return cmd_diff(opt);
   std::fprintf(stderr, "usage: mvflow_prof analyze|diff [options]\n");
   return 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, run);
 }

@@ -36,8 +36,6 @@ ALLOWLIST = {
         "the auditor's negative tests plant a credit corruption through it",
     "mvflow::mpi::workload_registered(std::string const&)":
         "tests check the checkpoint workload registry by name",
-    "mvflow::obs::FlightRecorder::export_chrome_trace(std::ostream&) const":
-        "tests read the Chrome trace from a stream instead of a file",
     "mvflow::obs::Snapshot::has(std::string_view) const":
         "tests ask whether a metrics snapshot carries a name",
     "mvflow::obs::Snapshot::count_suffix(std::string_view) const":
