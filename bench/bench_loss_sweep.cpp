@@ -13,41 +13,6 @@ using namespace mvflow::bench;
 
 namespace {
 
-struct LossCell {
-  sim::Duration elapsed{0};
-  mpi::WorldStats stats;
-};
-
-LossCell run_cell(mpi::WorldConfig cfg, std::size_t bytes, int window,
-                  int reps) {
-  mpi::World world(std::move(cfg));
-  LossCell out;
-  out.elapsed = world.run([&](mpi::Communicator& comm) {
-    std::vector<std::byte> payload(bytes);
-    std::vector<std::byte> ack(1);
-    std::vector<std::byte> rx(bytes);
-    for (int rep = 0; rep < reps; ++rep) {
-      if (comm.rank() == 0) {
-        std::vector<mpi::RequestPtr> reqs;
-        reqs.reserve(static_cast<std::size_t>(window));
-        for (int i = 0; i < window; ++i)
-          reqs.push_back(comm.isend(payload, 1, 0));
-        comm.wait_all(reqs);
-        comm.recv(ack, 1, 1);
-      } else {
-        std::vector<mpi::RequestPtr> reqs;
-        reqs.reserve(static_cast<std::size_t>(window));
-        for (int i = 0; i < window; ++i)
-          reqs.push_back(comm.irecv(rx, 0, 0));
-        comm.wait_all(reqs);
-        comm.send(ack, 0, 1);
-      }
-    }
-  });
-  out.stats = world.collect_stats();
-  return out;
-}
-
 constexpr double kLossRates[] = {0.0, 0.001, 0.005, 0.01, 0.02, 0.05};
 
 int run(const util::Options& opts) {
@@ -62,7 +27,7 @@ int run(const util::Options& opts) {
               bytes, window, prepost);
   // Every (scheme, loss) cell carries its fault seed in its own config, so
   // the sweep parallelizes with bit-identical drop/retransmit counts.
-  std::vector<std::function<LossCell()>> cells;
+  std::vector<std::function<BwResult()>> cells;
   for (const auto scheme : kSchemes) {
     for (const double loss : kLossRates) {
       mpi::WorldConfig cfg = base_config(scheme, prepost);
@@ -71,27 +36,27 @@ int run(const util::Options& opts) {
       cfg.fabric.fault.loss_prob = loss;
       cfg.fabric.fault.seed = 0xb10cf001;
       quiet_if_parallel(cfg, runner);
-      cells.push_back(
-          [cfg, bytes, window, reps] { return run_cell(cfg, bytes, window, reps); });
+      cells.push_back([cfg, bytes, window, reps] {
+        return run_bandwidth(cfg, bytes, window, false, reps);
+      });
     }
   }
-  const auto results = runner.run<LossCell>(cells);
+  const auto results = runner.run<BwResult>(cells);
 
   util::Table t({"scheme", "loss_pct", "Mmsg/s", "lost_pkts", "retx_msgs",
                  "seq_naks", "timer_retries"});
   std::size_t i = 0;
   for (const auto scheme : kSchemes) {
     for (const double loss : kLossRates) {
-      const LossCell& r = results[i++];
+      const BwResult& r = results[i++];
       std::uint64_t seq_naks = 0, timer_retries = 0;
       for (const auto& c : r.stats.connections) {
         seq_naks += c.qp.seq_naks_sent;
         timer_retries += c.qp.transport_retries;
       }
       t.add(std::string(flowctl::to_string(scheme)), loss * 100.0,
-            static_cast<double>(window) * reps / sim::to_s(r.elapsed) / 1e6,
-            r.stats.fabric.lost_packets, r.stats.total_retransmitted_messages(),
-            seq_naks, timer_retries);
+            r.million_msgs_per_s, r.stats.fabric.lost_packets,
+            r.stats.total_retransmitted_messages(), seq_naks, timer_retries);
     }
   }
   t.print(std::cout);

@@ -50,8 +50,8 @@ Cell run_cell(int prepost, const std::string& label) {
       bench::base_config(flowctl::Scheme::user_static, prepost);
   cfg.run = exp::RunConfig{};  // no env-driven exports from bench cells
   mpi::World world(cfg);
-  // The profile is a view of the whole stream: record without wrapping.
-  world.recorder().enable(obs::FlightRecorder::kUnbounded);
+  // The profile is a view of the recorder's stream.
+  world.recorder().enable();
 
   // The paper's blocking bandwidth pattern (§6.2.2), adapted so the two
   // prepost configurations differ *only* in credit availability: the

@@ -27,19 +27,17 @@ struct RunConfig {
   std::string trace_path;      ///< was $MVFLOW_TRACE
   std::string trace_csv_path;  ///< was $MVFLOW_TRACE_CSV
 
-  /// Tracing is armed when any trace export is requested: a ring of
-  /// FlightRecorder::kDefaultCapacity instants.
-  bool trace_enabled() const noexcept {
-    return !trace_path.empty() || !trace_csv_path.empty();
-  }
-
-  /// Causal profile export ($MVFLOW_PROF, DESIGN.md §16): record an
-  /// unbounded stream (in place of a trace's ring) and write its analyzed
-  /// profile JSON here at world teardown. "-" writes to stdout. Empty =
-  /// no profile.
+  /// Causal profile export ($MVFLOW_PROF, DESIGN.md §16): write the
+  /// analyzed profile JSON here at world teardown. "-" writes to stdout.
+  /// Empty = no profile.
   std::string prof_path;
 
-  bool prof_enabled() const noexcept { return !prof_path.empty(); }
+  /// The flight recorder is armed when any of its views is exported: the
+  /// trace, the credit CSV and the profile all read its one stream.
+  bool recording() const noexcept {
+    return !trace_path.empty() || !trace_csv_path.empty() ||
+           !prof_path.empty();
+  }
 
   /// Invariant auditor ($MVFLOW_AUDIT = 1): run the credit-conservation /
   /// buffer-accounting / delivery checks (obs/audit.hpp, DESIGN.md §15)

@@ -1,7 +1,10 @@
 #include "mpi/checkpoint.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
+#include <stdexcept>
+#include <string_view>
+#include <system_error>
 #include <utility>
 
 namespace mvflow::mpi::ckpt {
@@ -27,12 +30,11 @@ namespace {
 // ---- WorldConfig <-> bytes -------------------------------------------
 
 void encode_config(serial::BufWriter& w, const WorldConfig& cfg,
-                   bool trace_armed, std::uint64_t trace_capacity) {
+                   bool trace_armed) {
   w.i32(cfg.num_ranks);
   w.b(cfg.on_demand_connections);
   w.i64(cfg.max_sim_time.count());
   w.b(trace_armed);
-  w.u64(trace_capacity);
 
   const flowctl::Config& f = cfg.flow;
   w.u8(static_cast<std::uint8_t>(f.scheme));
@@ -69,13 +71,11 @@ void encode_config(serial::BufWriter& w, const WorldConfig& cfg,
   w.b(cfg.device.auto_reconnect);
 }
 
-void decode_config(serial::BufReader& r, WorldConfig& cfg, bool& trace_armed,
-                   std::uint64_t& trace_capacity) {
+void decode_config(serial::BufReader& r, WorldConfig& cfg, bool& trace_armed) {
   cfg.num_ranks = r.i32("num_ranks");
   cfg.on_demand_connections = r.b("on_demand_connections");
   cfg.max_sim_time = sim::Duration(r.i64("max_sim_time"));
   trace_armed = r.b("trace_armed");
-  trace_capacity = r.u64("trace_capacity");
 
   flowctl::Config& f = cfg.flow;
   f.scheme = static_cast<flowctl::Scheme>(r.u8("flow.scheme"));
@@ -202,7 +202,6 @@ WorldSnapshot capture(World& world, const WorkloadSpec& spec) {
   WorldSnapshot snap;
   snap.config = world.config();
   snap.trace_armed = world.recorder().enabled();
-  snap.trace_capacity = world.recorder().capacity();
   snap.workload = spec;
   snap.barrier = world.executed_events();
   snap.state = capture_state_sections(world);
@@ -213,7 +212,7 @@ std::vector<std::byte> encode(const WorldSnapshot& snap) {
   std::vector<serial::Section> sections;
 
   serial::BufWriter cfg;
-  encode_config(cfg, snap.config, snap.trace_armed, snap.trace_capacity);
+  encode_config(cfg, snap.config, snap.trace_armed);
   sections.push_back(make_section(kSecConfig, std::move(cfg)));
 
   serial::BufWriter wk;
@@ -248,7 +247,7 @@ WorldSnapshot decode(const std::vector<std::byte>& file) {
   {
     const serial::Section& s = need(kSecConfig);
     serial::BufReader r(s.bytes);
-    decode_config(r, snap.config, snap.trace_armed, snap.trace_capacity);
+    decode_config(r, snap.config, snap.trace_armed);
     // Replays never inherit the capturing process's export paths.
     snap.config.run = exp::RunConfig{};
   }
@@ -288,18 +287,6 @@ WorldSnapshot read_snapshot(const std::string& path) {
   return decode(serial::read_file(path));
 }
 
-void arm_checkpoints(World& world, const WorkloadSpec& spec,
-                     const std::string& path,
-                     const std::vector<std::uint64_t>& events) {
-  const bool multiple = events.size() > 1;
-  for (const std::uint64_t k : events) {
-    const std::string file = checkpoint_file_path(path, k, multiple);
-    world.engine().set_watchpoint(k, [&world, spec, file] {
-      write_snapshot(capture(world, spec), file);
-    });
-  }
-}
-
 bool RestoreOptions::parse_checkpoint(const std::string& request) {
   checkpoint_path.clear();
   checkpoint_events.clear();
@@ -307,16 +294,18 @@ bool RestoreOptions::parse_checkpoint(const std::string& request) {
   if (at == std::string::npos || at == 0 || at + 1 == request.size())
     return false;
   std::vector<std::uint64_t> events;
-  const std::string list = request.substr(at + 1);
+  const std::string_view list = std::string_view(request).substr(at + 1);
   std::size_t pos = 0;
   while (pos <= list.size()) {
     std::size_t comma = list.find(',', pos);
-    if (comma == std::string::npos) comma = list.size();
-    const std::string tok = list.substr(pos, comma - pos);
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-    if (tok.empty() || end == nullptr || *end != '\0') return false;
-    events.push_back(static_cast<std::uint64_t>(v));
+    if (comma == std::string_view::npos) comma = list.size();
+    // The whole token is one unsigned count: no sign, no trailing bytes.
+    const std::string_view tok = list.substr(pos, comma - pos);
+    std::uint64_t v = 0;
+    const auto [end, ec] =
+        std::from_chars(tok.data(), tok.data() + tok.size(), v);
+    if (ec != std::errc{} || end != tok.data() + tok.size()) return false;
+    events.push_back(v);
     pos = comma + 1;
   }
   checkpoint_path = request.substr(0, at);
@@ -326,22 +315,41 @@ bool RestoreOptions::parse_checkpoint(const std::string& request) {
 
 namespace {
 
+/// Arm a watchpoint that writes a snapshot of `world`, running the
+/// registered workload `spec`, at each requested executed-event count past
+/// the events already executed, and notes the count in `written`. One
+/// event writes exactly the requested path; several write "<path>.<k>"
+/// each.
+void arm_checkpoints(World& world, const WorkloadSpec& spec,
+                     const RestoreOptions& opts,
+                     std::vector<std::uint64_t>& written) {
+  const bool multiple = opts.checkpoint_events.size() > 1;
+  for (const std::uint64_t k : opts.checkpoint_events) {
+    if (k <= world.executed_events()) continue;
+    const std::string file =
+        checkpoint_file_path(opts.checkpoint_path, k, multiple);
+    world.engine().set_watchpoint(k, [&world, spec, file, k, &written] {
+      write_snapshot(capture(world, spec), file);
+      written.push_back(k);
+    });
+  }
+}
+
 RunResult run_world(World& world, const WorkloadSpec& spec,
                     const RestoreOptions& opts,
                     const WorldSnapshot* audit_against) {
   bool audited = false;
+  std::vector<std::uint64_t> written;
   if (audit_against != nullptr) {
     world.engine().set_watchpoint(
-        audit_against->barrier, [&world, &spec, audit_against, &opts, &audited] {
+        audit_against->barrier,
+        [&world, &spec, audit_against, &opts, &audited, &written] {
           audit(world, *audit_against);
           audited = true;
-          if (!opts.checkpoint_path.empty()) {
-            arm_checkpoints(world, spec, opts.checkpoint_path,
-                            opts.checkpoint_events);
-          }
+          arm_checkpoints(world, spec, opts, written);
         });
-  } else if (!opts.checkpoint_path.empty()) {
-    arm_checkpoints(world, spec, opts.checkpoint_path, opts.checkpoint_events);
+  } else {
+    arm_checkpoints(world, spec, opts, written);
   }
   if (opts.kill_at > 0) {
     world.engine().set_watchpoint(opts.kill_at,
@@ -358,6 +366,17 @@ RunResult run_world(World& world, const WorkloadSpec& spec,
         std::to_string(audit_against->barrier) +
         ") — wrong workload or diverged run");
   }
+  // A count the run never reached — past its end or its kill, or at or
+  // below a restore's barrier — wrote nothing: the request fails.
+  for (const std::uint64_t k : opts.checkpoint_events) {
+    if (std::find(written.begin(), written.end(), k) != written.end()) continue;
+    throw std::runtime_error(
+        "checkpoint " + opts.checkpoint_path + "@" + std::to_string(k) +
+        " was never written: the run went from event " +
+        std::to_string(audit_against != nullptr ? audit_against->barrier : 0) +
+        " to " + std::to_string(world.executed_events()) +
+        (world.aborted() ? " (killed)" : ""));
+  }
   out.aborted = world.aborted();
   out.metrics = world.metrics().snapshot();
   out.stats = world.collect_stats();
@@ -368,11 +387,7 @@ RunResult run_world(World& world, const WorkloadSpec& spec,
 
 RunResult restore_run(const WorldSnapshot& snap, const RestoreOptions& opts) {
   World world(snap.config);
-  if (snap.trace_armed) {
-    world.recorder().enable(snap.trace_capacity != 0
-                                ? snap.trace_capacity
-                                : obs::FlightRecorder::kDefaultCapacity);
-  }
+  if (snap.trace_armed) world.recorder().enable();
   return run_world(world, snap.workload, opts, &snap);
 }
 

@@ -48,7 +48,6 @@ std::string section_name(std::uint32_t tag);
 struct WorldSnapshot {
   WorldConfig config;         ///< Rebuild recipe (RunConfig not included).
   bool trace_armed = false;   ///< Recorder enabled at capture time.
-  std::uint64_t trace_capacity = 0;
   WorkloadSpec workload;      ///< Replayed by name at restore.
   std::uint64_t barrier = 0;  ///< Executed-event count at capture.
   /// Serialized per-layer state at the barrier (kSecEngine..kSecTrace),
@@ -72,23 +71,18 @@ WorldSnapshot decode(const std::vector<std::byte>& file);
 void write_snapshot(const WorldSnapshot& snap, const std::string& path);
 WorldSnapshot read_snapshot(const std::string& path);
 
-/// Arm engine watchpoints that write a snapshot of `world`, running the
-/// registered workload `spec`, at each listed executed-event count. One
-/// event writes exactly `path`; several write "<path>.<k>" each.
-void arm_checkpoints(World& world, const WorkloadSpec& spec,
-                     const std::string& path,
-                     const std::vector<std::uint64_t>& events);
-
 struct RestoreOptions {
-  /// Write checkpoints from the run (same path rules as arm_checkpoints).
-  /// Counts are absolute executed-event counts; a restore's must exceed
-  /// the snapshot's barrier.
+  /// Write a snapshot of the run at each of these absolute executed-event
+  /// counts: one count writes exactly `checkpoint_path`, several write
+  /// "<path>.<k>" each. A count the run never reaches — past its end or
+  /// `kill_at`, or at or below a restore's barrier — fails the run with
+  /// std::runtime_error naming the request.
   std::string checkpoint_path;
   std::vector<std::uint64_t> checkpoint_events;
 
   /// Parse a "path@k[,k...]" request (mvflow_ckpt --checkpoint) into the
-  /// two fields above. Returns false, and clears both, when the syntax is
-  /// malformed.
+  /// two fields above; each k is an unsigned decimal count, whole. Returns
+  /// false, and clears both, when the request is malformed.
   bool parse_checkpoint(const std::string& request);
 
   /// Simulated crash: abort the run at this executed-event count

@@ -206,7 +206,7 @@ RequestPtr Device::isend(Rank dst, Tag tag, std::span<const std::byte> data) {
   progress();  // every MPI entry point advances the engine (as MPICH does)
   charge(kSendOverhead);
   Endpoint& ep = ensure_endpoint(dst);
-  auto req = std::make_shared<Request>(RequestKind::send, next_rndv_id_++);
+  auto req = std::make_shared<Request>();
   if (ep.failed) {
     // The connection is dead: complete immediately with error status
     // instead of queueing data that can never leave.
@@ -410,7 +410,7 @@ void Device::post_wire(Endpoint& ep, WireHeader hdr,
 RequestPtr Device::irecv(Rank src, Tag tag, std::span<std::byte> buffer) {
   progress();  // every MPI entry point advances the engine (as MPICH does)
   charge(kRecvPostOverhead);
-  auto req = std::make_shared<Request>(RequestKind::recv, next_rndv_id_++);
+  auto req = std::make_shared<Request>();
 
   if (src != kAnySource) {
     const Endpoint* sep = find_endpoint(src);

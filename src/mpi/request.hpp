@@ -1,23 +1,16 @@
 // Nonblocking operation handles.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 
 #include "mpi/types.hpp"
 
 namespace mvflow::mpi {
 
-enum class RequestKind : std::uint8_t { send, recv };
-
 /// One outstanding nonblocking operation. Created by Device::isend/irecv;
 /// completed by the progress engine; observed via wait/test.
 class Request {
  public:
-  Request(RequestKind kind, std::uint64_t id) : kind_(kind), id_(id) {}
-
-  RequestKind kind() const noexcept { return kind_; }
-  std::uint64_t id() const noexcept { return id_; }
   bool complete() const noexcept { return complete_; }
   /// The operation finished unsuccessfully (its connection failed). The
   /// request still counts as complete so wait/test return instead of
@@ -37,8 +30,6 @@ class Request {
   }
 
  private:
-  RequestKind kind_;
-  std::uint64_t id_;
   bool complete_ = false;
   bool failed_ = false;
   Status status_;

@@ -1,7 +1,7 @@
 #include "mpi/workload.hpp"
 
 #include <cstddef>
-#include <utility>
+#include <string_view>
 
 #include "mpi/communicator.hpp"
 #include "util/serial.hpp"
@@ -9,11 +9,6 @@
 namespace mvflow::mpi {
 
 namespace {
-
-std::map<std::string, WorkloadFactory>& registry() {
-  static auto* r = new std::map<std::string, WorkloadFactory>();
-  return *r;
-}
 
 // ---- built-in bodies --------------------------------------------------
 
@@ -133,14 +128,17 @@ RankBodyFn make_hotspot(const WorkloadSpec& spec) {
   };
 }
 
-const bool kBuiltinsRegistered = [] {
-  register_workload("pingpong", make_pingpong);
-  register_workload("bw", make_bw);
-  register_workload("allpairs", make_allpairs);
-  register_workload("soak", make_soak);
-  register_workload("hotspot", make_hotspot);
-  return true;
-}();
+struct Builtin {
+  std::string_view name;
+  RankBodyFn (*make)(const WorkloadSpec&);
+};
+
+/// Every workload a snapshot may name, in name order.
+constexpr Builtin kBuiltins[] = {{"allpairs", make_allpairs},
+                                 {"bw", make_bw},
+                                 {"hotspot", make_hotspot},
+                                 {"pingpong", make_pingpong},
+                                 {"soak", make_soak}};
 
 }  // namespace
 
@@ -155,30 +153,16 @@ std::string WorkloadSpec::to_string() const {
   return out + ")";
 }
 
-bool register_workload(const std::string& name, WorkloadFactory factory) {
-  registry()[name] = std::move(factory);
-  return true;
-}
-
-bool workload_registered(const std::string& name) {
-  (void)kBuiltinsRegistered;
-  return registry().count(name) != 0;
-}
-
 RankBodyFn make_workload(const WorkloadSpec& spec) {
-  const auto it = registry().find(spec.name);
-  if (it == registry().end()) {
-    std::string known;
-    for (const auto& [name, f] : registry()) {
-      (void)f;
-      if (!known.empty()) known += ", ";
-      known += name;
-    }
-    throw util::serial::SnapshotError(
-        "snapshot names unknown workload \"" + spec.name +
-        "\" (registered: " + known + ")");
+  std::string known;
+  for (const Builtin& b : kBuiltins) {
+    if (b.name == spec.name) return b.make(spec);
+    if (!known.empty()) known += ", ";
+    known += b.name;
   }
-  return it->second(spec);
+  throw util::serial::SnapshotError("snapshot names unknown workload \"" +
+                                    spec.name + "\" (built-in: " + known +
+                                    ")");
 }
 
 }  // namespace mvflow::mpi

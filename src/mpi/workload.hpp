@@ -1,11 +1,11 @@
-// Registered, re-creatable rank bodies (DESIGN.md §13).
+// Built-in, re-creatable rank bodies (DESIGN.md §13).
 //
 // A checkpoint cannot serialize a rank body: bodies are closures running on
 // fiber stacks. Resumable runs therefore describe their workload as a
 // *name plus integer parameters*; a restore looks the name up in the
-// registry and replays the exact same body. Every workload here must be
-// fully deterministic as a function of (WorldConfig, WorkloadSpec) — no
-// wall clock, no process-global RNG.
+// table of built-ins and replays the exact same body. Every workload here
+// must be fully deterministic as a function of (WorldConfig, WorkloadSpec)
+// — no wall clock, no process-global RNG.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +18,7 @@ namespace mvflow::mpi {
 
 class Communicator;
 
-/// Serializable workload identity: registry name + integer parameters.
+/// Serializable workload identity: built-in name + integer parameters.
 struct WorkloadSpec {
   std::string name;
   std::map<std::string, std::int64_t> params;  // ordered => deterministic
@@ -32,20 +32,14 @@ struct WorkloadSpec {
 };
 
 using RankBodyFn = std::function<void(Communicator&)>;
-using WorkloadFactory = std::function<RankBodyFn(const WorkloadSpec&)>;
 
-/// Register a workload under `name` (overwrites an existing entry).
-/// Returns true so call sites can use static-init registration.
-bool register_workload(const std::string& name, WorkloadFactory factory);
-
-/// Instantiate a registered workload. Throws util::serial::SnapshotError
-/// (naming the workload and listing what is registered) when `spec.name`
-/// is unknown — an unknown name in a snapshot is a restore failure.
+/// Instantiate one of the built-in workloads below. Throws
+/// util::serial::SnapshotError (naming the workload and listing the
+/// built-ins) when `spec.name` is unknown — an unknown name in a snapshot
+/// is a restore failure.
 RankBodyFn make_workload(const WorkloadSpec& spec);
 
-bool workload_registered(const std::string& name);
-
-// Built-in workloads (registered at static init):
+// The built-in workloads, a fixed table:
 //   pingpong  — ranks 0/1 exchange `bytes`-sized messages `iters` times.
 //   bw        — rank 0 streams `reps` windows of `window` sends of `bytes`
 //               to rank 1 (blocking=1 waits each send; the paper's fig3-8

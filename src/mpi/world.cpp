@@ -37,14 +37,9 @@ World::World(WorldConfig cfg) : cfg_(cfg) {
 
   fabric_ = std::make_unique<ib::Fabric>(engine_, cfg_.fabric, cfg_.num_ranks);
 
-  // Requested exports arm the fabric's recorder for this world's lifetime.
-  // The profile needs every instant, so it records an unbounded stream in
-  // place of a trace export's ring.
-  if (cfg_.run.prof_enabled()) {
-    recorder().enable(obs::FlightRecorder::kUnbounded);
-  } else if (cfg_.run.trace_enabled()) {
-    recorder().enable();
-  }
+  // A requested trace, credit CSV or profile arms the fabric's recorder for
+  // this world's lifetime: each is a view of its one stream.
+  if (cfg_.run.recording()) recorder().enable();
 
   metrics_.add_source("engine.", [this](const obs::MetricsRegistry::EmitFn& e) {
     engine_.perf_stats().visit(e);
@@ -55,15 +50,14 @@ World::World(WorldConfig cfg) : cfg_(cfg) {
   metrics_.add_source("msg_pool.", [this](const obs::MetricsRegistry::EmitFn& e) {
     fabric_->msg_pool_stats().visit(e);
   });
-  // Views of the stream, computed at snapshot time and only over an
-  // unbounded one: latency.* always emits its 21 names, all zero unless
-  // the recorder keeps every instant; prof.* emits nothing then, so a world
-  // without a profile pays no replay.
+  // Views of the stream, computed at snapshot time: latency.* always emits
+  // its 21 names, all zero while the recorder is disarmed; prof.* emits
+  // nothing then, so a world that records nothing pays no replay.
   metrics_.add_source("latency.", [this](const obs::MetricsRegistry::EmitFn& e) {
     obs::latency_view(fabric_->recorder().stream()).visit(e);
   });
   metrics_.add_source("prof.", [this](const obs::MetricsRegistry::EmitFn& e) {
-    if (fabric_->recorder().unbounded()) obs::emit_metrics(prof_analysis(), e);
+    if (fabric_->recorder().enabled()) obs::emit_metrics(prof_analysis(), e);
   });
 
   devices_.reserve(static_cast<std::size_t>(cfg_.num_ranks));
@@ -234,26 +228,22 @@ void World::flush_exports() {
   }
   // The profile analysis feeds two artifacts: the $MVFLOW_PROF JSON and the
   // Chrome-trace flow arrows. Replay once, use for both.
-  const bool arrows =
-      recorder().unbounded() && !cfg_.run.trace_path.empty();
   obs::ProfileAnalysis analysis;
-  if (cfg_.run.prof_enabled() || arrows) analysis = prof_analysis();
-  if (cfg_.run.prof_enabled() &&
+  if (!cfg_.run.prof_path.empty() || !cfg_.run.trace_path.empty()) {
+    analysis = prof_analysis();
+  }
+  if (!cfg_.run.prof_path.empty() &&
       !obs::write_profile(cfg_.run.prof_path, analysis, "run")) {
     util::Logger::error("obs", "cannot write profile " + cfg_.run.prof_path,
                         engine_.now().count());
   }
-  if (!cfg_.run.trace_path.empty()) {
-    // With a profile armed the trace gains sender→receiver flow arrows
-    // (ph:"s"/"f"), one per joined wire message.
-    if (!recorder().export_chrome_trace(
-            cfg_.run.trace_path,
-            arrows ? obs::flow_events(analysis)
-                   : std::vector<obs::FlowArrowEvent>{})) {
-      util::Logger::error("obs",
-                          "cannot write trace file " + cfg_.run.trace_path,
-                          engine_.now().count());
-    }
+  // The trace carries sender→receiver flow arrows (ph:"s"/"f"), one per
+  // joined wire message.
+  if (!cfg_.run.trace_path.empty() &&
+      !recorder().export_chrome_trace(cfg_.run.trace_path,
+                                      obs::flow_events(analysis))) {
+    util::Logger::error("obs", "cannot write trace file " + cfg_.run.trace_path,
+                        engine_.now().count());
   }
   if (!cfg_.run.trace_csv_path.empty() &&
       !recorder().export_credit_csv(cfg_.run.trace_csv_path)) {

@@ -162,13 +162,12 @@ class World {
 
   /// This world's flight recorder (DESIGN.md §11): its fabric's, which
   /// every QP and device reaches through its HCA. Armed at construction
-  /// when the run config requests a trace ($MVFLOW_TRACE*: a ring) or a
-  /// profile ($MVFLOW_PROF: unbounded); tests and benchmarks that read the
-  /// profile in process call enable(FlightRecorder::kUnbounded) before
-  /// run().
+  /// when the run config requests a trace, a credit CSV or a profile
+  /// ($MVFLOW_TRACE, $MVFLOW_TRACE_CSV, $MVFLOW_PROF); tests and benchmarks
+  /// that read the stream in process call enable() before run().
   obs::FlightRecorder& recorder() noexcept { return fabric_->recorder(); }
   /// analyze() over the recorder's stream — the full causal attribution
-  /// (DESIGN.md §16); empty unless the stream is unbounded.
+  /// (DESIGN.md §16); empty while the recorder is disarmed.
   obs::ProfileAnalysis prof_analysis() const;
   /// collect_stats()'s flow-control and QP totals: the books
   /// obs::audit_against cross-foots the profile against.

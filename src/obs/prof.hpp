@@ -143,8 +143,8 @@ struct ProfileAnalysis {
 
 /// Replay the stream into per-message attributions. Pure function of the
 /// instants: identical streams give bit-identical analyses. `events` must
-/// be a whole stream (FlightRecorder::stream()): a ring that lost its
-/// oldest instants would attribute against a truncated history.
+/// be a whole stream (FlightRecorder::stream()): one missing its oldest
+/// instants would attribute against a truncated history.
 ProfileAnalysis analyze(std::span<const TraceEvent> events);
 
 /// Per-message latency breakdown: the value type of the `latency.*` view,

@@ -48,17 +48,8 @@ std::string_view to_string(Ev e) {
   return "unknown";
 }
 
-void FlightRecorder::enable(std::size_t capacity) {
-  unbounded_ = capacity == kUnbounded;
-  if (unbounded_) {
-    ring_.clear();
-    ring_.reserve(1u << 12);
-  } else {
-    ring_.assign(capacity == 0 ? 1 : capacity, TraceEvent{});
-  }
-  head_ = 0;
-  recorded_ = 0;
-  for (auto& c : kind_counts_) c = 0;
+void FlightRecorder::enable() {
+  events_.clear();
   enabled_ = true;
 }
 
@@ -66,43 +57,9 @@ void FlightRecorder::record(sim::TimePoint t, Ev kind, int rank, int peer,
                             std::uint32_t qpn, std::uint64_t a, std::int64_t b,
                             std::uint64_t key, std::uint8_t flags) {
   if (!enabled_) return;
-  const TraceEvent e{t, a, b, key, qpn, static_cast<std::int16_t>(rank),
-                     static_cast<std::int16_t>(peer), kind, flags};
-  if (unbounded_) {
-    ring_.push_back(e);
-  } else {
-    if (ring_.empty()) return;
-    ring_[head_] = e;
-    head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
-  }
-  ++recorded_;
-  ++kind_counts_[static_cast<std::size_t>(kind)];
-}
-
-std::size_t FlightRecorder::size() const noexcept {
-  return recorded_ < ring_.size() ? static_cast<std::size_t>(recorded_)
-                                  : ring_.size();
-}
-
-std::uint64_t FlightRecorder::dropped() const noexcept {
-  return recorded_ < ring_.size() ? 0 : recorded_ - ring_.size();
-}
-
-std::span<const TraceEvent> FlightRecorder::stream() const noexcept {
-  if (!unbounded_) return {};
-  return ring_;
-}
-
-std::vector<TraceEvent> FlightRecorder::events() const {
-  std::vector<TraceEvent> out;
-  const std::size_t n = size();
-  out.reserve(n);
-  // When the ring has wrapped, head_ points at the oldest retained event.
-  const std::size_t start = recorded_ < ring_.size() ? 0 : head_;
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
-  }
-  return out;
+  events_.push_back(TraceEvent{t, a, b, key, qpn,
+                               static_cast<std::int16_t>(rank),
+                               static_cast<std::int16_t>(peer), kind, flags});
 }
 
 namespace {
@@ -135,9 +92,8 @@ bool is_backlog_kind(Ev k) {
 
 std::string FlightRecorder::chrome_trace(
     const std::vector<FlowArrowEvent>& flows) const {
-  const std::vector<TraceEvent> evs = events();
   std::string out;
-  out.reserve(evs.size() * 128 + flows.size() * 96 + 256);
+  out.reserve(events_.size() * 128 + flows.size() * 96 + 256);
   out += "{\"displayTimeUnit\": \"ns\", \"traceEvents\": [\n";
 
   bool first = true;
@@ -171,7 +127,7 @@ std::string FlightRecorder::chrome_trace(
 
   // Metadata: name each rank's process track once.
   std::set<std::int16_t> ranks;
-  for (const auto& e : evs) ranks.insert(e.rank);
+  for (const auto& e : events_) ranks.insert(e.rank);
   for (const std::int16_t r : ranks) {
     sep();
     out += "{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": ";
@@ -181,7 +137,7 @@ std::string FlightRecorder::chrome_trace(
     out += "\"}}";
   }
 
-  for (const auto& e : evs) {
+  for (const auto& e : events_) {
     put_flows_until(e.t, false);
     sep();
     out += "{\"name\": \"";
@@ -247,7 +203,7 @@ std::string FlightRecorder::credit_csv() const {
   std::map<std::pair<std::int16_t, std::int16_t>,
            std::pair<std::int64_t, std::int64_t>>
       state;
-  for (const auto& e : events()) {
+  for (const auto& e : events_) {
     if (!is_credit_kind(e.kind) && !is_backlog_kind(e.kind)) continue;
     auto& [credits, depth] = state[{e.rank, e.peer}];
     if (is_credit_kind(e.kind)) {
@@ -269,13 +225,8 @@ bool FlightRecorder::export_credit_csv(const std::string& path) const {
 
 void FlightRecorder::serialize_state(util::serial::BufWriter& w) const {
   w.b(enabled_);
-  w.u64(capacity());
-  w.u64(recorded_);
-  w.u64(dropped());
-  for (std::uint64_t c : kind_counts_) w.u64(c);
-  const std::vector<TraceEvent> evs = events();  // oldest first
-  w.u64(evs.size());
-  for (const TraceEvent& e : evs) {
+  w.u64(events_.size());
+  for (const TraceEvent& e : events_) {
     w.i64(e.t.count());
     w.u64(e.a);
     w.i64(e.b);

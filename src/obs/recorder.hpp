@@ -14,15 +14,14 @@
 // from the same instants — the causal profile and the `latency.*` metrics
 // (obs/prof.hpp).
 //
-// Two modes. A ring (enable(capacity)) keeps the newest `capacity`
-// instants and overwrites the oldest (`dropped()` counts evictions); an
-// unbounded stream (enable(kUnbounded)) keeps every instant, which is what
-// the profile views need: they are computed only on an unbounded stream.
+// One mode: enable() starts an append-only stream that keeps every
+// instant, 48 bytes each, with nothing allocated up front. Every view —
+// the trace, the CSV, the profile and `latency.*` — reads that stream, so
+// every armed run yields all of them.
 //
 // Overhead contract: the recorder is OFF by default and a disabled
 // recorder costs exactly one predictable branch at each instrumentation
-// site (`if (rec.enabled()) ...` around out-of-line record() calls). The
-// ring is sized at enable() time and never allocates while recording.
+// site (`if (rec.enabled()) ...` around out-of-line record() calls).
 //
 // Ownership: every ib::Fabric owns one recorder (mpi::World forwards
 // World::recorder() to its fabric's), and the instrumented layers reach it
@@ -32,9 +31,9 @@
 // drive record() directly.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <string>
 #include <string_view>
@@ -67,8 +66,6 @@ enum class Ev : std::uint8_t {
   msg_matched,       ///< credited message met its receive; b = payload bytes
   credit_reset,      ///< reconnect restarted credits;  a = credited replays, b = credits now
 };
-inline constexpr std::size_t kEvKinds = 17;
-static_assert(static_cast<std::size_t>(Ev::credit_reset) + 1 == kEvKinds);
 
 // Join keys (TraceEvent::key). The QP lifecycle instants (msg_posted,
 // msg_segmented, msg_on_wire, retransmit, msg_acked) carry the WQE's
@@ -121,50 +118,29 @@ std::string csv_escape(std::string_view field);
 
 class FlightRecorder {
  public:
-  static constexpr std::size_t kDefaultCapacity = 1u << 20;
-  /// enable() capacity that keeps every instant: the stream grows instead
-  /// of wrapping. The profile views need it.
-  static constexpr std::size_t kUnbounded =
-      std::numeric_limits<std::size_t>::max();
-
   /// The one branch instrumentation sites take when recording is off.
   bool enabled() const noexcept { return enabled_; }
 
-  /// Start recording into a ring of `capacity` instants, or into an
-  /// unbounded stream for kUnbounded. Clears prior events.
-  void enable(std::size_t capacity = kDefaultCapacity);
-  /// Stop recording; the captured events stay exportable.
-  void disable() noexcept { enabled_ = false; }
+  /// Start recording: clears prior instants.
+  void enable();
 
-  /// Append one instant (a ring overwrites its oldest at capacity).
-  /// Out-of-line on purpose: the enabled() branch at the call site is the
-  /// hot-path cost.
+  /// Append one instant. Out-of-line on purpose: the enabled() branch at
+  /// the call site is the hot-path cost.
   void record(sim::TimePoint t, Ev kind, int rank, int peer, std::uint32_t qpn,
               std::uint64_t a, std::int64_t b, std::uint64_t key = 0,
               std::uint8_t flags = 0);
 
-  /// True when enabled with kUnbounded: no instant since enable() is lost.
-  bool unbounded() const noexcept { return unbounded_; }
-  std::size_t size() const noexcept;
-  /// Ring size, or kUnbounded.
-  std::size_t capacity() const noexcept {
-    return unbounded_ ? kUnbounded : ring_.size();
-  }
-  /// Events evicted by the ring wrapping.
-  std::uint64_t dropped() const noexcept;
-  /// Total record() calls since enable(), per kind and overall —
-  /// counted even for events the ring later overwrote.
-  std::uint64_t recorded() const noexcept { return recorded_; }
+  std::size_t size() const noexcept { return events_.size(); }
+  /// Instants of one kind since enable(): a fold of the stream.
   std::uint64_t count(Ev kind) const noexcept {
-    return kind_counts_[static_cast<std::size_t>(kind)];
+    return static_cast<std::uint64_t>(
+        std::count_if(events_.begin(), events_.end(),
+                      [kind](const TraceEvent& e) { return e.kind == kind; }));
   }
 
-  /// Copy of the retained events, oldest first.
-  std::vector<TraceEvent> events() const;
-  /// Every instant since enable(), in record order, for the offline views
-  /// (obs/prof.hpp) — or empty when recording into a ring, whose oldest
-  /// instants may be gone.
-  std::span<const TraceEvent> stream() const noexcept;
+  /// Every instant since enable(), in record order, for the views
+  /// (obs/prof.hpp); empty while disarmed.
+  std::span<const TraceEvent> stream() const noexcept { return events_; }
 
   /// Chrome trace_event JSON ({"traceEvents": [...]}) with rank process
   /// tracks, QP thread tracks, instant events for every kind, and counter
@@ -186,17 +162,13 @@ class FlightRecorder {
                            const std::vector<FlowArrowEvent>& flows = {}) const;
   bool export_credit_csv(const std::string& path) const;
 
-  /// Serialize the recorder for the snapshot restore audit: configuration,
-  /// per-kind counts and the retained ring (oldest first).
+  /// Serialize the recorder for the snapshot restore audit: whether it is
+  /// armed, and its instants.
   void serialize_state(util::serial::BufWriter& w) const;
 
  private:
   bool enabled_ = false;
-  bool unbounded_ = false;
-  std::vector<TraceEvent> ring_;  ///< the whole stream when unbounded_
-  std::size_t head_ = 0;        ///< next write position
-  std::uint64_t recorded_ = 0;  ///< total record() calls
-  std::uint64_t kind_counts_[kEvKinds] = {};
+  std::vector<TraceEvent> events_;
 };
 
 /// Inert: binds nothing. Instrumentation reaches its recorder through the

@@ -372,7 +372,8 @@ class Engine {
   /// The process whose fiber stack is in use; null on a thread's own stack.
   Process* stack_owner_ = nullptr;
   /// Where a dispatching process hands the thread back: the run() caller,
-  /// parked in the Process::wake() that first switched away from it.
+  /// parked in the Process::wake() that first switched away from it, or,
+  /// between runs, a Process::kill() parked while its victim unwinds.
   SwitchContext* caller_ = nullptr;
   /// The slot of the callback now running, until that callback wakes a
   /// process. The woken process then releases it when it next blocks or

@@ -218,7 +218,7 @@ struct Process::Fiber {
     // The event that last woke the body ends here (Engine::firing_).
     if (p->held_slot_ != Engine::kNone) e.release_fired(p->held_slot_);
     e.current_ = nullptr;
-    p->leave_to(p->exit_to(), true);
+    p->leave_to(*e.caller_, true);
     __builtin_unreachable();  // nothing resumes a finished fiber
   }
 
@@ -357,10 +357,6 @@ void Process::leave_to(SwitchContext& to, bool finished) {
   transfer(fiber_->ctx, to, finished);
 }
 
-SwitchContext& Process::exit_to() const noexcept {
-  return return_to_ != nullptr ? *return_to_ : *engine_.caller_;
-}
-
 void Process::wake() {
   Engine& e = engine_;
   started_ = true;
@@ -392,7 +388,7 @@ void Process::suspend() {
   if (kill_requested_) {
     // Blocking while kill() unwinds it: back to the killer, which reports
     // it.
-    leave_to(exit_to());
+    leave_to(*e.caller_);
   } else {
     while (!woken_ && !kill_requested_) {
       // The first pass is the boundary of the event that woke this body.
@@ -425,40 +421,25 @@ Process::Waker Process::begin_sleep() {
 void Process::delay(Duration d) {
   util::require(d >= Duration::zero(), "negative delay");
   const Waker waker = begin_sleep();
-  // kill() continues after the victim ends, so a killed body that blocks
-  // while unwinding takes the queued path (and kill() reports it).
-  if (!kill_requested_ && engine_.wake_inline(engine_.now() + d)) return;
+  if (engine_.wake_inline(engine_.now() + d)) return;
   engine_.schedule_after(d, waker);
   suspend();
 }
 
 void Process::kill() {
+  util::check(!engine_.running_, "Process::kill runs only outside a run");
   if (finished_) return;
   kill_requested_ = true;
-  Engine& e = engine_;
-  // A process killing itself: unwind directly.
-  if (e.current_ == this) throw ProcessKilled{};
   ++sleep_epoch_;  // invalidate any pending wakers
   if (!started_) {
     finished_ = true;  // never entered: there is no body to unwind
     return;
   }
-  // An event on this process's own stack: the body unwinds once the event
-  // returns (suspend) and then hands the thread to the run() caller.
-  if (e.stack_owner_ == this) return;
-  // Switch to the victim from the context in use; it unwinds and switches
-  // back here when its body ends.
-  Process* const current = e.current_;
-  Process* const owner = e.stack_owner_;
-  const std::uint32_t firing = std::exchange(e.firing_, Engine::kNone);
-  SwitchContext thread_stack;
-  SwitchContext& here = owner != nullptr ? owner->fiber_->ctx : thread_stack;
-  return_to_ = &here;
-  enter_from(here);
-  return_to_ = nullptr;  // `here` dies with this call
-  e.current_ = current;
-  e.stack_owner_ = owner;
-  e.firing_ = firing;
+  // The killer parks here as the run() caller does in wake(); the victim
+  // unwinds and switches back when its body ends.
+  SwitchContext killer;
+  engine_.caller_ = &killer;
+  enter_from(killer);
   util::check(finished_, "killed process did not finish");
 }
 

@@ -17,8 +17,8 @@
 // (Engine::wake_inline). No kernel call sits on the switch path.
 //
 // Lifecycle: the constructor schedules the first wake at engine.now();
-// the body runs until it returns, throws, or is kill()ed (which unwinds the
-// body with ProcessKilled at its next suspension point).
+// the body runs until it returns, throws, or is kill()ed between runs
+// (which unwinds the body with ProcessKilled where it blocked).
 #pragma once
 
 #include <cstdint>
@@ -52,12 +52,11 @@ class Process {
   /// other ready work run first (a cooperative yield): `delay(0)`.
   void yield() { delay(Duration::zero()); }
 
-  // ---- API callable from engine context or other processes ----
+  // ---- API callable only outside a run ----
 
-  /// Unwind the body with ProcessKilled at its next (or current) suspension
-  /// point; returns once it has ended, except when called from an event
-  /// running on this process's own stack, where the body unwinds after
-  /// that event returns. Safe to call on a finished process (no-op).
+  /// Unwind the body with ProcessKilled where it blocked; returns once it
+  /// has ended. Throws std::logic_error while the engine is dispatching
+  /// (from a body or an event). Safe to call on a finished process (no-op).
   void kill();
 
   Engine& engine() noexcept { return engine_; }
@@ -94,12 +93,9 @@ class Process {
   /// Switch this engine's thread from `from`, the context in use, to this
   /// process's fiber.
   void enter_from(SwitchContext& from);
-  /// Switch from this process's fiber to the run() caller, or to a killer
-  /// (which restores its own state); `finished` marks the last switch.
+  /// Switch from this process's fiber to the run() caller or a killer;
+  /// `finished` marks the last switch.
   void leave_to(SwitchContext& to, bool finished = false);
-  /// Where the thread goes when the body ends, or blocks while a kill()
-  /// unwinds it: the killer that switched here, else the run() caller.
-  SwitchContext& exit_to() const noexcept;
   void run_body() noexcept;  // the fiber's whole life
 
   Engine& engine_;
@@ -108,8 +104,6 @@ class Process {
   /// Stack mapping and saved switch context; lives at the top of the
   /// process's own stack mapping (process.cpp).
   Fiber* fiber_ = nullptr;
-  /// The context of the kill() that switched here to unwind this body.
-  SwitchContext* return_to_ = nullptr;
   std::uint64_t sleep_epoch_ = 0;
   /// The slot of the event that last woke this process, released when the
   /// process next blocks or ends (Engine::firing_).

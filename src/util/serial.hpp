@@ -179,7 +179,10 @@ inline constexpr char kMagic[8] = {'M', 'V', 'F', 'L', 'O', 'W', 'C', 'K'};
 // transport retry limit, the fault plan and auto_reconnect (calibration
 // values are compile-time constants); a connection's flow state drops the
 // decay fields and counter; a queued send drops its RNR retry budget.
-inline constexpr std::uint32_t kVersion = 8;
+// v9: the flight recorder keeps one stream — the config section drops the
+// recorder's capacity and the trace section keeps whether it is armed and
+// its instants; a device no longer draws ids for its requests.
+inline constexpr std::uint32_t kVersion = 9;
 inline constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 8 + 4;
 
 struct Section {

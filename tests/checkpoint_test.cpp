@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -126,7 +127,6 @@ TEST(CheckpointContainer, ConfigRoundTripsEverySetting) {
   cfg.fabric.fault.scripted.push_back({1, 2, 0, 6, true});
   cfg.device.auto_reconnect = true;
   snap.trace_armed = true;
-  snap.trace_capacity = 4096;
   snap.workload = pingpong_spec();
   snap.barrier = 42;
   snap.state.push_back({ckpt::kSecEngine, std::vector<std::byte>(3)});
@@ -137,7 +137,6 @@ TEST(CheckpointContainer, ConfigRoundTripsEverySetting) {
   EXPECT_TRUE(c.on_demand_connections);
   EXPECT_EQ(c.max_sim_time, sim::milliseconds(1234));
   EXPECT_TRUE(got.trace_armed);
-  EXPECT_EQ(got.trace_capacity, 4096u);
   EXPECT_EQ(c.flow.scheme, flowctl::Scheme::hardware);
   EXPECT_EQ(c.flow.prepost, 7);
   EXPECT_EQ(c.flow.ecm_threshold, 3);
@@ -304,8 +303,8 @@ TEST(CheckpointDeterminism, RestoreMidRnrRewindIsBitIdentical) {
   }
 }
 
-// Same property with the flight recorder armed: the trace ring is part of
-// the audited state, so replay must reproduce it event-for-event.
+// Same property with the flight recorder armed: its stream is part of the
+// audited state, so replay must reproduce it event-for-event.
 TEST(CheckpointDeterminism, RestoreWithTraceArmed) {
   mpi::WorldConfig cfg = small_world();
   cfg.run.trace_path = "/dev/null";  // arms the recorder via the config path
@@ -449,6 +448,70 @@ TEST(CheckpointEnv, ParseCheckpointRequest) {
   EXPECT_FALSE(ro.parse_checkpoint("/tmp/z.ck@"));
   EXPECT_FALSE(ro.parse_checkpoint("/tmp/z.ck@12,junk"));
   EXPECT_TRUE(ro.checkpoint_path.empty());
+
+  // Each count is one whole unsigned decimal token.
+  for (const char* bad :
+       {"/tmp/z.ck@-1", "/tmp/z.ck@+5", "/tmp/z.ck@5x", "/tmp/z.ck@ 5",
+        "/tmp/z.ck@10,", "/tmp/z.ck@,10", "/tmp/z.ck@10,-2",
+        "/tmp/z.ck@18446744073709551616"}) {
+    EXPECT_FALSE(ro.parse_checkpoint(bad)) << bad;
+    EXPECT_TRUE(ro.checkpoint_path.empty()) << bad;
+    EXPECT_TRUE(ro.checkpoint_events.empty()) << bad;
+  }
+  EXPECT_TRUE(ro.parse_checkpoint("/tmp/a@b.ck@18446744073709551615"));
+  EXPECT_EQ(ro.checkpoint_path, "/tmp/a@b.ck");
+  ASSERT_EQ(ro.checkpoint_events.size(), 1u);
+  EXPECT_EQ(ro.checkpoint_events[0], 18446744073709551615u);
+}
+
+// A requested checkpoint the run never reaches fails the run and names
+// the request: past the run's end, past its kill, or at or below a
+// restore's barrier.
+TEST(CheckpointEnv, UnreachedCheckpointFailsTheRun) {
+  const auto fails_naming = [](const std::string& name, auto&& run) {
+    try {
+      run();
+      ADD_FAILURE() << name << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(name + " was never written"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  const std::string past_end = tmp_path("past_end.ck");
+  std::remove(past_end.c_str());
+  ckpt::RestoreOptions end_opts;
+  end_opts.checkpoint_path = past_end;
+  end_opts.checkpoint_events = {99999999};
+  fails_naming(past_end + "@99999999", [&] {
+    ckpt::run_reference(small_world(), pingpong_spec(), end_opts);
+  });
+  EXPECT_FALSE(std::ifstream(past_end).good());
+
+  const std::string past_kill = tmp_path("past_kill.ck");
+  std::remove((past_kill + ".700").c_str());
+  ckpt::RestoreOptions kill_opts;
+  kill_opts.checkpoint_path = past_kill;
+  kill_opts.checkpoint_events = {300, 700};
+  kill_opts.kill_at = 500;
+  fails_naming(past_kill + "@700", [&] {
+    ckpt::run_reference(small_world(), pingpong_spec(), kill_opts);
+  });
+  EXPECT_TRUE(std::ifstream(past_kill + ".300").good());
+  EXPECT_FALSE(std::ifstream(past_kill + ".700").good());
+
+  const ckpt::WorldSnapshot snap = ckpt::read_snapshot(
+      write_checkpoint(small_world(), pingpong_spec(), 400, "barrier.ck"));
+  const std::string below = tmp_path("below_barrier.ck");
+  std::remove(below.c_str());
+  for (const std::uint64_t k : {std::uint64_t{300}, std::uint64_t{400}}) {
+    ckpt::RestoreOptions opts;
+    opts.checkpoint_path = below;
+    opts.checkpoint_events = {k};
+    fails_naming(below + "@" + std::to_string(k),
+                 [&] { ckpt::restore_run(snap, opts); });
+  }
+  EXPECT_FALSE(std::ifstream(below).good());
 }
 
 // A value that does not parse in full is reported once, by name and
@@ -487,11 +550,19 @@ TEST(CheckpointEnv, FromEnvReportsMalformedValuesAsUnset) {
 }
 
 TEST(CheckpointEnv, WorkloadRegistry) {
-  EXPECT_TRUE(mpi::workload_registered("pingpong"));
-  EXPECT_TRUE(mpi::workload_registered("soak"));
-  EXPECT_FALSE(mpi::workload_registered("nope"));
-  EXPECT_THROW(mpi::make_workload(mpi::WorkloadSpec{"nope", {}}),
-               SnapshotError);
+  for (const char* name : {"allpairs", "bw", "hotspot", "pingpong", "soak"}) {
+    EXPECT_TRUE(mpi::make_workload(mpi::WorkloadSpec{name, {}})) << name;
+  }
+  try {
+    mpi::make_workload(mpi::WorkloadSpec{"nope", {}});
+    FAIL() << "unknown workload was accepted";
+  } catch (const SnapshotError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("\"nope\""), std::string::npos) << what;
+    EXPECT_NE(what.find("allpairs, bw, hotspot, pingpong, soak"),
+              std::string::npos)
+        << what;
+  }
 }
 
 // ---- fresh process ----------------------------------------------------
@@ -591,6 +662,24 @@ TEST(CheckpointProcess, CliRejectsUnreadOptionWithExit1) {
   EXPECT_EQ(run_cli("run --workload=bw --reps=1O", out), 1);
   EXPECT_NE(slurp(out).find("--reps: '1O'"), std::string::npos) << slurp(out);
   EXPECT_EQ(slurp(out).find("RESULT"), std::string::npos) << slurp(out);
+}
+
+// A checkpoint request that cannot be met fails the command: exit 1 with
+// `error:` naming the request, no RESULT line and no snapshot.
+TEST(CheckpointProcess, CliRejectsUnmetCheckpointWithExit1) {
+  const std::string out = tmp_path("proc_unmet.txt");
+  const std::string ck = tmp_path("proc_unmet.ck");
+  std::remove(ck.c_str());
+  for (const std::string count : {"-1", "99999999"}) {
+    const std::string request = ck + "@" + count;
+    EXPECT_EQ(run_cli("run --workload=pingpong --checkpoint=" + request, out),
+              1)
+        << slurp(out);
+    EXPECT_NE(slurp(out).find("error: "), std::string::npos) << slurp(out);
+    EXPECT_NE(slurp(out).find(request), std::string::npos) << slurp(out);
+    EXPECT_EQ(slurp(out).find("RESULT"), std::string::npos) << slurp(out);
+    EXPECT_FALSE(std::ifstream(ck).good()) << "no snapshot may be written";
+  }
 }
 
 #endif  // MVFLOW_CKPT_BIN

@@ -52,7 +52,7 @@ mpi::WorldConfig pingpong_config() {
 /// msg_posted count written back.
 long long pingpong_elapsed_ns(int iters, std::uint64_t* posted = nullptr) {
   mpi::World world(pingpong_config());
-  if (posted != nullptr) world.recorder().enable(1u << 12);
+  if (posted != nullptr) world.recorder().enable();
   const auto elapsed = world.run([iters](mpi::Communicator& comm) {
     std::byte buf[64];
     std::memset(buf, 0, sizeof buf);
@@ -363,9 +363,9 @@ TEST(RunConfig, QuietClearsExportsButKeepsChecks) {
   cfg.trace_csv_path = "t.csv";
   cfg.audit = true;
   cfg.watchdog_horizon_us = 1234;
-  EXPECT_TRUE(cfg.trace_enabled());
+  EXPECT_TRUE(cfg.recording());
   const exp::RunConfig q = cfg.quiet();
-  EXPECT_FALSE(q.trace_enabled());
+  EXPECT_FALSE(q.recording());
   EXPECT_TRUE(q.metrics_path.empty());
   EXPECT_TRUE(q.trace_path.empty());
   EXPECT_TRUE(q.trace_csv_path.empty());

@@ -1,4 +1,4 @@
-// Observability layer: metrics registry round-trip, flight-recorder ring
+// Observability layer: metrics registry round-trip, flight-recorder stream
 // semantics, Chrome trace well-formedness, failed exports, and end-to-end
 // scenarios (trace/metric agreement on a NAS LU run; backlog episodes
 // visible at prepost=10 and absent at prepost=100; the latency.* view of a
@@ -86,47 +86,31 @@ TEST(MetricsRegistry, FromJsonRejectsMalformedDocuments) {
   EXPECT_TRUE(obs::Snapshot::from_json("{\"metrics\": {}}").has_value());
 }
 
-// ------------------------------------------------------------ flight ring --
-
-TEST(FlightRecorder, RingOverwritesOldestAtCapacity) {
-  obs::FlightRecorder rec;
-  rec.enable(8);
-  for (int i = 0; i < 12; ++i) {
-    rec.record(sim::TimePoint(i), obs::Ev::msg_posted, 0, 1, 5,
-               static_cast<std::uint64_t>(i), 0);
-  }
-  EXPECT_EQ(rec.size(), 8u);
-  EXPECT_EQ(rec.capacity(), 8u);
-  EXPECT_EQ(rec.dropped(), 4u);
-  EXPECT_EQ(rec.recorded(), 12u);
-  EXPECT_EQ(rec.count(obs::Ev::msg_posted), 12u);
-
-  const auto evs = rec.events();
-  ASSERT_EQ(evs.size(), 8u);
-  EXPECT_EQ(evs.front().a, 4u);  // events 0..3 were evicted
-  EXPECT_EQ(evs.back().a, 11u);
-  for (std::size_t i = 1; i < evs.size(); ++i) {
-    EXPECT_LT(evs[i - 1].t, evs[i].t) << "oldest-first order";
-  }
-}
+// ---------------------------------------------------------- flight stream --
 
 TEST(FlightRecorder, DisabledRecorderRecordsNothing) {
   obs::FlightRecorder rec;
   rec.record(sim::TimePoint(1), obs::Ev::ecm_sent, 0, 1, 2, 0, 0);
   EXPECT_FALSE(rec.enabled());
   EXPECT_EQ(rec.size(), 0u);
-  EXPECT_EQ(rec.recorded(), 0u);
+  EXPECT_TRUE(rec.stream().empty());
 
-  rec.enable(4);
+  rec.enable();
   rec.record(sim::TimePoint(2), obs::Ev::ecm_sent, 0, 1, 2, 0, 0);
-  rec.disable();
-  rec.record(sim::TimePoint(3), obs::Ev::ecm_sent, 0, 1, 2, 0, 0);
-  EXPECT_EQ(rec.recorded(), 1u);
+  rec.record(sim::TimePoint(3), obs::Ev::msg_posted, 0, 1, 2, 0, 0);
+  EXPECT_EQ(rec.size(), 2u);
+  EXPECT_EQ(rec.count(obs::Ev::ecm_sent), 1u);
+  EXPECT_EQ(rec.stream().front().t, sim::TimePoint(2));
+
+  rec.enable();  // re-arming starts a fresh stream
+  EXPECT_TRUE(rec.enabled());
+  EXPECT_EQ(rec.size(), 0u);
+  EXPECT_EQ(rec.count(obs::Ev::ecm_sent), 0u);
 }
 
 TEST(FlightRecorder, CsvCarriesLastKnownValues) {
   obs::FlightRecorder rec;
-  rec.enable(16);
+  rec.enable();
   rec.record(sim::TimePoint(10), obs::Ev::credit_grant, 0, 1, 3, 5, 5);
   rec.record(sim::TimePoint(20), obs::Ev::backlog_enter, 0, 1, 3, 2, 0);
   rec.record(sim::TimePoint(30), obs::Ev::msg_posted, 0, 1, 3, 1, 64);  // not sampled
@@ -142,7 +126,7 @@ TEST(FlightRecorder, CsvCarriesLastKnownValues) {
 
 TEST(ChromeTrace, PingPongProducesWellFormedTrace) {
   mpi::World world(two_rank_config(/*prepost=*/16));
-  world.recorder().enable(obs::FlightRecorder::kUnbounded);
+  world.recorder().enable();
   world.run([](mpi::Communicator& comm) {
     std::byte buf[256];
     std::memset(buf, 0, sizeof buf);
@@ -192,7 +176,7 @@ TEST(ChromeTrace, PingPongProducesWellFormedTrace) {
   EXPECT_GT(rec.count(obs::Ev::msg_on_wire), 0u);
   EXPECT_GT(rec.count(obs::Ev::msg_delivered), 0u);
   EXPECT_GT(rec.count(obs::Ev::msg_acked), 0u);
-  // The latency breakdown is a view of the same (unbounded) stream.
+  // The latency breakdown is a view of the same stream.
   const obs::LatencyBreakdown lat = obs::latency_view(rec.stream());
   EXPECT_GT(lat.post_to_wire.count(), 0u);
   EXPECT_GT(lat.wire_to_ack.count(), 0u);
@@ -231,7 +215,7 @@ TEST(ChromeTrace, LuEcmEventsMatchFlowCounters) {
   auto cfg = two_rank_config(/*prepost=*/10);
   cfg.num_ranks = nas::default_ranks(nas::App::lu);
   mpi::World world(cfg);
-  world.recorder().enable(1u << 20);
+  world.recorder().enable();
   const TracedLuRun r = run_lu_traced(world, params);
   ASSERT_TRUE(r.outcome.verified);
 
@@ -253,7 +237,6 @@ TEST(ChromeTrace, LuEcmEventsMatchFlowCounters) {
       ++ecm_instants;
   }
   EXPECT_EQ(ecm_instants, flow_ecm);
-  EXPECT_EQ(world.recorder().dropped(), 0u) << "ring must not have wrapped";
 }
 
 TEST(CreditTimeSeries, BacklogEpisodesOnlyUnderSmallPools) {
@@ -267,7 +250,7 @@ TEST(CreditTimeSeries, BacklogEpisodesOnlyUnderSmallPools) {
   auto starved = two_rank_config(/*prepost=*/6);
   starved.num_ranks = nas::default_ranks(nas::App::lu);
   mpi::World small_world(starved);
-  small_world.recorder().enable(1u << 20);
+  small_world.recorder().enable();
   const TracedLuRun small = run_lu_traced(small_world, params);
   ASSERT_TRUE(small.outcome.verified);
   EXPECT_GT(small_world.recorder().count(obs::Ev::backlog_enter), 0u);
@@ -277,7 +260,7 @@ TEST(CreditTimeSeries, BacklogEpisodesOnlyUnderSmallPools) {
   auto roomy = two_rank_config(/*prepost=*/100);
   roomy.num_ranks = nas::default_ranks(nas::App::lu);
   mpi::World big_world(roomy);
-  big_world.recorder().enable(1u << 20);
+  big_world.recorder().enable();
   const TracedLuRun big = run_lu_traced(big_world, params);
   ASSERT_TRUE(big.outcome.verified);
   EXPECT_EQ(big_world.recorder().count(obs::Ev::backlog_enter), 0u);
@@ -344,7 +327,7 @@ TEST(Exports, EveryFileExportReportsAFullDevice) {
   EXPECT_FALSE(snap.write_json(full));
 
   obs::FlightRecorder rec;
-  rec.enable(16);
+  rec.enable();
   rec.record(sim::TimePoint(10), obs::Ev::credit_grant, 0, 1, 3, 5, 5);
   EXPECT_FALSE(rec.export_chrome_trace(full));
   EXPECT_FALSE(rec.export_credit_csv(full));

@@ -2,9 +2,8 @@
 // six-way latency split, the offline replay of the recorder's instants
 // (zero-credit episodes, ECM round trips, backlog residency, QP lifecycles
 // joined by wr_id), the latency.* view of the same stream, the cross-foot
-// against the flow-control and QP counters, the arming rule (a profile
-// records an unbounded stream whatever trace capacity is asked for), the
-// profiles pinned from the online bookkeeping this replay replaced, and
+// against the flow-control and QP counters, the arming rule (a trace alone
+// arms the same stream a profile does), the profiles pinned from the online bookkeeping this replay replaced, and
 // the export surfaces (profile JSON, flow arrows, "prof." metrics).
 #include <gtest/gtest.h>
 
@@ -67,7 +66,7 @@ void starved_flood(mpi::Communicator& comm) {
 
 std::unique_ptr<mpi::World> starved_world() {
   auto world = std::make_unique<mpi::World>(prof_config(2, 2));
-  world->recorder().enable(obs::FlightRecorder::kUnbounded);
+  world->recorder().enable();
   world->run(starved_flood);
   return world;
 }
@@ -152,7 +151,7 @@ TEST(ProfAttribution, DisarmedProfilerRecordsNothing) {
   mpi::World world(prof_config(2, 2));
   world.run(starved_flood);
   EXPECT_FALSE(world.recorder().enabled());
-  EXPECT_EQ(world.recorder().recorded(), 0u);
+  EXPECT_EQ(world.recorder().size(), 0u);
   EXPECT_TRUE(world.recorder().stream().empty());
   EXPECT_TRUE(world.prof_analysis().messages.empty());
 }
@@ -191,7 +190,7 @@ TEST(ProfGolden, ReconnectAllPairsMatchesPinnedProfile) {
   w.name = "allpairs";
   w.params["bytes"] = 1024;
   w.params["rounds"] = 20;
-  world.recorder().enable(obs::FlightRecorder::kUnbounded);
+  world.recorder().enable();
   world.run(mpi::make_workload(w));
 
   std::uint64_t reconnects = 0;
@@ -213,8 +212,8 @@ TEST(ProfGolden, ReconnectAllPairsMatchesPinnedProfile) {
 // --------------------------------------------------------------- arming --
 
 TEST(ProfArming, ProfileAndLatencyIgnoreTheTrace) {
-  // $MVFLOW_PROF records the whole stream in place of a trace export's
-  // ring, so arming a trace beside it changes nothing.
+  // Every export reads the recorder's one stream, so arming a trace beside
+  // a profile changes neither.
   mpi::WorldConfig alone = prof_config(2, 2);
   alone.run.prof_path = "prof_test_arming_alone.json";
   mpi::WorldConfig traced = prof_config(2, 2);
@@ -225,8 +224,7 @@ TEST(ProfArming, ProfileAndLatencyIgnoreTheTrace) {
   a.run(starved_flood);
   mpi::World b(traced);
   b.run(starved_flood);
-  EXPECT_TRUE(b.recorder().unbounded());
-  EXPECT_EQ(b.recorder().dropped(), 0u);
+  EXPECT_EQ(a.recorder().size(), b.recorder().size());
 
   const obs::ProfileAnalysis pa = a.prof_analysis();
   ASSERT_GT(pa.messages.size(), 0u);
@@ -243,26 +241,39 @@ TEST(ProfArming, ProfileAndLatencyIgnoreTheTrace) {
   }
 }
 
-TEST(ProfArming, TraceOnlyRingWrapsAndYieldsNoProfile) {
-  mpi::WorldConfig cfg = prof_config(2, 2);
-  cfg.run.trace_path = "prof_test_arming_ring.trace.json";
-  mpi::World world(cfg);
-  world.recorder().enable(16);
-  world.run(starved_flood);
-  EXPECT_FALSE(world.recorder().unbounded());
-  EXPECT_GT(world.recorder().dropped(), 0u);
-  EXPECT_TRUE(world.recorder().stream().empty());
-  const obs::ProfileAnalysis a = world.prof_analysis();
-  EXPECT_TRUE(a.messages.empty());
-  EXPECT_EQ(a.incomplete, 0u);
-  const obs::Snapshot snap = world.metrics().snapshot();
-  const auto lat = latency_values(snap);
-  EXPECT_EQ(lat.size(), 21u);
-  for (const auto& [name, v] : lat) EXPECT_EQ(v, 0.0) << name;
-  for (const auto& [name, v] : snap.values) {
-    EXPECT_NE(name.rfind("prof.", 0), 0u) << name;
+TEST(ProfArming, TraceAloneArmsTheWholeStream) {
+  // A trace export alone records the stream a profile reads: the same
+  // profile document, the same 21 latency.* values, and flow arrows in
+  // the trace.
+  mpi::WorldConfig profiled = prof_config(2, 2);
+  profiled.run.prof_path = "prof_test_arming_profiled.json";
+  mpi::WorldConfig traced = prof_config(2, 2);
+  traced.run.trace_path = "prof_test_arming_trace_only.trace.json";
+
+  mpi::World p(profiled);
+  p.run(starved_flood);
+  mpi::World t(traced);
+  t.run(starved_flood);
+  ASSERT_TRUE(t.recorder().enabled());
+
+  const obs::ProfileAnalysis pa = p.prof_analysis();
+  ASSERT_GT(pa.messages.size(), 0u);
+  EXPECT_EQ(obs::profile_to_json(t.prof_analysis(), "run"),
+            obs::profile_to_json(pa, "run"));
+  const auto lp = latency_values(p.metrics().snapshot());
+  EXPECT_EQ(lp.size(), 21u);
+  EXPECT_GT(lp.at("latency.wire_to_ack.count"), 0.0);
+  EXPECT_EQ(latency_values(t.metrics().snapshot()), lp);
+
+  std::ifstream in("prof_test_arming_trace_only.trace.json");
+  std::stringstream ss;
+  ss << in.rdbuf();
+  EXPECT_NE(ss.str().find("\"ph\": \"s\""), std::string::npos);
+  EXPECT_NE(ss.str().find("\"ph\": \"f\""), std::string::npos);
+  for (const char* path : {"prof_test_arming_profiled.json",
+                           "prof_test_arming_trace_only.trace.json"}) {
+    std::remove(path);
   }
-  std::remove("prof_test_arming_ring.trace.json");
 }
 
 // ----------------------------------------------- replay on hand-built data --
@@ -501,7 +512,7 @@ TEST(ProfAudit, AnalysisCrossFootsCountersOnLuPrepost1) {
   params.iterations = 2;
   mpi::WorldConfig cfg = prof_config(nas::default_ranks(nas::App::lu), 1);
   mpi::World world(cfg);
-  world.recorder().enable(obs::FlightRecorder::kUnbounded);
+  world.recorder().enable();
   bool verified = false;
   world.run([&](mpi::Communicator& comm) {
     const nas::AppOutcome out = nas::run_lu(comm, params);
@@ -517,7 +528,7 @@ TEST(ProfAudit, AnalysisCrossFootsCountersUnderFamineConversion) {
   // At prepost >= 4 a credit-starved backlog head leaves as an uncredited
   // rendezvous RTS (paper §4.2); it is one wire post, counted as credited.
   mpi::World world(prof_config(2, 4));
-  world.recorder().enable(obs::FlightRecorder::kUnbounded);
+  world.recorder().enable();
   world.run([](mpi::Communicator& comm) {
     constexpr int kWindow = 64;
     std::vector<std::byte> buf(kWindow * kMsgBytes);
@@ -574,18 +585,6 @@ TEST(ProfAudit, DroppedAckedInstantFailsTheAudit) {
       stream, obs::Ev::msg_acked, [](const obs::TraceEvent&) { return true; });
   ASSERT_EQ(cut.size() + 1, stream.size());
   EXPECT_FALSE(audit_stream(*world, cut));
-}
-
-TEST(ProfAudit, WrappedRingFailsTheAudit) {
-  // A ring keeps only its newest instants, so it offers no stream to
-  // replay: the views come out empty and cannot foot against the counters.
-  mpi::World world(prof_config(2, 2));
-  world.recorder().enable(64);
-  world.run(starved_flood);
-  ASSERT_GT(world.recorder().dropped(), 0u);
-  EXPECT_FALSE(audit_stream(world, world.recorder().stream()));
-  const std::vector<obs::TraceEvent> ring = world.recorder().events();
-  EXPECT_FALSE(audit_stream(world, ring));
 }
 
 // ----------------------------------------------------------------- exports --

@@ -412,32 +412,6 @@ TEST(Handoff, EventOnABlockedProcessStackRunsAsEngineContext) {
   EXPECT_EQ(eng.fiber_switches(), 2u);
 }
 
-TEST(Handoff, EventKillingTheProcessItRunsOnUnwindsItAfterTheEvent) {
-  Engine eng;
-  bool unwound = false;
-  Process p(eng, "p", [&](Process& self) {
-    Cleanup c{&unwound};
-    self.delay(Duration(10));
-    ADD_FAILURE() << "a killed body woke";
-  });
-  std::uint64_t switches_in_event = 0;
-  bool alive_after_kill = false;
-  eng.schedule_at(TimePoint(5), [&] {
-    switches_in_event = eng.fiber_switches();
-    p.kill();  // p's own stack: it cannot unwind under this event
-    alive_after_kill = !p.finished() && !unwound;
-  });
-  eng.run();
-  EXPECT_EQ(switches_in_event, 1u);
-  EXPECT_TRUE(alive_after_kill);
-  EXPECT_TRUE(unwound);
-  EXPECT_TRUE(p.finished());
-  EXPECT_EQ(eng.fiber_switches(), 2u);  // p hands the thread back, ended
-  EXPECT_EQ(eng.now(), TimePoint(10));  // its stale wake fires harmlessly
-  EXPECT_EQ(eng.pending_events(), 0u);
-  EXPECT_EQ(fire_fresh_events(eng, 8), 8);
-}
-
 TEST(Handoff, CallbackExceptionOnAProcessStackLeavesThroughRun) {
   Engine eng;
   bool body_caught = false;
@@ -510,39 +484,6 @@ TEST(Handoff, StopFromAnEventOnAProcessStackEndsTheRun) {
   EXPECT_EQ(ticks, 3);
   EXPECT_TRUE(p.finished());
   EXPECT_EQ(eng.now(), TimePoint(100));
-}
-
-TEST(Handoff, ProcessKilledParkedMidDispatchReturnsToItsKiller) {
-  Engine eng;
-  bool victim_unwound = false;
-  std::vector<std::string> trace;
-  Process victim(eng, "victim", [&](Process& self) {
-    Cleanup c{&victim_unwound};
-    // The killer's first wake is queued, so the victim fires it on its own
-    // stack and hands the thread on from inside that event.
-    self.delay(Duration(100));
-    ADD_FAILURE() << "a killed body woke";
-  });
-  Process killer(eng, "killer", [&](Process& self) {
-    const std::uint64_t before = eng.fiber_switches();
-    victim.kill();  // unwinds the victim before returning here
-    trace.push_back(victim_unwound ? "victim unwound" : "victim alive");
-    trace.push_back(std::to_string(eng.fiber_switches() - before) +
-                    " switches");
-    self.delay(Duration(5));
-    trace.push_back("killer done");
-  });
-  eng.run();
-  EXPECT_TRUE(victim.finished());
-  EXPECT_TRUE(killer.finished());
-  EXPECT_EQ(trace, (std::vector<std::string>{"victim unwound", "2 switches",
-                                             "killer done"}));
-  // Caller to victim, victim to killer, the kill's round trip, and the
-  // killer's hand-back when it ends.
-  EXPECT_EQ(eng.fiber_switches(), 5u);
-  EXPECT_EQ(eng.now(), TimePoint(100));  // the victim's stale wake
-  EXPECT_EQ(eng.pending_events(), 0u);
-  EXPECT_EQ(fire_fresh_events(eng, 8), 8);
 }
 
 TEST(Handoff, ProcessParkedMidDispatchUnwindsWhenKilledOutsideARun) {
@@ -654,19 +595,19 @@ TEST(ConditionWaiter, NotifiedWaiterKilledBeforeWakeGetsStaleWake) {
     cond.wait(self);
     woke.push_back(1);
   });
-  Process n(eng, "n", [&](Process& self) {
-    self.delay(Duration(10));
+  eng.schedule_at(TimePoint(10), [&] {
     cond.notify_one();  // w0's wake is queued at t=10...
-    w0.kill();          // ...and w0 dies before it fires
-    EXPECT_EQ(eng.pending_events(), 1u);
-    self.delay(Duration(10));
-    cond.notify_one();  // reaches w1
+    eng.stop();
   });
   eng.run();
-  EXPECT_EQ(woke, (std::vector<int>{1}));
+  EXPECT_EQ(eng.pending_events(), 1u);
+  w0.kill();  // ...and w0 dies between runs, before it fires
   EXPECT_TRUE(w0.finished());
+  eng.schedule_at(TimePoint(20), [&] { cond.notify_one(); });  // reaches w1
+  eng.run();
+  EXPECT_EQ(woke, (std::vector<int>{1}));
   EXPECT_TRUE(w1.finished());
-  EXPECT_TRUE(n.finished());
+  EXPECT_EQ(eng.now(), TimePoint(20));
   EXPECT_EQ(eng.pending_events(), 0u);
 }
 
@@ -735,28 +676,39 @@ TEST(Process, KillBeforeStartSkipsBody) {
   EXPECT_TRUE(p.finished());
 }
 
-TEST(Process, BodyKillsAnotherProcess) {
+TEST(Process, KillDuringARunFailsCheck) {
   Engine eng;
   Condition never(eng);
-  bool victim_unwound = false;
-  std::vector<std::string> trace;
-  Process victim(eng, "victim", [&](Process& self) {
-    Cleanup c{&victim_unwound};
-    never.wait(self);
-  });
+  Process victim(eng, "victim", [&](Process& self) { never.wait(self); });
+  int body_threw = 0;
   Process killer(eng, "killer", [&](Process& self) {
     self.delay(Duration(10));
-    victim.kill();  // unwinds the victim before returning here
-    trace.push_back(victim_unwound ? "victim unwound" : "victim alive");
-    self.delay(Duration(5));
-    trace.push_back("killer done");
+    try {
+      victim.kill();  // another process, from a body
+    } catch (const std::logic_error&) {
+      ++body_threw;
+    }
+    try {
+      self.kill();  // itself
+    } catch (const std::logic_error&) {
+      ++body_threw;
+    }
+  });
+  bool event_threw = false;
+  eng.schedule_at(TimePoint(5), [&] {
+    try {
+      victim.kill();  // an event, here on the victim's own stack
+    } catch (const std::logic_error&) {
+      event_threw = true;
+    }
   });
   eng.run();
-  EXPECT_TRUE(victim.finished());
+  EXPECT_EQ(body_threw, 2);
+  EXPECT_TRUE(event_threw);
   EXPECT_TRUE(killer.finished());
-  EXPECT_EQ(trace,
-            (std::vector<std::string>{"victim unwound", "killer done"}));
-  EXPECT_EQ(eng.now(), TimePoint(15));
+  EXPECT_FALSE(victim.finished());
+  victim.kill();  // between runs
+  EXPECT_TRUE(victim.finished());
 }
 
 TEST(Process, BlockingOutsideOwnBodyFailsCheck) {

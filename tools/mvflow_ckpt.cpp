@@ -17,7 +17,8 @@
 // the same RESULT line — that equality is what the golden checkpoint test
 // asserts across processes. Exit codes: 0 success, 3 snapshot/audit error
 // (diagnostic on stderr), 1 anything else — including an option the
-// command does not read, which is named on stderr before anything runs.
+// command does not read, which is named on stderr before anything runs,
+// and a --checkpoint count the run never reaches.
 #include <cinttypes>
 #include <cstdio>
 #include <stdexcept>
@@ -93,7 +94,8 @@ mpi::WorkloadSpec workload_from_options(const util::Options& opt) {
 void parse_checkpoint_arg(const util::Options& opt,
                           mpi::ckpt::RestoreOptions& ro) {
   if (const auto ck = opt.get("checkpoint"); ck && !ro.parse_checkpoint(*ck)) {
-    throw std::runtime_error("malformed --checkpoint (want path@k[,k...])");
+    throw std::runtime_error("malformed --checkpoint=" + *ck +
+                             " (want path@k[,k...])");
   }
   ro.kill_at = static_cast<std::uint64_t>(opt.get_int("kill", 0));
 }

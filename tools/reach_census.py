@@ -34,8 +34,6 @@ ALLOWLIST = {
         "tests read a rank's simulated clock from inside its body",
     "mvflow::mpi::Device::debug_flow(int)":
         "the auditor's negative tests plant a credit corruption through it",
-    "mvflow::mpi::workload_registered(std::string const&)":
-        "tests check the checkpoint workload registry by name",
     "mvflow::obs::Snapshot::has(std::string_view) const":
         "tests ask whether a metrics snapshot carries a name",
     "mvflow::obs::Snapshot::count_suffix(std::string_view) const":

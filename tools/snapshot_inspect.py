@@ -16,7 +16,7 @@ import sys
 import zlib
 
 MAGIC = b"MVFLOWCK"
-VERSION = 8
+VERSION = 9
 HEADER = struct.Struct("<8sIIQI")  # magic, version, flags, payload, crc
 
 SECTION_NAMES = {
